@@ -6,7 +6,8 @@ Subcommands:
 * ``yb`` expands a Yang-Baxter element on the standard basis (optionally
   showing the Rothe factor sequence),
 * ``gram`` prints the pairing matrix and checks orthogonality,
-* ``verify`` runs one of the named verification suites.
+* ``verify`` runs one of the named verification suites; a suite guarded
+  below the rank asked for runs at its guard and says so on stderr.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 a mathematical
 verification failed.
@@ -272,9 +273,10 @@ def cmd_gram(args) -> int:
 
 def _suite_orthogonality(n: int, family: str | None) -> list[CheckReport]:
     families = [family] if family else ["partial", "sigma", "pibar", "T"]
+    ranks = {fam: min(n, 3 if fam == "T" else 4) for fam in families}
+    _note_ranks("orthogonality", n, ranks)
     reports = []
-    for fam in families:
-        rank = min(n, 3 if fam == "T" else 4)
+    for fam, rank in ranks.items():
         alg = algebra(fam, rank)
         u = symbolic_spectral(rank)
         report = CheckReport(name=f"orthogonality[{fam}, n={rank}]")
@@ -284,15 +286,14 @@ def _suite_orthogonality(n: int, family: str | None) -> list[CheckReport]:
                 ok = val == delta(alg, permuted_spectral(u, mu * omega))
             else:
                 ok = val.is_zero
-            report.record(ok, f"<Y_{mu}, Y_{nu}> = {val}")
+            report.record(ok, lambda: f"<Y_{mu}, Y_{nu}> = {val}")
         reports.append(report)
     return reports
 
 
-def _suite_ybe(n: int) -> list[CheckReport]:
+def _suite_ybe(rank: int) -> list[CheckReport]:
     from .hecke import elementary_factor
 
-    rank = max(3, min(n, 4))
     u, v, w = (RationalFunction.variable(f"u{i}") for i in (1, 2, 3))
     reports = []
     for fam in ("sigma", "partial", "pibar", "T"):
@@ -325,8 +326,7 @@ def yb_element_along_word(alg, word, u):
     return h
 
 
-def _suite_word_independence(n: int) -> list[CheckReport]:
-    rank = min(n, 4)
+def _suite_word_independence(rank: int) -> list[CheckReport]:
     reports = []
     for fam in ("sigma", "partial", "pibar", "T"):
         alg = algebra(fam, rank)
@@ -338,7 +338,7 @@ def _suite_word_independence(n: int) -> list[CheckReport]:
             ]
             report.record(
                 all(v == values[0] for v in values[1:]),
-                f"mu={mu}: reduced words disagree",
+                lambda: f"mu={mu}: reduced words disagree",
             )
         reports.append(report)
     return reports
@@ -355,38 +355,60 @@ def _suite_rothe(n: int) -> list[CheckReport]:
         basis = yb_basis(alg)
         for mu, y in basis.items():
             report.record(
-                yb_element_rothe(alg, mu) == y, f"mu={mu}: rothe product differs"
+                yb_element_rothe(alg, mu) == y, lambda: f"mu={mu}: rothe product differs"
             )
         reports.append(report)
     return reports
 
 
+def _note_ranks(suite: str, n: int, ranks: dict[str, int]) -> None:
+    """Say on stderr when a suite runs below the rank asked for.
+
+    ``ranks`` maps each part of the suite ("" for the whole suite) to the
+    rank it runs at.  Standard output carries only the reports.
+    """
+    if min(ranks.values()) < n:
+        used = ", ".join(f"n={r} ({part})" if part else f"n={r}" for part, r in ranks.items())
+        print(f"verify {suite}: asked for n={n}, runs at {used}", file=sys.stderr)
+
+
+def _rank(suite: str, n: int, limit: int) -> int:
+    """The rank of a suite guarded at ``limit``, noting a clamp on stderr."""
+    rank = min(n, limit)
+    _note_ranks(suite, n, {"": rank})
+    return rank
+
+
 def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckReport]:
     if suite == "relations":
         fams = [family] if family else list(FAMILY_CHOICES)
-        return [check_relations(f, min(n, 5), probes=4, seed=seed) for f in fams]
+        rank = _rank(suite, n, 5)
+        return [check_relations(f, rank, probes=4, seed=seed) for f in fams]
     if suite == "ybe":
-        return _suite_ybe(n)
+        return _suite_ybe(max(3, _rank(suite, n, 4)))
     if suite == "word-independence":
-        return _suite_word_independence(n)
+        return _suite_word_independence(_rank(suite, n, 4))
     if suite == "orthogonality":
         return _suite_orthogonality(n, family)
     if suite == "schubert-transition":
-        return [verify_schubert_transition(min(n, 4))[1]]
+        return [verify_schubert_transition(_rank(suite, n, 4))[1]]
     if suite == "grothendieck-transition":
-        return [verify_grothendieck_transition(min(n, 4))[1]]
+        return [verify_grothendieck_transition(_rank(suite, n, 4))[1]]
     if suite == "yang-leading":
-        rank = min(n, 3)
-        reports = [verify_yang_leading_terms(rank)]
+        ranks = {"exhaustive": min(n, 3)}
+        if n >= 4:
+            ranks["20 samples"] = 4
+        _note_ranks(suite, n, ranks)
+        reports = [verify_yang_leading_terms(ranks["exhaustive"])]
         if n >= 4:
             reports.append(verify_yang_leading_terms(4, samples=20, seed=seed))
         return reports
     if suite == "newton":
-        return [verify_newton_interpolation(min(n, 3), probes=10, seed=seed)]
+        return [verify_newton_interpolation(_rank(suite, n, 3), probes=10, seed=seed)]
     if suite == "normal-ordering":
-        return [verify_normal_ordering(min(n, 3), probes=10, seed=seed)]
+        return [verify_normal_ordering(_rank(suite, n, 3), probes=10, seed=seed)]
     if suite == "appendix":
-        rank = min(n, 4)
+        rank = _rank(suite, n, 4)
         shapes = [(1,) * rank, (rank,)]
         if rank == 4:
             shapes.append((2, 2))
@@ -396,9 +418,9 @@ def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckRe
             reports.append(verify_appendix_factorizations(shape, "linear", 5, seed))
         return reports
     if suite == "cohomology-basis":
-        return [verify_cohomology_basis(min(n, 4))]
+        return [verify_cohomology_basis(_rank(suite, n, 4))]
     if suite == "degeneration":
-        return [verify_groth_to_schubert_degeneration(min(n, 3))]
+        return [verify_groth_to_schubert_degeneration(_rank(suite, n, 3))]
     if suite == "all":
         reports = []
         for name in SUITES[:-1]:

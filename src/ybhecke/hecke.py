@@ -356,13 +356,38 @@ def yb_element_rothe(
 
 
 def phi(h: HeckeElement) -> HeckeElement:
-    """The anti-automorphism T_mu -> T_{mu^{-1}}, u_i -> u_{n+1-i}."""
+    """The anti-automorphism T_mu -> T_{mu^{-1}}, u_i -> u_{n+1-i}.
+
+    The reversal renames the symbols u1..un inside each coefficient, so it
+    is only right for elements built at those symbols; :func:`gram_matrix`
+    and :func:`expand_in_yb` handle any other spectral parameters.
+    """
     n = h.alg.n
     rev = {f"u{i}": f"u{n + 1 - i}" for i in range(1, n + 1) if i != n + 1 - i}
     out: dict[Permutation, RationalFunction] = {}
     for mu, c in h.coeffs.items():
         out[mu.inverse()] = rename_rf(c, rev)
     return HeckeElement(h.alg, out)
+
+
+def _phi_of_basis(
+    alg: AlgebraSpec,
+    u: Sequence[RationalFunction],
+    ys: Mapping[Permutation, HeckeElement] | None = None,
+) -> dict[Permutation, HeckeElement]:
+    """phi(Y_nu(u)) for every nu; ``ys``, if given, is ``yb_basis(alg, u)``.
+
+    phi reverses the spectral parameters.  At the symbols u1..un that is
+    :func:`phi` on Y(u); at any other tuple, where renaming the symbols
+    does nothing, it is Y_nu built at the reversed tuple with its indices
+    inverted.
+    """
+    if list(u) == symbolic_spectral(alg.n):
+        return {nu: phi(y) for nu, y in (ys or yb_basis(alg, u)).items()}
+    return {
+        nu: HeckeElement(alg, {mu.inverse(): c for mu, c in y.coeffs.items()})
+        for nu, y in yb_basis(alg, list(u)[::-1]).items()
+    }
 
 
 def pairing(h1: HeckeElement, h2: HeckeElement) -> RationalFunction:
@@ -404,11 +429,12 @@ def gram_matrix(
     if u is None:
         u = symbolic_spectral(alg.n)
     ys = yb_basis(alg, u)
+    phis = _phi_of_basis(alg, u, ys)
     perms = all_permutations(alg.n)
     omega = Permutation.longest(alg.n)
     out: dict[tuple[Permutation, Permutation], RationalFunction] = {}
     for nu in perms:
-        g = phi(ys[nu])
+        g = phis[nu]
         left: dict[Permutation, HeckeElement] = {perms[0]: g}
         for kappa in perms[1:]:
             i = next(
@@ -441,14 +467,14 @@ def expand_in_yb(
     alg = h.alg
     if u is None:
         u = symbolic_spectral(alg.n)
-    ys = yb_basis(alg, u)
+    phis = _phi_of_basis(alg, u)
     omega = Permutation.longest(alg.n)
     out: dict[Permutation, RationalFunction] = {}
     for mu in all_permutations(alg.n):
         d = delta(alg, permuted_spectral(u, mu * omega))
         if d.is_zero:
             raise DegenerateSpectrum(f"Delta(u^({mu}*omega)) = 0")
-        c = pairing(h, ys[omega * mu]) / d
+        c = (h * phis[omega * mu]).coefficient(omega) / d
         if not c.is_zero:
             out[mu] = c
     return out

@@ -194,11 +194,11 @@ def check_relations(
         for i in range(1, n - 1):
             lhs = op((i, i + 1, i))
             rhs = op((i + 1, i, i + 1))
-            report.record(lhs == rhs, f"braid({i},{i + 1}) on {f}")
+            report.record(lhs == rhs, lambda: f"braid({i},{i + 1}) on {f}")
         for i in range(1, n - 1):
             for j in range(i + 2, n):
                 report.record(
-                    op((i, j)) == op((j, i)), f"commute({i},{j}) on {f}"
+                    op((i, j)) == op((j, i)), lambda: f"commute({i},{j}) on {f}"
                 )
         for i in range(1, n):
             ti = op((i,))
@@ -209,5 +209,5 @@ def check_relations(
             else:
                 a, b = quad[family]
                 ok = tii == a * ti + b * f
-            report.record(ok, f"quadratic({i}) on {f}")
+            report.record(ok, lambda: f"quadratic({i}) on {f}")
     return report

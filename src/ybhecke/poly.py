@@ -41,7 +41,6 @@ __all__ = [
     "LaurentPoly",
     "RationalFunction",
     "Scalar",
-    "make_var",
     "var_parts",
     "var_sort_key",
     "exact_div",
@@ -67,21 +66,16 @@ Monomial = tuple  # tuple[tuple[str, int], ...], sorted by var_sort_key
 Scalar = Union[int, Fraction]
 
 
-def make_var(family: str, index: int | None = None) -> str:
-    """Return the variable string for a family/index pair, e.g. ("x", 3) -> "x3"."""
-    if family in ("q1", "q2"):
-        return family
-    if family == "q":
-        if index not in (1, 2):
-            raise ValueError("q admits only indices 1 and 2")
-        return f"q{index}"
-    if family not in ("x", "y", "u") or index is None or index < 1:
-        raise ValueError(f"invalid variable {family!r}/{index!r}")
-    return f"{family}{index}"
+# Every name `_var_info` has accepted -> ((family, index), canonical key,
+# display key, invertible).  A memo of a pure function of the name: a name
+# enters only after validation, so a bad name is rejected on every call.
+_VARS: dict[str, tuple[tuple[str, int], tuple[int, int], tuple[int, int], bool]] = {}
 
 
-def var_parts(v: str) -> tuple[str, int]:
-    """Split a variable string into (family, index); q1/q2 have family 'q'."""
+def _var_info(v: str) -> tuple[tuple[str, int], tuple[int, int], tuple[int, int], bool]:
+    info = _VARS.get(v)
+    if info is not None:
+        return info
     fam = v[:1]
     if fam not in ("x", "y", "u", "q") or len(v) < 2 or not v[1:].isdigit():
         raise ValueError(f"unknown variable {v!r}")
@@ -90,22 +84,33 @@ def var_parts(v: str) -> tuple[str, int]:
         raise ValueError(f"unknown variable {v!r}")
     if fam != "q" and idx < 1:
         raise ValueError(f"unknown variable {v!r}")
-    return fam, idx
+    rank = _FAMILY_RANK[fam] if fam != "q" else idx - 1
+    info = ((fam, idx), (rank, idx), (_DISPLAY_RANK[fam], idx), fam in _LAURENT_FAMILIES)
+    _VARS[v] = info
+    return info
+
+
+def var_parts(v: str) -> tuple[str, int]:
+    """Split a variable string into (family, index); q1/q2 have family 'q'."""
+    return _var_info(v)[0]
 
 
 def var_sort_key(v: str) -> tuple[int, int]:
-    fam, idx = var_parts(v)
-    return (_FAMILY_RANK[fam] if fam != "q" else idx - 1, idx)
+    return _var_info(v)[1]
 
 
 def _display_key(v: str) -> tuple[int, int]:
-    fam, idx = var_parts(v)
-    return (_DISPLAY_RANK[fam], idx)
+    return _var_info(v)[2]
+
+
+def _item_sort_key(item: tuple[str, int]) -> tuple[int, int]:
+    info = _VARS.get(item[0])
+    return (info if info is not None else _var_info(item[0]))[1]
 
 
 def _mono_from_dict(exps: Mapping[str, int]) -> Monomial:
     items = [(v, e) for v, e in exps.items() if e != 0]
-    items.sort(key=lambda it: var_sort_key(it[0]))
+    items.sort(key=_item_sort_key)
     return tuple(items)
 
 
@@ -168,10 +173,11 @@ _DISPLAY_KEY = cmp_to_key(_cmp_display)
 
 def _check_mono(m: Monomial) -> None:
     for v, e in m:
-        fam, _ = var_parts(v)
+        info = _VARS.get(v)
+        invertible = (info if info is not None else _var_info(v))[3]
         if not isinstance(e, int) or e == 0:
             raise ValueError(f"bad exponent {e!r} for {v}")
-        if e < 0 and fam not in _LAURENT_FAMILIES:
+        if e < 0 and not invertible:
             raise ValueError(f"negative exponent on {v}: only x/u may be inverted")
 
 
@@ -695,10 +701,6 @@ class RationalFunction:
         self.den = den
 
     @classmethod
-    def _make(cls, num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
-        return cls(num, den)
-
-    @classmethod
     def zero(cls) -> "RationalFunction":
         return cls(_P_ZERO)
 
@@ -877,23 +879,60 @@ _R_ONE = RationalFunction.one()
 
 
 def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
-    """Replace variables by variables (exponents of merged targets add up)."""
+    """Replace variables by variables (exponents of merged targets add up).
+
+    The map is compiled once into slots, one per target variable (a
+    variable outside the map is its own target), so each term's image is a
+    fixed-length exponent tuple.  The tuples are summed, as integers when
+    every coefficient is integral, and become canonical monomials only at
+    the end; every distinct image is validated, also one whose
+    coefficients cancel.
+    """
     if not varmap:
         return p
-    out: dict[Monomial, Fraction] = {}
-    for m, c in p.terms.items():
-        exps: dict[str, int] = {}
-        for v, e in m:
-            nv = varmap.get(v, v)
-            exps[nv] = exps.get(nv, 0) + e
-        nm = _mono_from_dict(exps)
-        _check_mono(nm)
-        nc = out.get(nm, Fraction(0)) + c
-        if nc:
-            out[nm] = nc
-        else:
-            out.pop(nm, None)
-    return LaurentPoly._raw(out)
+    names: list[str] = []  # slot -> target variable
+    target_slot: dict[str, int] = {}
+    for t in varmap.values():
+        if t not in target_slot:
+            target_slot[t] = len(names)
+            names.append(t)
+    slot = {v: target_slot[t] for v, t in varmap.items()}
+    for t, s in target_slot.items():
+        slot.setdefault(t, s)
+    width = len(names)
+    terms = p.terms
+    coeffs: Iterable[Scalar] = terms.values()
+    if all(c.denominator == 1 for c in coeffs):
+        coeffs = [c.numerator for c in coeffs]
+    sums: dict[tuple[int, ...], Scalar] = {}
+    get = sums.get
+    for m, c in zip(terms, coeffs):
+        exps = [0] * width
+        try:
+            for v, e in m:
+                exps[slot[v]] += e
+        except KeyError:  # first sight of a variable outside the map
+            for v, _ in m:
+                if v not in slot:
+                    slot[v] = width
+                    names.append(v)
+                    width += 1
+            exps = [0] * width
+            for v, e in m:
+                exps[slot[v]] += e
+        key = tuple(exps)
+        sums[key] = get(key, 0) + c
+    # Slots in canonical variable order make each image a sorted monomial;
+    # keys made before a slot was added are padded with zeros.
+    order = sorted(range(width), key=lambda s: var_sort_key(names[s]))
+    pad = (0,) * width
+    out: dict[Monomial, Scalar] = {}
+    for key, c in sums.items():
+        key += pad[len(key):]
+        m = tuple((names[s], key[s]) for s in order if key[s])
+        _check_mono(m)
+        out[m] = out.get(m, 0) + c
+    return LaurentPoly._raw({m: Fraction(c) for m, c in out.items() if c})
 
 
 def rename_rf(f: RationalFunction, varmap: Mapping[str, str]) -> RationalFunction:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 __all__ = ["CheckReport"]
 
@@ -22,16 +23,15 @@ class CheckReport:
     def __bool__(self) -> bool:
         return self.passed
 
-    def record(self, ok: bool, witness: str) -> None:
+    def record(self, ok: bool, witness: str | Callable[[], str]) -> None:
+        """Count one check; keep its witness if it failed and there is room.
+
+        A callable witness builds the string and is called only then, so a
+        passing check formats nothing.
+        """
         self.checks += 1
         if not ok and len(self.failures) < self.max_witnesses:
-            self.failures.append(witness)
-
-    def merge(self, other: "CheckReport") -> None:
-        self.checks += other.checks
-        for w in other.failures:
-            if len(self.failures) < self.max_witnesses:
-                self.failures.append(f"{other.name}: {w}")
+            self.failures.append(witness if isinstance(witness, str) else witness())
 
     def lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"

@@ -185,7 +185,7 @@ def verify_schubert_transition(
             got = y.coefficient(nu)
             want = specialize_double(table[nu], mu, u)
             entries[(mu, nu)] = got
-            report.record(got == want, f"mu={mu}, nu={nu}: {got} != {want}")
+            report.record(got == want, lambda: f"mu={mu}, nu={nu}: {got} != {want}")
     matrix = TransitionMatrix("Y^partial", "partial", n, entries)
     return matrix, report
 
@@ -211,7 +211,7 @@ def verify_grothendieck_transition(
             got = y.coefficient(nu)
             want = _specialize_swapped(table[nu.inverse()], mu, u)
             entries[(mu, nu)] = got
-            report.record(got == want, f"mu={mu}, nu={nu}: {got} != {want}")
+            report.record(got == want, lambda: f"mu={mu}, nu={nu}: {got} != {want}")
     matrix = TransitionMatrix("Y^pibar", "pibar", n, entries)
     return matrix, report
 
@@ -256,7 +256,7 @@ def verify_yang_leading_terms(
         low = lowest_homogeneous_component(a, uvars)
         want = specialize_double(table[nu], mu)
         report.record(
-            _R(low) == want, f"mu={mu}, nu={nu}: lowest({a}) != {want}"
+            _R(low) == want, lambda: f"mu={mu}, nu={nu}: lowest({a}) != {want}"
         )
         rest = a - low
         if not rest.is_zero:
@@ -265,7 +265,7 @@ def verify_yang_leading_terms(
             )
             report.record(
                 deg > nu.length(),
-                f"mu={mu}, nu={nu}: higher part has degree {deg} <= l(nu)",
+                lambda: f"mu={mu}, nu={nu}: higher part has degree {deg} <= l(nu)",
             )
     return report
 
@@ -303,7 +303,7 @@ def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> Chec
             rhs = perm_action(mu, f, var_family="y")
             rhs = substitute(rhs, {f"y{i}": _R.variable(f"x{i}") for i in range(1, n + 1)})
             lhs = substitute(total, {f"y{i}": _R.variable(f"x{i}") for i in range(1, n + 1)})
-            report.record(lhs == rhs, f"mu={mu}, f={f}")
+            report.record(lhs == rhs, lambda: f"mu={mu}, f={f}")
     return report
 
 
@@ -331,7 +331,7 @@ def verify_normal_ordering(n: int, probes: int = 10, seed: int = 0) -> CheckRepo
             for nu, c in coeffs[mu].items():
                 total = total + c * diffs[nu]
             report.record(
-                total == perm_action(mu, f), f"mu={mu}, f={f}"
+                total == perm_action(mu, f), lambda: f"mu={mu}, f={f}"
             )
     return report
 
@@ -431,7 +431,7 @@ def verify_appendix_factorizations(
             f = random_probe(rng, n)
             lhs = _yb_operator_t(mu, u, f, params)
             rhs = vandermonde * apply_inverse_word("partial", mu, f)
-            report.record(lhs == rhs, f"f={f}")
+            report.record(lhs == rhs, lambda: f"f={f}")
     elif qmode == "linear":
         u = [_R.constant(i) for i in range(1, n + 1)]
         chern = _R.one()
@@ -446,7 +446,7 @@ def verify_appendix_factorizations(
             f = random_probe(rng, n)
             lhs = _yb_operator_s(mu, u, f)
             rhs = chern * apply_inverse_word("partial", mu, f)
-            report.record(lhs == rhs, f"f={f}")
+            report.record(lhs == rhs, lambda: f"f={f}")
     else:
         raise ValueError(f"unknown q-mode {qmode!r}")
     return report
@@ -484,7 +484,7 @@ def verify_cohomology_basis(n: int) -> CheckReport:
             and (nu == kappa or coords[nu].is_zero)
             for nu in perms
         )
-        report.record(ok, f"coordinate functional fails on X_{kappa}")
+        report.record(ok, lambda: f"coordinate functional fails on X_{kappa}")
     u = [_R.constant(i) for i in range(1, n + 1)]
     staircase = LaurentPoly.monomial(
         {f"x{i}": n - i for i in range(1, n)} if n > 1 else {}
@@ -549,6 +549,6 @@ def verify_groth_to_schubert_degeneration(n: int) -> CheckReport:
         want = rename_poly(xtable[mu], {f"x{i}": f"u{i}" for i in range(1, n + 1)})
         report.record(
             _R(low) == _R(want) * den_const,
-            f"mu={mu}: lowest component mismatch",
+            lambda: f"mu={mu}: lowest component mismatch",
         )
     return report

@@ -18,12 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .poly import (
-    LaurentPoly,
-    RationalFunction,
-    format_poly,
-    format_rf,
-)
+from .poly import LaurentPoly, RationalFunction
 
 __all__ = [
     "parse_scalar",
@@ -32,12 +27,7 @@ __all__ = [
     "poly_from_json",
     "rf_to_json",
     "rf_from_json",
-    "render_poly",
-    "render_rf",
 ]
-
-render_poly = format_poly
-render_rf = format_rf
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<var>[xyu]\d+|q[12])|(?P<op>[-+*/^()]))"

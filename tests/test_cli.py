@@ -101,6 +101,14 @@ def test_gram_partial_n3_antidiagonal(capsys):
             assert got == omega * Permutation.from_string(mu)
 
 
+@pytest.mark.parametrize("family", ["partial", "sigma", "pibar", "T"])
+@pytest.mark.parametrize("spectral", ["2,3,7", "u1+1,u2,u3"])
+def test_gram_at_given_spectral_parameters(capsys, family, spectral):
+    code, out = run(capsys, "gram", "-n", "3", "--family", family, "--spectral", spectral)
+    assert code == 0
+    assert out.splitlines()[-1] == "orthogonality: ok"
+
+
 def test_gram_rank_guard(capsys):
     code, _ = run(capsys, "gram", "-n", "4", "--family", "T")
     assert code == 2
@@ -112,6 +120,24 @@ def test_verify_exit_codes(capsys):
     assert "verify newton: PASS" in out
     code, _ = run(capsys, "verify", "nosuch", "-n", "3")
     assert code == 2
+
+
+def test_verify_reports_rank_clamp_on_stderr(capsys):
+    code = main(["verify", "degeneration", "-n", "4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "verify degeneration: asked for n=4, runs at n=3\n"
+    assert captured.out.splitlines() == [
+        "degeneration[n=3]: PASS (6 checks)",
+        "verify degeneration: PASS",
+    ]
+    code = main(["verify", "degeneration", "-n", "3"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    main(["verify", "orthogonality", "-n", "4", "--family", "T"])
+    assert capsys.readouterr().err == (
+        "verify orthogonality: asked for n=4, runs at n=3 (T)\n"
+    )
 
 
 def test_verify_orthogonality_partial_n4(capsys):

@@ -1,6 +1,7 @@
 """Hecke elements, Yang-Baxter bases, the bilinear form, orthogonality."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -344,6 +345,19 @@ def test_expand_t321_display():
     # T_id component of Delta * T_321 (the printed table flips it)
     inner = S("1 - (1 + u3/u1 - u3/u2 - u2/u1)/((1+q1/q2)*(1+q2/q1))")
     assert c[P("123")] == -inner / D
+
+
+def test_expand_at_numeric_spectral_parameters():
+    # phi reverses u; at numbers that is Y built at the reversed tuple
+    u = [R.constant(c) for c in (2, 3, 7)]
+    for fam in ("partial", "sigma", "pibar"):
+        alg = algebra(fam, 3)
+        assert expand_in_yb(yb_element(alg, P("231"), u), u) == {P("231"): R.one()}, fam
+    # Y_213 = 1 + (u2 - u1) T_213, so T_213 = (Y_213 - Y_123)/(u2 - u1)
+    u = [R.constant(c) for c in (2, 5, 7)]
+    third = R.constant(Fraction(1, 3))
+    got = expand_in_yb(basis_element(algebra("partial", 3), P("213")), u)
+    assert got == {P("213"): third, P("123"): -third}
 
 
 def test_expand_resubstitution_random():

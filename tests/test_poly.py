@@ -19,8 +19,12 @@ from ybhecke.poly import (
     exact_div,
     lowest_homogeneous_component,
     poly_gcd,
+    rename_poly,
     rename_rf,
     substitute,
+    substitute_poly,
+    var_parts,
+    var_sort_key,
 )
 from ybhecke.serialize import parse_poly, parse_scalar
 
@@ -118,6 +122,65 @@ def test_laurent_exponent_legality():
         LaurentPoly.variable("y1", -1)
     with pytest.raises(ValueError):
         LaurentPoly.variable("q1", -2)
+
+
+@pytest.mark.parametrize("name", ["x0", "q3", "z1", "u", "y-1"])
+def test_bad_variable_name_raises_every_time(name):
+    # names are resolved once and remembered; a rejected one must not be
+    # remembered
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            LaurentPoly.variable(name)
+        with pytest.raises(ValueError):
+            var_parts(name)
+        with pytest.raises(ValueError):
+            var_sort_key(name)
+
+
+# ----------------------------------------------------------------------
+# renaming
+
+
+def test_rename_merging_targets_with_cancellation():
+    p = parse_poly("x1*y1 - x2*y1 + 1/2*x1 + 3*x2 + x1^2*x2^-1")
+    got = rename_poly(p, {"x1": "u1", "x2": "u1"})
+    assert got == parse_poly("9/2*u1")
+    assert all(type(c) is Fraction for c in got.terms.values())
+    # integral input: the sums are integers, the output still Fractions
+    got = rename_poly(parse_poly("2*x1 - 2*x2 + x1^2"), {"x1": "u1", "x2": "u1"})
+    assert got.terms == {(("u1", 2),): Fraction(1)}
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert rename_poly(parse_poly("x1 - x2"), {"x1": "x2"}).is_zero
+
+
+def test_rename_negative_exponent_onto_polynomial_variable_raises():
+    with pytest.raises(ValueError):
+        rename_poly(parse_poly("1 + x1^-1"), {"x1": "y1"})
+    with pytest.raises(ValueError):
+        rename_poly(parse_poly("x2 + x1^-1"), {"x1": "q1"})
+    # the image terms cancel, but the monomial y1^-1 is still illegal
+    with pytest.raises(ValueError):
+        rename_poly(parse_poly("x1^-1 - x2^-1"), {"x1": "y1", "x2": "y1"})
+
+
+def test_rename_matches_substitution():
+    # variables outside the map, swaps, merges, inverses and fractions
+    rng = random.Random(9)
+    names = ["x1", "x2", "x3", "u1", "u2", "y1", "q2"]
+    maps = [
+        {"x1": "x2", "x2": "x1"},
+        {"x1": "u2", "x2": "u1", "x3": "u2"},
+        {"u1": "u2", "u2": "x3"},
+        {"x3": "x1"},
+    ]
+    for _ in range(20):
+        inverse = {"x1": -rng.randint(0, 2), "u2": -rng.randint(0, 2)}
+        p = random_poly(rng, names, max_deg=2) * LaurentPoly.monomial(
+            inverse, Fraction(1, rng.randint(1, 4))
+        )
+        for varmap in maps:
+            images = {v: RationalFunction.variable(t) for v, t in varmap.items()}
+            assert RationalFunction(rename_poly(p, varmap)) == substitute_poly(p, images)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,9 @@ from ybhecke.hecke import algebra, symbolic_spectral, yb_basis
 from ybhecke.operators import apply_generator
 from ybhecke.permutations import Permutation, all_permutations
 from ybhecke.poly import RationalFunction, lowest_homogeneous_component, rename_poly
+from ybhecke.report import CheckReport
 from ybhecke.schubert import (
+    _specialize_swapped,
     grothendieck_table,
     schubert_table,
     specialize_double,
@@ -132,6 +134,36 @@ def test_specialize_double_examples():
     for nu in all_permutations(3):
         got = specialize_double(t3[nu], P("123"))
         assert got.is_zero if nu.length() else got == RationalFunction.one()
+
+
+@pytest.mark.parametrize("table", [schubert_table, grothendieck_table])
+@pytest.mark.parametrize("specialize", [specialize_double, _specialize_swapped])
+def test_specialize_by_renaming_matches_substitution(table, specialize):
+    # at symbolic u the specializations rename variables; passing u
+    # explicitly takes the substitution route (Grothendieck entries carry
+    # negative x exponents)
+    entries = table(4).entries
+    u = symbolic_spectral(4)
+    for mu in all_permutations(4):
+        for nu, p in entries.items():
+            assert specialize(p, mu) == specialize(p, mu, u), (mu, nu)
+
+
+def test_lazy_witness_called_only_for_kept_failures():
+    calls = []
+
+    def witness():
+        calls.append(1)
+        return "failed"
+
+    report = CheckReport(name="lazy", max_witnesses=3)
+    for _ in range(5):
+        report.record(True, witness)
+    assert calls == [] and report.passed and report.checks == 5
+    for _ in range(5):
+        report.record(False, witness)
+    assert len(calls) == 3 and report.failures == ["failed"] * 3
+    assert report.checks == 10 and not report.passed
 
 
 def test_schubert_transition_s3_s4():
