@@ -24,11 +24,15 @@ from .errors import YBHeckeError
 from .hecke import (
     algebra,
     delta,
+    elementary_factor,
     gram_matrix,
     permuted_spectral,
     symbolic_spectral,
+    word_steps,
     yb_basis,
     yb_element,
+    yb_element_rothe,
+    yb_product,
 )
 from .operators import check_relations
 from .permutations import (
@@ -58,6 +62,7 @@ SUITES = (
     "relations",
     "ybe",
     "word-independence",
+    "rothe",
     "orthogonality",
     "schubert-transition",
     "grothendieck-transition",
@@ -292,8 +297,6 @@ def _suite_orthogonality(n: int, family: str | None) -> list[CheckReport]:
 
 
 def _suite_ybe(rank: int) -> list[CheckReport]:
-    from .hecke import elementary_factor
-
     u, v, w = (RationalFunction.variable(f"u{i}") for i in (1, 2, 3))
     reports = []
     for fam in ("sigma", "partial", "pibar", "T"):
@@ -316,14 +319,7 @@ def _suite_ybe(rank: int) -> list[CheckReport]:
 
 def yb_element_along_word(alg, word, u):
     """Y built along an explicit reduced word (used by word-independence checks)."""
-    from .hecke import elementary_factor, unit
-
-    h = unit(alg)
-    nu = Permutation.identity(alg.n)
-    for j in word:
-        h = h * elementary_factor(alg, j, u[nu(j) - 1], u[nu(j + 1) - 1])
-        nu = nu.times_simple(j)
-    return h
+    return yb_product(alg, u, word_steps(alg.n, word))
 
 
 def _suite_word_independence(rank: int) -> list[CheckReport]:
@@ -344,10 +340,7 @@ def _suite_word_independence(rank: int) -> list[CheckReport]:
     return reports
 
 
-def _suite_rothe(n: int) -> list[CheckReport]:
-    from .hecke import yb_element_rothe
-
-    rank = min(n, 4)
+def _suite_rothe(rank: int) -> list[CheckReport]:
     reports = []
     for fam in ("sigma", "partial", "pibar", "T"):
         alg = algebra(fam, rank)
@@ -388,6 +381,8 @@ def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckRe
         return _suite_ybe(max(3, _rank(suite, n, 4)))
     if suite == "word-independence":
         return _suite_word_independence(_rank(suite, n, 4))
+    if suite == "rothe":
+        return _suite_rothe(_rank(suite, n, 4))
     if suite == "orthogonality":
         return _suite_orthogonality(n, family)
     if suite == "schubert-transition":

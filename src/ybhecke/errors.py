@@ -41,6 +41,10 @@ class ZeroSpectral(YBHeckeError):
     """A multiplicative spectral parameter is zero (not invertible)."""
 
 
+class ReservedVariable(YBHeckeError):
+    """A parameter mentions the variable the package reserves for itself."""
+
+
 class DegenerateSpectrum(YBHeckeError):
     """Spectral parameters make some normalizing factor vanish."""
 

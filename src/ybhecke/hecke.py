@@ -17,7 +17,27 @@ from the factors 1 + c(u, v) T_j by the recursion
     Y_mu(u) = Y_nu(u) * Y_j(u_{nu(j)}, u_{nu(j+1)})     for mu = nu s_j, longer,
 
 with c as returned by :func:`factor_coefficient`; the same element also
-arises by reading the Rothe diagram of mu (:func:`yb_element_rothe`).
+arises by reading the Rothe diagram of mu (:func:`yb_element_rothe`).  Every
+such product is multiplied out by :func:`yb_product` (or, sharing prefixes,
+by :func:`yb_basis`).
+
+The generic family is multiplied in its one-parameter form.  With
+theta = q1+q2, the rescaled generators T'_j = T_j/theta satisfy
+
+    T'_j^2 = T'_j - beta,     beta = q1*q2/theta^2,
+
+and the factor 1 + (v/u - 1)/theta T_j is 1 + (v/u - 1) T'_j.  So the
+coefficient of T_nu in Y_mu is theta^-l(nu) P(beta), with P a polynomial in
+beta; at the symbols u1..un (or numbers) it is a Laurent polynomial in u, so
+no denominator appears while the element is built and no gcd is taken.
+Each P = sum_j P_j beta^j of degree K is homogenised once at the end into
+
+    sum_j P_j (q1*q2)^j theta^(2K-2j) / theta^(2K+l(nu)),
+
+which at the symbols is reduced as it stands: modulo theta its numerator is
+P_K (q1*q2)^K.  The carrier of beta is the internal variable ``poly.BETA``;
+spectral parameters of family T may not mention it, and no returned
+coefficient does.
 
 The bilinear form pairs h1, h2 into the coefficient of T_omega in
 h1 * phi(h2), where phi is the anti-automorphism T_mu -> T_{mu^{-1}},
@@ -29,17 +49,18 @@ u_i -> u_{n+1-i}.  The Yang-Baxter basis is orthogonal for it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AlgebraMismatch,
     DegenerateSpectrum,
     IndexOutOfRange,
+    ReservedVariable,
     ZeroSpectral,
 )
 from .operators import apply_word
-from .permutations import Permutation, all_permutations
-from .poly import RationalFunction, rename_rf
+from .permutations import Permutation, all_permutations, rothe_diagram
+from .poly import BETA, LaurentPoly, RationalFunction, coefficients_in, rename_rf
 
 __all__ = [
     "AlgebraSpec",
@@ -51,6 +72,8 @@ __all__ = [
     "elementary_factor",
     "symbolic_spectral",
     "permuted_spectral",
+    "word_steps",
+    "yb_product",
     "yb_element",
     "yb_basis",
     "yb_element_rothe",
@@ -63,7 +86,12 @@ __all__ = [
 ]
 
 _R = RationalFunction
+_P_ZERO = LaurentPoly.zero()
+_P_ONE = LaurentPoly.one()
 _FACTOR_FAMILIES = ("sigma", "partial", "pibar", "T")
+# The family tag of the generic family's one-parameter form; only
+# _building_algebra makes such an algebra, and no element of it is returned.
+_BETA_FORM = "T'"
 
 
 @dataclass(frozen=True)
@@ -260,9 +288,11 @@ def factor_coefficient(
         if u.is_zero:
             raise ZeroSpectral("pibar factors need an invertible first parameter")
         return 1 - v / u
-    if alg.family == "T":
+    if alg.family in ("T", _BETA_FORM):
         if u.is_zero:
             raise ZeroSpectral("T factors need an invertible first parameter")
+        if alg.family == _BETA_FORM:
+            return v / u - 1
         theta = _R.variable("q1") + _R.variable("q2")
         return (v / u - 1) / theta
     raise ValueError(
@@ -290,6 +320,81 @@ def _check_spectral(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> None:
         raise ValueError(f"need {alg.n} spectral parameters, got {len(u)}")
     if alg.multiplicative and any(x.is_zero for x in u):
         raise ZeroSpectral("multiplicative families need nonzero parameters")
+    if alg.family == "T":
+        for x in map(_coerce_rf, u):
+            if BETA in x.num.variables() | x.den.variables():
+                raise ReservedVariable(f"family T spectral parameters must not mention {BETA}")
+
+
+def _building_algebra(alg: AlgebraSpec) -> AlgebraSpec:
+    """The algebra in which the factors of a Yang-Baxter element of ``alg``
+    are multiplied: the one-parameter form T'_j^2 = T'_j - beta for the
+    generic family, the family itself otherwise."""
+    if alg.family != "T":
+        return alg
+    return AlgebraSpec(_BETA_FORM, alg.n, _R.one(), -_R.variable(BETA), True)
+
+
+def _from_building(alg: AlgebraSpec, h: HeckeElement) -> HeckeElement:
+    """An element of ``alg`` from its image in ``_building_algebra(alg)``.
+
+    In the generic family the coefficient P = sum_j P_j beta^j of T'_nu, of
+    degree K in beta, becomes the coefficient of T_nu = theta^l(nu) T'_nu,
+
+        sum_j P_j (q1 q2)^j theta^(2K-2j) / theta^(2K+l(nu)),
+
+    its numerator summed by Horner's rule in theta^2.  At the symbols
+    u1..un that quotient is reduced without a gcd: modulo theta its
+    numerator is P_K (q1 q2)^K.
+    """
+    if alg.family != "T":
+        return h
+    q1, q2 = LaurentPoly.variable("q1"), LaurentPoly.variable("q2")
+    theta = q1 + q2
+    theta2, q12 = theta * theta, q1 * q2
+    out: dict[Permutation, RationalFunction] = {}
+    for nu, c in h.coeffs.items():
+        parts = coefficients_in(c.num, BETA)
+        top = max(parts)
+        num = parts.get(0, _P_ZERO)
+        q12_power = _P_ONE
+        for j in range(1, top + 1):
+            q12_power = q12_power * q12
+            num = num * theta2
+            if j in parts:
+                num = num + parts[j] * q12_power
+        out[nu] = RationalFunction(num, c.den * theta ** (2 * top + nu.length()))
+    return HeckeElement(alg, out)
+
+
+def word_steps(n: int, word: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The steps (j, a, b) of :func:`yb_product` that build Y along ``word``:
+    the factor at generator j joins u_{nu(j)} and u_{nu(j+1)}, where nu is
+    the product of the letters before it."""
+    nu = Permutation.identity(n)
+    for j in word:
+        yield j, nu(j), nu(j + 1)
+        nu = nu.times_simple(j)
+
+
+def yb_product(
+    alg: AlgebraSpec,
+    u: Sequence[RationalFunction],
+    steps: Iterable[tuple[int, int, int]],
+) -> HeckeElement:
+    """The product, left to right, of the factors Y_j(u_a, u_b) = 1 + c T_j
+    over the steps (j, a, b).
+
+    Every Yang-Baxter element is multiplied out here, or in :func:`yb_basis`
+    with the same two conversions, so the generic family always takes its
+    one-parameter form.
+    """
+    _check_spectral(alg, u)
+    build = _building_algebra(alg)
+    h = unit(build)
+    for j, a, b in steps:
+        h = h * elementary_factor(build, j, u[a - 1], u[b - 1])
+    return _from_building(alg, h)
 
 
 def yb_element(
@@ -300,14 +405,7 @@ def yb_element(
     """The Yang-Baxter element Y_mu(u), built along the canonical reduced word."""
     if u is None:
         u = symbolic_spectral(alg.n)
-    _check_spectral(alg, u)
-    h = unit(alg)
-    nu = Permutation.identity(alg.n)
-    for j in mu.reduced_word():
-        factor = elementary_factor(alg, j, u[nu(j) - 1], u[nu(j + 1) - 1])
-        h = h * factor
-        nu = nu.times_simple(j)
-    return h
+    return yb_product(alg, u, word_steps(alg.n, mu.reduced_word()))
 
 
 def yb_basis(
@@ -317,14 +415,15 @@ def yb_basis(
     if u is None:
         u = symbolic_spectral(alg.n)
     _check_spectral(alg, u)
+    build = _building_algebra(alg)
     perms = all_permutations(alg.n)
-    out: dict[Permutation, HeckeElement] = {perms[0]: unit(alg)}
+    built = {perms[0]: unit(build)}
     for mu in perms[1:]:
         j = next(iter(mu.descents()))
         nu = mu.times_simple(j)
-        factor = elementary_factor(alg, j, u[nu(j) - 1], u[nu(j + 1) - 1])
-        out[mu] = out[nu] * factor
-    return out
+        factor = elementary_factor(build, j, u[nu(j) - 1], u[nu(j + 1) - 1])
+        built[mu] = built[nu] * factor
+    return {mu: _from_building(alg, h) for mu, h in built.items()}
 
 
 def yb_element_rothe(
@@ -339,16 +438,10 @@ def yb_element_rothe(
     occidental reading (top row first, left to right) multiplies out to the
     same element as the recursion.
     """
-    from .permutations import rothe_diagram
-
     if u is None:
         u = symbolic_spectral(alg.n)
-    _check_spectral(alg, u)
-    h = unit(alg)
-    for box in rothe_diagram(mu).boxes:
-        lo, hi = u[mu(box.j) - 1], u[mu(box.i) - 1]
-        h = h * elementary_factor(alg, box.generator, lo, hi)
-    return h
+    boxes = rothe_diagram(mu).boxes
+    return yb_product(alg, u, ((b.generator, mu(b.j), mu(b.i)) for b in boxes))
 
 
 # ----------------------------------------------------------------------

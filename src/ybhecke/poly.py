@@ -5,8 +5,8 @@ polynomial is a map from monomials to nonzero coefficients, so all arithmetic
 is exact; there is no floating point anywhere in this package.
 
 Variables are compact strings: the indexed families ``x1, x2, ...``,
-``y1, ...``, ``u1, ...`` and the two parameters ``q1``, ``q2``.  The
-canonical variable order is
+``y1, ...``, ``u1, ...`` and the two parameters ``q1``, ``q2``, plus one
+internal name, :data:`BETA`.  The canonical variable order is
 
     q1 < q2 < u1 < u2 < ... < y1 < y2 < ... < x1 < x2 < ...
 
@@ -41,10 +41,12 @@ __all__ = [
     "LaurentPoly",
     "RationalFunction",
     "Scalar",
+    "BETA",
     "var_parts",
     "var_sort_key",
     "exact_div",
     "poly_gcd",
+    "coefficients_in",
     "divide_by_difference",
     "rename_poly",
     "rename_rf",
@@ -66,9 +68,10 @@ Monomial = tuple  # tuple[tuple[str, int], ...], sorted by var_sort_key
 Scalar = Union[int, Fraction]
 
 
-# Every name `_var_info` has accepted -> ((family, index), canonical key,
-# display key, invertible).  A memo of a pure function of the name: a name
-# enters only after validation, so a bad name is rejected on every call.
+# Every name `_var_info` has accepted, and BETA below -> ((family, index),
+# canonical key, display key, invertible).  A memo of a pure function of the
+# name: a name enters only after validation, so a bad name is rejected on
+# every call.
 _VARS: dict[str, tuple[tuple[str, int], tuple[int, int], tuple[int, int], bool]] = {}
 
 
@@ -88,6 +91,14 @@ def _var_info(v: str) -> tuple[tuple[str, int], tuple[int, int], tuple[int, int]
     info = ((fam, idx), (rank, idx), (_DISPLAY_RANK[fam], idx), fam in _LAURENT_FAMILIES)
     _VARS[v] = info
     return info
+
+
+# The one internal name: it carries beta = q1*q2/(q1+q2)^2 while the generic
+# family's Yang-Baxter elements are built in their one-parameter form
+# (hecke.py).  It sorts and prints like a q variable below q1, stays
+# polynomial, and the text grammar cannot spell it.
+BETA = "q0"
+_VARS[BETA] = (("q", 0), (-1, 0), (_DISPLAY_RANK["q"], 0), False)
 
 
 def var_parts(v: str) -> tuple[str, int]:
@@ -151,8 +162,9 @@ def _cmp_monos(m1: Monomial, m2: Monomial) -> int:
 def _cmp_display(m1: Monomial, m2: Monomial) -> int:
     """Like :func:`_cmp_monos`, but with x1 as the most significant variable.
 
-    Only used for rendering, so that x1 + x2 - y1 - y2 prints in the familiar
-    order; canonical decisions (denominator sign) use :func:`_cmp_monos`.
+    This is the rendering order, so that x1 + x2 - y1 - y2 prints in the
+    familiar way; canonical decisions (denominator sign) use
+    :func:`_cmp_monos`.  :func:`_display_sorted` sorts by it through a key.
     """
     if m1 == m2:
         return 0
@@ -168,7 +180,26 @@ def _cmp_display(m1: Monomial, m2: Monomial) -> int:
 
 
 _CANONICAL_KEY = cmp_to_key(_cmp_monos)
-_DISPLAY_KEY = cmp_to_key(_cmp_display)
+
+
+def _display_sorted(monos: Iterable[Monomial]) -> list[Monomial]:
+    """The monomials from the largest down in the order of :func:`_cmp_display`.
+
+    The variables of all the monomials are put in display order once; each
+    monomial's key is then its degree and its exponents over them.
+    """
+    monos = list(monos)
+    names = sorted({v for m in monos for v, _ in m}, key=_display_key)
+    slot = {v: i for i, v in enumerate(names)}
+    width = len(names)
+
+    def key(m: Monomial) -> tuple[int, list[int]]:
+        exps = [0] * width
+        for v, e in m:
+            exps[slot[v]] = e
+        return sum(exps), exps
+
+    return sorted(monos, key=key, reverse=True)
 
 
 def _check_mono(m: Monomial) -> None:
@@ -516,7 +547,8 @@ def _normal_positive(p: LaurentPoly) -> LaurentPoly:
     return p.map_coefficients(lambda a: a / c)
 
 
-def _as_univar(p: LaurentPoly, v: str) -> dict[int, LaurentPoly]:
+def coefficients_in(p: LaurentPoly, v: str) -> dict[int, LaurentPoly]:
+    """``p`` as a polynomial in ``v``: each exponent of ``v`` -> its coefficient."""
     out: dict[int, dict[Monomial, Fraction]] = {}
     for m, c in p.terms.items():
         exps = dict(m)
@@ -597,8 +629,8 @@ def _gcd_rec(P: LaurentPoly, Q: LaurentPoly) -> LaurentPoly:
         return _P_ONE
     vs = P.variables() | Q.variables()
     v = max(vs, key=var_sort_key)
-    A = _as_univar(P, v)
-    B = _as_univar(Q, v)
+    A = coefficients_in(P, v)
+    B = coefficients_in(Q, v)
     if max(A) < max(B):
         A, B = B, A
     contA = _coeff_gcd(A.values())
@@ -1030,7 +1062,7 @@ def format_poly(p: LaurentPoly, latex: bool = False) -> str:
     """Deterministic text for a polynomial; parses back via the CLI grammar."""
     if p.is_zero:
         return "0"
-    monos = sorted(p.terms, key=_DISPLAY_KEY, reverse=True)
+    monos = _display_sorted(p.terms)
     pieces: list[str] = []
     for i, m in enumerate(monos):
         c = p.terms[m]

@@ -10,15 +10,19 @@ __all__ = ["CheckReport"]
 
 @dataclass
 class CheckReport:
+    """Counts of checks and failed checks, and the witnesses of the first
+    ``max_witnesses`` failures."""
+
     name: str
     checks: int = 0
     failures: list[str] = field(default_factory=list)
     seed: int | None = None
     max_witnesses: int = 20
+    failed: int = 0
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failed
 
     def __bool__(self) -> bool:
         return self.passed
@@ -30,7 +34,10 @@ class CheckReport:
         passing check formats nothing.
         """
         self.checks += 1
-        if not ok and len(self.failures) < self.max_witnesses:
+        if ok:
+            return
+        self.failed += 1
+        if len(self.failures) < self.max_witnesses:
             self.failures.append(witness if isinstance(witness, str) else witness())
 
     def lines(self) -> list[str]:

@@ -160,12 +160,12 @@ def parse_poly(text: str) -> LaurentPoly:
 # JSON codecs.  A polynomial is a list of {"coeff": "p/q", "monomial":
 # {"x1": -1, ...}}; a rational function is {"num": [...], "den": [...]}.
 
-from .poly import _DISPLAY_KEY  # deterministic export order
+from .poly import _display_sorted  # deterministic export order
 
 
 def poly_to_json(p: LaurentPoly) -> list[dict[str, Any]]:
     out = []
-    for m in sorted(p.terms, key=_DISPLAY_KEY, reverse=True):
+    for m in _display_sorted(p.terms):
         out.append({"coeff": str(p.terms[m]), "monomial": {v: e for v, e in m}})
     return out
 

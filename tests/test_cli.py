@@ -1,11 +1,12 @@
 """Command-line surface: output contracts, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from ybhecke.cli import main
-from ybhecke.permutations import Permutation
+from ybhecke.permutations import Permutation, all_permutations
 from ybhecke.serialize import parse_scalar, poly_from_json, rf_from_json
 
 
@@ -144,6 +145,58 @@ def test_verify_orthogonality_partial_n4(capsys):
     code, out = run(capsys, "verify", "orthogonality", "-n", "4", "--family", "partial")
     assert code == 0
     assert "576 checks" in out
+
+
+def test_verify_rothe_is_a_registered_suite(capsys):
+    code, out = run(capsys, "verify", "rothe", "-n", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        f"rothe[{fam}, n=4]: PASS (24 checks)" for fam in ("sigma", "partial", "pibar", "T")
+    ] + ["verify rothe: PASS"]
+    code, out = run(capsys, "verify", "all", "-n", "2")
+    assert code == 0
+    assert [l for l in out.splitlines() if l.startswith("rothe[")] == [
+        f"rothe[{fam}, n=2]: PASS (2 checks)" for fam in ("sigma", "partial", "pibar", "T")
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, size, digest",
+    [
+        (
+            ("schubert", "-n", "5"),
+            282832,
+            "ef7a671d66eb6ea347c4bf482cf40e39c659b3f70bcb188ed6f174aedc976cc4",
+        ),
+        (
+            ("grothendieck", "-n", "5", "--format", "json"),
+            747636,
+            "48f310880a34119a8984b198b21f13fbe3102d0add87a203a05b79b498fc36dd",
+        ),
+    ],
+    ids=["schubert-text", "grothendieck-json"],
+)
+def test_n5_table_output_is_pinned(capsys, argv, size, digest):
+    # Size and SHA-256 of the exact bytes, so any change of rendering order shows.
+    code, out = run(capsys, *argv)
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_yb_T_json_output_is_pinned(capsys):
+    # Every Y_mu of family T in S4, in JSON: pins the normal form of each
+    # coefficient, not only its value.
+    out = ""
+    for mu in sorted(str(mu) for mu in all_permutations(4)):
+        code, text = run(capsys, "yb", "-n", "4", "--family", "T", mu, "--format", "json")
+        assert code == 0
+        out += text
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        129885,
+        "b7f9f12481f1d5208df6d59ee9ce41e0bc57d4de38a7bc0d9e357a63acf54dcd",
+    )
 
 
 def test_output_determinism(capsys, tmp_path):

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ybhecke.errors import AlgebraMismatch, IndexOutOfRange, ZeroSpectral
+from ybhecke.cli import main
+from ybhecke.errors import AlgebraMismatch, IndexOutOfRange, ReservedVariable, ZeroSpectral
 from ybhecke.hecke import (
     HeckeElement,
     algebra,
@@ -20,13 +21,15 @@ from ybhecke.hecke import (
     phi,
     symbolic_spectral,
     unit,
+    word_steps,
     yb_basis,
     yb_element,
     yb_element_rothe,
+    yb_product,
 )
 from ybhecke.operators import apply_word, random_probe
 from ybhecke.permutations import Permutation, all_permutations, all_reduced_words
-from ybhecke.poly import LaurentPoly, RationalFunction, substitute
+from ybhecke.poly import BETA, LaurentPoly, RationalFunction, substitute
 from ybhecke.serialize import parse_scalar as S
 
 P = Permutation.from_string
@@ -228,6 +231,75 @@ def test_rothe_equals_recursion_35142():
     alg = algebra("T", 5)
     mu = P("35142")
     assert yb_element_rothe(alg, mu) == yb_element(alg, mu)
+
+
+# ----------------------------------------------------------------------
+# the generic family's one-parameter (beta) form
+
+
+def factor_products(alg, u, words):
+    """Products of the public ``elementary_factor``s along each word, in
+    ``alg`` itself; words that share a prefix share its product."""
+    memo = {(): unit(alg)}
+
+    def along(word):
+        if word not in memo:
+            j, a, b = list(word_steps(alg.n, word))[-1]
+            memo[word] = along(word[:-1]) * elementary_factor(alg, j, u[a - 1], u[b - 1])
+        return memo[word]
+
+    return {word: along(word) for word in words}
+
+
+@pytest.mark.parametrize(
+    "spectral", [None, "2,3,7", "q1,u2,q2+1"], ids=["symbolic", "numeric", "mentions-q"]
+)
+def test_beta_route_equals_factor_product_on_every_word(spectral):
+    ranks = (2, 3, 4) if spectral is None else (len(spectral.split(",")),)
+    for n in ranks:
+        alg = algebra("T", n)
+        u = symbolic_spectral(n) if spectral is None else [S(x) for x in spectral.split(",")]
+        for mu in all_permutations(n):
+            words = all_reduced_words(mu)
+            want = factor_products(alg, u, words)
+            for word in words:
+                assert yb_product(alg, u, word_steps(n, word)) == want[word], (mu, word)
+            assert yb_element(alg, mu, u) == want[mu.reduced_word()], mu
+
+
+def test_beta_route_at_q1_0_q2_minus1_is_pibar():
+    spec = {"q1": S("0"), "q2": S("-1")}
+    for n in (3, 4):
+        generic = yb_basis(algebra("T", n))
+        pibar = yb_basis(algebra("pibar", n))
+        for mu, y in generic.items():
+            got = {nu: substitute(c, spec) for nu, c in y.coeffs.items()}
+            assert {nu: c for nu, c in got.items() if not c.is_zero} == pibar[mu].coeffs, mu
+
+
+def test_beta_carrier_never_in_a_coefficient():
+    alg = algebra("T", 4)
+    elements = list(yb_basis(alg).values()) + [yb_element(algebra("T", 5), P("54321"))]
+    elements.append(yb_element(alg, P("4321"), [S("q1"), S("u2"), S("q2+1"), S("3")]))
+    for y in elements:
+        for c in y.coeffs.values():
+            assert BETA not in c.num.variables() | c.den.variables()
+
+
+def test_spectral_parameter_mentioning_the_beta_carrier_is_rejected(capsys):
+    alg = algebra("T", 3)
+    u = [S("u1"), R.variable(BETA) + 1, S("u3")]
+    for build in (
+        lambda: yb_element(alg, P("321"), u),
+        lambda: yb_basis(alg, u),
+        lambda: yb_element_rothe(alg, P("321"), u),
+        lambda: yb_product(alg, u, word_steps(3, (1, 2, 1))),
+    ):
+        with pytest.raises(ReservedVariable):
+            build()
+    # The text grammar cannot spell the carrier, so the CLI stops at parsing.
+    assert main(["yb", "-n", "3", "--family", "T", "321", "--spectral", f"{BETA},u2,u3"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # ----------------------------------------------------------------------

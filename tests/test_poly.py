@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -15,6 +16,8 @@ from ybhecke.errors import (
 from ybhecke.poly import (
     LaurentPoly,
     RationalFunction,
+    _cmp_display,
+    _display_sorted,
     divide_by_difference,
     exact_div,
     lowest_homogeneous_component,
@@ -26,6 +29,7 @@ from ybhecke.poly import (
     var_parts,
     var_sort_key,
 )
+from ybhecke.schubert import grothendieck_table, schubert_table
 from ybhecke.serialize import parse_poly, parse_scalar
 
 
@@ -357,3 +361,12 @@ def test_simplify_reduces():
     s = f.simplify()
     assert s == f
     assert s.den == parse_poly("x2 - y1")
+
+
+def test_display_key_orders_like_the_display_comparison():
+    by_cmp = cmp_to_key(_cmp_display)
+    polys = [schubert_table(4)[mu] for mu in schubert_table(4).entries]
+    polys += [grothendieck_table(4)[mu] for mu in grothendieck_table(4).entries]
+    polys.append(parse_poly("q1*q2 - 2*q1^2*u1 + u1^-1*x2 + 3*y1*y2^2 - x1^-2*u3"))
+    for p in polys:
+        assert _display_sorted(p.terms) == sorted(p.terms, key=by_cmp, reverse=True)

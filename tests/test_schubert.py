@@ -166,6 +166,19 @@ def test_lazy_witness_called_only_for_kept_failures():
     assert report.checks == 10 and not report.passed
 
 
+def test_failure_without_room_for_a_witness_still_fails():
+    report = CheckReport(name="x", max_witnesses=0)
+    report.record(True, "unused")
+    report.record(False, "w")
+    assert not report.passed and report.failed == 1 and report.failures == []
+    assert report.lines() == ["x: FAIL (2 checks)"]
+    kept = CheckReport(name="y", max_witnesses=1, seed=3)
+    kept.record(False, "first")
+    kept.record(False, "second")
+    assert kept.failed == 2
+    assert kept.lines() == ["y: FAIL (2 checks, seed=3)", "  witness: first"]
+
+
 def test_schubert_transition_s3_s4():
     for n in (3, 4):
         matrix, report = verify_schubert_transition(n)
