@@ -23,10 +23,9 @@ from typing import Sequence
 from .errors import YBHeckeError
 from .hecke import (
     algebra,
-    delta,
     elementary_factor,
     gram_matrix,
-    permuted_spectral,
+    orthogonality_violations,
     symbolic_spectral,
     word_steps,
     yb_basis,
@@ -235,15 +234,10 @@ def cmd_gram(args) -> int:
     alg = algebra(args.family, args.n)
     u = _spectral_from(args.spectral, args.n) or symbolic_spectral(args.n)
     g = gram_matrix(alg, u)
-    omega = Permutation.longest(args.n)
-    violations = []
-    for (mu, nu), val in g.items():
-        if nu == omega * mu:
-            ok = val == delta(alg, permuted_spectral(u, mu * omega))
-        else:
-            ok = val.is_zero
-        if not ok:
-            violations.append(f"<Y_{mu}, Y_{nu}> = {val}")
+    violations = [
+        f"<Y_{mu}, Y_{nu}> = {val}"
+        for (mu, nu), val in orthogonality_violations(alg, g, u).items()
+    ]
     perms = sorted({k[0] for k in g}, key=_perm_key)
     if args.format == "json":
         payload = {
@@ -285,13 +279,12 @@ def _suite_orthogonality(n: int, family: str | None) -> list[CheckReport]:
         alg = algebra(fam, rank)
         u = symbolic_spectral(rank)
         report = CheckReport(name=f"orthogonality[{fam}, n={rank}]")
-        omega = Permutation.longest(rank)
-        for (mu, nu), val in gram_matrix(alg, u).items():
-            if nu == omega * mu:
-                ok = val == delta(alg, permuted_spectral(u, mu * omega))
-            else:
-                ok = val.is_zero
-            report.record(ok, lambda: f"<Y_{mu}, Y_{nu}> = {val}")
+        g = gram_matrix(alg, u)
+        bad = orthogonality_violations(alg, g, u)
+        for mu, nu in g:
+            report.record(
+                (mu, nu) not in bad, lambda: f"<Y_{mu}, Y_{nu}> = {bad[(mu, nu)]}"
+            )
         reports.append(report)
     return reports
 

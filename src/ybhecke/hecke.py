@@ -81,6 +81,7 @@ __all__ = [
     "pairing",
     "delta",
     "gram_matrix",
+    "orthogonality_violations",
     "expand_in_yb",
     "apply_to_polynomial",
 ]
@@ -235,7 +236,7 @@ class HeckeElement:
                 h = self
                 for j in nu.reduced_word():
                     h = h.times_generator(j)
-                total = total + h.scale(c)
+                total = total + (h if c.is_one else h.scale(c))
             return total
         return self.scale(other)
 
@@ -452,8 +453,9 @@ def phi(h: HeckeElement) -> HeckeElement:
     """The anti-automorphism T_mu -> T_{mu^{-1}}, u_i -> u_{n+1-i}.
 
     The reversal renames the symbols u1..un inside each coefficient, so it
-    is only right for elements built at those symbols; :func:`gram_matrix`
-    and :func:`expand_in_yb` handle any other spectral parameters.
+    is only right for elements built at those symbols; :func:`pairing` with
+    ``u``, :func:`gram_matrix` and :func:`expand_in_yb` handle any other
+    spectral parameters.
     """
     n = h.alg.n
     rev = {f"u{i}": f"u{n + 1 - i}" for i in range(1, n + 1) if i != n + 1 - i}
@@ -483,12 +485,28 @@ def _phi_of_basis(
     }
 
 
-def pairing(h1: HeckeElement, h2: HeckeElement) -> RationalFunction:
-    """The coefficient of T_omega in h1 * phi(h2)."""
+def pairing(
+    h1: HeckeElement,
+    h2: HeckeElement,
+    u: Sequence[RationalFunction] | None = None,
+) -> RationalFunction:
+    """The coefficient of T_omega in h1 * phi(h2), phi reversing ``u``.
+
+    At the symbols u1..un (the default) that is :func:`phi` on h2.  At any
+    other tuple, where renaming the symbols does nothing, h2 is expanded as
+    sum_nu c_nu Y_nu(u) and phi(h2) is sum_nu c_nu phi(Y_nu(u)).
+    """
     if h1.alg != h2.alg:
         raise AlgebraMismatch(f"{h1.alg} vs {h2.alg}")
-    omega = Permutation.longest(h1.alg.n)
-    return (h1 * phi(h2)).coefficient(omega)
+    alg = h1.alg
+    omega = Permutation.longest(alg.n)
+    if u is None or list(u) == symbolic_spectral(alg.n):
+        return (h1 * phi(h2)).coefficient(omega)
+    phis = _phi_of_basis(alg, u)
+    total = _R.zero()
+    for nu, c in _expand(h2, u, phis).items():
+        total = total + c * (h1 * phis[nu]).coefficient(omega)
+    return total
 
 
 def delta(
@@ -530,11 +548,7 @@ def gram_matrix(
         g = phis[nu]
         left: dict[Permutation, HeckeElement] = {perms[0]: g}
         for kappa in perms[1:]:
-            i = next(
-                i
-                for i in range(1, alg.n)
-                if kappa.window.index(i) > kappa.window.index(i + 1)
-            )
+            i = kappa.left_descents()[0]
             shorter = kappa.simple_times(i)
             left[kappa] = left[shorter].generator_times(i)
         w = {kappa: h.coefficient(omega) for kappa, h in left.items()}
@@ -548,6 +562,28 @@ def gram_matrix(
     return out
 
 
+def orthogonality_violations(
+    alg: AlgebraSpec,
+    gram: Mapping[tuple[Permutation, Permutation], RationalFunction],
+    u: Sequence[RationalFunction] | None = None,
+) -> dict[tuple[Permutation, Permutation], RationalFunction]:
+    """The entries of ``gram`` (as from :func:`gram_matrix` at ``u``) that
+    break <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu}, in the
+    order of ``gram``."""
+    if u is None:
+        u = symbolic_spectral(alg.n)
+    omega = Permutation.longest(alg.n)
+    bad = {}
+    for (mu, nu), val in gram.items():
+        if nu == omega * mu:
+            ok = val == delta(alg, permuted_spectral(u, mu * omega))
+        else:
+            ok = val.is_zero
+        if not ok:
+            bad[(mu, nu)] = val
+    return bad
+
+
 def expand_in_yb(
     h: HeckeElement, u: Sequence[RationalFunction] | None = None
 ) -> dict[Permutation, RationalFunction]:
@@ -557,10 +593,18 @@ def expand_in_yb(
     orthogonality law <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu};
     the spectral parameters must keep every Delta nonzero.
     """
-    alg = h.alg
     if u is None:
-        u = symbolic_spectral(alg.n)
-    phis = _phi_of_basis(alg, u)
+        u = symbolic_spectral(h.alg.n)
+    return _expand(h, u, _phi_of_basis(h.alg, u))
+
+
+def _expand(
+    h: HeckeElement,
+    u: Sequence[RationalFunction],
+    phis: Mapping[Permutation, HeckeElement],
+) -> dict[Permutation, RationalFunction]:
+    """:func:`expand_in_yb` with ``phis`` = ``_phi_of_basis(h.alg, u)``."""
+    alg = h.alg
     omega = Permutation.longest(alg.n)
     out: dict[Permutation, RationalFunction] = {}
     for mu in all_permutations(alg.n):

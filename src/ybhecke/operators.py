@@ -12,7 +12,14 @@ for every identity proved at the level of Hecke elements:
 
 Words act with the first listed generator applied first (a right action of
 the algebra on the polynomial ring); ``apply_inverse_word`` composes in the
-classical operator order instead.
+classical operator order instead: for mu = s_{a1} ... s_{ak} reduced,
+D_mu = D_{a1} o ... o D_{ak}, so the last letter acts first and
+
+    D_{mu s_j} = D_mu o D_j     (D_j first) whenever l(mu s_j) > l(mu),
+    D_mu = D_i o D_{s_i mu}     (D_{s_i mu} first) for a left descent i of mu.
+
+``all_inverse_words`` builds every D_mu f by the second rule, one generator
+per permutation.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import random
 from typing import Sequence
 
 from .errors import IndexOutOfRange
-from .permutations import Permutation
+from .permutations import Permutation, all_permutations
 from .poly import (
     LaurentPoly,
     RationalFunction,
@@ -35,6 +42,7 @@ __all__ = [
     "apply_generator",
     "apply_word",
     "apply_inverse_word",
+    "all_inverse_words",
     "perm_action",
     "check_relations",
     "random_probe",
@@ -126,10 +134,33 @@ def apply_inverse_word(
 
     With word conventions as in :func:`apply_word`, this is the composition
     used by the defining recursions of the Schubert and Grothendieck tables:
-    D_{mu s_j} = D_j after D_mu whenever the length increases.
+    D_{mu s_j} = D_mu after D_j whenever the length increases.
     """
     word = tuple(reversed(mu.reduced_word()))
     return apply_word(family, word, f, mu.n, params=params, var_family=var_family)
+
+
+def all_inverse_words(
+    family: str,
+    f: RationalFunction,
+    n: int,
+    params=None,
+    var_family: str = "x",
+) -> dict[Permutation, RationalFunction]:
+    """D_mu f, as :func:`apply_inverse_word` computes it, for every mu in S_n.
+
+    Each mu peels its first left descent i, so D_mu f = D_i (D_{s_i mu} f)
+    reuses the shorter image and costs one generator.
+    """
+    perms = all_permutations(n)
+    out = {perms[0]: f}
+    for mu in perms[1:]:
+        i = mu.left_descents()[0]
+        shorter = out[mu.simple_times(i)]
+        out[mu] = apply_generator(
+            family, i, shorter, n, params=params, var_family=var_family
+        )
+    return out
 
 
 def perm_action(

@@ -133,6 +133,11 @@ class Permutation:
         w = self.window
         return tuple(j for j in range(1, self.n) if w[j - 1] > w[j])
 
+    def left_descents(self) -> tuple[int, ...]:
+        """Values i with i+1 before i in the window, i.e. length(s_i*mu) < length(mu)."""
+        w = self.window
+        return tuple(i for i in range(1, self.n) if w.index(i) > w.index(i + 1))
+
     def times_simple(self, j: int) -> "Permutation":
         """Right multiplication by s_j: swap window positions j, j+1."""
         if not 1 <= j <= self.n - 1:

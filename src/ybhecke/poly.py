@@ -2,7 +2,10 @@
 
 Coefficients are arbitrary-precision rationals (`fractions.Fraction`) and a
 polynomial is a map from monomials to nonzero coefficients, so all arithmetic
-is exact; there is no floating point anywhere in this package.
+is exact; there is no floating point anywhere in this package.  Most
+coefficients in practice are integers, so a product of two integral
+polynomials sums its coefficients as Python ints and makes one ``Fraction``
+per term of the result; the stored coefficients are ``Fraction`` either way.
 
 Variables are compact strings: the indexed families ``x1, x2, ...``,
 ``y1, ...``, ``u1, ...`` and the two parameters ``q1``, ``q2``, plus one
@@ -66,6 +69,10 @@ _DISPLAY_RANK = {"x": 0, "y": 1, "u": 2, "q": 3}
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by var_sort_key
 Scalar = Union[int, Fraction]
+
+# The default of every coefficient lookup; Fractions are immutable, so one
+# instance serves them all.
+_F0 = Fraction(0)
 
 
 # Every name `_var_info` has accepted, and BETA below -> ((family, index),
@@ -226,7 +233,7 @@ class LaurentPoly:
                     continue
                 m = _mono_from_dict(dict(m)) if m else ()
                 _check_mono(m)
-                clean[m] = clean.get(m, Fraction(0)) + c
+                clean[m] = clean.get(m, _F0) + c
         self._terms = {m: c for m, c in clean.items() if c != 0}
 
     @classmethod
@@ -279,7 +286,8 @@ class LaurentPoly:
 
     @property
     def is_one(self) -> bool:
-        return self._terms == {(): Fraction(1)}
+        t = self._terms
+        return len(t) == 1 and t.get(()) == 1
 
     @property
     def is_constant(self) -> bool:
@@ -288,13 +296,13 @@ class LaurentPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self._terms.get((), Fraction(0))
+        return self._terms.get((), _F0)
 
     def variables(self) -> set[str]:
         return {v for m in self._terms for v, _ in m}
 
     def coefficient(self, exps: Mapping[str, int]) -> Fraction:
-        return self._terms.get(_mono_from_dict(exps), Fraction(0))
+        return self._terms.get(_mono_from_dict(exps), _F0)
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -342,7 +350,7 @@ class LaurentPoly:
             return self
         out = dict(self._terms)
         for m, c in other._terms.items():
-            nc = out.get(m, Fraction(0)) + c
+            nc = out.get(m, _F0) + c
             if nc:
                 out[m] = nc
             else:
@@ -375,11 +383,14 @@ class LaurentPoly:
         if self.is_constant:
             c = self.constant_value()
             return LaurentPoly._raw({m: a * c for m, a in other._terms.items()})
+        a, b = self._terms, other._terms
+        if _is_integral(a) and _is_integral(b):
+            return _mul_integral(a, b)
         out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = _mono_mul(m1, m2)
-                nc = out.get(m, Fraction(0)) + c1 * c2
+                nc = out.get(m, _F0) + c1 * c2
                 if nc:
                     out[m] = nc
                 else:
@@ -474,6 +485,29 @@ _P_ZERO = LaurentPoly.zero()
 _P_ONE = LaurentPoly.one()
 
 
+def _is_integral(terms: Mapping[Monomial, Fraction]) -> bool:
+    return all(c.denominator == 1 for c in terms.values())
+
+
+def _mul_integral(
+    a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]
+) -> LaurentPoly:
+    """The product of two polynomials with integer coefficients.
+
+    The products are summed as Python ints, and each distinct image that
+    does not cancel becomes one ``Fraction``: no rational arithmetic at all.
+    """
+    bi = [(m, c.numerator) for m, c in b.items()]
+    out: dict[Monomial, int] = {}
+    get = out.get
+    for m1, c1 in a.items():
+        c1 = c1.numerator
+        for m2, c2 in bi:
+            m = _mono_mul(m1, m2)
+            out[m] = get(m, 0) + c1 * c2
+    return LaurentPoly._raw({m: Fraction(c) for m, c in out.items() if c})
+
+
 # ----------------------------------------------------------------------
 # exact division and gcd
 
@@ -525,10 +559,10 @@ def _divide_ordinary(P: LaurentPoly, D: LaurentPoly) -> LaurentPoly:
             raise ExactDivisionError("not divisible")
         tm = _mono_from_dict(t)
         tc = c / lead_c
-        quo[tm] = quo.get(tm, Fraction(0)) + tc
+        quo[tm] = quo.get(tm, _F0) + tc
         for dm, dc in D.terms.items():
             nm = _mono_mul(tm, dm)
-            nc = rem.get(nm, Fraction(0)) - tc * dc
+            nc = rem.get(nm, _F0) - tc * dc
             if nc:
                 rem[nm] = nc
             else:
@@ -563,7 +597,7 @@ def _collect_univar(A: dict[int, LaurentPoly], v: str) -> LaurentPoly:
     for e, coeff in A.items():
         for m, c in coeff.terms.items():
             nm = _mono_mul(m, _mono_from_dict({v: e}) if e else ())
-            out[nm] = out.get(nm, Fraction(0)) + c
+            out[nm] = out.get(nm, _F0) + c
     return LaurentPoly._raw({m: c for m, c in out.items() if c})
 
 
@@ -671,7 +705,7 @@ def divide_by_difference(p: LaurentPoly, va: str, vb: str) -> LaurentPoly:
             if eb:
                 t[vb] = eb
             tm = _mono_from_dict(t)
-            nc = out.get(tm, Fraction(0)) + c
+            nc = out.get(tm, _F0) + c
             if nc:
                 out[tm] = nc
             else:
@@ -706,6 +740,13 @@ class RationalFunction:
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero:
             self.num = _P_ZERO
+            self.den = _P_ONE
+            return
+        if den.is_one:
+            # Over the denominator 1 the steps below change nothing: only x/u
+            # exponents go negative, so no monomial shift applies, and the
+            # content and the leading coefficient are both 1.
+            self.num = num
             self.den = _P_ONE
             return
         a = num.min_exponents()
@@ -934,7 +975,7 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
     width = len(names)
     terms = p.terms
     coeffs: Iterable[Scalar] = terms.values()
-    if all(c.denominator == 1 for c in coeffs):
+    if _is_integral(terms):
         coeffs = [c.numerator for c in coeffs]
     sums: dict[tuple[int, ...], Scalar] = {}
     get = sums.get

@@ -28,6 +28,7 @@ from typing import Sequence
 from .errors import RankOutOfRange, ShapeInvalid, SubstitutionSingular
 from .hecke import algebra, symbolic_spectral, yb_basis, yb_element
 from .operators import (
+    all_inverse_words,
     apply_generator,
     apply_inverse_word,
     perm_action,
@@ -293,9 +294,7 @@ def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> Chec
     }
     for _ in range(probes):
         f = random_probe(rng, n, var_family="y")
-        diffs = {
-            nu: apply_inverse_word("partial", nu, f, var_family="y") for nu in perms
-        }
+        diffs = all_inverse_words("partial", f, n, var_family="y")
         for mu in perms:
             total = _R.zero()
             for nu in perms:
@@ -325,7 +324,7 @@ def verify_normal_ordering(n: int, probes: int = 10, seed: int = 0) -> CheckRepo
     }
     for _ in range(probes):
         f = random_probe(rng, n)
-        diffs = {nu: apply_inverse_word("partial", nu, f) for nu in perms}
+        diffs = all_inverse_words("partial", f, n)
         for mu in perms:
             total = _R.zero()
             for nu, c in coeffs[mu].items():
@@ -452,14 +451,13 @@ def verify_appendix_factorizations(
     return report
 
 
-def _schubert_coordinates(f: RationalFunction, n: int, perms) -> dict:
+def _schubert_coordinates(f: RationalFunction, n: int) -> dict:
     """Coordinates of f modulo the symmetric ideal: c_nu(f) = (partial_nu f)(0)."""
     zero = {f"x{i}": _R.zero() for i in range(1, n + 1)}
-    out = {}
-    for nu in perms:
-        img = apply_inverse_word("partial", nu, f)
-        out[nu] = substitute(img, zero)
-    return out
+    return {
+        nu: substitute(img, zero)
+        for nu, img in all_inverse_words("partial", f, n).items()
+    }
 
 
 def verify_cohomology_basis(n: int) -> CheckReport:
@@ -478,7 +476,7 @@ def verify_cohomology_basis(n: int) -> CheckReport:
     zero_y = {f"y{j}": _R.zero() for j in range(1, n + 1)}
     for kappa in perms:
         single = substitute(_R(table[kappa]), zero_y)
-        coords = _schubert_coordinates(single, n, perms)
+        coords = _schubert_coordinates(single, n)
         ok = all(
             (coords[nu] == _R.one()) == (nu == kappa)
             and (nu == kappa or coords[nu].is_zero)
@@ -492,7 +490,7 @@ def verify_cohomology_basis(n: int) -> CheckReport:
     rows = []
     for mu in perms:
         image = _yb_operator_s(mu, u, _R(staircase))
-        coords = _schubert_coordinates(image, n, perms)
+        coords = _schubert_coordinates(image, n)
         rows.append([coords[nu] for nu in perms])
     report.record(_invertible(rows), "coordinate matrix is singular")
     return report

@@ -16,6 +16,7 @@ from ybhecke.hecke import (
     elementary_factor,
     expand_in_yb,
     gram_matrix,
+    orthogonality_violations,
     pairing,
     permuted_spectral,
     phi,
@@ -430,6 +431,35 @@ def test_expand_at_numeric_spectral_parameters():
     third = R.constant(Fraction(1, 3))
     got = expand_in_yb(basis_element(algebra("partial", 3), P("213")), u)
     assert got == {P("213"): third, P("123"): -third}
+
+
+@pytest.mark.parametrize("family", ["partial", "T"])
+def test_pairing_at_numeric_spectral_parameters(family):
+    # phi reverses u, so away from the symbols pairing needs u itself; the
+    # symbolic reversal gives 20 for <Y_123, Y_321> in partial, the law -20
+    alg = algebra(family, 3)
+    u = [R.constant(c) for c in (2, 3, 7)]
+    ys = yb_basis(alg, u)
+    g = gram_matrix(alg, u)
+    assert len(g) == 36
+    for (mu, nu), val in g.items():
+        assert pairing(ys[mu], ys[nu], u=u) == val, (mu, nu)
+    if family == "partial":
+        assert g[(P("123"), P("321"))] == R.constant(-20)
+        assert pairing(ys[P("123")], ys[P("321")]) == R.constant(20)
+
+
+def test_orthogonality_violations():
+    for fam, u in (("T", None), ("partial", [R.constant(c) for c in (2, 3, 7)])):
+        alg = algebra(fam, 3)
+        g = gram_matrix(alg, u)
+        assert orthogonality_violations(alg, g, u) == {}
+        # an off-diagonal entry that is not 0 and a diagonal one off by a sign
+        g[(P("123"), P("123"))] = R.one()
+        g[(P("213"), P("231"))] = -g[(P("213"), P("231"))]
+        bad = orthogonality_violations(alg, g, u)
+        assert list(bad) == [(P("123"), P("123")), (P("213"), P("231"))], fam
+        assert bad[(P("123"), P("123"))] == R.one()
 
 
 def test_expand_resubstitution_random():

@@ -6,6 +6,8 @@ import pytest
 
 from ybhecke.errors import IndexOutOfRange
 from ybhecke.operators import (
+    FAMILIES,
+    all_inverse_words,
     apply_generator,
     apply_inverse_word,
     apply_word,
@@ -143,3 +145,36 @@ def test_s_squares_to_identity():
         f = random_probe(rng, 3)
         for i in (1, 2):
             assert apply_word("s", (i, i), f, 3) == f
+
+
+def test_inverse_word_recursion_on_ascents():
+    # D_{mu s_j} = D_mu o D_j (D_j acts first) on every ascent of S4; the
+    # other order, D_j o D_mu, is a different operator
+    f = random_probe(random.Random(5), 4)
+    ascents = [
+        (mu, j)
+        for mu in all_permutations(4)
+        for j in range(1, 4)
+        if mu.times_simple(j).length() > mu.length()
+    ]
+    assert len(ascents) == 36
+    wrong = 0
+    for mu, j in ascents:
+        longer = apply_inverse_word("partial", mu.times_simple(j), f)
+        assert longer == apply_inverse_word(
+            "partial", mu, apply_generator("partial", j, f, 4)
+        ), (mu, j)
+        swapped = apply_generator("partial", j, apply_inverse_word("partial", mu, f), 4)
+        wrong += longer != swapped
+    assert wrong == 7
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_all_inverse_words_match_apply_inverse_word(family, n):
+    probes = [random_probe(random.Random(n), n), S("1/x1 + x2^2 - 3*x1*x3")]
+    for f in probes:
+        images = all_inverse_words(family, f, n)
+        assert list(images) == all_permutations(n)
+        for mu, image in images.items():
+            assert image == apply_inverse_word(family, mu, f), (family, mu)

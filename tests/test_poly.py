@@ -370,3 +370,62 @@ def test_display_key_orders_like_the_display_comparison():
     polys.append(parse_poly("q1*q2 - 2*q1^2*u1 + u1^-1*x2 + 3*y1*y2^2 - x1^-2*u3"))
     for p in polys:
         assert _display_sorted(p.terms) == sorted(p.terms, key=by_cmp, reverse=True)
+
+
+def _schoolbook_product(p, q):
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple((v, e) for v, e in exps.items() if e)
+            out[m] = out.get(m, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return LaurentPoly(out)
+
+
+def test_products_match_the_schoolbook_product():
+    rng = random.Random(21)
+    names = ("q1", "u1", "u2", "x1", "x2", "y1")
+    inverse = parse_poly("u1^-1 - 2*x2^-1 + 3*x1^-2*u2")
+    half = parse_poly("1/2*x1 - 3/2*u1^-1*q2 + 5")
+    pairs = [(random_poly(rng, names), random_poly(rng, names)) for _ in range(20)]
+    pairs += [(random_poly(rng, names) * inverse, inverse) for _ in range(5)]
+    pairs += [(random_poly(rng, names), half) for _ in range(5)]
+    pairs += [(half, half), (half, inverse)]
+    # products whose images cancel: cross terms, and Laurent terms
+    pairs += [
+        (parse_poly("x1 - y1"), parse_poly("x1 + y1")),
+        (parse_poly("x1 - x1^-1"), parse_poly("x1 + x1^-1")),
+        (parse_poly("1/2*x1 - 1/2*q1"), parse_poly("2*x1 + 2*q1")),
+        (parse_poly("u1*q2 - u1^-1"), parse_poly("u1*q2 + u1^-1")),
+    ]
+    for p, q in pairs:
+        got = p * q
+        want = _schoolbook_product(p, q)
+        assert got.terms == want.terms, (p, q)
+        assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    assert (parse_poly("x1 - y1") * parse_poly("x1 + y1")).terms == (
+        parse_poly("x1^2 - y1^2").terms
+    )
+
+
+def test_polynomial_over_one_is_already_normal():
+    rng = random.Random(22)
+    polys = [
+        parse_poly("3*u1^-1*q1 - 6*x2^-1*u2 + 9*q2^2*x1 + 12"),
+        parse_poly("1/2*x1^-1*y1 - u2^-2*q1*q2 + 7/3*q2"),
+        parse_poly("-q1 + u1^-1*x1^-1"),
+    ]
+    polys += [
+        random_poly(rng, ("q1", "u1", "x1")) * parse_poly("u1^-1 - x1^-1 + q2")
+        for _ in range(10)
+    ]
+    for p in polys:
+        for k in (2, -2):
+            # a denominator other than 1 takes the full normalisation path
+            full = RationalFunction(k * p, LaurentPoly.constant(k))
+            fast = RationalFunction(p)
+            assert fast.num.terms == full.num.terms == p.terms, p
+            assert fast.den.terms == full.den.terms == {(): Fraction(1)}
+            assert all(type(c) is Fraction for c in fast.num.terms.values())
