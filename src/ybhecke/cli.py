@@ -379,9 +379,9 @@ def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckRe
     if suite == "orthogonality":
         return _suite_orthogonality(n, family)
     if suite == "schubert-transition":
-        return [verify_schubert_transition(_rank(suite, n, 4))[1]]
+        return [verify_schubert_transition(_rank(suite, n, 5))[1]]
     if suite == "grothendieck-transition":
-        return [verify_grothendieck_transition(_rank(suite, n, 4))[1]]
+        return [verify_grothendieck_transition(_rank(suite, n, 5))[1]]
     if suite == "yang-leading":
         ranks = {"exhaustive": min(n, 3)}
         if n >= 4:

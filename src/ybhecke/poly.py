@@ -7,6 +7,14 @@ coefficients in practice are integers, so a product of two integral
 polynomials sums its coefficients as Python ints and makes one ``Fraction``
 per term of the result; the stored coefficients are ``Fraction`` either way.
 
+One polynomial renamed at many permutations, as in the specializations
+p(u^mu, u) of the transition theorems, is compiled once by
+:func:`compile_specialization`: the exponents that a permutation does not
+move are packed into one integer key per term (Kronecker substitution, one
+offset digit per variable, wide enough for every signed image exponent), so
+each permutation adds one integer shift per group of terms and each distinct
+key becomes a monomial only once.
+
 Variables are compact strings: the indexed families ``x1, x2, ...``,
 ``y1, ...``, ``u1, ...`` and the two parameters ``q1``, ``q2``, plus one
 internal name, :data:`BETA`.  The canonical variable order is
@@ -31,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DivisionByZero,
@@ -52,6 +60,7 @@ __all__ = [
     "coefficients_in",
     "divide_by_difference",
     "rename_poly",
+    "compile_specialization",
     "rename_rf",
     "substitute",
     "substitute_poly",
@@ -1006,6 +1015,86 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
         _check_mono(m)
         out[m] = out.get(m, 0) + c
     return LaurentPoly._raw({m: Fraction(c) for m, c in out.items() if c})
+
+
+def compile_specialization(
+    p: LaurentPoly, n: int, moved: str, fixed: str
+) -> Callable[[Sequence[int]], LaurentPoly]:
+    """Compile the renames moved_i -> u_{w(i)}, fixed_j -> u_j of ``p``.
+
+    The result takes the images (w(1), ..., w(n)) and returns what
+    ``rename_poly`` gives for that map (1 <= i, j <= n); every other
+    variable passes through, a u_k with k <= n merging with the images.
+    The terms are grouped by their moved exponents a.  The exponents of the
+    other variables are packed into one integer key in base W = 2^bits, one
+    digit per output variable (u1..un first), each digit offset by the
+    largest sum of |e| over a term so that every signed image exponent
+    decodes.  At w a group adds the one shift sum_i a_i * W^(w(i) - 1) to
+    its keys, and each distinct key becomes a canonical monomial, validated,
+    once per compiled polynomial.
+    """
+    names = [f"u{k}" for k in range(1, n + 1)]  # slot -> output variable
+    slot = {v: k for k, v in enumerate(names)}
+    slot.update({f"{fixed}{j}": j - 1 for j in range(1, n + 1)})
+    moved_slot = {f"{moved}{i}": i - 1 for i in range(1, n + 1)}
+    terms = p.terms
+    coeffs: Iterable[Scalar] = terms.values()
+    if _is_integral(terms):
+        coeffs = [c.numerator for c in coeffs]
+    bound = max((sum(abs(e) for _, e in m) for m in terms), default=0)
+    bits = (2 * bound).bit_length()  # offset digits lie in [0, 2 * bound]
+    # moved exponents (i, a_i) -> the terms' keys, without the offset
+    groups: dict[tuple[tuple[int, int], ...], list[tuple[int, Scalar]]] = {}
+    for m, c in zip(terms, coeffs):
+        shift = []
+        key = 0
+        for v, e in m:
+            i = moved_slot.get(v)
+            if i is not None:
+                shift.append((i, e))
+                continue
+            s = slot.get(v)
+            if s is None:
+                s = slot[v] = len(names)
+                names.append(v)
+            key += e << (bits * s)
+        groups.setdefault(tuple(shift), []).append((key, c))
+    width = len(names)
+    offset = sum(bound << (bits * s) for s in range(width))
+    order = sorted(range(width), key=lambda s: var_sort_key(names[s]))
+    mask = (1 << bits) - 1
+    memo: dict[int, Monomial] = {}
+
+    def decode(key: int) -> Monomial:
+        digits = []
+        for _ in range(width):
+            digits.append((key & mask) - bound)
+            key >>= bits
+        m = tuple((names[s], digits[s]) for s in order if digits[s])
+        _check_mono(m)
+        return m
+
+    def at(w: Sequence[int]) -> LaurentPoly:
+        power = [1 << (bits * (k - 1)) for k in w]
+        sums: dict[int, Scalar] = {}
+        get = sums.get
+        for shift, keys in groups.items():
+            d = offset
+            for i, e in shift:
+                d += e * power[i]
+            for key, c in keys:
+                key += d
+                sums[key] = get(key, 0) + c
+        out: dict[Monomial, Fraction] = {}
+        for key, c in sums.items():
+            m = memo.get(key)
+            if m is None:
+                m = memo[key] = decode(key)
+            if c:
+                out[m] = Fraction(c)
+        return LaurentPoly._raw(out)
+
+    return at
 
 
 def rename_rf(f: RationalFunction, varmap: Mapping[str, str]) -> RationalFunction:

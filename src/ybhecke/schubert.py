@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import RankOutOfRange, ShapeInvalid, SubstitutionSingular
 from .hecke import algebra, symbolic_spectral, yb_basis, yb_element
@@ -38,6 +38,7 @@ from .permutations import Permutation, all_permutations, max_rank
 from .poly import (
     LaurentPoly,
     RationalFunction,
+    compile_specialization,
     lowest_homogeneous_component,
     rename_poly,
     substitute,
@@ -96,7 +97,7 @@ class TransitionMatrix:
 
 
 def _table_guard(n: int) -> None:
-    if not 1 <= n <= min(5, max_rank()):
+    if not 1 <= n <= 5:
         raise RankOutOfRange(f"tables support 1 <= n <= 5, got {n}")
 
 
@@ -141,32 +142,64 @@ def specialize_double(
     p: LaurentPoly, mu: Permutation, u: Sequence[RationalFunction] | None = None
 ) -> RationalFunction:
     """The specialization p(u^mu, u): substitute x_i -> u_{mu(i)}, y_j -> u_j."""
-    n = mu.n
-    if u is None:
-        mapping = {f"x{i}": f"u{mu(i)}" for i in range(1, n + 1)}
-        mapping.update({f"y{j}": f"u{j}" for j in range(1, n + 1)})
-        return _R(rename_poly(p, mapping))
-    images = {f"x{i}": u[mu(i) - 1] for i in range(1, n + 1)}
-    images.update({f"y{j}": u[j - 1] for j in range(1, n + 1)})
-    return substitute_poly(p, images)
+    return _specializer(p, mu.n, "x", u)(mu)
 
 
 def _specialize_swapped(
     p: LaurentPoly, mu: Permutation, u: Sequence[RationalFunction] | None = None
 ) -> RationalFunction:
     """The mirror specialization p(u, u^mu): x_i -> u_i, y_j -> u_{mu(j)}."""
-    n = mu.n
+    return _specializer(p, mu.n, "y", u)(mu)
+
+
+def _specializer(
+    p: LaurentPoly, n: int, moved: str, u: Sequence[RationalFunction] | None = None
+) -> Callable[[Permutation], RationalFunction]:
+    """The map mu -> p with the ``moved`` family at u^mu, the other at u.
+
+    At the symbols u1..un, p is compiled once and each mu costs integer
+    additions (:func:`~ybhecke.poly.compile_specialization`); at an explicit
+    ``u`` each mu is one substitution.
+    """
+    fixed = "y" if moved == "x" else "x"
     if u is None:
-        mapping = {f"x{i}": f"u{i}" for i in range(1, n + 1)}
-        mapping.update({f"y{j}": f"u{mu(j)}" for j in range(1, n + 1)})
-        return _R(rename_poly(p, mapping))
-    images = {f"x{i}": u[i - 1] for i in range(1, n + 1)}
-    images.update({f"y{j}": u[mu(j) - 1] for j in range(1, n + 1)})
-    return substitute_poly(p, images)
+        at = compile_specialization(p, n, moved, fixed)
+        return lambda mu: _R(at(mu.window))
+
+    def substituted(mu: Permutation) -> RationalFunction:
+        images = {f"{moved}{i}": u[mu(i) - 1] for i in range(1, n + 1)}
+        images.update({f"{fixed}{j}": u[j - 1] for j in range(1, n + 1)})
+        return substitute_poly(p, images)
+
+    return substituted
 
 
 # ----------------------------------------------------------------------
 # transition matrices
+
+
+def _check_transition(
+    report: CheckReport,
+    ys: dict,
+    n: int,
+    want: Callable[[Permutation], LaurentPoly],
+    moved: str,
+    u: Sequence[RationalFunction] | None,
+) -> dict:
+    """Check each coefficient of Y_mu at nu against want(nu) specialized at mu.
+
+    Each want(nu) is specialized at every mu in turn (``moved`` family at
+    u^mu), so the pairs are checked, and failures kept, nu-major.  Returns
+    the coefficients by (mu, nu) in mu-major order.
+    """
+    perms = all_permutations(n)
+    entries = {(mu, nu): y.coefficient(nu) for mu, y in ys.items() for nu in perms}
+    for nu in perms:
+        want_at = _specializer(want(nu), n, moved, u)
+        for mu in ys:
+            got, spec = entries[(mu, nu)], want_at(mu)
+            report.record(got == spec, lambda: f"mu={mu}, nu={nu}: {got} != {spec}")
+    return entries
 
 
 def verify_schubert_transition(
@@ -175,18 +208,13 @@ def verify_schubert_transition(
     """Check Y_mu in the nil-Coxeter family expands with Schubert coefficients.
 
     For every mu, nu the coefficient of the basis element indexed by nu in
-    Y_mu(u) must equal X_nu(u^mu, u).
+    Y_mu(u) must equal X_nu(u^mu, u).  The pairs are checked, and failures
+    kept, nu-major.
     """
     report = CheckReport(name=f"schubert-transition[n={n}]")
     table = schubert_table(n)
     ys = yb_basis(algebra("partial", n), u)
-    entries = {}
-    for mu, y in ys.items():
-        for nu in all_permutations(n):
-            got = y.coefficient(nu)
-            want = specialize_double(table[nu], mu, u)
-            entries[(mu, nu)] = got
-            report.record(got == want, lambda: f"mu={mu}, nu={nu}: {got} != {want}")
+    entries = _check_transition(report, ys, n, lambda nu: table[nu], "x", u)
     matrix = TransitionMatrix("Y^partial", "partial", n, entries)
     return matrix, report
 
@@ -202,17 +230,12 @@ def verify_grothendieck_transition(
     the worked 35142 coefficient, the q-specialization link to the generic
     family, and exhaustive checks; it mirrors the Schubert-side coefficient
     X_nu(u^mu, u) through the classical inversion duality of the tables.)
+    The pairs are checked, and failures kept, nu-major.
     """
     report = CheckReport(name=f"grothendieck-transition[n={n}]")
     table = grothendieck_table(n)
     ys = yb_basis(algebra("pibar", n), u)
-    entries = {}
-    for mu, y in ys.items():
-        for nu in all_permutations(n):
-            got = y.coefficient(nu)
-            want = _specialize_swapped(table[nu.inverse()], mu, u)
-            entries[(mu, nu)] = got
-            report.record(got == want, lambda: f"mu={mu}, nu={nu}: {got} != {want}")
+    entries = _check_transition(report, ys, n, lambda nu: table[nu.inverse()], "y", u)
     matrix = TransitionMatrix("Y^pibar", "pibar", n, entries)
     return matrix, report
 

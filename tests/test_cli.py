@@ -141,6 +141,15 @@ def test_verify_reports_rank_clamp_on_stderr(capsys):
     )
 
 
+def test_verify_transition_at_n5(capsys):
+    code = main(["verify", "grothendieck-transition", "-n", "5"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.splitlines()[0] == (
+        "grothendieck-transition[n=5]: PASS (14400 checks)"
+    )
+
+
 def test_verify_orthogonality_partial_n4(capsys):
     code, out = run(capsys, "verify", "orthogonality", "-n", "4", "--family", "partial")
     assert code == 0

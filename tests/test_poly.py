@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from ybhecke.poly import (
     RationalFunction,
     _cmp_display,
     _display_sorted,
+    compile_specialization,
     divide_by_difference,
     exact_div,
     lowest_homogeneous_component,
@@ -429,3 +430,38 @@ def test_polynomial_over_one_is_already_normal():
             assert fast.num.terms == full.num.terms == p.terms, p
             assert fast.den.terms == full.den.terms == {(): Fraction(1)}
             assert all(type(c) is Fraction for c in fast.num.terms.values())
+
+
+def _assert_compiled_like_renamed(p, n, moved, fixed):
+    at = compile_specialization(p, n, moved, fixed)
+    for w in permutations(range(1, n + 1)):
+        varmap = {f"{moved}{i}": f"u{w[i - 1]}" for i in range(1, n + 1)}
+        varmap.update({f"{fixed}{j}": f"u{j}" for j in range(1, n + 1)})
+        got = at(w)
+        assert got.terms == rename_poly(p, varmap).terms, (p, w)
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@pytest.mark.parametrize("moved,fixed", [("x", "y"), ("y", "x")])
+def test_compiled_specialization_matches_renaming(moved, fixed):
+    # Grothendieck entries carry negative x exponents
+    for p in grothendieck_table(4).entries.values():
+        _assert_compiled_like_renamed(p, 4, moved, fixed)
+    cases = {
+        4: [
+            parse_poly("x1^300*x2^-300*y3^300 - 7*x3^-300*y1^2 + x4^-1*y4^299"),
+            parse_poly("1/2*x1*y2 - 3/2*x2^-1 + 1/3*y1"),
+            # images cancel: at the identity x1*y2 and x2*y1 both give u1*u2
+            parse_poly("x1*y2 - x2*y1 + x1 - y1 + x1^-1*y1 - x2^-1*y2"),
+            LaurentPoly.zero(),
+            LaurentPoly.one(),
+        ],
+        # q1, u3, x6 and y6 pass through; u3 merges with the images
+        5: [
+            parse_poly("q1*x1*u3 + x6^2*y6*y1 - u3^-1*x3 + u6*x5^-2 - y3*u2 + y2*u3"),
+            parse_poly("1/2*q1^2*x6^-1 - 1/2*u3*y6"),
+        ],
+    }
+    for n, polys in cases.items():
+        for p in polys:
+            _assert_compiled_like_renamed(p, n, moved, fixed)

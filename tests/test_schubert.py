@@ -2,6 +2,7 @@
 
 import pytest
 
+from ybhecke import schubert
 from ybhecke.errors import RankOutOfRange, ShapeInvalid
 from ybhecke.hecke import algebra, symbolic_spectral, yb_basis
 from ybhecke.operators import apply_generator
@@ -126,6 +127,13 @@ def test_table_rank_guard():
         schubert_table(6)
 
 
+def test_table_rank_guard_ignores_the_rank_setting(monkeypatch):
+    monkeypatch.setenv("YB_HECKE_MAX_N", "8")
+    for table in (schubert_table, grothendieck_table):
+        with pytest.raises(RankOutOfRange):
+            table(6)
+
+
 def test_specialize_double_examples():
     t3 = schubert_table(3)
     # X_213 = x1 - y1 under mu = 213: x1 -> u2, y1 -> u1
@@ -192,6 +200,30 @@ def test_schubert_transition_s3_s4():
     assert m4[(P("1324"), P("1234"))] == RationalFunction.one()
     support = [nu for nu in all_permutations(4) if not m4[(P("1324"), nu)].is_zero]
     assert support == [P("1234"), P("1324")]
+
+
+@pytest.mark.parametrize(
+    "name,verify",
+    [
+        ("schubert_table", verify_schubert_transition),
+        ("grothendieck_table", verify_grothendieck_transition),
+    ],
+)
+def test_transition_checks_every_pair(monkeypatch, name, verify):
+    # one entry gains x1*y2, so its specialization is off by a nonzero
+    # monomial at every mu: all 24 pairs of that column must fail
+    build = getattr(schubert, name)
+
+    def corrupted(n):
+        table = build(n)
+        entries = dict(table.entries)
+        entries[P("1324")] = entries[P("1324")] + parse_poly("x1*y2")
+        return type(table)(n=n, entries=entries)
+
+    monkeypatch.setattr(schubert, name, corrupted)
+    _, report = verify(4)
+    assert report.checks == 576 and report.failed == 24
+    assert report.failures[0] == "mu=1234, nu=1324: 0 != u1*u2"
 
 
 def test_transition_unitriangular_by_length():
