@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .errors import YBHeckeError
 from .hecke import (
+    FACTOR_FAMILIES,
     algebra,
     elementary_factor,
     gram_matrix,
@@ -33,7 +34,7 @@ from .hecke import (
     yb_element_rothe,
     yb_product,
 )
-from .operators import check_relations
+from .operators import FAMILIES, check_relations
 from .permutations import (
     Permutation,
     all_permutations,
@@ -74,8 +75,6 @@ SUITES = (
     "all",
 )
 
-FAMILY_CHOICES = ("sigma", "partial", "s", "pi", "pibar", "T")
-
 
 class ConfigError(Exception):
     """A bad flag combination; maps to exit code 2."""
@@ -95,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", help="also write the output to this file")
         if with_family:
-            p.add_argument("--family", choices=FAMILY_CHOICES, default="T")
+            p.add_argument("--family", choices=FACTOR_FAMILIES, default="T")
 
     p = sub.add_parser("schubert", help="double Schubert polynomial table")
     common(p)
@@ -119,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--family", choices=FAMILY_CHOICES)
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="also write the report to this file")
     return parser
@@ -270,8 +269,22 @@ def cmd_gram(args) -> int:
 # verification suites
 
 
+def _factor_families(
+    suite: str, family: str | None, default: Sequence[str] = FACTOR_FAMILIES
+) -> Sequence[str]:
+    """The families a suite of Yang-Baxter factors runs: ``family`` alone if
+    given, else ``default``."""
+    if family is None:
+        return default
+    if family not in FACTOR_FAMILIES:
+        raise ConfigError(f"verify {suite}: family {family} has no Yang-Baxter factor")
+    return (family,)
+
+
 def _suite_orthogonality(n: int, family: str | None) -> list[CheckReport]:
-    families = [family] if family else ["partial", "sigma", "pibar", "T"]
+    families = _factor_families(
+        "orthogonality", family, ("partial", "sigma", "pibar", "T")
+    )
     ranks = {fam: min(n, 3 if fam == "T" else 4) for fam in families}
     _note_ranks("orthogonality", n, ranks)
     reports = []
@@ -289,10 +302,10 @@ def _suite_orthogonality(n: int, family: str | None) -> list[CheckReport]:
     return reports
 
 
-def _suite_ybe(rank: int) -> list[CheckReport]:
+def _suite_ybe(rank: int, families: Sequence[str]) -> list[CheckReport]:
     u, v, w = (RationalFunction.variable(f"u{i}") for i in (1, 2, 3))
     reports = []
-    for fam in ("sigma", "partial", "pibar", "T"):
+    for fam in families:
         alg = algebra(fam, rank)
         report = CheckReport(name=f"ybe[{fam}]")
         lhs = (
@@ -315,9 +328,9 @@ def yb_element_along_word(alg, word, u):
     return yb_product(alg, u, word_steps(alg.n, word))
 
 
-def _suite_word_independence(rank: int) -> list[CheckReport]:
+def _suite_word_independence(rank: int, families: Sequence[str]) -> list[CheckReport]:
     reports = []
-    for fam in ("sigma", "partial", "pibar", "T"):
+    for fam in families:
         alg = algebra(fam, rank)
         u = symbolic_spectral(rank)
         report = CheckReport(name=f"word-independence[{fam}, n={rank}]")
@@ -333,9 +346,9 @@ def _suite_word_independence(rank: int) -> list[CheckReport]:
     return reports
 
 
-def _suite_rothe(rank: int) -> list[CheckReport]:
+def _suite_rothe(rank: int, families: Sequence[str]) -> list[CheckReport]:
     reports = []
-    for fam in ("sigma", "partial", "pibar", "T"):
+    for fam in families:
         alg = algebra(fam, rank)
         report = CheckReport(name=f"rothe[{fam}, n={rank}]")
         basis = yb_basis(alg)
@@ -367,15 +380,18 @@ def _rank(suite: str, n: int, limit: int) -> int:
 
 def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckReport]:
     if suite == "relations":
-        fams = [family] if family else list(FAMILY_CHOICES)
+        fams = [family] if family else list(FAMILIES)
         rank = _rank(suite, n, 5)
         return [check_relations(f, rank, probes=4, seed=seed) for f in fams]
     if suite == "ybe":
-        return _suite_ybe(max(3, _rank(suite, n, 4)))
+        fams = _factor_families(suite, family)
+        return _suite_ybe(max(3, _rank(suite, n, 4)), fams)
     if suite == "word-independence":
-        return _suite_word_independence(_rank(suite, n, 4))
+        fams = _factor_families(suite, family)
+        return _suite_word_independence(_rank(suite, n, 4), fams)
     if suite == "rothe":
-        return _suite_rothe(_rank(suite, n, 4))
+        fams = _factor_families(suite, family)
+        return _suite_rothe(_rank(suite, n, 4), fams)
     if suite == "orthogonality":
         return _suite_orthogonality(n, family)
     if suite == "schubert-transition":

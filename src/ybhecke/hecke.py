@@ -1,14 +1,9 @@
 """Abstract Hecke algebras of type A and their Yang-Baxter bases.
 
 An algebra is generated by T_1..T_{n-1} subject to the braid relations and a
-quadratic relation T_i^2 = a T_i + b; the supported parameter choices are
-
-    sigma:   a = 0,      b = 1        (group algebra)
-    partial: a = 0,      b = 0        (nil-Coxeter)
-    s:       a = 0,      b = 1
-    pi:      a = 1,      b = 0
-    pibar:   a = -1,     b = 0
-    T:       a = q1+q2,  b = -q1*q2   (generic)
+quadratic relation T_i^2 = a T_i + b, with the (a, b) of each family in
+:data:`ybhecke.operators.FAMILIES`; the families in :data:`FACTOR_FAMILIES`
+have Yang-Baxter elements.
 
 Elements are finitely supported maps from permutations to rational functions
 in the spectral parameters u_i (and q1, q2).  Yang-Baxter elements are built
@@ -58,11 +53,12 @@ from .errors import (
     ReservedVariable,
     ZeroSpectral,
 )
-from .operators import apply_word
+from .operators import FAMILIES, apply_word
 from .permutations import Permutation, all_permutations, rothe_diagram
 from .poly import BETA, LaurentPoly, RationalFunction, coefficients_in, rename_rf
 
 __all__ = [
+    "FACTOR_FAMILIES",
     "AlgebraSpec",
     "HeckeElement",
     "algebra",
@@ -89,41 +85,33 @@ __all__ = [
 _R = RationalFunction
 _P_ZERO = LaurentPoly.zero()
 _P_ONE = LaurentPoly.one()
-_FACTOR_FAMILIES = ("sigma", "partial", "pibar", "T")
+# The families with an elementary factor 1 + c(u, v) T_j.
+FACTOR_FAMILIES = ("sigma", "partial", "pibar", "T")
 # The family tag of the generic family's one-parameter form; only
 # _building_algebra makes such an algebra, and no element of it is returned.
 _BETA_FORM = "T'"
+# The families whose factors divide by a spectral parameter.
+_MULTIPLICATIVE = ("pibar", "T", _BETA_FORM)
 
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Family tag, rank, quadratic parameters and spectral mode."""
+    """Family tag, rank and quadratic parameters."""
 
     family: str
     n: int
     a: RationalFunction
     b: RationalFunction
-    multiplicative: bool
 
     def __repr__(self) -> str:
         return f"AlgebraSpec({self.family!r}, n={self.n})"
 
 
 def algebra(family: str, n: int) -> AlgebraSpec:
-    q1 = _R.variable("q1")
-    q2 = _R.variable("q2")
-    table = {
-        "sigma": (_R.zero(), _R.one(), False),
-        "partial": (_R.zero(), _R.zero(), False),
-        "s": (_R.zero(), _R.one(), False),
-        "pi": (_R.one(), _R.zero(), True),
-        "pibar": (-_R.one(), _R.zero(), True),
-        "T": (q1 + q2, -(q1 * q2), True),
-    }
-    if family not in table:
+    if family not in FAMILIES:
         raise ValueError(f"unknown algebra family {family!r}")
-    a, b, mult = table[family]
-    return AlgebraSpec(family=family, n=n, a=a, b=b, multiplicative=mult)
+    a, b = FAMILIES[family]
+    return AlgebraSpec(family=family, n=n, a=a, b=b)
 
 
 class HeckeElement:
@@ -283,23 +271,22 @@ def factor_coefficient(
     alg: AlgebraSpec, u: RationalFunction, v: RationalFunction
 ) -> RationalFunction:
     """The coefficient c(u, v) of T_j in the elementary factor 1 + c T_j."""
-    if alg.family in ("sigma", "partial"):
+    family = alg.family
+    if family not in FACTOR_FAMILIES and family != _BETA_FORM:
+        raise ValueError(
+            f"no elementary Yang-Baxter factor for family {family!r}; "
+            f"supported: {FACTOR_FAMILIES}"
+        )
+    if family not in _MULTIPLICATIVE:
         return v - u
-    if alg.family == "pibar":
-        if u.is_zero:
-            raise ZeroSpectral("pibar factors need an invertible first parameter")
+    if u.is_zero:
+        raise ZeroSpectral(f"{family} factors need an invertible first parameter")
+    if family == "pibar":
         return 1 - v / u
-    if alg.family in ("T", _BETA_FORM):
-        if u.is_zero:
-            raise ZeroSpectral("T factors need an invertible first parameter")
-        if alg.family == _BETA_FORM:
-            return v / u - 1
-        theta = _R.variable("q1") + _R.variable("q2")
-        return (v / u - 1) / theta
-    raise ValueError(
-        f"no elementary Yang-Baxter factor for family {alg.family!r}; "
-        f"supported: {_FACTOR_FAMILIES}"
-    )
+    if family == _BETA_FORM:
+        return v / u - 1
+    theta = _R.variable("q1") + _R.variable("q2")
+    return (v / u - 1) / theta
 
 
 def elementary_factor(
@@ -319,7 +306,7 @@ def elementary_factor(
 def _check_spectral(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> None:
     if len(u) != alg.n:
         raise ValueError(f"need {alg.n} spectral parameters, got {len(u)}")
-    if alg.multiplicative and any(x.is_zero for x in u):
+    if alg.family in _MULTIPLICATIVE and any(x.is_zero for x in u):
         raise ZeroSpectral("multiplicative families need nonzero parameters")
     if alg.family == "T":
         for x in map(_coerce_rf, u):
@@ -333,7 +320,7 @@ def _building_algebra(alg: AlgebraSpec) -> AlgebraSpec:
     generic family, the family itself otherwise."""
     if alg.family != "T":
         return alg
-    return AlgebraSpec(_BETA_FORM, alg.n, _R.one(), -_R.variable(BETA), True)
+    return AlgebraSpec(_BETA_FORM, alg.n, _R.one(), -_R.variable(BETA))
 
 
 def _from_building(alg: AlgebraSpec, h: HeckeElement) -> HeckeElement:
@@ -466,19 +453,14 @@ def phi(h: HeckeElement) -> HeckeElement:
 
 
 def _phi_of_basis(
-    alg: AlgebraSpec,
-    u: Sequence[RationalFunction],
-    ys: Mapping[Permutation, HeckeElement] | None = None,
+    alg: AlgebraSpec, u: Sequence[RationalFunction]
 ) -> dict[Permutation, HeckeElement]:
-    """phi(Y_nu(u)) for every nu; ``ys``, if given, is ``yb_basis(alg, u)``.
+    """phi(Y_nu(u)) for every nu: Y_nu built at the reversed tuple, with
+    its indices inverted.
 
-    phi reverses the spectral parameters.  At the symbols u1..un that is
-    :func:`phi` on Y(u); at any other tuple, where renaming the symbols
-    does nothing, it is Y_nu built at the reversed tuple with its indices
-    inverted.
+    phi reverses the spectral parameters, so this holds at any tuple; at
+    the symbols u1..un it equals :func:`phi` on Y_nu(u) term for term.
     """
-    if list(u) == symbolic_spectral(alg.n):
-        return {nu: phi(y) for nu, y in (ys or yb_basis(alg, u)).items()}
     return {
         nu: HeckeElement(alg, {mu.inverse(): c for mu, c in y.coeffs.items()})
         for nu, y in yb_basis(alg, list(u)[::-1]).items()
@@ -540,7 +522,7 @@ def gram_matrix(
     if u is None:
         u = symbolic_spectral(alg.n)
     ys = yb_basis(alg, u)
-    phis = _phi_of_basis(alg, u, ys)
+    phis = _phi_of_basis(alg, u)
     perms = all_permutations(alg.n)
     omega = Permutation.longest(alg.n)
     out: dict[tuple[Permutation, Permutation], RationalFunction] = {}
@@ -617,9 +599,7 @@ def _expand(
     return out
 
 
-def apply_to_polynomial(
-    h: HeckeElement, f: RationalFunction, params=None
-) -> RationalFunction:
+def apply_to_polynomial(h: HeckeElement, f: RationalFunction) -> RationalFunction:
     """Realize ``h`` through the operator family and apply it to ``f``.
 
     Basis elements act along their reduced words with the first generator
@@ -629,6 +609,6 @@ def apply_to_polynomial(
     """
     total = _R.zero()
     for mu, c in h.coeffs.items():
-        image = apply_word(h.alg.family, mu.reduced_word(), f, h.alg.n, params=params)
+        image = apply_word(h.alg.family, mu.reduced_word(), f, h.alg.n)
         total = total + c * image
     return total

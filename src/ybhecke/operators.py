@@ -48,10 +48,21 @@ __all__ = [
     "random_probe",
 ]
 
-FAMILIES = ("sigma", "partial", "s", "pi", "pibar", "T")
-
 _Q1 = RationalFunction.variable("q1")
 _Q2 = RationalFunction.variable("q2")
+_ZERO = RationalFunction.zero()
+_ONE = RationalFunction.one()
+
+# Each family's generators satisfy the braid relations and the quadratic
+# relation T_i^2 = a T_i + b; this maps the family to (a, b).
+FAMILIES = {
+    "sigma": (_ZERO, _ONE),
+    "partial": (_ZERO, _ZERO),
+    "s": (_ZERO, _ONE),
+    "pi": (_ONE, _ZERO),
+    "pibar": (-_ONE, _ZERO),
+    "T": (_Q1 + _Q2, -(_Q1 * _Q2)),
+}
 
 
 def _swap(f: RationalFunction, i: int, fam: str) -> RationalFunction:
@@ -110,25 +121,16 @@ def apply_generator(
 
 
 def apply_word(
-    family: str,
-    word: Sequence[int],
-    f: RationalFunction,
-    n: int,
-    params=None,
-    var_family: str = "x",
+    family: str, word: Sequence[int], f: RationalFunction, n: int
 ) -> RationalFunction:
     """Apply a generator word with the first letter acting first."""
     for i in word:
-        f = apply_generator(family, i, f, n, params=params, var_family=var_family)
+        f = apply_generator(family, i, f, n)
     return f
 
 
 def apply_inverse_word(
-    family: str,
-    mu: Permutation,
-    f: RationalFunction,
-    params=None,
-    var_family: str = "x",
+    family: str, mu: Permutation, f: RationalFunction
 ) -> RationalFunction:
     """Apply the classical operator D_mu (last letter of the word acts first).
 
@@ -136,16 +138,11 @@ def apply_inverse_word(
     used by the defining recursions of the Schubert and Grothendieck tables:
     D_{mu s_j} = D_mu after D_j whenever the length increases.
     """
-    word = tuple(reversed(mu.reduced_word()))
-    return apply_word(family, word, f, mu.n, params=params, var_family=var_family)
+    return apply_word(family, tuple(reversed(mu.reduced_word())), f, mu.n)
 
 
 def all_inverse_words(
-    family: str,
-    f: RationalFunction,
-    n: int,
-    params=None,
-    var_family: str = "x",
+    family: str, f: RationalFunction, n: int, var_family: str = "x"
 ) -> dict[Permutation, RationalFunction]:
     """D_mu f, as :func:`apply_inverse_word` computes it, for every mu in S_n.
 
@@ -157,9 +154,7 @@ def all_inverse_words(
     for mu in perms[1:]:
         i = mu.left_descents()[0]
         shorter = out[mu.simple_times(i)]
-        out[mu] = apply_generator(
-            family, i, shorter, n, params=params, var_family=var_family
-        )
+        out[mu] = apply_generator(family, i, shorter, n, var_family=var_family)
     return out
 
 
@@ -175,15 +170,12 @@ def perm_action(
 
 
 def random_probe(
-    rng: random.Random,
-    n: int,
-    max_deg: int = 4,
-    max_terms: int = 6,
-    var_family: str = "x",
+    rng: random.Random, n: int, max_deg: int = 4, var_family: str = "x"
 ) -> RationalFunction:
-    """A random integer polynomial probe in n variables (degree <= max_deg)."""
+    """A random integer polynomial probe in n variables: 1 to 6 terms of
+    degree <= max_deg."""
     p = LaurentPoly.zero()
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 6)):
         exps = {}
         budget = rng.randint(0, max_deg)
         for i in range(1, n + 1):
@@ -199,28 +191,25 @@ def random_probe(
 
 
 def check_relations(
-    family: str, n: int, probes: int = 10, seed: int = 0, params=None
+    family: str, n: int, probes: int = 10, seed: int = 0
 ) -> CheckReport:
-    """Probe the braid, commutation and quadratic relations of one family.
+    """Probe the braid, commutation and quadratic relations of one family,
+    the last with the (a, b) of :data:`FAMILIES`.
 
     Every relation is evaluated on random integer polynomials; any violation
     is reported with a witness (it would indicate an implementation bug, not
     a property of the family).
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown operator family {family!r}")
+    a, b = FAMILIES[family]
     report = CheckReport(name=f"relations[{family}, n={n}]", seed=seed)
     rng = random.Random(seed)
-    quad = {
-        "sigma": (0, 1),
-        "partial": (0, 0),
-        "s": (0, 1),
-        "pi": (1, 0),
-        "pibar": (-1, 0),
-    }
     for _ in range(probes):
         f = random_probe(rng, n)
 
         def op(word, g=f):
-            return apply_word(family, word, g, n, params=params)
+            return apply_word(family, word, g, n)
 
         for i in range(1, n - 1):
             lhs = op((i, i + 1, i))
@@ -233,12 +222,6 @@ def check_relations(
                 )
         for i in range(1, n):
             ti = op((i,))
-            tii = apply_word(family, (i,), ti, n, params=params)
-            if family == "T":
-                q1, q2 = params if params is not None else (_Q1, _Q2)
-                ok = tii == (q1 + q2) * ti - q1 * q2 * f
-            else:
-                a, b = quad[family]
-                ok = tii == a * ti + b * f
-            report.record(ok, lambda: f"quadratic({i}) on {f}")
+            tii = op((i,), ti)
+            report.record(tii == a * ti + b * f, lambda: f"quadratic({i}) on {f}")
     return report

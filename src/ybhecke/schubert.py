@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import RankOutOfRange, ShapeInvalid, SubstitutionSingular
-from .hecke import algebra, symbolic_spectral, yb_basis, yb_element
+from .hecke import algebra, word_steps, yb_basis, yb_element
 from .operators import (
     all_inverse_words,
     apply_generator,
@@ -102,17 +102,11 @@ def _table_guard(n: int) -> None:
 
 
 def _descend(n: int, top: LaurentPoly, family: str) -> dict:
-    """Fill a table by single divided differences from the dominant entry."""
-    perms = all_permutations(n)
-    entries: dict[Permutation, LaurentPoly] = {Permutation.longest(n): top}
-    for mu in sorted(perms, key=lambda p: -p.length()):
-        if mu in entries:
-            continue
-        j = next(j for j in range(1, n) if mu(j) < mu(j + 1))
-        parent = entries[mu.times_simple(j)]
-        image = apply_generator(family, j, _R(parent), n)
-        entries[mu] = image.as_poly()
-    return entries
+    """Fill a table from the dominant entry: the entry at omega nu^-1 is
+    D_nu(top), one divided difference per entry."""
+    omega = Permutation.longest(n)
+    images = all_inverse_words(family, _R(top), n)
+    return {omega * nu.inverse(): image.as_poly() for nu, image in images.items()}
 
 
 def schubert_table(n: int) -> SchubertTable:
@@ -383,31 +377,19 @@ def _check_shape(shape: Sequence[int], n: int | None = None) -> int:
     return total
 
 
-def _s_factor(f, j, lo, hi, n):
+def _yb_operator(mu: Permutation, u: Sequence[RationalFunction], f, step):
+    """Apply the Yang-Baxter operator of mu to f, one factor per letter of
+    the reduced word of mu: ``step(f, j, lo, hi, n)`` applies the factor at
+    generator j whose spectral parameters :func:`~ybhecke.hecke.word_steps`
+    joins."""
+    for j, a, b in word_steps(mu.n, mu.reduced_word()):
+        f = step(f, j, u[a - 1], u[b - 1], mu.n)
+    return f
+
+
+def _s_step(f, j, lo, hi, n):
     # the degenerate-family factor s_j + 1/(lo - hi), applied to f
     return apply_generator("s", j, f, n) + f / (lo - hi)
-
-
-def _yb_operator_s(mu: Permutation, u: Sequence[RationalFunction], f):
-    h = f
-    nu = Permutation.identity(mu.n)
-    for j in mu.reduced_word():
-        h = _s_factor(h, j, u[nu(j) - 1], u[nu(j + 1) - 1], mu.n)
-        nu = nu.times_simple(j)
-    return h
-
-
-def _yb_operator_t(mu: Permutation, u, f, params):
-    q1, q2 = params
-    theta = q1 + q2
-    h = f
-    nu = Permutation.identity(mu.n)
-    for j in mu.reduced_word():
-        lo, hi = u[nu(j) - 1], u[nu(j + 1) - 1]
-        c = (hi / lo - 1) / theta
-        h = h + c * apply_generator("T", j, h, mu.n, params=params)
-        nu = nu.times_simple(j)
-    return h
 
 
 def verify_appendix_factorizations(
@@ -440,6 +422,13 @@ def verify_appendix_factorizations(
     if qmode == "qpow":
         u = [q ** (i - 1) for i in range(1, n + 1)]
         params = (q, _R.constant(-1))
+        theta = params[0] + params[1]
+
+        def t_step(f, j, lo, hi, n):
+            # the generic factor 1 + (hi/lo - 1)/(q1+q2) t_j, applied to f
+            c = (hi / lo - 1) / theta
+            return f + c * apply_generator("T", j, f, n, params=params)
+
         vandermonde = _R.one()
         for block in blocks:
             for i in block:
@@ -451,7 +440,7 @@ def verify_appendix_factorizations(
                         vandermonde = vandermonde * bracket * (xi - q * xj)
         for _ in range(probes):
             f = random_probe(rng, n)
-            lhs = _yb_operator_t(mu, u, f, params)
+            lhs = _yb_operator(mu, u, f, t_step)
             rhs = vandermonde * apply_inverse_word("partial", mu, f)
             report.record(lhs == rhs, lambda: f"f={f}")
     elif qmode == "linear":
@@ -466,7 +455,7 @@ def verify_appendix_factorizations(
                         chern = chern * (1 + xj - xi)
         for _ in range(probes):
             f = random_probe(rng, n)
-            lhs = _yb_operator_s(mu, u, f)
+            lhs = _yb_operator(mu, u, f, _s_step)
             rhs = chern * apply_inverse_word("partial", mu, f)
             report.record(lhs == rhs, lambda: f"f={f}")
     else:
@@ -512,7 +501,7 @@ def verify_cohomology_basis(n: int) -> CheckReport:
     )
     rows = []
     for mu in perms:
-        image = _yb_operator_s(mu, u, _R(staircase))
+        image = _yb_operator(mu, u, _R(staircase), _s_step)
         coords = _schubert_coordinates(image, n)
         rows.append([coords[nu] for nu in perms])
     report.record(_invertible(rows), "coordinate matrix is singular")

@@ -170,6 +170,47 @@ def test_verify_rothe_is_a_registered_suite(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("rothe", "-n", "3", "--family", "partial"), ["rothe[partial, n=3]: PASS (6 checks)"]),
+        (("ybe", "-n", "3", "--family", "T"), ["ybe[T]: PASS (1 checks)"]),
+        (
+            ("word-independence", "-n", "3", "--family", "pibar"),
+            ["word-independence[pibar, n=3]: PASS (6 checks)"],
+        ),
+    ],
+)
+def test_verify_factor_suite_runs_the_given_family_alone(capsys, argv, lines):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    assert out.splitlines() == lines + [f"verify {argv[0]}: PASS"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("yb", "-n", "2", "21", "--family", "pi"), "invalid choice: 'pi'"),
+        (("gram", "-n", "2", "--family", "s"), "invalid choice: 's'"),
+        (
+            ("verify", "orthogonality", "-n", "3", "--family", "s"),
+            "error: verify orthogonality: family s has no Yang-Baxter factor",
+        ),
+        (
+            ("verify", "all", "-n", "3", "--family", "pi"),
+            "error: verify ybe: family pi has no Yang-Baxter factor",
+        ),
+    ],
+)
+def test_family_without_factor_exits_2(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "argv, size, digest",
     [
         (

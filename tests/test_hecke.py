@@ -9,6 +9,7 @@ from ybhecke.cli import main
 from ybhecke.errors import AlgebraMismatch, IndexOutOfRange, ReservedVariable, ZeroSpectral
 from ybhecke.hecke import (
     HeckeElement,
+    _phi_of_basis,
     algebra,
     apply_to_polynomial,
     basis_element,
@@ -500,3 +501,20 @@ def test_operator_realization_respects_words():
         via_element = apply_to_polynomial(basis_element(alg, mu), f)
         via_word = apply_word("T", mu.reduced_word(), f, 3)
         assert via_element == via_word
+
+
+@pytest.mark.parametrize("family, n", [("sigma", 4), ("partial", 4), ("pibar", 4), ("T", 3)])
+def test_phi_of_basis_is_phi_at_the_symbols(family, n):
+    # built at the reversed symbols, phi(Y_nu) has the very terms that
+    # renaming the symbols of Y_nu gives
+    alg = algebra(family, n)
+    u = symbolic_spectral(n)
+
+    def terms(h):
+        return {mu: (dict(c.num.terms), dict(c.den.terms)) for mu, c in h.coeffs.items()}
+
+    got = _phi_of_basis(alg, u)
+    want = {nu: phi(y) for nu, y in yb_basis(alg, u).items()}
+    assert list(got) == list(want)
+    for nu, h in want.items():
+        assert terms(got[nu]) == terms(h), nu

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ybhecke.errors import IndexOutOfRange
+from ybhecke.hecke import algebra
 from ybhecke.operators import (
     FAMILIES,
     all_inverse_words,
@@ -178,3 +179,26 @@ def test_all_inverse_words_match_apply_inverse_word(family, n):
         assert list(images) == all_permutations(n)
         for mu, image in images.items():
             assert image == apply_inverse_word(family, mu, f), (family, mu)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_algebra_reads_the_family_table(family):
+    alg = algebra(family, 3)
+    assert (alg.a, alg.b) == FAMILIES[family]
+
+
+def test_check_relations_reads_the_family_table(monkeypatch):
+    # pi_i^2 = pi_i; claiming pi_i^2 = 0 breaks every quadratic check and
+    # nothing else
+    monkeypatch.setitem(FAMILIES, "pi", (0, 0))
+    report = check_relations("pi", 3, probes=3, seed=0)
+    assert report.checks == 9
+    assert report.failed == 6
+    assert all(w.startswith("quadratic(") for w in report.failures)
+
+
+def test_unknown_family_raises():
+    with pytest.raises(ValueError):
+        algebra("bogus", 3)
+    with pytest.raises(ValueError):
+        check_relations("bogus", 3)
