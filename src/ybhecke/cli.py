@@ -224,8 +224,15 @@ def cmd_yb(args) -> int:
     return 0
 
 
+def _gram_limit(family: str) -> int:
+    """The largest rank at which a symbolic pairing matrix of ``family`` is
+    built: ``gram`` refuses a larger one without ``--force``, and ``verify
+    orthogonality`` runs at it."""
+    return 3 if family == "T" else 4
+
+
 def cmd_gram(args) -> int:
-    limit = 3 if args.family == "T" else 4
+    limit = _gram_limit(args.family)
     if args.n > limit and not args.force:
         raise ConfigError(
             f"family {args.family} is guarded at n <= {limit} (use --force)"
@@ -285,7 +292,7 @@ def _suite_orthogonality(n: int, family: str | None) -> list[CheckReport]:
     families = _factor_families(
         "orthogonality", family, ("partial", "sigma", "pibar", "T")
     )
-    ranks = {fam: min(n, 3 if fam == "T" else 4) for fam in families}
+    ranks = {fam: min(n, _gram_limit(fam)) for fam in families}
     _note_ranks("orthogonality", n, ranks)
     reports = []
     for fam, rank in ranks.items():

@@ -1,11 +1,11 @@
 """Exact sparse Laurent polynomials over Q and their fraction field.
 
-Coefficients are arbitrary-precision rationals (`fractions.Fraction`) and a
-polynomial is a map from monomials to nonzero coefficients, so all arithmetic
-is exact; there is no floating point anywhere in this package.  Most
-coefficients in practice are integers, so a product of two integral
-polynomials sums its coefficients as Python ints and makes one ``Fraction``
-per term of the result; the stored coefficients are ``Fraction`` either way.
+A polynomial is a map from monomials to nonzero exact rational coefficients,
+so all arithmetic is exact; there is no floating point anywhere in this
+package.  Each coefficient is stored as the number it is: an ``int``, or a
+``fractions.Fraction`` when it is not integral (:func:`_scalar` decides, and
+rejects floats).  Almost every coefficient in practice is an integer, so the
+kernels run on Python ints with no conversion, and one path serves both.
 
 One polynomial renamed at many permutations, as in the specializations
 p(u^mu, u) of the transition theorems, is compiled once by
@@ -78,10 +78,6 @@ _DISPLAY_RANK = {"x": 0, "y": 1, "u": 2, "q": 3}
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by var_sort_key
 Scalar = Union[int, Fraction]
-
-# The default of every coefficient lookup; Fractions are immutable, so one
-# instance serves them all.
-_F0 = Fraction(0)
 
 
 # Every name `_var_info` has accepted, and BETA below -> ((family, index),
@@ -218,6 +214,19 @@ def _display_sorted(monos: Iterable[Monomial]) -> list[Monomial]:
     return sorted(monos, key=key, reverse=True)
 
 
+def _scalar(c) -> Scalar:
+    """``c`` as a stored coefficient: a plain int, or a Fraction that is not one.
+
+    The one place that decides a coefficient's type; anything but an int or
+    a Fraction, a float included, raises :class:`TypeError`.
+    """
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 def _check_mono(m: Monomial) -> None:
     for v, e in m:
         info = _VARS.get(v)
@@ -234,19 +243,19 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
+                c = _scalar(c)
+                if not c:
                     continue
                 m = _mono_from_dict(dict(m)) if m else ()
                 _check_mono(m)
-                clean[m] = clean.get(m, _F0) + c
-        self._terms = {m: c for m, c in clean.items() if c != 0}
+                clean[m] = clean.get(m, 0) + c
+        self._terms = {m: _scalar(c) for m, c in clean.items() if c}
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> "LaurentPoly":
+    def _raw(cls, terms: dict[Monomial, Scalar]) -> "LaurentPoly":
         p = object.__new__(cls)
         p._terms = terms
         return p
@@ -260,23 +269,23 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({(): Fraction(1)})
+        return cls._raw({(): 1})
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPoly":
-        c = Fraction(c)
+        c = _scalar(c)
         return cls._raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, v: str, exp: int = 1) -> "LaurentPoly":
         m = _mono_from_dict({v: exp})
         _check_mono(m)
-        return cls._raw({m: Fraction(1)})
+        return cls._raw({m: 1})
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff: Scalar = 1) -> "LaurentPoly":
-        c = Fraction(coeff)
-        if c == 0:
+        c = _scalar(coeff)
+        if not c:
             return cls.zero()
         m = _mono_from_dict(exps)
         _check_mono(m)
@@ -286,7 +295,7 @@ class LaurentPoly:
     # views
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[Monomial, Scalar]:
         return self._terms
 
     @property
@@ -302,16 +311,16 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and () in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self._terms.get((), _F0)
+        return self._terms.get((), 0)
 
     def variables(self) -> set[str]:
         return {v for m in self._terms for v, _ in m}
 
-    def coefficient(self, exps: Mapping[str, int]) -> Fraction:
-        return self._terms.get(_mono_from_dict(exps), _F0)
+    def coefficient(self, exps: Mapping[str, int]) -> Scalar:
+        return self._terms.get(_mono_from_dict(exps), 0)
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -321,7 +330,7 @@ class LaurentPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self._terms.items())
 
     def __bool__(self) -> bool:
@@ -359,7 +368,7 @@ class LaurentPoly:
             return self
         out = dict(self._terms)
         for m, c in other._terms.items():
-            nc = out.get(m, _F0) + c
+            nc = out.get(m, 0) + c
             if nc:
                 out[m] = nc
             else:
@@ -392,19 +401,14 @@ class LaurentPoly:
         if self.is_constant:
             c = self.constant_value()
             return LaurentPoly._raw({m: a * c for m, a in other._terms.items()})
-        a, b = self._terms, other._terms
-        if _is_integral(a) and _is_integral(b):
-            return _mul_integral(a, b)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
+        b = other._terms.items()
+        out: dict[Monomial, Scalar] = {}
+        get = out.get
+        for m1, c1 in self._terms.items():
+            for m2, c2 in b:
                 m = _mono_mul(m1, m2)
-                nc = out.get(m, _F0) + c1 * c2
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return LaurentPoly._raw(out)
+                out[m] = get(m, 0) + c1 * c2
+        return LaurentPoly._raw({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -416,16 +420,9 @@ class LaurentPoly:
                 (m, c), = self._terms.items()
                 inv = _mono_from_dict({v: -e for v, e in m})
                 _check_mono(inv)
-                return LaurentPoly._raw({inv: 1 / c}) ** (-n)
+                return LaurentPoly._raw({inv: _scalar(Fraction(1, c))}) ** (-n)
             raise ValueError("negative powers only for invertible monomials")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n)
 
     def __truediv__(self, other) -> "RationalFunction":
         return RationalFunction(self) / other
@@ -439,7 +436,7 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # structure helpers
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, Scalar]:
         """Leading (monomial, coefficient) in the canonical order."""
         if not self._terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
@@ -484,7 +481,7 @@ class LaurentPoly:
     def map_coefficients(self, fn) -> "LaurentPoly":
         out = {}
         for m, c in self._terms.items():
-            nc = fn(c)
+            nc = _scalar(fn(c))
             if nc:
                 out[m] = nc
         return LaurentPoly._raw(out)
@@ -494,27 +491,16 @@ _P_ZERO = LaurentPoly.zero()
 _P_ONE = LaurentPoly.one()
 
 
-def _is_integral(terms: Mapping[Monomial, Fraction]) -> bool:
-    return all(c.denominator == 1 for c in terms.values())
-
-
-def _mul_integral(
-    a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]
-) -> LaurentPoly:
-    """The product of two polynomials with integer coefficients.
-
-    The products are summed as Python ints, and each distinct image that
-    does not cancel becomes one ``Fraction``: no rational arithmetic at all.
-    """
-    bi = [(m, c.numerator) for m, c in b.items()]
-    out: dict[Monomial, int] = {}
-    get = out.get
-    for m1, c1 in a.items():
-        c1 = c1.numerator
-        for m2, c2 in bi:
-            m = _mono_mul(m1, m2)
-            out[m] = get(m, 0) + c1 * c2
-    return LaurentPoly._raw({m: Fraction(c) for m, c in out.items() if c})
+def _power(base, n: int):
+    """``base ** n`` for ``n >= 0`` by square-and-multiply; ``base`` is a
+    :class:`LaurentPoly` or a :class:`RationalFunction`."""
+    out = base.one()
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +515,7 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         return _P_ZERO
     if d.is_constant:
         c = d.constant_value()
-        return p.map_coefficients(lambda a: a / c)
+        return p.map_coefficients(lambda a: Fraction(a, c))
     sp = p.min_exponents()
     sd = d.min_exponents()
     P = p.shifted({v: -e for v, e in sp.items()})
@@ -550,7 +536,7 @@ def _divide_ordinary(P: LaurentPoly, D: LaurentPoly) -> LaurentPoly:
     lead_m, lead_c = D.leading()
     lead_e = dict(lead_m)
     rem = dict(P.terms)
-    quo: dict[Monomial, Fraction] = {}
+    quo: dict[Monomial, Scalar] = {}
     while rem:
         m = max(rem, key=_CANONICAL_KEY)
         c = rem[m]
@@ -567,11 +553,11 @@ def _divide_ordinary(P: LaurentPoly, D: LaurentPoly) -> LaurentPoly:
         if any(e < 0 for e in t.values()):
             raise ExactDivisionError("not divisible")
         tm = _mono_from_dict(t)
-        tc = c / lead_c
-        quo[tm] = quo.get(tm, _F0) + tc
+        tc = _scalar(Fraction(c, lead_c))
+        quo[tm] = quo.get(tm, 0) + tc
         for dm, dc in D.terms.items():
             nm = _mono_mul(tm, dm)
-            nc = rem.get(nm, _F0) - tc * dc
+            nc = rem.get(nm, 0) - tc * dc
             if nc:
                 rem[nm] = nc
             else:
@@ -592,7 +578,7 @@ def _normal_positive(p: LaurentPoly) -> LaurentPoly:
 
 def coefficients_in(p: LaurentPoly, v: str) -> dict[int, LaurentPoly]:
     """``p`` as a polynomial in ``v``: each exponent of ``v`` -> its coefficient."""
-    out: dict[int, dict[Monomial, Fraction]] = {}
+    out: dict[int, dict[Monomial, Scalar]] = {}
     for m, c in p.terms.items():
         exps = dict(m)
         e = exps.pop(v, 0)
@@ -602,11 +588,11 @@ def coefficients_in(p: LaurentPoly, v: str) -> dict[int, LaurentPoly]:
 
 
 def _collect_univar(A: dict[int, LaurentPoly], v: str) -> LaurentPoly:
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Scalar] = {}
     for e, coeff in A.items():
         for m, c in coeff.terms.items():
             nm = _mono_mul(m, _mono_from_dict({v: e}) if e else ())
-            out[nm] = out.get(nm, _F0) + c
+            out[nm] = out.get(nm, 0) + c
     return LaurentPoly._raw({m: c for m, c in out.items() if c})
 
 
@@ -698,7 +684,7 @@ def divide_by_difference(p: LaurentPoly, va: str, vb: str) -> LaurentPoly:
     what makes the division exact); terms are processed in antisymmetric
     pairs, so only the half with a larger ``va``-exponent is visited.
     """
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
         exps = dict(m)
         a = exps.pop(va, 0)
@@ -714,7 +700,7 @@ def divide_by_difference(p: LaurentPoly, va: str, vb: str) -> LaurentPoly:
             if eb:
                 t[vb] = eb
             tm = _mono_from_dict(t)
-            nc = out.get(tm, _F0) + c
+            nc = out.get(tm, 0) + c
             if nc:
                 out[tm] = nc
             else:
@@ -739,11 +725,11 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, LaurentPoly):
             num = LaurentPoly.constant(num)
         if den is None:
             den = _P_ONE
-        elif isinstance(den, (int, Fraction)):
+        elif not isinstance(den, LaurentPoly):
             den = LaurentPoly.constant(den)
         if den.is_zero:
             raise DivisionByZero("rational function with zero denominator")
@@ -927,14 +913,7 @@ class RationalFunction:
             if self.num.is_zero:
                 raise DivisionByZero("inverse of zero")
             return RationalFunction(self.den, self.num) ** (-n)
-        out = RationalFunction.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n)
 
     def simplify(self) -> "RationalFunction":
         """Fully gcd-reduced copy (optional; equality never needs it)."""
@@ -965,10 +944,9 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
 
     The map is compiled once into slots, one per target variable (a
     variable outside the map is its own target), so each term's image is a
-    fixed-length exponent tuple.  The tuples are summed, as integers when
-    every coefficient is integral, and become canonical monomials only at
-    the end; every distinct image is validated, also one whose
-    coefficients cancel.
+    fixed-length exponent tuple.  The tuples are summed and become
+    canonical monomials only at the end; every distinct image is validated,
+    also one whose coefficients cancel.
     """
     if not varmap:
         return p
@@ -982,13 +960,9 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
     for t, s in target_slot.items():
         slot.setdefault(t, s)
     width = len(names)
-    terms = p.terms
-    coeffs: Iterable[Scalar] = terms.values()
-    if _is_integral(terms):
-        coeffs = [c.numerator for c in coeffs]
     sums: dict[tuple[int, ...], Scalar] = {}
     get = sums.get
-    for m, c in zip(terms, coeffs):
+    for m, c in p.terms.items():
         exps = [0] * width
         try:
             for v, e in m:
@@ -1014,7 +988,7 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
         m = tuple((names[s], key[s]) for s in order if key[s])
         _check_mono(m)
         out[m] = out.get(m, 0) + c
-    return LaurentPoly._raw({m: Fraction(c) for m, c in out.items() if c})
+    return LaurentPoly._raw({m: c for m, c in out.items() if c})
 
 
 def compile_specialization(
@@ -1038,14 +1012,11 @@ def compile_specialization(
     slot.update({f"{fixed}{j}": j - 1 for j in range(1, n + 1)})
     moved_slot = {f"{moved}{i}": i - 1 for i in range(1, n + 1)}
     terms = p.terms
-    coeffs: Iterable[Scalar] = terms.values()
-    if _is_integral(terms):
-        coeffs = [c.numerator for c in coeffs]
     bound = max((sum(abs(e) for _, e in m) for m in terms), default=0)
     bits = (2 * bound).bit_length()  # offset digits lie in [0, 2 * bound]
     # moved exponents (i, a_i) -> the terms' keys, without the offset
     groups: dict[tuple[tuple[int, int], ...], list[tuple[int, Scalar]]] = {}
-    for m, c in zip(terms, coeffs):
+    for m, c in terms.items():
         shift = []
         key = 0
         for v, e in m:
@@ -1085,13 +1056,13 @@ def compile_specialization(
             for key, c in keys:
                 key += d
                 sums[key] = get(key, 0) + c
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for key, c in sums.items():
             m = memo.get(key)
             if m is None:
                 m = memo[key] = decode(key)
             if c:
-                out[m] = Fraction(c)
+                out[m] = c
         return LaurentPoly._raw(out)
 
     return at
@@ -1155,7 +1126,7 @@ def lowest_homogeneous_component(p: LaurentPoly, vars: Iterable[str]) -> Laurent
         raise ZeroPolynomial("zero polynomial has no lowest component")
     vs = set(vars)
     best: int | None = None
-    groups: dict[int, dict[Monomial, Fraction]] = {}
+    groups: dict[int, dict[Monomial, Scalar]] = {}
     for m, c in p.terms.items():
         d = 0
         for v, e in m:
@@ -1213,7 +1184,7 @@ def format_poly(p: LaurentPoly, latex: bool = False) -> str:
     return "".join(pieces)
 
 
-def _format_scalar(c: Fraction, latex: bool) -> str:
+def _format_scalar(c: Scalar, latex: bool) -> str:
     if latex and c.denominator != 1:
         return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
     return str(c)

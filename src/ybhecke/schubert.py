@@ -509,8 +509,8 @@ def verify_cohomology_basis(n: int) -> CheckReport:
 
 
 def _invertible(rows) -> bool:
-    m = [[c.num.constant_value() if c.num.is_constant and c.den.is_one
-          else _as_fraction(c) for c in row] for row in rows]
+    m = [[Fraction(c.num.constant_value(), c.den.constant_value()) for c in row]
+         for row in rows]
     size = len(m)
     for col in range(size):
         pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
@@ -523,12 +523,6 @@ def _invertible(rows) -> bool:
             if factor:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return True
-
-
-def _as_fraction(c: RationalFunction) -> Fraction:
-    num = c.num.constant_value()
-    den = c.den.constant_value()
-    return num / den
 
 
 def verify_groth_to_schubert_degeneration(n: int) -> CheckReport:

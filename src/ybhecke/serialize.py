@@ -6,7 +6,7 @@ exponent (negative allowed), ``*`` and ``/`` are explicit, parentheses group.
 Everything parses into a :class:`~ybhecke.poly.RationalFunction`.
 
 >>> str(parse_scalar("(u3/u2 - 1)/(q1 + q2)"))
-'(u3 - u2)/(q1*u2 + q2*u2)'
+'(-1 + u2^-1*u3)/(q1 + q2)'
 >>> parse_scalar("1/((1+q1/q2)*(1+q2/q1))") == parse_scalar("q1*q2/(q1+q2)^2")
 True
 """

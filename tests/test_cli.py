@@ -115,6 +115,29 @@ def test_gram_rank_guard(capsys):
     assert code == 2
 
 
+def test_gram_rank_guard_message(capsys):
+    code = main(["gram", "-n", "4", "--family", "T"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "guarded at n <= 3" in captured.err
+
+
+def test_gram_and_orthogonality_read_one_rank_guard(capsys, monkeypatch):
+    from ybhecke import cli
+
+    monkeypatch.setattr(cli, "_gram_limit", lambda family: 2)
+    code = main(["gram", "-n", "3", "--family", "sigma"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "family sigma is guarded at n <= 2" in captured.err
+    code = main(["verify", "orthogonality", "-n", "3", "--family", "sigma"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[0] == "orthogonality[sigma, n=2]: PASS (4 checks)"
+    assert "runs at n=2 (sigma)" in captured.err
+
+
 def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "newton", "-n", "3", "--seed", "7")
     assert code == 0

@@ -50,6 +50,18 @@ def random_poly(rng, names, max_deg=3, max_terms=5):
     return p
 
 
+def integral(*polys):
+    return all(c.denominator == 1 for p in polys for c in p.terms.values())
+
+
+def assert_stored_exactly(p, integral):
+    """Stored coefficients are nonzero ints, or Fractions where an input was not
+    integral; never a float."""
+    for c in p.terms.values():
+        assert type(c) is int if integral else type(c) in (int, Fraction), (p, c)
+        assert c != 0, p
+
+
 def random_rf(rng, names, max_deg=2):
     num = random_poly(rng, names, max_deg)
     den = LaurentPoly.zero()
@@ -150,11 +162,11 @@ def test_rename_merging_targets_with_cancellation():
     p = parse_poly("x1*y1 - x2*y1 + 1/2*x1 + 3*x2 + x1^2*x2^-1")
     got = rename_poly(p, {"x1": "u1", "x2": "u1"})
     assert got == parse_poly("9/2*u1")
-    assert all(type(c) is Fraction for c in got.terms.values())
-    # integral input: the sums are integers, the output still Fractions
+    assert_stored_exactly(got, integral=False)
+    # integral input: the sums and the output are ints
     got = rename_poly(parse_poly("2*x1 - 2*x2 + x1^2"), {"x1": "u1", "x2": "u1"})
-    assert got.terms == {(("u1", 2),): Fraction(1)}
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert got.terms == {(("u1", 2),): 1}
+    assert_stored_exactly(got, integral=True)
     assert rename_poly(parse_poly("x1 - x2"), {"x1": "x2"}).is_zero
 
 
@@ -405,7 +417,7 @@ def test_products_match_the_schoolbook_product():
         got = p * q
         want = _schoolbook_product(p, q)
         assert got.terms == want.terms, (p, q)
-        assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+        assert_stored_exactly(got, integral(p, q))
     assert (parse_poly("x1 - y1") * parse_poly("x1 + y1")).terms == (
         parse_poly("x1^2 - y1^2").terms
     )
@@ -429,7 +441,9 @@ def test_polynomial_over_one_is_already_normal():
             fast = RationalFunction(p)
             assert fast.num.terms == full.num.terms == p.terms, p
             assert fast.den.terms == full.den.terms == {(): Fraction(1)}
-            assert all(type(c) is Fraction for c in fast.num.terms.values())
+            for f in (fast, full):
+                assert_stored_exactly(f.num, integral(p))
+                assert_stored_exactly(f.den, integral=True)
 
 
 def _assert_compiled_like_renamed(p, n, moved, fixed):
@@ -439,7 +453,7 @@ def _assert_compiled_like_renamed(p, n, moved, fixed):
         varmap.update({f"{fixed}{j}": f"u{j}" for j in range(1, n + 1)})
         got = at(w)
         assert got.terms == rename_poly(p, varmap).terms, (p, w)
-        assert all(type(c) is Fraction for c in got.terms.values())
+        assert_stored_exactly(got, integral(p))
 
 
 @pytest.mark.parametrize("moved,fixed", [("x", "y"), ("y", "x")])
@@ -465,3 +479,113 @@ def test_compiled_specialization_matches_renaming(moved, fixed):
     for n, polys in cases.items():
         for p in polys:
             _assert_compiled_like_renamed(p, n, moved, fixed)
+
+
+# ----------------------------------------------------------------------
+# stored coefficients: exact, ints where integral, never a float
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LaurentPoly.constant(0.1),
+        lambda: LaurentPoly({(("x1", 1),): 0.5}),
+        lambda: LaurentPoly({(("x1", 1),): 0.0}),
+        lambda: LaurentPoly.monomial({"x1": 2}, 0.25),
+        lambda: RationalFunction(0.5),
+        lambda: RationalFunction(LaurentPoly.one(), 0.5),
+        lambda: RationalFunction.constant(1.0),
+        lambda: V("x1").map_coefficients(float),
+    ],
+    ids=["constant", "init", "init-zero", "monomial", "rf-num", "rf-den",
+         "rf-constant", "map-coefficients"],
+)
+def test_float_coefficients_are_rejected(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_integral_values_are_stored_as_ints():
+    assert LaurentPoly.constant(True).terms == {(): 1}
+    assert type(LaurentPoly.constant(True).constant_value()) is int
+    p = LaurentPoly({(("x1", 1),): Fraction(4, 2), (("x2", 1),): Fraction(1, 2)})
+    assert {type(c) for c in p.terms.values()} == {int, Fraction}
+    assert type(LaurentPoly.monomial({"x1": 1}, Fraction(-3, 1)).coefficient({"x1": 1})) is int
+    # terms of one monomial that meet in the constructor are stored once, as an int
+    merged = LaurentPoly({(("x1", 1), ("x2", 1)): Fraction(1, 2),
+                          (("x2", 1), ("x1", 1)): Fraction(1, 2)})
+    assert merged.terms == {(("x1", 1), ("x2", 1)): 1}
+    assert_stored_exactly(merged, integral=True)
+    for p in (LaurentPoly.one(), V("x1"), LaurentPoly.variable("u2", -3)):
+        assert_stored_exactly(p, integral=True)
+
+
+def test_exact_division_by_a_constant_is_exact():
+    p = parse_poly("4*x1 + 3*y1 - 6")
+    got = exact_div(p, LaurentPoly.constant(2))
+    assert got.terms == {(("x1", 1),): 2, (("y1", 1),): Fraction(3, 2), (): -3}
+    assert_stored_exactly(got, integral=False)
+    assert type(got.coefficient({"x1": 1})) is int
+    got = exact_div(p, LaurentPoly.constant(Fraction(1, 3)))
+    assert got == parse_poly("12*x1 + 9*y1 - 18")
+    assert_stored_exactly(got, integral=True)
+
+
+def test_exact_division_by_a_polynomial_is_exact():
+    d = parse_poly("2*x1 + 1")
+    # every quotient coefficient c / lead(d) is an integer
+    got = exact_div(d * parse_poly("3*x1 - 1"), d)
+    assert got == parse_poly("3*x1 - 1")
+    assert_stored_exactly(got, integral=True)
+    # and none is
+    got = exact_div(parse_poly("x1 + 1") * d, parse_poly("4*x1 + 2"))
+    assert got.terms == {(("x1", 1),): Fraction(1, 2), (): Fraction(1, 2)}
+    assert_stored_exactly(got, integral=False)
+
+
+def test_negative_power_of_a_monomial_is_exact():
+    got = LaurentPoly.monomial({"x1": 1, "u2": -1}, 2) ** -1
+    assert got.terms == {(("u2", 1), ("x1", -1)): Fraction(1, 2)}
+    got = LaurentPoly.monomial({"x1": 1}, Fraction(1, 3)) ** -2
+    assert got.terms == {(("x1", -2),): 9}
+    assert_stored_exactly(got, integral=True)
+    got = (-V("u1")) ** -3
+    assert got.terms == {(("u1", -3),): -1}
+    assert_stored_exactly(got, integral=True)
+
+
+def test_normalisation_divides_exactly():
+    f = RationalFunction(parse_poly("2*x1 + 4"), LaurentPoly.constant(-6))
+    assert f.num.terms == {(("x1", 1),): Fraction(-1, 3), (): Fraction(-2, 3)}
+    assert f.den.terms == {(): 1}
+    assert_stored_exactly(f.den, integral=True)
+    g = poly_gcd(parse_poly("4*x1 - 6"), parse_poly("6*x1 - 9"))
+    assert g.terms == {(("x1", 1),): 2, (): -3}
+    assert_stored_exactly(g, integral=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "all", "-n", "3"),
+        ("gram", "-n", "3", "--family", "sigma", "--spectral", "1/2,3,5/7"),
+        ("yb", "-n", "4", "4321", "--family", "T", "--q1", "2", "--q2", "-1"),
+    ],
+    ids=["verify-all", "gram-sigma-rational", "yb-T-numeric"],
+)
+def test_no_float_or_zero_coefficient_is_ever_stored(monkeypatch, capsys, argv):
+    from ybhecke.cli import main
+
+    raw = LaurentPoly._raw.__func__
+    seen = []
+
+    def checked(cls, terms):
+        for c in terms.values():
+            assert type(c) in (int, Fraction) and c != 0, (terms, c)
+        seen.append(len(terms))
+        return raw(cls, terms)
+
+    monkeypatch.setattr(LaurentPoly, "_raw", classmethod(checked))
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out
+    assert sum(seen) > 0

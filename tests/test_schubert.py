@@ -316,3 +316,16 @@ def test_groth_specialization_pattern_35142():
     ren = {f"u{i}": f"x{i}" for i in range(1, 6)}
     got = RationalFunction(rename_poly(got.num, ren), rename_poly(got.den, ren))
     assert got == parse_scalar("1 - x3*x5/(x1*x2)")
+
+
+def test_invertible_eliminates_exactly():
+    from fractions import Fraction
+
+    def rows(entries):
+        return [[RationalFunction.constant(c) for c in row] for row in entries]
+
+    assert schubert._invertible(rows([[1, 2], [3, 4]]))
+    # singular, and 1/3 has no float: a float pivot ratio leaves 4.4e-16 behind
+    assert not schubert._invertible(rows([[3, 7], [1, Fraction(7, 3)]]))
+    assert not schubert._invertible(rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
+    assert schubert._invertible(rows([[0, Fraction(1, 2)], [Fraction(2, 3), 5]]))

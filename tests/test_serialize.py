@@ -1,8 +1,12 @@
 """Text grammar and JSON codecs: round trips and determinism."""
 
+import doctest
 import random
 
 import pytest
+
+import ybhecke.poly
+import ybhecke.serialize
 
 from ybhecke.errors import ParseError
 from ybhecke.poly import LaurentPoly, RationalFunction, format_poly, format_rf
@@ -87,3 +91,10 @@ def test_latex_rendering():
     assert format_poly(parse_poly("x1^-1"), latex=True) == "x_1^{-1}"
     f = parse_scalar("1/(q1+q2)")
     assert format_rf(f, latex=True) == "\\frac{1}{q_1+q_2}"
+
+
+@pytest.mark.parametrize("module", [ybhecke.poly, ybhecke.serialize], ids=lambda m: m.__name__)
+def test_docstring_examples_hold(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0
