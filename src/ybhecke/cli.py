@@ -39,7 +39,6 @@ from .permutations import (
     Permutation,
     all_permutations,
     all_reduced_words,
-    max_rank,
     rothe_diagram,
 )
 from .poly import RationalFunction, format_rf, substitute
@@ -74,6 +73,8 @@ SUITES = (
     "degeneration",
     "all",
 )
+# The suites that run operator families and so read ``verify --family``.
+FAMILY_SUITES = ("relations", "ybe", "word-independence", "rothe", "orthogonality")
 
 
 class ConfigError(Exception):
@@ -201,7 +202,9 @@ def cmd_yb(args) -> int:
         nu: substitute(c, subs) if subs else c for nu, c in y.coeffs.items()
     }
     perms = sorted(coeffs, key=_perm_key)
-    factors = _factor_shorthand(mu, args.format == "latex")
+    factors = None
+    if args.basis == "rothe" or args.shorthand:
+        factors = _factor_shorthand(mu, args.format == "latex")
     if args.format == "json":
         payload = {
             "family": args.family,
@@ -209,13 +212,13 @@ def cmd_yb(args) -> int:
             "mu": str(mu),
             "terms": {str(nu): rf_to_json(coeffs[nu]) for nu in perms},
         }
-        if args.basis == "rothe":
+        if factors is not None:
             payload["factors"] = factors
         _emit([json.dumps(payload, sort_keys=True)], args.out)
         return 0
     latex = args.format == "latex"
     lines = [f"# Y_{mu} in family {args.family}, n={args.n}"]
-    if args.basis == "rothe" or args.shorthand:
+    if factors is not None:
         lines.append("factors: " + " ".join(factors))
     for nu in perms:
         body = format_rf(coeffs[nu], latex=latex)
@@ -386,6 +389,8 @@ def _rank(suite: str, n: int, limit: int) -> int:
 
 
 def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckReport]:
+    if family is not None and suite not in FAMILY_SUITES + ("all",):
+        raise ConfigError(f"verify {suite} takes no --family")
     if suite == "relations":
         fams = [family] if family else list(FAMILIES)
         rank = _rank(suite, n, 5)
@@ -435,7 +440,8 @@ def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckRe
     if suite == "all":
         reports = []
         for name in SUITES[:-1]:
-            reports.extend(run_suite(name, n, family, seed))
+            fam = family if name in FAMILY_SUITES else None
+            reports.extend(run_suite(name, n, fam, seed))
         return reports
     raise ConfigError(f"unknown suite {suite!r}")
 

@@ -26,7 +26,7 @@ class RankMismatch(YBHeckeError):
 
 
 class RankOutOfRange(YBHeckeError):
-    """A rank argument is outside the configured desk-scale guard."""
+    """A rank argument is outside the desk-scale guard."""
 
 
 class IndexOutOfRange(YBHeckeError):

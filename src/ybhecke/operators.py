@@ -32,7 +32,8 @@ from .permutations import Permutation, all_permutations
 from .poly import (
     LaurentPoly,
     RationalFunction,
-    divide_by_difference,
+    divided_difference,
+    rename_poly,
     rename_rf,
 )
 from .report import CheckReport
@@ -65,22 +66,20 @@ FAMILIES = {
 }
 
 
-def _swap(f: RationalFunction, i: int, fam: str) -> RationalFunction:
-    a, b = f"{fam}{i}", f"{fam}{i + 1}"
+def _swap(f: RationalFunction, i: int) -> RationalFunction:
+    a, b = f"x{i}", f"x{i + 1}"
     return rename_rf(f, {a: b, b: a})
 
 
-def _divided_difference(f: RationalFunction, i: int, fam: str) -> RationalFunction:
-    a, b = f"{fam}{i}", f"{fam}{i + 1}"
-    swapped = _swap(f, i, fam)
-    den = f.den
-    if _swap(RationalFunction(den), i, fam).num == den:
-        # denominator is symmetric, so the division is exact on the numerator
-        diff = f.num - swapped.num if f.den == swapped.den else None
-        if diff is not None:
-            return RationalFunction(divide_by_difference(diff, a, b), den)
-    num = f - swapped
-    return num / (LaurentPoly.variable(a) - LaurentPoly.variable(b))
+def _divided_difference(f: RationalFunction, i: int) -> RationalFunction:
+    # (N/D - sN/sD)/(x_i - x_{i+1}) is (dN)/D when sD = D, else
+    # d(N sD)/(D sD) over the symmetric denominator D sD
+    a, b = f"x{i}", f"x{i + 1}"
+    num, den = f.num, f.den
+    swapped = rename_poly(den, {a: b, b: a})
+    if swapped != den:
+        num, den = num * swapped, den * swapped
+    return RationalFunction(divided_difference(num, a, b), den)
 
 
 def apply_generator(
@@ -89,34 +88,31 @@ def apply_generator(
     f: RationalFunction,
     n: int,
     params: tuple[RationalFunction, RationalFunction] | None = None,
-    var_family: str = "x",
 ) -> RationalFunction:
     """Apply the i-th generator of the given family to ``f``.
 
     ``params`` supplies (q1, q2) for the T family and defaults to the formal
-    parameters; ``var_family`` selects which indexed variables the operators
-    touch (x by default).
+    parameters.
     """
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"generator index {i} outside 1..{n - 1}")
-    fam = var_family
     if family == "sigma":
-        return _swap(f, i, fam)
+        return _swap(f, i)
     if family == "partial":
-        return _divided_difference(f, i, fam)
+        return _divided_difference(f, i)
     if family == "s":
-        return _swap(f, i, fam) + _divided_difference(f, i, fam)
+        return _swap(f, i) + _divided_difference(f, i)
     if family == "pi":
-        xi = RationalFunction.variable(f"{fam}{i}")
-        return _divided_difference(xi * f, i, fam)
+        xi = RationalFunction.variable(f"x{i}")
+        return _divided_difference(xi * f, i)
     if family == "pibar":
-        xi = RationalFunction.variable(f"{fam}{i}")
-        return _divided_difference(xi * f, i, fam) - f
+        xi = RationalFunction.variable(f"x{i}")
+        return _divided_difference(xi * f, i) - f
     if family == "T":
         q1, q2 = params if params is not None else (_Q1, _Q2)
-        xi = RationalFunction.variable(f"{fam}{i}")
-        pibar = _divided_difference(xi * f, i, fam) - f
-        return -(q1 + q2) * pibar + q2 * _swap(f, i, fam)
+        xi = RationalFunction.variable(f"x{i}")
+        pibar = _divided_difference(xi * f, i) - f
+        return -(q1 + q2) * pibar + q2 * _swap(f, i)
     raise ValueError(f"unknown operator family {family!r}")
 
 
@@ -142,7 +138,7 @@ def apply_inverse_word(
 
 
 def all_inverse_words(
-    family: str, f: RationalFunction, n: int, var_family: str = "x"
+    family: str, f: RationalFunction, n: int
 ) -> dict[Permutation, RationalFunction]:
     """D_mu f, as :func:`apply_inverse_word` computes it, for every mu in S_n.
 
@@ -154,24 +150,17 @@ def all_inverse_words(
     for mu in perms[1:]:
         i = mu.left_descents()[0]
         shorter = out[mu.simple_times(i)]
-        out[mu] = apply_generator(family, i, shorter, n, var_family=var_family)
+        out[mu] = apply_generator(family, i, shorter, n)
     return out
 
 
-def perm_action(
-    mu: Permutation, f: RationalFunction, var_family: str = "x"
-) -> RationalFunction:
+def perm_action(mu: Permutation, f: RationalFunction) -> RationalFunction:
     """The substitution action x_i -> x_{mu(i)}; a left group action."""
-    fam = var_family
-    mapping = {
-        f"{fam}{i}": f"{fam}{mu(i)}" for i in range(1, mu.n + 1) if mu(i) != i
-    }
+    mapping = {f"x{i}": f"x{mu(i)}" for i in range(1, mu.n + 1) if mu(i) != i}
     return rename_rf(f, mapping)
 
 
-def random_probe(
-    rng: random.Random, n: int, max_deg: int = 4, var_family: str = "x"
-) -> RationalFunction:
+def random_probe(rng: random.Random, n: int, max_deg: int = 4) -> RationalFunction:
     """A random integer polynomial probe in n variables: 1 to 6 terms of
     degree <= max_deg."""
     p = LaurentPoly.zero()
@@ -183,7 +172,7 @@ def random_probe(
                 break
             e = rng.randint(0, budget)
             if e:
-                exps[f"{var_family}{i}"] = e
+                exps[f"x{i}"] = e
                 budget -= e
         coeff = rng.choice([c for c in range(-9, 10) if c])
         p = p + LaurentPoly.monomial(exps, coeff)

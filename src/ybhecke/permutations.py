@@ -16,7 +16,6 @@ multiplication by the simple transposition ``s_j`` swaps window positions
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import permutations as _itperms
 from typing import Iterator
@@ -29,21 +28,11 @@ __all__ = [
     "RotheDiagram",
     "all_permutations",
     "all_reduced_words",
-    "max_rank",
+    "MAX_RANK",
 ]
 
-_DEFAULT_MAX_RANK = 6
-
-
-def max_rank() -> int:
-    """Desk-scale rank guard; raise it with the YB_HECKE_MAX_N environment variable."""
-    raw = os.environ.get("YB_HECKE_MAX_N")
-    if raw is None:
-        return _DEFAULT_MAX_RANK
-    try:
-        return max(int(raw), _DEFAULT_MAX_RANK)
-    except ValueError:
-        return _DEFAULT_MAX_RANK
+# The desk-scale rank guard of every enumeration of S_n.
+MAX_RANK = 6
 
 
 class Permutation:
@@ -178,9 +167,9 @@ class Permutation:
 
 
 def all_permutations(n: int) -> list[Permutation]:
-    """All of S_n sorted by (length, window); guarded by :func:`max_rank`."""
-    if not 1 <= n <= max_rank():
-        raise RankOutOfRange(f"rank {n} outside 1..{max_rank()}")
+    """All of S_n sorted by (length, window); guarded by :data:`MAX_RANK`."""
+    if not 1 <= n <= MAX_RANK:
+        raise RankOutOfRange(f"rank {n} outside 1..{MAX_RANK}")
     perms = [Permutation(w) for w in _itperms(range(1, n + 1))]
     perms.sort(key=Permutation.sort_key)
     return perms

@@ -58,7 +58,7 @@ __all__ = [
     "exact_div",
     "poly_gcd",
     "coefficients_in",
-    "divide_by_difference",
+    "divided_difference",
     "rename_poly",
     "compile_specialization",
     "rename_rf",
@@ -91,13 +91,16 @@ def _var_info(v: str) -> tuple[tuple[str, int], tuple[int, int], tuple[int, int]
     info = _VARS.get(v)
     if info is not None:
         return info
-    fam = v[:1]
-    if fam not in ("x", "y", "u", "q") or len(v) < 2 or not v[1:].isdigit():
+    fam, digits = v[:1], v[1:]
+    # only the canonical spelling: ASCII digits without a leading zero
+    if (
+        fam not in ("x", "y", "u", "q")
+        or not (digits.isascii() and digits.isdigit())
+        or digits[0] == "0"
+    ):
         raise ValueError(f"unknown variable {v!r}")
-    idx = int(v[1:])
+    idx = int(digits)
     if fam == "q" and idx not in (1, 2):
-        raise ValueError(f"unknown variable {v!r}")
-    if fam != "q" and idx < 1:
         raise ValueError(f"unknown variable {v!r}")
     rank = _FAMILY_RANK[fam] if fam != "q" else idx - 1
     info = ((fam, idx), (rank, idx), (_DISPLAY_RANK[fam], idx), fam in _LAURENT_FAMILIES)
@@ -677,20 +680,21 @@ def _gcd_rec(P: LaurentPoly, Q: LaurentPoly) -> LaurentPoly:
     return _normal_positive(prim * cont)
 
 
-def divide_by_difference(p: LaurentPoly, va: str, vb: str) -> LaurentPoly:
-    """Exact quotient of an antisymmetric polynomial by (va - vb).
+def divided_difference(p: LaurentPoly, va: str, vb: str) -> LaurentPoly:
+    """(p - s p)/(va - vb), where s exchanges ``va`` and ``vb``.
 
-    ``p`` must change sign under the exchange of ``va`` and ``vb`` (this is
-    what makes the division exact); terms are processed in antisymmetric
-    pairs, so only the half with a larger ``va``-exponent is visited.
+    Term by term: va^a*vb^b with a > b gives the a - b terms
+    va^(b+k)*vb^(a-1-k) of (va^a*vb^b - va^b*vb^a)/(va - vb), a < b gives
+    the same terms negated, and a = b gives nothing.  Exponents may be
+    negative.
     """
     out: dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
         exps = dict(m)
         a = exps.pop(va, 0)
         b = exps.pop(vb, 0)
-        if a <= b:
-            continue
+        if a < b:
+            a, b, c = b, a, -c
         for k in range(a - b):
             t = dict(exps)
             ea = b + k

@@ -234,6 +234,60 @@ def test_family_without_factor_exits_2(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "suite",
+    [
+        "schubert-transition",
+        "grothendieck-transition",
+        "yang-leading",
+        "newton",
+        "normal-ordering",
+        "appendix",
+        "cohomology-basis",
+        "degeneration",
+    ],
+)
+def test_family_on_a_suite_without_families_exits_2(capsys, suite):
+    code = main(["verify", suite, "-n", "3", "--family", "T"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: verify {suite} takes no --family\n"
+
+
+def test_verify_all_passes_the_family_to_family_suites_only(capsys):
+    code, out = run(capsys, "verify", "all", "-n", "2", "--family", "sigma")
+    assert code == 0
+    names = [line.split(":")[0] for line in out.splitlines()]
+    assert names[:5] == [
+        "relations[sigma, n=2]",
+        "ybe[sigma]",
+        "word-independence[sigma, n=2]",
+        "rothe[sigma, n=2]",
+        "orthogonality[sigma, n=2]",
+    ]
+    assert "newton-interpolation[n=2]" in names
+    assert names[-1] == "verify all"
+
+
+def test_yb_shorthand_lists_factors_in_every_format(capsys):
+    argv = ["yb", "-n", "4", "4312", "--family", "pibar"]
+    _, text = run(capsys, *argv, "--shorthand")
+    factors = text.splitlines()[1].removeprefix("factors: ").split()
+    for flag in ("--shorthand", "--basis=rothe"):
+        code, out = run(capsys, *argv, flag, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["factors"] == factors
+
+
+def test_noncanonical_spectral_parameter_exits_2(capsys):
+    code = main(["yb", "-n", "2", "21", "--family", "pibar", "--spectral", "u01,u1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: unknown variable 'u01'\n"
+
+
+@pytest.mark.parametrize(
     "argv, size, digest",
     [
         (

@@ -46,6 +46,15 @@ def test_divided_difference_on_rational_input():
     assert out == S("-1/(x1*x2)")
 
 
+def test_divided_difference_on_an_asymmetric_denominator():
+    rng = random.Random(9)
+    for _ in range(12):
+        f = random_probe(rng, 3, 2) / (random_probe(rng, 3, 2) + S("x1 + 2*x2"))
+        for i in (1, 2):
+            want = (f - apply_generator("sigma", i, f, 3)) / S(f"x{i} - x{i + 1}")
+            assert apply_generator("partial", i, f, 3) == want, (f, i)
+
+
 def test_leibniz_rule():
     rng = random.Random(2)
     for _ in range(8):

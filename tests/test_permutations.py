@@ -167,3 +167,9 @@ def test_rothe_generator_indices_increase_in_columns():
 def test_string_roundtrip():
     assert str(P("35142")) == "35142"
     assert P("35142") == Permutation((3, 5, 1, 4, 2))
+
+
+def test_rank_guard_ignores_the_environment(monkeypatch):
+    monkeypatch.setenv("YB_HECKE_MAX_N", "8")
+    with pytest.raises(RankOutOfRange):
+        all_permutations(7)

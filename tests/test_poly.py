@@ -19,7 +19,7 @@ from ybhecke.poly import (
     _cmp_display,
     _display_sorted,
     compile_specialization,
-    divide_by_difference,
+    divided_difference,
     exact_div,
     lowest_homogeneous_component,
     poly_gcd,
@@ -141,7 +141,9 @@ def test_laurent_exponent_legality():
         LaurentPoly.variable("q1", -2)
 
 
-@pytest.mark.parametrize("name", ["x0", "q3", "z1", "u", "y-1"])
+@pytest.mark.parametrize(
+    "name", ["x0", "q3", "z1", "u", "y-1", "u01", "q01", "x\u0661"]
+)
 def test_bad_variable_name_raises_every_time(name):
     # names are resolved once and remembered; a rejected one must not be
     # remembered
@@ -359,12 +361,31 @@ def test_gcd_divides_common_factor():
 
 
 def test_divide_by_difference():
+    # divided_difference(p) = (p - s p)/(x1 - x2); on an antisymmetric p the
+    # numerator is 2p
     p = parse_poly("x1^3*x2 - x1*x2^3")
-    q = divide_by_difference(p, "x1", "x2")
-    assert q * (V("x1") - V("x2")) == p
-    f = parse_poly("x1^2*y1")
-    anti = f - parse_poly("x2^2*y1")
-    assert divide_by_difference(anti, "x1", "x2") == parse_poly("(x1+x2)*y1")
+    q = divided_difference(p, "x1", "x2")
+    assert q * (V("x1") - V("x2")) == 2 * p
+    assert divided_difference(parse_poly("x1^2*y1"), "x1", "x2") == parse_poly(
+        "(x1+x2)*y1"
+    )
+    assert divided_difference(parse_poly("x2^2*y1"), "x1", "x2") == parse_poly(
+        "-(x1+x2)*y1"
+    )
+    assert divided_difference(parse_poly("x1*x2 + y1"), "x1", "x2").is_zero
+
+
+def test_divided_difference_matches_its_definition():
+    rng = random.Random(14)
+    swap = {"x1": "x2", "x2": "x1"}
+    for _ in range(150):
+        p = LaurentPoly.zero()
+        for _ in range(rng.randint(1, 6)):
+            exps = {v: rng.randint(-3, 3) for v in ("x1", "x2", "x3", "u1")}
+            exps["y1"] = rng.randint(0, 2)
+            p = p + LaurentPoly.monomial(exps, rng.randint(-9, 9))
+        q = divided_difference(p, "x1", "x2")
+        assert q * (V("x1") - V("x2")) == p - rename_poly(p, swap), p
 
 
 def test_simplify_reduces():

@@ -275,6 +275,33 @@ def test_normal_ordering():
     assert report.passed, report.lines()
 
 
+def test_newton_interpolation_fails_on_a_wrong_table_entry(monkeypatch):
+    table = schubert_table(3)
+
+    def wrong_table(n):
+        entries = dict(table.entries)
+        entries[P("213")] = entries[P("213")] + parse_poly("x1")
+        return schubert.SchubertTable(n=n, entries=entries)
+
+    monkeypatch.setattr(schubert, "schubert_table", wrong_table)
+    report = verify_newton_interpolation(3, probes=3, seed=1)
+    assert not report.passed and report.checks == 18
+
+
+def test_normal_ordering_fails_on_a_wrong_coefficient(monkeypatch):
+    ys = yb_basis(algebra("partial", 3))
+
+    def wrong_basis(alg):
+        y = ys[P("321")]
+        coeffs = dict(y.coeffs)
+        coeffs[P("123")] = coeffs[P("123")] + RationalFunction.one()
+        return {**ys, P("321"): type(y)(y.alg, coeffs)}
+
+    monkeypatch.setattr(schubert, "yb_basis", wrong_basis)
+    report = verify_normal_ordering(3, probes=3, seed=1)
+    assert not report.passed and report.checks == 18
+
+
 def test_appendix_factorizations():
     for shape, mode in [
         ((1, 1, 1, 1), "qpow"),

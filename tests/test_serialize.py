@@ -34,7 +34,9 @@ def test_parse_basic_forms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("x1 +", "q3", "x0", "(x1", "x1 x2", "^2", "x1*"):
+    # a leading zero or a non-ASCII digit would alias the index of x1 or u1
+    for bad in ("x1 +", "q3", "x0", "(x1", "x1 x2", "^2", "x1*", "x01", "u01",
+                "x\u0661", "x01*x1", "x1*x01", "u1 + u\u0661"):
         with pytest.raises(ParseError):
             parse_scalar(bad)
 
