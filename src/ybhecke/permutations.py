@@ -66,10 +66,18 @@ class Permutation:
 
     @classmethod
     def from_string(cls, s: str) -> "Permutation":
-        """Parse a window serialized as a digit string, e.g. "35142" (n <= 9)."""
-        if "," in s:
-            return cls(int(t) for t in s.split(","))
-        return cls(int(ch) for ch in s.strip())
+        """Parse a window serialized as by ``str``: a digit string such as
+        "35142" (n <= 9) or comma-separated entries such as "2,1,3".
+
+        Only that spelling is accepted, ASCII digits with no leading zero,
+        so "٢١" and "2,01" do not alias 21.
+        """
+        s = s.strip()
+        entries = s.split(",") if "," in s else list(s)
+        for t in entries:
+            if not (t.isascii() and t.isdigit()) or t[0] == "0":
+                raise ValueError(f"not a permutation window: {s!r}")
+        return cls(int(t) for t in entries)
 
     # ------------------------------------------------------------------
 

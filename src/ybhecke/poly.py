@@ -27,6 +27,10 @@ K-theory tables need 1/x_i and multiplicative spectral parameters need v/u);
 ``y`` and ``q`` variables stay polynomial, so a quotient such as 1/(q1+q2)
 lives in :class:`RationalFunction`.
 
+A monomial is a tuple of (variable, nonzero exponent) items in canonical
+variable order, so the kernels multiply monomials by merging their tuples
+by the cached variable keys; only a monomial given as a mapping is sorted.
+
 >>> p = LaurentPoly.variable("x1") - LaurentPoly.variable("y1")
 >>> str(p * p)
 'x1^2 - 2*x1*y1 + y1^2'
@@ -141,18 +145,42 @@ def _mono_from_dict(exps: Mapping[str, int]) -> Monomial:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two canonical monomials, by merging them.
+
+    The items of ``m2`` are inserted into ``m1`` in canonical order; the
+    exponents of a shared variable add up and a zero sum drops out.  Items
+    whose exponent does not change are kept as they are.
+    """
     if not m1:
         return m2
     if not m2:
         return m1
-    exps = dict(m1)
-    for v, e in m2:
-        ne = exps.get(v, 0) + e
-        if ne:
-            exps[v] = ne
+    info = _VARS  # every variable of a monomial is in it, [1] its canonical key
+    if info[m1[-1][0]][1] < info[m2[0][0]][1]:
+        return m1 + m2
+    if info[m2[-1][0]][1] < info[m1[0][0]][1]:
+        return m2 + m1
+    out = list(m1)
+    n = len(out)
+    i = 0
+    for item in m2:
+        v = item[0]
+        k = info[v][1]
+        while i < n and info[out[i][0]][1] < k:
+            i += 1
+        if i < n and out[i][0] == v:
+            e = out[i][1] + item[1]
+            if e:
+                out[i] = (v, e)
+                i += 1
+            else:
+                del out[i]
+                n -= 1
         else:
-            del exps[v]
-    return _mono_from_dict(exps)
+            out.insert(i, item)
+            i += 1
+            n += 1
+    return tuple(out)
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -421,7 +449,7 @@ class LaurentPoly:
         if n < 0:
             if len(self._terms) == 1:
                 (m, c), = self._terms.items()
-                inv = _mono_from_dict({v: -e for v, e in m})
+                inv = tuple((v, -e) for v, e in m)
                 _check_mono(inv)
                 return LaurentPoly._raw({inv: _scalar(Fraction(1, c))}) ** (-n)
             raise ValueError("negative powers only for invertible monomials")
@@ -472,14 +500,7 @@ class LaurentPoly:
 
     def content(self) -> Fraction:
         """Positive rational content: gcd of numerators / lcm of denominators."""
-        if not self._terms:
-            return Fraction(0)
-        g = 0
-        l = 1
-        for c in self._terms.values():
-            g = _int_gcd(g, abs(c.numerator))
-            l = _int_lcm(l, c.denominator)
-        return Fraction(g, l)
+        return _rational_content(self._terms.values())
 
     def map_coefficients(self, fn) -> "LaurentPoly":
         out = {}
@@ -488,6 +509,16 @@ class LaurentPoly:
             if nc:
                 out[m] = nc
         return LaurentPoly._raw(out)
+
+
+def _rational_content(coeffs: Iterable[Scalar]) -> Fraction:
+    """The gcd of the numerators over the lcm of the denominators."""
+    g = 0
+    l = 1
+    for c in coeffs:
+        g = _int_gcd(g, c.numerator)
+        l = _int_lcm(l, c.denominator)
+    return Fraction(g, l)
 
 
 _P_ZERO = LaurentPoly.zero()
@@ -537,25 +568,15 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
 
 def _divide_ordinary(P: LaurentPoly, D: LaurentPoly) -> LaurentPoly:
     lead_m, lead_c = D.leading()
-    lead_e = dict(lead_m)
+    lead_inv = tuple((v, -e) for v, e in lead_m)
     rem = dict(P.terms)
     quo: dict[Monomial, Scalar] = {}
     while rem:
         m = max(rem, key=_CANONICAL_KEY)
         c = rem[m]
-        exps = dict(m)
-        t = {}
-        for v, e in lead_e.items():
-            ne = exps.get(v, 0) - e
-            if ne < 0:
-                raise ExactDivisionError("not divisible")
-            if ne:
-                t[v] = ne
-            exps.pop(v, None)
-        t.update(exps)
-        if any(e < 0 for e in t.values()):
+        tm = _mono_mul(m, lead_inv)
+        if any(e < 0 for _, e in tm):
             raise ExactDivisionError("not divisible")
-        tm = _mono_from_dict(t)
         tc = _scalar(Fraction(c, lead_c))
         quo[tm] = quo.get(tm, 0) + tc
         for dm, dc in D.terms.items():
@@ -583,10 +604,13 @@ def coefficients_in(p: LaurentPoly, v: str) -> dict[int, LaurentPoly]:
     """``p`` as a polynomial in ``v``: each exponent of ``v`` -> its coefficient."""
     out: dict[int, dict[Monomial, Scalar]] = {}
     for m, c in p.terms.items():
-        exps = dict(m)
-        e = exps.pop(v, 0)
-        rest = _mono_from_dict(exps)
-        out.setdefault(e, {})[rest] = c
+        e = 0
+        for k, item in enumerate(m):
+            if item[0] == v:  # dropping one item keeps the order
+                e = item[1]
+                m = m[:k] + m[k + 1:]
+                break
+        out.setdefault(e, {})[m] = c
     return {e: LaurentPoly._raw(t) for e, t in out.items()}
 
 
@@ -594,7 +618,7 @@ def _collect_univar(A: dict[int, LaurentPoly], v: str) -> LaurentPoly:
     out: dict[Monomial, Scalar] = {}
     for e, coeff in A.items():
         for m, c in coeff.terms.items():
-            nm = _mono_mul(m, _mono_from_dict({v: e}) if e else ())
+            nm = _mono_mul(m, ((v, e),) if e else ())
             out[nm] = out.get(nm, 0) + c
     return LaurentPoly._raw({m: c for m, c in out.items() if c})
 
@@ -672,7 +696,12 @@ def _gcd_rec(P: LaurentPoly, Q: LaurentPoly) -> LaurentPoly:
     while B:
         R = _prem(A, B)
         if R:
-            contR = _coeff_gcd(R.values())
+            # Primitive PRS (Brown 1971): the gcd of the coefficients is
+            # primitive, so the rational content is divided out too, or the
+            # integers grow with every pseudo-remainder.
+            contR = _coeff_gcd(R.values()) * _rational_content(
+                a for c in R.values() for a in c.terms.values()
+            )
             R = {e: exact_div(c, contR) for e, c in R.items()}
         A, B = B, R
     prim = _collect_univar(A, v)
@@ -688,22 +717,28 @@ def divided_difference(p: LaurentPoly, va: str, vb: str) -> LaurentPoly:
     the same terms negated, and a = b gives nothing.  Exponents may be
     negative.
     """
+    sign = 1
+    if var_sort_key(vb) < var_sort_key(va):  # put the pair in canonical order
+        va, vb, sign = vb, va, -1
     out: dict[Monomial, Scalar] = {}
     for m, c in p.terms.items():
-        exps = dict(m)
-        a = exps.pop(va, 0)
-        b = exps.pop(vb, 0)
+        a = b = 0
+        rest = []
+        for item in m:
+            v = item[0]
+            if v == va:
+                a = item[1]
+            elif v == vb:
+                b = item[1]
+            else:
+                rest.append(item)
+        rest = tuple(rest)
+        c *= sign
         if a < b:
             a, b, c = b, a, -c
         for k in range(a - b):
-            t = dict(exps)
-            ea = b + k
-            eb = a - 1 - k
-            if ea:
-                t[va] = ea
-            if eb:
-                t[vb] = eb
-            tm = _mono_from_dict(t)
+            pair = ((va, b + k), (vb, a - 1 - k))
+            tm = _mono_mul(rest, tuple(item for item in pair if item[1]))
             nc = out.get(tm, 0) + c
             if nc:
                 out[tm] = nc

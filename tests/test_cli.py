@@ -287,6 +287,14 @@ def test_noncanonical_spectral_parameter_exits_2(capsys):
     assert captured.err == "error: unknown variable 'u01'\n"
 
 
+def test_noncanonical_permutation_exits_2(capsys):
+    code = main(["yb", "-n", "2", "٢١", "--family", "partial"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: not a permutation window: '٢١'\n"
+
+
 @pytest.mark.parametrize(
     "argv, size, digest",
     [

@@ -1,6 +1,7 @@
 """Operator families on the polynomial ring: definitions and relations."""
 
 import random
+import signal
 
 import pytest
 
@@ -46,13 +47,33 @@ def test_divided_difference_on_rational_input():
     assert out == S("-1/(x1*x2)")
 
 
+class _OverBudget(Exception):
+    pass
+
+
+def _over_budget(signum, frame):
+    raise _OverBudget
+
+
 def test_divided_difference_on_an_asymmetric_denominator():
+    # The quotient by x_i - x_{i+1} runs poly_gcd.  Before each
+    # pseudo-remainder had its rational content divided out, the integers of
+    # the remainder sequence grew and the first f took more than a minute,
+    # so the probes run on a budget of 2 s of CPU time.
     rng = random.Random(9)
-    for _ in range(12):
-        f = random_probe(rng, 3, 2) / (random_probe(rng, 3, 2) + S("x1 + 2*x2"))
-        for i in (1, 2):
-            want = (f - apply_generator("sigma", i, f, 3)) / S(f"x{i} - x{i + 1}")
-            assert apply_generator("partial", i, f, 3) == want, (f, i)
+    old = signal.signal(signal.SIGPROF, _over_budget)
+    signal.setitimer(signal.ITIMER_PROF, 2.0)
+    try:
+        for _ in range(12):
+            f = random_probe(rng, 3) / (random_probe(rng, 3) + S("x1 + 2*x2"))
+            for i in (1, 2):
+                want = (f - apply_generator("sigma", i, f, 3)) / S(f"x{i} - x{i + 1}")
+                assert apply_generator("partial", i, f, 3) == want, (f, i)
+    except _OverBudget:
+        pytest.fail("the probes took more than 2 s of CPU time")
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, old)
 
 
 def test_leibniz_rule():

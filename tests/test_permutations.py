@@ -169,6 +169,23 @@ def test_string_roundtrip():
     assert P("35142") == Permutation((3, 5, 1, 4, 2))
 
 
+def test_comma_form_roundtrip():
+    assert P("2,1,3") == P("213")
+    mu = Permutation((2, 10, 1, 3, 4, 5, 6, 7, 8, 9))
+    assert str(mu) == "2,10,1,3,4,5,6,7,8,9"
+    assert P(str(mu)) == mu
+
+
+@pytest.mark.parametrize(
+    "spelling", ["٢١", "２１", "2,01", "02,1", "1,2,", "2,,1", "2, 1", "21x"]
+)
+def test_from_string_accepts_only_the_canonical_spelling(spelling):
+    # int() reads any Unicode decimal digit and leading zeros, so these
+    # spellings used to alias 21 or 12
+    with pytest.raises(ValueError):
+        P(spelling)
+
+
 def test_rank_guard_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("YB_HECKE_MAX_N", "8")
     with pytest.raises(RankOutOfRange):

@@ -13,11 +13,15 @@ from ybhecke.errors import (
     SubstitutionSingular,
     ZeroPolynomial,
 )
+import ybhecke.poly
 from ybhecke.poly import (
+    BETA,
     LaurentPoly,
     RationalFunction,
     _cmp_display,
     _display_sorted,
+    _mono_mul,
+    coefficients_in,
     compile_specialization,
     divided_difference,
     exact_div,
@@ -386,6 +390,122 @@ def test_divided_difference_matches_its_definition():
             p = p + LaurentPoly.monomial(exps, rng.randint(-9, 9))
         q = divided_difference(p, "x1", "x2")
         assert q * (V("x1") - V("x2")) == p - rename_poly(p, swap), p
+
+
+# ----------------------------------------------------------------------
+# the monomial kernels
+
+# every family, BETA included; x10 sorts after x2 although "x10" < "x2"
+KERNEL_VARS = (BETA, "q1", "q2", "u1", "u2", "u3", "y1", "y2", "x1", "x2", "x3", "x10")
+
+
+def random_monomial(rng, cancel=()):
+    """A canonical monomial over KERNEL_VARS; x/u exponents may be negative.
+    Each x/u item of ``cancel`` is inverted with probability 1/2, so that its
+    product with ``cancel`` drops that variable."""
+    exps = {}
+    for v in rng.sample(KERNEL_VARS, rng.randint(0, 5)):
+        lo = -3 if var_parts(v)[0] in ("x", "u") else 1
+        exps[v] = rng.choice([e for e in range(lo, 4) if e])
+    for v, e in cancel:
+        if var_parts(v)[0] in ("x", "u") and rng.random() < 0.5:
+            exps[v] = -e
+    (m,) = LaurentPoly.monomial(exps).terms
+    return m
+
+
+def random_kernel_poly(rng, max_terms=5):
+    """A nonzero polynomial of up to ``max_terms`` random monomials."""
+    p = LaurentPoly.zero()
+    while p.is_zero:
+        for _ in range(rng.randint(1, max_terms)):
+            p = p + LaurentPoly._raw({random_monomial(rng): rng.randint(-9, 9) or 1})
+    return p
+
+
+def assert_canonical(p):
+    for m in p.terms:
+        keys = [var_sort_key(v) for v, _ in m]
+        assert keys == sorted(set(keys)), m  # strictly increasing
+        assert all(type(e) is int and e for _, e in m), m
+
+
+def mono_mul_reference(m1, m2):
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    items = [(v, e) for v, e in exps.items() if e]
+    return tuple(sorted(items, key=lambda item: var_sort_key(item[0])))
+
+
+def test_mono_mul_matches_a_dict_and_sort_reference():
+    rng = random.Random(15)
+    cancelled = 0
+    for _ in range(3000):
+        m1 = random_monomial(rng)
+        m2 = random_monomial(rng, cancel=m1)
+        want = mono_mul_reference(m1, m2)
+        assert _mono_mul(m1, m2) == want, (m1, m2)
+        assert _mono_mul(m2, m1) == want, (m2, m1)
+        cancelled += len(want) < len({v for v, _ in m1 + m2})
+    assert cancelled > 300  # exact cancellations were exercised
+
+
+def test_monomial_kernels_return_canonical_monomials():
+    rng = random.Random(16)
+    pairs = [("x1", "x2"), ("x2", "x10"), ("u1", "u3"), ("y1", "y2"), ("q1", "q2")]
+    for _ in range(60):
+        p = random_kernel_poly(rng)
+        for va, vb in pairs:
+            if var_parts(va)[0] in ("y", "q") and any(
+                e < 0 for m in p.terms for v, e in m if v in (va, vb)
+            ):
+                continue
+            swap = {va: vb, vb: va}
+            for a, b in ((va, vb), (vb, va)):
+                q = divided_difference(p, a, b)
+                assert_canonical(q)
+                assert q * (V(a) - V(b)) == p - rename_poly(p, swap), (p, a, b)
+        for v in KERNEL_VARS:
+            parts = coefficients_in(p, v)
+            for part in parts.values():
+                assert_canonical(part)
+            back = LaurentPoly.zero()
+            for e, part in parts.items():
+                back = back + part.shifted({v: e} if e else {})
+            assert back == p, (p, v)
+        delta = dict(random_monomial(rng))
+        delta = {v: e for v, e in delta.items() if var_parts(v)[0] in ("x", "u")}
+        shifted = p.shifted(delta)
+        assert_canonical(shifted)
+        assert shifted == p * LaurentPoly.monomial(delta)
+        d = random_kernel_poly(rng, max_terms=3)
+        quotient = exact_div(p * d, d)
+        assert_canonical(quotient)
+        assert quotient == p
+        m = random_monomial(rng)
+        m = tuple((v, e) for v, e in m if var_parts(v)[0] in ("x", "u"))
+        mono = LaurentPoly._raw({m: rng.choice((-2, 3))})
+        for k in (1, 2):
+            inverse = mono ** (-k)
+            assert_canonical(inverse)
+            assert inverse * mono**k == LaurentPoly.one()
+
+
+def test_products_and_descents_build_no_monomial_from_a_dict(monkeypatch):
+    # the hot kernels merge canonical tuples; only entry points that take an
+    # arbitrary mapping sort
+    rng = random.Random(17)
+    ps = [random_kernel_poly(rng) for _ in range(20)]
+    monkeypatch.setattr(ybhecke.poly, "_mono_from_dict", None)
+    for p, q in zip(ps, ps[1:]):
+        assert_canonical(p * q)
+        assert_canonical(divided_difference(p, "x2", "x1"))
+        for v in ("x1", "u2", BETA):
+            coefficients_in(p, v)
+        (m, _), *_ = p.terms.items()
+        m = tuple((v, e) for v, e in m if var_parts(v)[0] in ("x", "u"))
+        LaurentPoly._raw({m: 2}) ** -2
 
 
 def test_simplify_reduces():

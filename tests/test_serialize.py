@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import ybhecke.permutations
 import ybhecke.poly
 import ybhecke.serialize
 
@@ -95,7 +96,11 @@ def test_latex_rendering():
     assert format_rf(f, latex=True) == "\\frac{1}{q_1+q_2}"
 
 
-@pytest.mark.parametrize("module", [ybhecke.poly, ybhecke.serialize], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module",
+    [ybhecke.poly, ybhecke.serialize, ybhecke.permutations],
+    ids=lambda m: m.__name__,
+)
 def test_docstring_examples_hold(module):
     result = doctest.testmod(module)
     assert result.attempted > 0
