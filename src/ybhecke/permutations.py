@@ -66,14 +66,16 @@ class Permutation:
 
     @classmethod
     def from_string(cls, s: str) -> "Permutation":
-        """Parse a window serialized as by ``str``: a digit string such as
-        "35142" (n <= 9) or comma-separated entries such as "2,1,3".
+        """Parse a window given as a digit string such as "35142" (n <= 9)
+        or as comma-separated entries such as "2,1,3" or "2, 1, 3".
 
-        Only that spelling is accepted, ASCII digits with no leading zero,
-        so "٢١" and "2,01" do not alias 21.
+        Each entry is written in ASCII digits with no leading zero, so "٢١"
+        and "2,01" do not alias 21.
         """
-        s = s.strip()
-        entries = s.split(",") if "," in s else list(s)
+        if "," in s:
+            entries = [t.strip() for t in s.split(",")]
+        else:
+            entries = list(s.strip())
         for t in entries:
             if not (t.isascii() and t.isdigit()) or t[0] == "0":
                 raise ValueError(f"not a permutation window: {s!r}")

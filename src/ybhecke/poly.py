@@ -156,10 +156,6 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m2:
         return m1
     info = _VARS  # every variable of a monomial is in it, [1] its canonical key
-    if info[m1[-1][0]][1] < info[m2[0][0]][1]:
-        return m1 + m2
-    if info[m2[-1][0]][1] < info[m1[0][0]][1]:
-        return m2 + m1
     out = list(m1)
     n = len(out)
     i = 0

@@ -1,10 +1,11 @@
 """Operator families on the polynomial ring: definitions and relations."""
 
 import random
-import signal
+import time
 
 import pytest
 
+from ybhecke import poly
 from ybhecke.errors import IndexOutOfRange
 from ybhecke.hecke import algebra
 from ybhecke.operators import (
@@ -47,33 +48,32 @@ def test_divided_difference_on_rational_input():
     assert out == S("-1/(x1*x2)")
 
 
-class _OverBudget(Exception):
-    pass
-
-
-def _over_budget(signum, frame):
-    raise _OverBudget
-
-
-def test_divided_difference_on_an_asymmetric_denominator():
+def test_divided_difference_on_an_asymmetric_denominator(monkeypatch):
     # The quotient by x_i - x_{i+1} runs poly_gcd.  Before each
     # pseudo-remainder had its rational content divided out, the integers of
-    # the remainder sequence grew and the first f took more than a minute,
-    # so the probes run on a budget of 2 s of CPU time.
+    # the remainder sequence grew without bound (past 20 million bits within
+    # 41 pseudo-remainders) and the first f took more than a minute.  With
+    # it, no coefficient of a pseudo-remainder here passes 3233 bits, so a
+    # guard at 8192 bits fails a regression at once, without a timer.
+    prem = poly._prem
+
+    def bounded_prem(A, B):
+        R = prem(A, B)
+        for c in R.values():
+            for a in c.terms.values():
+                bits = max(a.numerator.bit_length(), a.denominator.bit_length())
+                assert bits <= 8192, "pseudo-remainder coefficients grew"
+        return R
+
+    monkeypatch.setattr(poly, "_prem", bounded_prem)
     rng = random.Random(9)
-    old = signal.signal(signal.SIGPROF, _over_budget)
-    signal.setitimer(signal.ITIMER_PROF, 2.0)
-    try:
-        for _ in range(12):
-            f = random_probe(rng, 3) / (random_probe(rng, 3) + S("x1 + 2*x2"))
-            for i in (1, 2):
-                want = (f - apply_generator("sigma", i, f, 3)) / S(f"x{i} - x{i + 1}")
-                assert apply_generator("partial", i, f, 3) == want, (f, i)
-    except _OverBudget:
-        pytest.fail("the probes took more than 2 s of CPU time")
-    finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
-        signal.signal(signal.SIGPROF, old)
+    start = time.process_time()
+    for _ in range(12):
+        f = random_probe(rng, 3) / (random_probe(rng, 3) + S("x1 + 2*x2"))
+        for i in (1, 2):
+            want = (f - apply_generator("sigma", i, f, 3)) / S(f"x{i} - x{i + 1}")
+            assert apply_generator("partial", i, f, 3) == want, (f, i)
+    assert time.process_time() - start < 2.0
 
 
 def test_leibniz_rule():
