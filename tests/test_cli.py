@@ -164,6 +164,60 @@ def test_verify_reports_rank_clamp_on_stderr(capsys):
     )
 
 
+def test_verify_all_n5_output_is_pinned(capsys):
+    # Every suite's rank at n=5: the reports on stdout, the clamps on stderr.
+    code = main(["verify", "all", "-n", "5", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    fams = ("sigma", "partial", "pibar", "T")
+    appendix = [
+        f"appendix[{mode}, shape={shape}]: PASS (5 checks, seed=0)"
+        for shape in ("(1, 1, 1, 1)", "(4,)", "(2, 2)")
+        for mode in ("qpow", "linear")
+    ]
+    assert captured.out.splitlines() == (
+        [
+            f"relations[{fam}, n=5]: PASS (40 checks, seed=0)"
+            for fam in ("sigma", "partial", "s", "pi", "pibar", "T")
+        ]
+        + [f"ybe[{fam}]: PASS (1 checks)" for fam in fams]
+        + [f"word-independence[{fam}, n=4]: PASS (24 checks)" for fam in fams]
+        + [f"rothe[{fam}, n=4]: PASS (24 checks)" for fam in fams]
+        + [
+            f"orthogonality[{fam}, n=4]: PASS (576 checks)"
+            for fam in ("partial", "sigma", "pibar")
+        ]
+        + [
+            "orthogonality[T, n=3]: PASS (36 checks)",
+            "schubert-transition[n=5]: PASS (14400 checks)",
+            "grothendieck-transition[n=5]: PASS (14400 checks)",
+            "yang-leading-terms[n=3]: PASS (20 checks, seed=0)",
+            "yang-leading-terms[n=4]: PASS (22 checks, seed=0)",
+            "newton-interpolation[n=3]: PASS (60 checks, seed=0)",
+            "normal-ordering[n=3]: PASS (60 checks, seed=0)",
+        ]
+        + appendix
+        + [
+            "cohomology-basis[n=4]: PASS (25 checks)",
+            "degeneration[n=3]: PASS (6 checks)",
+            "verify all: PASS",
+        ]
+    )
+    assert captured.err.splitlines() == [
+        "verify ybe: asked for n=5, runs at n=4",
+        "verify word-independence: asked for n=5, runs at n=4",
+        "verify rothe: asked for n=5, runs at n=4",
+        "verify orthogonality: asked for n=5, runs at n=4 (partial), n=4 (sigma),"
+        " n=4 (pibar), n=3 (T)",
+        "verify yang-leading: asked for n=5, runs at n=3 (exhaustive), n=4 (20 samples)",
+        "verify newton: asked for n=5, runs at n=3",
+        "verify normal-ordering: asked for n=5, runs at n=3",
+        "verify appendix: asked for n=5, runs at n=4",
+        "verify cohomology-basis: asked for n=5, runs at n=4",
+        "verify degeneration: asked for n=5, runs at n=3",
+    ]
+
+
 def test_verify_transition_at_n5(capsys):
     code = main(["verify", "grothendieck-transition", "-n", "5"])
     captured = capsys.readouterr()
