@@ -9,6 +9,10 @@ Subcommands:
 * ``verify`` runs one of the named verification suites; a suite guarded
   below the rank asked for runs at its guard and says so on stderr.
 
+:data:`SUITES` is the one place that says up to which rank each suite runs,
+which families it runs without ``--family`` and how it runs; ``verify``,
+``verify all`` and ``gram`` all read it.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 a mathematical
 verification failed.
 """
@@ -18,7 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import YBHeckeError
 from .hecke import (
@@ -44,6 +49,7 @@ from .permutations import (
 from .poly import RationalFunction, format_rf, substitute
 from .report import CheckReport
 from .schubert import (
+    TABLE_MAX_RANK,
     grothendieck_table,
     schubert_table,
     verify_appendix_factorizations,
@@ -57,25 +63,6 @@ from .schubert import (
 )
 from .serialize import parse_scalar, poly_to_json, rf_to_json
 
-SUITES = (
-    "relations",
-    "ybe",
-    "word-independence",
-    "rothe",
-    "orthogonality",
-    "schubert-transition",
-    "grothendieck-transition",
-    "yang-leading",
-    "newton",
-    "normal-ordering",
-    "appendix",
-    "cohomology-basis",
-    "degeneration",
-    "all",
-)
-# The suites that run operator families and so read ``verify --family``.
-FAMILY_SUITES = ("relations", "ybe", "word-independence", "rothe", "orthogonality")
-
 
 class ConfigError(Exception):
     """A bad flag combination; maps to exit code 2."""
@@ -88,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_family=False):
+    def common(p, handler, with_family=False):
+        p.set_defaults(handler=handler)
         p.add_argument("-n", type=int, required=True, help="rank of the symmetric group")
         p.add_argument(
             "--format", choices=("text", "json", "latex"), default="text"
@@ -98,12 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--family", choices=FACTOR_FAMILIES, default="T")
 
     p = sub.add_parser("schubert", help="double Schubert polynomial table")
-    common(p)
+    common(p, cmd_table)
     p = sub.add_parser("grothendieck", help="double Grothendieck polynomial table")
-    common(p)
+    common(p, cmd_table)
 
     p = sub.add_parser("yb", help="expand a Yang-Baxter element")
-    common(p, with_family=True)
+    common(p, cmd_yb, with_family=True)
     p.add_argument("mu", help="permutation window, e.g. 35142")
     p.add_argument("--basis", choices=("standard", "rothe"), default="standard")
     p.add_argument("--shorthand", action="store_true", help="factor list as (ji)Tk")
@@ -112,12 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectral", help="comma-separated expressions for u1..un")
 
     p = sub.add_parser("gram", help="pairing matrix of the Yang-Baxter basis")
-    common(p, with_family=True)
+    common(p, cmd_gram, with_family=True)
     p.add_argument("--spectral", help="comma-separated expressions for u1..un")
     p.add_argument("--force", action="store_true", help="lift the symbolic rank guard")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=SUITES)
+    p.set_defaults(handler=cmd_verify)
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--seed", type=int, default=0)
@@ -168,9 +157,11 @@ def _table_lines(table, label: str, fmt: str, n: int) -> list[str]:
     return lines
 
 
-def cmd_table(args, which: str) -> int:
-    table = schubert_table(args.n) if which == "schubert" else grothendieck_table(args.n)
-    label = "X" if which == "schubert" else "G"
+def cmd_table(args) -> int:
+    if args.command == "schubert":
+        table, label = schubert_table(args.n), "X"
+    else:
+        table, label = grothendieck_table(args.n), "G"
     _emit(_table_lines(table, label, args.format, args.n), args.out)
     return 0
 
@@ -227,15 +218,9 @@ def cmd_yb(args) -> int:
     return 0
 
 
-def _gram_limit(family: str) -> int:
-    """The largest rank at which a symbolic pairing matrix of ``family`` is
-    built: ``gram`` refuses a larger one without ``--force``, and ``verify
-    orthogonality`` runs at it."""
-    return 3 if family == "T" else 4
-
-
 def cmd_gram(args) -> int:
-    limit = _gram_limit(args.family)
+    # verify orthogonality builds the same matrices, up to the same rank
+    limit = SUITES["orthogonality"].limits[args.family]
     if args.n > limit and not args.force:
         raise ConfigError(
             f"family {args.family} is guarded at n <= {limit} (use --force)"
@@ -279,58 +264,31 @@ def cmd_gram(args) -> int:
 # verification suites
 
 
-def _factor_families(
-    suite: str, family: str | None, default: Sequence[str] = FACTOR_FAMILIES
-) -> Sequence[str]:
-    """The families a suite of Yang-Baxter factors runs: ``family`` alone if
-    given, else ``default``."""
-    if family is None:
-        return default
-    if family not in FACTOR_FAMILIES:
-        raise ConfigError(f"verify {suite}: family {family} has no Yang-Baxter factor")
-    return (family,)
+def _per_family(template: str, check: Callable[..., None]) -> Callable[..., list[CheckReport]]:
+    """The runner of a suite with one report per family, named by
+    ``template``: ``check(alg, report)`` records the checks in the family's
+    algebra, at the rank of the family's part or else of the whole suite."""
+
+    def run(ranks: dict[str, int], families: Sequence[str], seed: int) -> list[CheckReport]:
+        reports = []
+        for fam in families:
+            rank = ranks.get(fam, ranks.get(""))
+            report = CheckReport(name=template.format(fam=fam, n=rank))
+            check(algebra(fam, rank), report)
+            reports.append(report)
+        return reports
+
+    return run
 
 
-def _suite_orthogonality(n: int, family: str | None) -> list[CheckReport]:
-    families = _factor_families(
-        "orthogonality", family, ("partial", "sigma", "pibar", "T")
-    )
-    ranks = {fam: min(n, _gram_limit(fam)) for fam in families}
-    _note_ranks("orthogonality", n, ranks)
-    reports = []
-    for fam, rank in ranks.items():
-        alg = algebra(fam, rank)
-        u = symbolic_spectral(rank)
-        report = CheckReport(name=f"orthogonality[{fam}, n={rank}]")
-        g = gram_matrix(alg, u)
-        bad = orthogonality_violations(alg, g, u)
-        for mu, nu in g:
-            report.record(
-                (mu, nu) not in bad, lambda: f"<Y_{mu}, Y_{nu}> = {bad[(mu, nu)]}"
-            )
-        reports.append(report)
-    return reports
-
-
-def _suite_ybe(rank: int, families: Sequence[str]) -> list[CheckReport]:
+def _check_ybe(alg, report: CheckReport) -> None:
+    # The equation lives on generators 1 and 2, so it needs rank 3 at least.
+    alg = algebra(alg.family, max(3, alg.n))
     u, v, w = (RationalFunction.variable(f"u{i}") for i in (1, 2, 3))
-    reports = []
-    for fam in families:
-        alg = algebra(fam, rank)
-        report = CheckReport(name=f"ybe[{fam}]")
-        lhs = (
-            elementary_factor(alg, 1, u, v)
-            * elementary_factor(alg, 2, u, w)
-            * elementary_factor(alg, 1, v, w)
-        )
-        rhs = (
-            elementary_factor(alg, 2, v, w)
-            * elementary_factor(alg, 1, u, w)
-            * elementary_factor(alg, 2, u, v)
-        )
-        report.record(lhs == rhs, "Yang-Baxter equation fails")
-        reports.append(report)
-    return reports
+    y = partial(elementary_factor, alg)
+    lhs = y(1, u, v) * y(2, u, w) * y(1, v, w)
+    rhs = y(2, v, w) * y(1, u, w) * y(2, u, v)
+    report.record(lhs == rhs, "Yang-Baxter equation fails")
 
 
 def yb_element_along_word(alg, word, u):
@@ -338,112 +296,148 @@ def yb_element_along_word(alg, word, u):
     return yb_product(alg, u, word_steps(alg.n, word))
 
 
-def _suite_word_independence(rank: int, families: Sequence[str]) -> list[CheckReport]:
-    reports = []
-    for fam in families:
-        alg = algebra(fam, rank)
-        u = symbolic_spectral(rank)
-        report = CheckReport(name=f"word-independence[{fam}, n={rank}]")
-        for mu in all_permutations(rank):
-            values = [
-                yb_element_along_word(alg, word, u) for word in all_reduced_words(mu)
-            ]
-            report.record(
-                all(v == values[0] for v in values[1:]),
-                lambda: f"mu={mu}: reduced words disagree",
-            )
-        reports.append(report)
+def _check_word_independence(alg, report: CheckReport) -> None:
+    u = symbolic_spectral(alg.n)
+    for mu in all_permutations(alg.n):
+        values = [yb_element_along_word(alg, word, u) for word in all_reduced_words(mu)]
+        report.record(
+            all(v == values[0] for v in values[1:]),
+            lambda: f"mu={mu}: reduced words disagree",
+        )
+
+
+def _check_rothe(alg, report: CheckReport) -> None:
+    for mu, y in yb_basis(alg).items():
+        report.record(
+            yb_element_rothe(alg, mu) == y, lambda: f"mu={mu}: rothe product differs"
+        )
+
+
+def _check_orthogonality(alg, report: CheckReport) -> None:
+    u = symbolic_spectral(alg.n)
+    g = gram_matrix(alg, u)
+    bad = orthogonality_violations(alg, g, u)
+    for mu, nu in g:
+        report.record(
+            (mu, nu) not in bad, lambda: f"<Y_{mu}, Y_{nu}> = {bad[(mu, nu)]}"
+        )
+
+
+def _run_yang_leading(ranks, families, seed) -> list[CheckReport]:
+    reports = [verify_yang_leading_terms(ranks["exhaustive"])]
+    if ranks["20 samples"] > ranks["exhaustive"]:  # a rank not covered exhaustively
+        reports.append(verify_yang_leading_terms(ranks["20 samples"], samples=20, seed=seed))
     return reports
 
 
-def _suite_rothe(rank: int, families: Sequence[str]) -> list[CheckReport]:
-    reports = []
-    for fam in families:
-        alg = algebra(fam, rank)
-        report = CheckReport(name=f"rothe[{fam}, n={rank}]")
-        basis = yb_basis(alg)
-        for mu, y in basis.items():
-            report.record(
-                yb_element_rothe(alg, mu) == y, lambda: f"mu={mu}: rothe product differs"
-            )
-        reports.append(report)
-    return reports
+def _run_appendix(ranks, families, seed) -> list[CheckReport]:
+    rank = ranks[""]
+    shapes = [(1,) * rank, (rank,)] + ([(2, 2)] if rank == 4 else [])
+    return [
+        verify_appendix_factorizations(shape, qmode, 5, seed)
+        for shape in shapes
+        for qmode in ("qpow", "linear")
+    ]
 
 
-def _note_ranks(suite: str, n: int, ranks: dict[str, int]) -> None:
-    """Say on stderr when a suite runs below the rank asked for.
+class Suite(NamedTuple):
+    """One verification suite; see :data:`SUITES`."""
 
-    ``ranks`` maps each part of the suite ("" for the whole suite) to the
-    rank it runs at.  Standard output carries only the reports.
-    """
-    if min(ranks.values()) < n:
-        used = ", ".join(f"n={r} ({part})" if part else f"n={r}" for part, r in ranks.items())
-        print(f"verify {suite}: asked for n={n}, runs at {used}", file=sys.stderr)
+    limits: dict[str, int]
+    families: tuple[str, ...] | None
+    run: Callable[[dict[str, int], Sequence[str], int], list[CheckReport]]
 
 
-def _rank(suite: str, n: int, limit: int) -> int:
-    """The rank of a suite guarded at ``limit``, noting a clamp on stderr."""
-    rank = min(n, limit)
-    _note_ranks(suite, n, {"": rank})
-    return rank
+# Every verification suite, in the order ``verify all`` runs them.
+# * ``limits`` maps each part of the suite to the largest rank it runs at:
+#   "" is the whole suite, and a family name is that family's part.
+# * ``families`` run when ``--family`` is absent; None marks a suite that
+#   takes no ``--family``.
+# * ``run(ranks, families, seed)`` returns the reports, given each part's rank.
+# Raising a suite's rank is an edit to its entry here and nowhere else.
+SUITES: dict[str, Suite] = {
+    "relations": Suite(
+        {"": 5},
+        tuple(FAMILIES),
+        lambda r, fams, seed: [check_relations(f, r[""], probes=4, seed=seed) for f in fams],
+    ),
+    "ybe": Suite({"": 4}, FACTOR_FAMILIES, _per_family("ybe[{fam}]", _check_ybe)),
+    "word-independence": Suite(
+        {"": 4},
+        FACTOR_FAMILIES,
+        _per_family("word-independence[{fam}, n={n}]", _check_word_independence),
+    ),
+    "rothe": Suite({"": 4}, FACTOR_FAMILIES, _per_family("rothe[{fam}, n={n}]", _check_rothe)),
+    "orthogonality": Suite(
+        # gram refuses a larger symbolic matrix without --force
+        {"partial": 4, "sigma": 4, "pibar": 4, "T": 3},
+        ("partial", "sigma", "pibar", "T"),
+        _per_family("orthogonality[{fam}, n={n}]", _check_orthogonality),
+    ),
+    "schubert-transition": Suite(
+        {"": TABLE_MAX_RANK}, None, lambda r, fams, seed: [verify_schubert_transition(r[""])[1]]
+    ),
+    "grothendieck-transition": Suite(
+        {"": TABLE_MAX_RANK},
+        None,
+        lambda r, fams, seed: [verify_grothendieck_transition(r[""])[1]],
+    ),
+    "yang-leading": Suite({"exhaustive": 3, "20 samples": 4}, None, _run_yang_leading),
+    "newton": Suite(
+        {"": 3},
+        None,
+        lambda r, fams, seed: [verify_newton_interpolation(r[""], probes=10, seed=seed)],
+    ),
+    "normal-ordering": Suite(
+        {"": 3},
+        None,
+        lambda r, fams, seed: [verify_normal_ordering(r[""], probes=10, seed=seed)],
+    ),
+    "appendix": Suite({"": 4}, None, _run_appendix),
+    "cohomology-basis": Suite(
+        {"": 4}, None, lambda r, fams, seed: [verify_cohomology_basis(r[""])]
+    ),
+    "degeneration": Suite(
+        {"": 3}, None, lambda r, fams, seed: [verify_groth_to_schubert_degeneration(r[""])]
+    ),
+}
 
 
 def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckReport]:
-    if family is not None and suite not in FAMILY_SUITES + ("all",):
-        raise ConfigError(f"verify {suite} takes no --family")
-    if suite == "relations":
-        fams = [family] if family else list(FAMILIES)
-        rank = _rank(suite, n, 5)
-        return [check_relations(f, rank, probes=4, seed=seed) for f in fams]
-    if suite == "ybe":
-        fams = _factor_families(suite, family)
-        return _suite_ybe(max(3, _rank(suite, n, 4)), fams)
-    if suite == "word-independence":
-        fams = _factor_families(suite, family)
-        return _suite_word_independence(_rank(suite, n, 4), fams)
-    if suite == "rothe":
-        fams = _factor_families(suite, family)
-        return _suite_rothe(_rank(suite, n, 4), fams)
-    if suite == "orthogonality":
-        return _suite_orthogonality(n, family)
-    if suite == "schubert-transition":
-        return [verify_schubert_transition(_rank(suite, n, 5))[1]]
-    if suite == "grothendieck-transition":
-        return [verify_grothendieck_transition(_rank(suite, n, 5))[1]]
-    if suite == "yang-leading":
-        ranks = {"exhaustive": min(n, 3)}
-        if n >= 4:
-            ranks["20 samples"] = 4
-        _note_ranks(suite, n, ranks)
-        reports = [verify_yang_leading_terms(ranks["exhaustive"])]
-        if n >= 4:
-            reports.append(verify_yang_leading_terms(4, samples=20, seed=seed))
-        return reports
-    if suite == "newton":
-        return [verify_newton_interpolation(_rank(suite, n, 3), probes=10, seed=seed)]
-    if suite == "normal-ordering":
-        return [verify_normal_ordering(_rank(suite, n, 3), probes=10, seed=seed)]
-    if suite == "appendix":
-        rank = _rank(suite, n, 4)
-        shapes = [(1,) * rank, (rank,)]
-        if rank == 4:
-            shapes.append((2, 2))
-        reports = []
-        for shape in shapes:
-            reports.append(verify_appendix_factorizations(shape, "qpow", 5, seed))
-            reports.append(verify_appendix_factorizations(shape, "linear", 5, seed))
-        return reports
-    if suite == "cohomology-basis":
-        return [verify_cohomology_basis(_rank(suite, n, 4))]
-    if suite == "degeneration":
-        return [verify_groth_to_schubert_degeneration(_rank(suite, n, 3))]
+    """The reports of one suite of :data:`SUITES`, or of all of them.
+
+    Each part runs at ``n`` or at its limit if that is smaller; stderr says
+    so when any part runs below ``n``.  Standard output carries only the
+    reports.
+    """
+    if n < 1:
+        raise ConfigError(f"verify {suite}: rank must be at least 1, got n={n}")
     if suite == "all":
-        reports = []
-        for name in SUITES[:-1]:
-            fam = family if name in FAMILY_SUITES else None
-            reports.extend(run_suite(name, n, fam, seed))
-        return reports
-    raise ConfigError(f"unknown suite {suite!r}")
+        return [
+            report
+            for name, entry in SUITES.items()
+            for report in run_suite(name, n, family if entry.families else None, seed)
+        ]
+    entry = SUITES[suite]
+    if entry.families is None:
+        if family is not None:
+            raise ConfigError(f"verify {suite} takes no --family")
+        families = ()
+    elif family is None:
+        families = entry.families
+    elif family in entry.families:
+        families = (family,)
+    else:
+        raise ConfigError(f"verify {suite}: family {family} has no Yang-Baxter factor")
+    ranks = {
+        part: min(n, limit)
+        for part, limit in entry.limits.items()
+        if part not in FAMILIES or part in families
+    }
+    if min(ranks.values()) < n:
+        used = ", ".join(f"n={r} ({part})" if part else f"n={r}" for part, r in ranks.items())
+        print(f"verify {suite}: asked for n={n}, runs at {used}", file=sys.stderr)
+    return entry.run(ranks, families, seed)
 
 
 def cmd_verify(args) -> int:
@@ -464,21 +458,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "schubert":
-            return cmd_table(args, "schubert")
-        if args.command == "grothendieck":
-            return cmd_table(args, "grothendieck")
-        if args.command == "yb":
-            return cmd_yb(args)
-        if args.command == "gram":
-            return cmd_gram(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except YBHeckeError as exc:
+        return args.handler(args)
+    except (ConfigError, YBHeckeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -198,32 +198,15 @@ def _cmp_monos(m1: Monomial, m2: Monomial) -> int:
     return 0
 
 
-def _cmp_display(m1: Monomial, m2: Monomial) -> int:
-    """Like :func:`_cmp_monos`, but with x1 as the most significant variable.
-
-    This is the rendering order, so that x1 + x2 - y1 - y2 prints in the
-    familiar way; canonical decisions (denominator sign) use
-    :func:`_cmp_monos`.  :func:`_display_sorted` sorts by it through a key.
-    """
-    if m1 == m2:
-        return 0
-    d1, d2 = _mono_degree(m1), _mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    e1, e2 = dict(m1), dict(m2)
-    for v in sorted(set(e1) | set(e2), key=_display_key):
-        a, b = e1.get(v, 0), e2.get(v, 0)
-        if a != b:
-            return 1 if a > b else -1
-    return 0
-
-
 _CANONICAL_KEY = cmp_to_key(_cmp_monos)
 
 
 def _display_sorted(monos: Iterable[Monomial]) -> list[Monomial]:
-    """The monomials from the largest down in the order of :func:`_cmp_display`.
+    """The monomials in rendering order: higher total degree first, then
+    lexicographically by exponent with x1 as the most significant variable,
+    so that x1 + x2 - y1 - y2 prints in the familiar way.
 
+    Canonical decisions (denominator sign) use :func:`_cmp_monos` instead.
     The variables of all the monomials are put in display order once; each
     monomial's key is then its degree and its exponents over them.
     """

@@ -48,6 +48,7 @@ from .poly import (
 from .report import CheckReport
 
 __all__ = [
+    "TABLE_MAX_RANK",
     "SchubertTable",
     "GrothendieckTable",
     "TransitionMatrix",
@@ -97,9 +98,13 @@ class TransitionMatrix:
         return self.entries.get(key, _R.zero())
 
 
+# The largest rank of a Schubert or Grothendieck table.
+TABLE_MAX_RANK = 5
+
+
 def _table_guard(n: int) -> None:
-    if not 1 <= n <= 5:
-        raise RankOutOfRange(f"tables support 1 <= n <= 5, got {n}")
+    if not 1 <= n <= TABLE_MAX_RANK:
+        raise RankOutOfRange(f"tables support 1 <= n <= {TABLE_MAX_RANK}, got {n}")
 
 
 def _descend(n: int, top: LaurentPoly, family: str) -> dict:
@@ -401,8 +406,6 @@ def verify_appendix_factorizations(
     degenerate family factors through prod_{i<j} (1 + x_j - x_i) blockwise.
     """
     n = _check_shape(shape)
-    if n > 4:
-        raise RankOutOfRange("appendix checks are guarded at n <= 4")
     report = CheckReport(name=f"appendix[{qmode}, shape={tuple(shape)}]", seed=seed)
     rng = random.Random(seed)
     mu = _young_max(shape)
@@ -461,8 +464,6 @@ def verify_cohomology_basis(n: int) -> CheckReport:
     The coordinate functional (partial_nu f)(0) is validated on the single
     Schubert table itself before being trusted.
     """
-    if n > 4:
-        raise RankOutOfRange("cohomology-basis check is guarded at n <= 4")
     report = CheckReport(name=f"cohomology-basis[n={n}]")
     perms = all_permutations(n)
     table = schubert_table(n)
@@ -514,8 +515,6 @@ def verify_groth_to_schubert_degeneration(n: int) -> CheckReport:
     at a = b = 0) is X_mu(a, b).  The a variables are modeled by u_i and the
     b variables by y_j.
     """
-    if n > 3:
-        raise RankOutOfRange("degeneration check is guarded at n <= 3")
     report = CheckReport(name=f"degeneration[n={n}]")
     gtable = grothendieck_table(n)
     xtable = schubert_table(n)

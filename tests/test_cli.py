@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ybhecke.cli import main
+from ybhecke.cli import SUITES, main
 from ybhecke.permutations import Permutation, all_permutations
 from ybhecke.serialize import parse_scalar, poly_from_json, rf_from_json
 
@@ -124,9 +124,7 @@ def test_gram_rank_guard_message(capsys):
 
 
 def test_gram_and_orthogonality_read_one_rank_guard(capsys, monkeypatch):
-    from ybhecke import cli
-
-    monkeypatch.setattr(cli, "_gram_limit", lambda family: 2)
+    monkeypatch.setitem(SUITES["orthogonality"].limits, "sigma", 2)
     code = main(["gram", "-n", "3", "--family", "sigma"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -162,6 +160,20 @@ def test_verify_reports_rank_clamp_on_stderr(capsys):
     assert capsys.readouterr().err == (
         "verify orthogonality: asked for n=4, runs at n=3 (T)\n"
     )
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+def test_verify_rejects_a_rank_below_1_before_any_suite_runs(capsys, monkeypatch, suite, n):
+    ran = []
+    for name, entry in SUITES.items():
+        monkeypatch.setitem(
+            SUITES, name, entry._replace(run=lambda *args, name=name: ran.append(name))
+        )
+    code = main(["verify", suite, "-n", n])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and ran == []
+    assert captured.err == f"error: verify {suite}: rank must be at least 1, got n={n}\n"
 
 
 def test_verify_all_n5_output_is_pinned(capsys):

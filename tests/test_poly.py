@@ -18,7 +18,7 @@ from ybhecke.poly import (
     BETA,
     LaurentPoly,
     RationalFunction,
-    _cmp_display,
+    _display_key,
     _display_sorted,
     _mono_mul,
     coefficients_in,
@@ -515,6 +515,20 @@ def test_simplify_reduces():
     s = f.simplify()
     assert s == f
     assert s.den == parse_poly("x2 - y1")
+
+
+def _cmp_display(m1, m2):
+    # The rendering order as a pairwise comparison: total degree, then the
+    # exponents with x1 as the most significant variable.
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    e1, e2 = dict(m1), dict(m2)
+    for v in sorted(set(e1) | set(e2), key=_display_key):
+        a, b = e1.get(v, 0), e2.get(v, 0)
+        if a != b:
+            return 1 if a > b else -1
+    return 0
 
 
 def test_display_key_orders_like_the_display_comparison():

