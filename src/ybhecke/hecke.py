@@ -25,14 +25,16 @@ and the factor 1 + (v/u - 1)/theta T_j is 1 + (v/u - 1) T'_j.  So the
 coefficient of T_nu in Y_mu is theta^-l(nu) P(beta), with P a polynomial in
 beta; at the symbols u1..un (or numbers) it is a Laurent polynomial in u, so
 no denominator appears while the element is built and no gcd is taken.
-Each P = sum_j P_j beta^j of degree K is homogenised once at the end into
+Each P = sum_j P_j beta^j of degree K is homogenised once, where the
+coefficient leaves the library, into
 
     sum_j P_j (q1*q2)^j theta^(2K-2j) / theta^(2K+l(nu)),
 
 which at the symbols is reduced as it stands: modulo theta its numerator is
-P_K (q1*q2)^K.  The carrier of beta is the internal variable ``poly.BETA``;
-spectral parameters of family T may not mention it, and no returned
-coefficient does.
+P_K (q1*q2)^K.  :func:`gram_matrix` pairs in the same form and homogenises
+each pairing once.  The carrier of beta is the internal variable
+``poly.BETA``; spectral parameters of family T may not mention it, and no
+returned coefficient does.
 
 The bilinear form pairs h1, h2 into the coefficient of T_omega in
 h1 * phi(h2), where phi is the anti-automorphism T_mu -> T_{mu^{-1}},
@@ -44,6 +46,7 @@ u_i -> u_{n+1-i}.  The Yang-Baxter basis is orthogonal for it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -55,7 +58,7 @@ from .errors import (
 )
 from .operators import FAMILIES, apply_word
 from .permutations import Permutation, all_permutations, rothe_diagram
-from .poly import BETA, LaurentPoly, RationalFunction, coefficients_in, rename_rf
+from .poly import BETA, LaurentPoly, RationalFunction, clear_beta, rename_rf
 
 __all__ = [
     "FACTOR_FAMILIES",
@@ -83,8 +86,6 @@ __all__ = [
 ]
 
 _R = RationalFunction
-_P_ZERO = LaurentPoly.zero()
-_P_ONE = LaurentPoly.one()
 # The families with an elementary factor 1 + c(u, v) T_j.
 FACTOR_FAMILIES = ("sigma", "partial", "pibar", "T")
 # The family tag of the generic family's one-parameter form; only
@@ -326,33 +327,34 @@ def _building_algebra(alg: AlgebraSpec) -> AlgebraSpec:
 def _from_building(alg: AlgebraSpec, h: HeckeElement) -> HeckeElement:
     """An element of ``alg`` from its image in ``_building_algebra(alg)``.
 
-    In the generic family the coefficient P = sum_j P_j beta^j of T'_nu, of
-    degree K in beta, becomes the coefficient of T_nu = theta^l(nu) T'_nu,
-
-        sum_j P_j (q1 q2)^j theta^(2K-2j) / theta^(2K+l(nu)),
-
-    its numerator summed by Horner's rule in theta^2.  At the symbols
-    u1..un that quotient is reduced without a gcd: modulo theta its
-    numerator is P_K (q1 q2)^K.
+    In the generic family each coefficient of T'_nu becomes the coefficient
+    of T_nu = theta^l(nu) T'_nu by :func:`_from_beta`; elsewhere ``h`` is
+    returned as it is.
     """
     if alg.family != "T":
         return h
-    q1, q2 = LaurentPoly.variable("q1"), LaurentPoly.variable("q2")
-    theta = q1 + q2
-    theta2, q12 = theta * theta, q1 * q2
-    out: dict[Permutation, RationalFunction] = {}
-    for nu, c in h.coeffs.items():
-        parts = coefficients_in(c.num, BETA)
-        top = max(parts)
-        num = parts.get(0, _P_ZERO)
-        q12_power = _P_ONE
-        for j in range(1, top + 1):
-            q12_power = q12_power * q12
-            num = num * theta2
-            if j in parts:
-                num = num + parts[j] * q12_power
-        out[nu] = RationalFunction(num, c.den * theta ** (2 * top + nu.length()))
-    return HeckeElement(alg, out)
+    return HeckeElement(alg, {nu: _from_beta(c, nu.length()) for nu, c in h.coeffs.items()})
+
+
+@cache
+def _theta_power(k: int) -> LaurentPoly:
+    return (LaurentPoly.variable("q1") + LaurentPoly.variable("q2")) ** k
+
+
+def _from_beta(c: RationalFunction, length: int) -> RationalFunction:
+    """The coefficient of a generic-family T_nu, l(nu) = ``length``, whose
+    T'_nu coefficient is ``c`` = P(beta) / D, of degree K in beta.
+
+    With theta = q1+q2 that is N / (D theta^(2K+l(nu))), N from
+    :func:`ybhecke.poly.clear_beta`; a coefficient free of beta keeps its
+    numerator.  At the symbols u1..un (D = 1) the quotient is reduced as it
+    stands: modulo theta, N is P_K (q1 q2)^K, and theta^k has no monomial
+    factor and content 1, so normalising it changes nothing.
+    """
+    if c.is_zero:
+        return c
+    num, top = clear_beta(c.num)
+    return RationalFunction(num, c.den * _theta_power(2 * top + length))
 
 
 def word_steps(n: int, word: Sequence[int]) -> Iterator[tuple[int, int, int]]:
@@ -518,11 +520,19 @@ def gram_matrix(
     the products T_kappa * phi(Y_nu) are built once along the left weak
     order, and every <Y_mu, Y_nu> becomes a short linear combination of
     their T_omega coefficients.
+
+    The generic family is paired in its one-parameter form, where no
+    coefficient has a denominator at the symbols u1..un and no gcd is
+    taken: T_mu -> theta^-l(mu) T'_mu is an isomorphism that phi respects,
+    so each pairing is the coefficient of T'_omega converted once by
+    :func:`_from_beta`.
     """
     if u is None:
         u = symbolic_spectral(alg.n)
-    ys = yb_basis(alg, u)
-    phis = _phi_of_basis(alg, u)
+    _check_spectral(alg, u)
+    build = _building_algebra(alg)
+    ys = yb_basis(build, u)
+    phis = _phi_of_basis(build, u)
     perms = all_permutations(alg.n)
     omega = Permutation.longest(alg.n)
     out: dict[tuple[Permutation, Permutation], RationalFunction] = {}
@@ -541,7 +551,10 @@ def gram_matrix(
                 if not wk.is_zero:
                     total = total + c * wk
             out[(mu, nu)] = total
-    return out
+    if build is alg:
+        return out
+    length = omega.length()
+    return {pair: _from_beta(c, length) for pair, c in out.items()}
 
 
 def orthogonality_violations(

@@ -46,6 +46,14 @@ class Permutation:
             raise ValueError(f"not a permutation window: {w}")
         self.window = w
 
+    @classmethod
+    def _trusted(cls, window: tuple[int, ...]) -> "Permutation":
+        """The permutation with ``window``, unchecked: for windows built
+        from valid permutations, which are valid by construction."""
+        mu = object.__new__(cls)
+        mu.window = window
+        return mu
+
     # ------------------------------------------------------------------
 
     @classmethod
@@ -110,13 +118,13 @@ class Permutation:
             return NotImplemented
         if self.n != other.n:
             raise RankMismatch(f"cannot compose S_{self.n} with S_{other.n}")
-        return Permutation(self.window[v - 1] for v in other.window)
+        return Permutation._trusted(tuple(self.window[v - 1] for v in other.window))
 
     def inverse(self) -> "Permutation":
         w = [0] * self.n
         for i, v in enumerate(self.window):
             w[v - 1] = i + 1
-        return Permutation(w)
+        return Permutation._trusted(tuple(w))
 
     @property
     def is_identity(self) -> bool:
@@ -143,7 +151,7 @@ class Permutation:
             raise IndexOutOfRange(f"generator index {j} outside 1..{self.n - 1}")
         w = list(self.window)
         w[j - 1], w[j] = w[j], w[j - 1]
-        return Permutation(w)
+        return Permutation._trusted(tuple(w))
 
     def simple_times(self, j: int) -> "Permutation":
         """Left multiplication by s_j: swap the values j, j+1 in the window."""
@@ -152,7 +160,7 @@ class Permutation:
         w = list(self.window)
         a, b = w.index(j), w.index(j + 1)
         w[a], w[b] = w[b], w[a]
-        return Permutation(w)
+        return Permutation._trusted(tuple(w))
 
     def reduced_word(self) -> tuple[int, ...]:
         """Canonical reduced word: the product s_{i1}...s_{ir} equals ``self``.
@@ -180,7 +188,7 @@ def all_permutations(n: int) -> list[Permutation]:
     """All of S_n sorted by (length, window); guarded by :data:`MAX_RANK`."""
     if not 1 <= n <= MAX_RANK:
         raise RankOutOfRange(f"rank {n} outside 1..{MAX_RANK}")
-    perms = [Permutation(w) for w in _itperms(range(1, n + 1))]
+    perms = [Permutation._trusted(w) for w in _itperms(range(1, n + 1))]
     perms.sort(key=Permutation.sort_key)
     return perms
 

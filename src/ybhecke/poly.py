@@ -41,8 +41,7 @@ by the cached variable keys; only a monomial given as a mapping is sorted.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import comb as _comb, gcd as _int_gcd, lcm as _int_lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -62,6 +61,7 @@ __all__ = [
     "exact_div",
     "poly_gcd",
     "coefficients_in",
+    "clear_beta",
     "divided_difference",
     "rename_poly",
     "compile_specialization",
@@ -183,35 +183,9 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _cmp_monos(m1: Monomial, m2: Monomial) -> int:
-    """Graded-lex comparison in the canonical variable order."""
-    if m1 == m2:
-        return 0
-    d1, d2 = _mono_degree(m1), _mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    e1, e2 = dict(m1), dict(m2)
-    for v in sorted(set(e1) | set(e2), key=var_sort_key, reverse=True):
-        a, b = e1.get(v, 0), e2.get(v, 0)
-        if a != b:
-            return -1 if a < b else 1
-    return 0
-
-
-_CANONICAL_KEY = cmp_to_key(_cmp_monos)
-
-
-def _display_sorted(monos: Iterable[Monomial]) -> list[Monomial]:
-    """The monomials in rendering order: higher total degree first, then
-    lexicographically by exponent with x1 as the most significant variable,
-    so that x1 + x2 - y1 - y2 prints in the familiar way.
-
-    Canonical decisions (denominator sign) use :func:`_cmp_monos` instead.
-    The variables of all the monomials are put in display order once; each
-    monomial's key is then its degree and its exponents over them.
-    """
-    monos = list(monos)
-    names = sorted({v for m in monos for v, _ in m}, key=_display_key)
+def _graded_key(names: Sequence[str]) -> Callable[[Monomial], tuple[int, list[int]]]:
+    """A sort key of monomials in the variables ``names``: the total degree,
+    then the exponents over ``names``, the first the most significant."""
     slot = {v: i for i, v in enumerate(names)}
     width = len(names)
 
@@ -221,7 +195,27 @@ def _display_sorted(monos: Iterable[Monomial]) -> list[Monomial]:
             exps[slot[v]] = e
         return sum(exps), exps
 
-    return sorted(monos, key=key, reverse=True)
+    return key
+
+
+def _canonical_key(monos: Iterable[Monomial]) -> Callable[[Monomial], tuple[int, list[int]]]:
+    """The graded-lex key in the canonical variable order, the largest
+    variable the most significant, for monomials in the variables of
+    ``monos``.  It decides leading terms (the sign of a denominator)."""
+    names = sorted({v for m in monos for v, _ in m}, key=var_sort_key, reverse=True)
+    return _graded_key(names)
+
+
+def _display_sorted(monos: Iterable[Monomial]) -> list[Monomial]:
+    """The monomials in rendering order: higher total degree first, then
+    lexicographically by exponent with x1 as the most significant variable,
+    so that x1 + x2 - y1 - y2 prints in the familiar way.
+
+    Canonical decisions (denominator sign) use :func:`_canonical_key` instead.
+    """
+    monos = list(monos)
+    names = sorted({v for m in monos for v, _ in m}, key=_display_key)
+    return sorted(monos, key=_graded_key(names), reverse=True)
 
 
 def _scalar(c) -> Scalar:
@@ -450,20 +444,30 @@ class LaurentPoly:
         """Leading (monomial, coefficient) in the canonical order."""
         if not self._terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        m = max(self._terms, key=_CANONICAL_KEY)
+        m = max(self._terms, key=_canonical_key(self._terms))
         return m, self._terms[m]
 
     def min_exponents(self) -> dict[str, int]:
-        """Per-variable minimum exponent across all terms (0 if absent somewhere)."""
-        if not self._terms:
-            return {}
-        monos = [dict(m) for m in self._terms]
-        out: dict[str, int] = {}
-        for v in {v for m in monos for v in m}:
-            mn = min(m.get(v, 0) for m in monos)
-            if mn != 0:
-                out[v] = mn
-        return out
+        """Per-variable minimum exponent across all terms (0 if absent somewhere).
+
+        One pass: the lowest exponent of each variable and the number of
+        terms it occurs in; a positive minimum counts only if it occurs in
+        every term.
+        """
+        low: dict[str, int] = {}
+        seen: dict[str, int] = {}
+        for m in self._terms:
+            for v, e in m:
+                k = seen.get(v)
+                if k is None:
+                    low[v] = e
+                    seen[v] = 1
+                else:
+                    if e < low[v]:
+                        low[v] = e
+                    seen[v] = k + 1
+        n = len(self._terms)
+        return {v: e for v, e in low.items() if e < 0 or seen[v] == n}
 
     def shifted(self, delta: Mapping[str, int]) -> "LaurentPoly":
         """Multiply by the monomial with exponent vector ``delta``."""
@@ -550,8 +554,10 @@ def _divide_ordinary(P: LaurentPoly, D: LaurentPoly) -> LaurentPoly:
     lead_inv = tuple((v, -e) for v, e in lead_m)
     rem = dict(P.terms)
     quo: dict[Monomial, Scalar] = {}
+    # every remainder term is in the variables of P and D
+    key = _canonical_key([*P.terms, *D.terms])
     while rem:
-        m = max(rem, key=_CANONICAL_KEY)
+        m = max(rem, key=key)
         c = rem[m]
         tm = _mono_mul(m, lead_inv)
         if any(e < 0 for _, e in tm):
@@ -580,17 +586,56 @@ def _normal_positive(p: LaurentPoly) -> LaurentPoly:
 
 
 def coefficients_in(p: LaurentPoly, v: str) -> dict[int, LaurentPoly]:
-    """``p`` as a polynomial in ``v``: each exponent of ``v`` -> its coefficient."""
+    """``p`` as a polynomial in ``v``: each exponent of ``v`` -> its coefficient.
+
+    ``v`` is found by its canonical key: :data:`BETA`, which sorts first,
+    and the main variable of :func:`poly_gcd`, which sorts last in every
+    term that has it, are read off an end of each monomial.  Dropping one
+    item keeps a monomial canonical.
+    """
+    info = _VARS
+    key = _var_info(v)[1]
     out: dict[int, dict[Monomial, Scalar]] = {}
     for m, c in p.terms.items():
         e = 0
-        for k, item in enumerate(m):
-            if item[0] == v:  # dropping one item keeps the order
-                e = item[1]
-                m = m[:k] + m[k + 1:]
-                break
+        if m and info[m[0][0]][1] <= key <= info[m[-1][0]][1]:
+            if m[0][0] == v:
+                e, m = m[0][1], m[1:]
+            elif m[-1][0] == v:
+                e, m = m[-1][1], m[:-1]
+            else:
+                for k in range(1, len(m) - 1):
+                    if m[k][0] == v:
+                        e, m = m[k][1], m[:k] + m[k + 1:]
+                        break
         out.setdefault(e, {})[m] = c
     return {e: LaurentPoly._raw(t) for e, t in out.items()}
+
+
+def clear_beta(p: LaurentPoly) -> tuple[LaurentPoly, int]:
+    """``p`` = sum_j P_j BETA^j of degree K in :data:`BETA`, at beta =
+    q1*q2/(q1+q2)^2, as (N, K) with p = N/(q1+q2)^(2K).
+
+    N = sum_j P_j (q1*q2)^j (q1+q2)^(2K-2j) is expanded in one pass: its
+    coefficient of q1^s*q2^(2K-s) is sum_j C(2K-2j, s-j) P_j.  A ``p`` free
+    of BETA is returned as it is, with K = 0.
+    """
+    parts = coefficients_in(p, BETA)
+    top = max(parts, default=0)
+    if not top:
+        return p, 0
+    out: dict[Monomial, Scalar] = {}
+    get = out.get
+    for j, part in parts.items():
+        width = 2 * (top - j)
+        for i in range(width + 1):
+            b = _comb(width, i)
+            q = tuple(item for item in (("q1", j + i), ("q2", 2 * top - j - i)) if item[1])
+            for m, a in part.terms.items():
+                # BETA is gone, so only q1 or q2 can sort before the q part
+                nm = _mono_mul(q, m) if m and m[0][0] in ("q1", "q2") else q + m
+                out[nm] = get(nm, 0) + b * a
+    return LaurentPoly._raw({m: c for m, c in out.items() if c}), top
 
 
 def _collect_univar(A: dict[int, LaurentPoly], v: str) -> LaurentPoly:
@@ -735,9 +780,13 @@ class RationalFunction:
 
     Normalization strips common monomial factors (pushing invertible x/u
     monomials into the numerator), removes rational content, and scales so
-    the denominator has positive leading coefficient.  Equality is decided
-    by cross-multiplication, so it never depends on gcd reduction; gcds are
-    only used inside ``+`` and ``*`` to keep denominators from growing.
+    the denominator has positive leading coefficient.  It reads the
+    denominator's minimum exponents, content and leading term; the numerator
+    is read only when a y/q variable has a positive minimum exponent in the
+    denominator, the one case where the numerator decides the shift.
+    Equality is decided by cross-multiplication, so it never depends on gcd
+    reduction; gcds are only used inside ``+`` and ``*`` to keep
+    denominators from growing.
     """
 
     __slots__ = ("num", "den")
@@ -762,17 +811,16 @@ class RationalFunction:
             self.num = num
             self.den = _P_ONE
             return
-        a = num.min_exponents()
-        b = den.min_exponents()
         shift: dict[str, int] = {}
-        for v in set(a) | set(b):
-            fam, _ = var_parts(v)
-            if fam in _LAURENT_FAMILIES:
-                c = b.get(v, 0)
-            else:
-                c = min(a.get(v, 0), b.get(v, 0))
-            if c:
-                shift[v] = -c
+        low = None
+        for v, e in den.min_exponents().items():
+            if _VARS[v][3]:  # an x/u power of the denominator moves up
+                shift[v] = -e
+            else:  # a y/q factor cancels as far as the numerator shares it
+                low = num.min_exponents() if low is None else low
+                e = min(e, low.get(v, 0))
+                if e:
+                    shift[v] = -e
         if shift:
             num = num.shifted(shift)
             den = den.shifted(shift)

@@ -230,6 +230,19 @@ def test_verify_all_n5_output_is_pinned(capsys):
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ybe_runs_at_rank_3_at_least_and_says_so(capsys, n):
+    # the equation needs generators 1 and 2
+    code = main(["verify", "ybe", "-n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines() == [
+        f"ybe[{fam}]: PASS (1 checks)" for fam in ("sigma", "partial", "pibar", "T")
+    ] + ["verify ybe: PASS"]
+    note = [f"verify ybe: asked for n={n}, runs at n=3"] if n < 3 else []
+    assert captured.err.splitlines() == note
+
+
 def test_verify_transition_at_n5(capsys):
     code = main(["verify", "grothendieck-transition", "-n", "5"])
     captured = capsys.readouterr()

@@ -7,8 +7,11 @@ import pytest
 
 from ybhecke.cli import main
 from ybhecke.errors import AlgebraMismatch, IndexOutOfRange, ReservedVariable, ZeroSpectral
+import ybhecke.poly
 from ybhecke.hecke import (
     HeckeElement,
+    _building_algebra,
+    _from_building,
     _phi_of_basis,
     algebra,
     apply_to_polynomial,
@@ -31,7 +34,7 @@ from ybhecke.hecke import (
 )
 from ybhecke.operators import apply_word, random_probe
 from ybhecke.permutations import Permutation, all_permutations, all_reduced_words
-from ybhecke.poly import BETA, LaurentPoly, RationalFunction, substitute
+from ybhecke.poly import BETA, LaurentPoly, RationalFunction, coefficients_in, substitute
 from ybhecke.serialize import parse_scalar as S
 
 P = Permutation.from_string
@@ -304,6 +307,60 @@ def test_spectral_parameter_mentioning_the_beta_carrier_is_rejected(capsys):
     assert capsys.readouterr().out == ""
 
 
+def from_building_reference(alg, h):
+    """The coefficients of _from_building(alg, h) by Horner's rule in
+    theta^2: sum_j P_j (q1 q2)^j theta^(2K-2j) over theta^(2K+l(nu))."""
+    q1, q2 = LaurentPoly.variable("q1"), LaurentPoly.variable("q2")
+    theta = q1 + q2
+    out = {}
+    for nu, c in h.coeffs.items():
+        parts = coefficients_in(c.num, BETA)
+        top = max(parts)
+        num = parts.get(0, LaurentPoly.zero())
+        for j in range(1, top + 1):
+            num = num * theta * theta + parts.get(j, LaurentPoly.zero()) * (q1 * q2) ** j
+        out[nu] = R(num, c.den * theta ** (2 * top + nu.length()))
+    return out
+
+
+def random_beta_poly(rng, top):
+    """sum_j P_j BETA^j, j <= top; q1 and q2 occur inside the P_j."""
+    p = LaurentPoly.zero()
+    for j in range(top + 1):
+        for _ in range(rng.randint(1 if j == top else 0, 3)):
+            exps = {v: rng.randint(0, 2) for v in ("q1", "q2", "u1", "u2")}
+            exps["u3"] = rng.randint(-1, 1)
+            exps[BETA] = j
+            p = p + LaurentPoly.monomial(exps, rng.randint(-5, 5) or 1)
+    return p
+
+
+def test_from_building_matches_the_horner_form():
+    # Randomized, seed 36; every comparison is exact.
+    rng = random.Random(36)
+    alg = algebra("T", 3)
+    build = _building_algebra(alg)
+    dens = [S(d) for d in ("1", "u1 - u2", "2*y1^2 + 3", "q1 + u2", "-3*u1*y1")]
+    seen = set()
+    for _ in range(30):
+        coeffs = {}
+        for nu in all_permutations(3):
+            num = random_beta_poly(rng, rng.randint(0, 3))
+            if not num.is_zero:
+                coeffs[nu] = R(num) / rng.choice(dens)
+        h = HeckeElement(build, coeffs)
+        got = _from_building(alg, h)
+        want = from_building_reference(alg, h)
+        assert list(got.coeffs) == list(want), coeffs
+        for nu, c in got.coeffs.items():
+            assert (c.num.terms, c.den.terms) == (want[nu].num.terms, want[nu].den.terms)
+            assert str(c) == str(want[nu])
+            assert BETA not in c.num.variables() | c.den.variables()
+            d = h.coeffs[nu]
+            seen.add((max(coefficients_in(d.num, BETA)), d.den.is_one))
+    assert seen == {(k, one) for k in range(4) for one in (True, False)}
+
+
 # ----------------------------------------------------------------------
 # the anti-automorphism and the bilinear form
 
@@ -347,15 +404,30 @@ def test_orthogonality_T_n3():
 
 
 def test_gram_agrees_with_direct_pairing():
+    # gram_matrix pairs family T in the beta form, pairing in the (q1, q2)
+    # form: all 36 pairs agree in their normal forms, string for string
     alg = algebra("T", 3)
     u = symbolic_spectral(3)
     g = gram_matrix(alg, u)
     ys = yb_basis(alg, u)
-    rng = random.Random(34)
-    perms = all_permutations(3)
-    for _ in range(6):
-        mu, nu = rng.choice(perms), rng.choice(perms)
-        assert g[(mu, nu)] == pairing(ys[mu], ys[nu])
+    assert len(g) == 36
+    for (mu, nu), val in g.items():
+        want = pairing(ys[mu], ys[nu])
+        assert (str(val), val.num.terms, val.den.terms) == (
+            str(want), want.num.terms, want.den.terms
+        ), (mu, nu)
+
+
+def test_gram_T_n4_takes_no_gcd(monkeypatch):
+    def no_gcd(p, q):
+        raise AssertionError(f"poly_gcd({p}, {q})")
+
+    alg = algebra("T", 4)
+    monkeypatch.setattr(ybhecke.poly, "poly_gcd", no_gcd)
+    g = gram_matrix(alg)
+    monkeypatch.undo()  # the check against Delta divides by theta
+    assert len(g) == 576
+    assert orthogonality_violations(alg, g) == {}
 
 
 def test_delta_examples():

@@ -186,6 +186,28 @@ def test_from_string_accepts_only_the_canonical_spelling(spelling):
         P(spelling)
 
 
+@pytest.mark.parametrize("window", [(1, 1), (0, 1), (2, 3), (1, 2, 4), (3, 1, 3)])
+def test_a_bad_window_still_raises(window):
+    with pytest.raises(ValueError):
+        Permutation(window)
+
+
+def test_products_give_what_the_checked_constructor_gives():
+    # times_simple, simple_times, * and inverse build their windows unchecked
+    perms = all_permutations(4)
+    for mu in perms:
+        built = [mu.inverse()]
+        for j in (1, 2, 3):
+            built += [mu.times_simple(j), mu.simple_times(j)]
+            assert mu.times_simple(j) == mu * Permutation.simple(4, j)
+            assert mu.simple_times(j) == Permutation.simple(4, j) * mu
+        built += [mu * nu for nu in perms]
+        for nu in built:
+            assert type(nu.window) is tuple
+            assert Permutation(nu.window) == nu and hash(Permutation(nu.window)) == hash(nu)
+        assert mu * mu.inverse() == Permutation.identity(4)
+
+
 def test_rank_guard_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("YB_HECKE_MAX_N", "8")
     with pytest.raises(RankOutOfRange):

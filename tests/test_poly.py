@@ -470,6 +470,7 @@ def test_monomial_kernels_return_canonical_monomials():
             parts = coefficients_in(p, v)
             for part in parts.values():
                 assert_canonical(part)
+                assert v not in part.variables(), (p, v)
             back = LaurentPoly.zero()
             for e, part in parts.items():
                 back = back + part.shifted({v: e} if e else {})
@@ -717,6 +718,90 @@ def test_normalisation_divides_exactly():
     g = poly_gcd(parse_poly("4*x1 - 6"), parse_poly("6*x1 - 9"))
     assert g.terms == {(("x1", 1),): 2, (): -3}
     assert_stored_exactly(g, integral=True)
+
+
+# ----------------------------------------------------------------------
+# normalisation from the denominator
+
+
+def _cmp_canonical(m1, m2):
+    # The canonical order as a pairwise comparison: total degree, then the
+    # exponents with the largest variable as the most significant.
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    e1, e2 = dict(m1), dict(m2)
+    for v in sorted(set(e1) | set(e2), key=var_sort_key, reverse=True):
+        a, b = e1.get(v, 0), e2.get(v, 0)
+        if a != b:
+            return 1 if a > b else -1
+    return 0
+
+
+def min_exponents_reference(p):
+    # each variable's minimum over every term, one dict per term
+    monos = [dict(m) for m in p.terms]
+    out = {}
+    for v in {v for m in monos for v in m}:
+        low = min(m.get(v, 0) for m in monos)
+        if low:
+            out[v] = low
+    return out
+
+
+def normalise_reference(num, den):
+    """num/den normalised with every term of both sides read: x/u powers of
+    the denominator move up, y/q factors shared by both sides cancel, and
+    the denominator is made primitive with a positive leading coefficient."""
+    a, b = min_exponents_reference(num), min_exponents_reference(den)
+    shift = {}
+    for v in set(a) | set(b):
+        if var_parts(v)[0] in ("x", "u"):
+            c = b.get(v, 0)
+        else:
+            c = min(a.get(v, 0), b.get(v, 0))
+        if c:
+            shift[v] = -c
+    num, den = num.shifted(shift), den.shifted(shift)
+    lead = max(den.terms, key=cmp_to_key(_cmp_canonical))
+    s = den.content() if den.terms[lead] > 0 else -den.content()
+    return num.map_coefficients(lambda x: x / s), den.map_coefficients(lambda x: x / s)
+
+
+def test_leading_term_is_the_canonical_maximum():
+    rng = random.Random(24)
+    for _ in range(500):
+        p = random_kernel_poly(rng, max_terms=8)
+        m, c = p.leading()
+        assert m == max(p.terms, key=cmp_to_key(_cmp_canonical)), p
+        assert c == p.terms[m]
+
+
+def test_normalisation_reads_the_denominator_like_the_all_terms_reference():
+    # Randomized, seed 23; every comparison is exact.
+    rng = random.Random(23)
+    seen = {"shared y/q": 0, "u in den": 0, "content": 0, "negative lead": 0}
+    for _ in range(600):
+        num, den = random_kernel_poly(rng), random_kernel_poly(rng, max_terms=4)
+        common = LaurentPoly.monomial({v: rng.randint(0, 2) for v in (BETA, "q2", "y1")})
+        num = num * common
+        den = den * common * LaurentPoly.monomial({"u2": rng.randint(-2, 2)})
+        den = den * Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+        for p in (num, den, num * den):
+            assert p.min_exponents() == min_exponents_reference(p), p
+        want_num, want_den = normalise_reference(num, den)
+        f = RationalFunction(num, den)
+        assert f.num.terms == want_num.terms, (num, den)
+        assert f.den.terms == want_den.terms, (num, den)
+        low = min_exponents_reference(den)
+        seen["shared y/q"] += any(
+            var_parts(v)[0] not in ("x", "u") and min_exponents_reference(num).get(v)
+            for v in low
+        )
+        seen["u in den"] += any(var_parts(v)[0] == "u" for v in low)
+        seen["content"] += den.content().denominator != 1 or den.content().numerator != 1
+        seen["negative lead"] += den.leading()[1] < 0
+    assert min(seen.values()) > 100, seen
 
 
 @pytest.mark.parametrize(
