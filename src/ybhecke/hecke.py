@@ -523,9 +523,9 @@ def gram_matrix(
 
     The generic family is paired in its one-parameter form, where no
     coefficient has a denominator at the symbols u1..un and no gcd is
-    taken: T_mu -> theta^-l(mu) T'_mu is an isomorphism that phi respects,
-    so each pairing is the coefficient of T'_omega converted once by
-    :func:`_from_beta`.
+    taken: T_mu = theta^l(mu) T'_mu identifies the two forms, and phi
+    respects it, so each pairing is the coefficient of T'_omega converted
+    once by :func:`_from_beta`.
     """
     if u is None:
         u = symbolic_spectral(alg.n)
