@@ -525,12 +525,15 @@ def gram_matrix(
     coefficient has a denominator at the symbols u1..un and no gcd is
     taken: T_mu = theta^l(mu) T'_mu identifies the two forms, and phi
     respects it, so each pairing is the coefficient of T'_omega converted
-    once by :func:`_from_beta`.
+    once by :func:`_from_beta`.  That conversion is reduced only when ``u``
+    is free of q1 and q2 (at u = (q1/q2, q2/q1, 1) an entry would keep a
+    factor theta in both parts), so such a ``u`` is paired in (q1, q2).
     """
     if u is None:
         u = symbolic_spectral(alg.n)
     _check_spectral(alg, u)
-    build = _building_algebra(alg)
+    names = set().union(*(x.num.variables() | x.den.variables() for x in map(_coerce_rf, u)))
+    build = alg if names & {"q1", "q2"} else _building_algebra(alg)
     ys = yb_basis(build, u)
     phis = _phi_of_basis(build, u)
     perms = all_permutations(alg.n)

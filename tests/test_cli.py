@@ -103,11 +103,36 @@ def test_gram_partial_n3_antidiagonal(capsys):
 
 
 @pytest.mark.parametrize("family", ["partial", "sigma", "pibar", "T"])
-@pytest.mark.parametrize("spectral", ["2,3,7", "u1+1,u2,u3"])
+@pytest.mark.parametrize("spectral", ["2,3,7", "u1+1,u2,u3", "q1,u2,q2+1"])
 def test_gram_at_given_spectral_parameters(capsys, family, spectral):
     code, out = run(capsys, "gram", "-n", "3", "--family", family, "--spectral", spectral)
     assert code == 0
     assert out.splitlines()[-1] == "orthogonality: ok"
+
+
+@pytest.mark.parametrize(
+    "spectral, fmt, size, digest",
+    [
+        ("q1,u2,q2+1", "text", 1356,
+         "17a9aaf45d3e0d84f46610cb300fb9045f225ba4f0214ef13ce59af15a84c27e"),
+        ("q1,u2,q2+1", "json", 5814,
+         "711ad682dc0d6333990b367566243a0774f375f429a8d64e739e4a1c17750354"),
+        ("q1/q2,q2/q1,1", "text", 569,
+         "b25848fa91d9f0f878128928a32c266357dfc6e455523889c878cb7e67ef7ad1"),
+        ("q1/q2,q2/q1,1", "json", 2241,
+         "82c905c2edd873f944d1592fe9b22e09fc8e1792048146304563c1d0adabbd96"),
+    ],
+)
+def test_gram_T_at_spectral_parameters_in_q_is_pinned(capsys, spectral, fmt, size, digest):
+    # Family T is paired in its one-parameter form only when u is free of q1
+    # and q2: at q1/q2, q2/q1, 1 that form leaves a factor q1+q2 in both
+    # parts of an entry, which the (q1, q2) form cancels.
+    code, out = run(
+        capsys, "gram", "-n", "3", "--family", "T", "--spectral", spectral, "--format", fmt
+    )
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_gram_rank_guard(capsys):
