@@ -13,6 +13,10 @@ class ExactDivisionError(YBHeckeError):
     """An exact polynomial division left a nonzero remainder."""
 
 
+class ExponentOverflow(YBHeckeError):
+    """A monomial exponent leaves the range a packed monomial key holds."""
+
+
 class SubstitutionSingular(YBHeckeError):
     """A substitution sends a denominator identically to zero."""
 

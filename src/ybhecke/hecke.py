@@ -309,10 +309,18 @@ def _check_spectral(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> None:
         raise ValueError(f"need {alg.n} spectral parameters, got {len(u)}")
     if alg.family in _MULTIPLICATIVE and any(x.is_zero for x in u):
         raise ZeroSpectral("multiplicative families need nonzero parameters")
-    if alg.family == "T":
-        for x in map(_coerce_rf, u):
-            if BETA in x.num.variables() | x.den.variables():
-                raise ReservedVariable(f"family T spectral parameters must not mention {BETA}")
+    if alg.family == "T" and BETA in _spectral_names(u):
+        raise ReservedVariable(f"family T spectral parameters must not mention {BETA}")
+
+
+def _spectral_names(u: Sequence[RationalFunction]) -> set[str]:
+    return set().union(*(x.num.variables() | x.den.variables() for x in map(_coerce_rf, u)))
+
+
+def _reduces(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> bool:
+    """Whether :func:`_from_beta` must gcd-reduce the coefficients of ``alg``
+    built at ``u``: for the generic family when ``u`` mentions q1 or q2."""
+    return alg.family == "T" and not _spectral_names(u).isdisjoint(("q1", "q2"))
 
 
 def _building_algebra(alg: AlgebraSpec) -> AlgebraSpec:
@@ -324,16 +332,18 @@ def _building_algebra(alg: AlgebraSpec) -> AlgebraSpec:
     return AlgebraSpec(_BETA_FORM, alg.n, _R.one(), -_R.variable(BETA))
 
 
-def _from_building(alg: AlgebraSpec, h: HeckeElement) -> HeckeElement:
+def _from_building(alg: AlgebraSpec, h: HeckeElement, reduce: bool) -> HeckeElement:
     """An element of ``alg`` from its image in ``_building_algebra(alg)``.
 
     In the generic family each coefficient of T'_nu becomes the coefficient
-    of T_nu = theta^l(nu) T'_nu by :func:`_from_beta`; elsewhere ``h`` is
-    returned as it is.
+    of T_nu = theta^l(nu) T'_nu by :func:`_from_beta`, gcd-reduced when
+    ``reduce`` (see :func:`_reduces`); elsewhere ``h`` is returned as it is.
     """
     if alg.family != "T":
         return h
-    return HeckeElement(alg, {nu: _from_beta(c, nu.length()) for nu, c in h.coeffs.items()})
+    return HeckeElement(
+        alg, {nu: _from_beta(c, nu.length(), reduce) for nu, c in h.coeffs.items()}
+    )
 
 
 @cache
@@ -341,7 +351,7 @@ def _theta_power(k: int) -> LaurentPoly:
     return (LaurentPoly.variable("q1") + LaurentPoly.variable("q2")) ** k
 
 
-def _from_beta(c: RationalFunction, length: int) -> RationalFunction:
+def _from_beta(c: RationalFunction, length: int, reduce: bool = False) -> RationalFunction:
     """The coefficient of a generic-family T_nu, l(nu) = ``length``, whose
     T'_nu coefficient is ``c`` = P(beta) / D, of degree K in beta.
 
@@ -349,12 +359,15 @@ def _from_beta(c: RationalFunction, length: int) -> RationalFunction:
     :func:`ybhecke.poly.clear_beta`; a coefficient free of beta keeps its
     numerator.  At the symbols u1..un (D = 1) the quotient is reduced as it
     stands: modulo theta, N is P_K (q1 q2)^K, and theta^k has no monomial
-    factor and content 1, so normalising it changes nothing.
+    factor and content 1, so normalising it changes nothing.  That needs the
+    P_j free of q1 and q2; where they are not (``reduce``, the spectral
+    parameters mention q1 or q2) the quotient is gcd-reduced.
     """
     if c.is_zero:
         return c
     num, top = clear_beta(c.num)
-    return RationalFunction(num, c.den * _theta_power(2 * top + length))
+    f = RationalFunction(num, c.den * _theta_power(2 * top + length))
+    return f.simplify() if reduce else f
 
 
 def word_steps(n: int, word: Sequence[int]) -> Iterator[tuple[int, int, int]]:
@@ -384,7 +397,7 @@ def yb_product(
     h = unit(build)
     for j, a, b in steps:
         h = h * elementary_factor(build, j, u[a - 1], u[b - 1])
-    return _from_building(alg, h)
+    return _from_building(alg, h, _reduces(alg, u))
 
 
 def yb_element(
@@ -413,7 +426,8 @@ def yb_basis(
         nu = mu.times_simple(j)
         factor = elementary_factor(build, j, u[nu(j) - 1], u[nu(j + 1) - 1])
         built[mu] = built[nu] * factor
-    return {mu: _from_building(alg, h) for mu, h in built.items()}
+    reduce = _reduces(alg, u)
+    return {mu: _from_building(alg, h, reduce) for mu, h in built.items()}
 
 
 def yb_element_rothe(
@@ -525,15 +539,12 @@ def gram_matrix(
     coefficient has a denominator at the symbols u1..un and no gcd is
     taken: T_mu = theta^l(mu) T'_mu identifies the two forms, and phi
     respects it, so each pairing is the coefficient of T'_omega converted
-    once by :func:`_from_beta`.  That conversion is reduced only when ``u``
-    is free of q1 and q2 (at u = (q1/q2, q2/q1, 1) an entry would keep a
-    factor theta in both parts), so such a ``u`` is paired in (q1, q2).
+    once by :func:`_from_beta`, gcd-reduced where ``u`` mentions q1 or q2.
     """
     if u is None:
         u = symbolic_spectral(alg.n)
     _check_spectral(alg, u)
-    names = set().union(*(x.num.variables() | x.den.variables() for x in map(_coerce_rf, u)))
-    build = alg if names & {"q1", "q2"} else _building_algebra(alg)
+    build = _building_algebra(alg)
     ys = yb_basis(build, u)
     phis = _phi_of_basis(build, u)
     perms = all_permutations(alg.n)
@@ -556,8 +567,8 @@ def gram_matrix(
             out[(mu, nu)] = total
     if build is alg:
         return out
-    length = omega.length()
-    return {pair: _from_beta(c, length) for pair, c in out.items()}
+    length, reduce = omega.length(), _reduces(alg, u)
+    return {pair: _from_beta(c, length, reduce) for pair, c in out.items()}
 
 
 def orthogonality_violations(

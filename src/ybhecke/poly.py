@@ -7,14 +7,6 @@ package.  Each coefficient is stored as the number it is: an ``int``, or a
 rejects floats).  Almost every coefficient in practice is an integer, so the
 kernels run on Python ints with no conversion, and one path serves both.
 
-One polynomial renamed at many permutations, as in the specializations
-p(u^mu, u) of the transition theorems, is compiled once by
-:func:`compile_specialization`: the exponents that a permutation does not
-move are packed into one integer key per term (Kronecker substitution, one
-offset digit per variable, wide enough for every signed image exponent), so
-each permutation adds one integer shift per group of terms and each distinct
-key becomes a monomial only once.
-
 Variables are compact strings: the indexed families ``x1, x2, ...``,
 ``y1, ...``, ``u1, ...`` and the two parameters ``q1``, ``q2``, plus one
 internal name, :data:`BETA`.  The canonical variable order is
@@ -27,9 +19,21 @@ K-theory tables need 1/x_i and multiplicative spectral parameters need v/u);
 ``y`` and ``q`` variables stay polynomial, so a quotient such as 1/(q1+q2)
 lives in :class:`RationalFunction`.
 
-A monomial is a tuple of (variable, nonzero exponent) items in canonical
-variable order, so the kernels multiply monomials by merging their tuples
-by the cached variable keys; only a monomial given as a mapping is sorted.
+A monomial is stored as one int, its key: each variable gets a slot the
+first time it is validated, and the exponent e_v is the signed 16-bit digit
+of that slot, so the key is sum_v e_v * 2^(16*slot(v)) and the constant
+monomial is 0.  A product of monomials is one int addition, and a kernel
+that needs one exponent reads or shifts one digit.  Stored exponents lie in
+[-2^14, 2^14) (y/q exponents in [0, 2^14)); a sum of two of them fits its
+digit, so every kernel checks the keys it makes with one mask
+(:func:`_check_keys`) and an exponent out of range raises
+:class:`ExponentOverflow` rather than carry into the next slot.  Keys are
+decoded into (variable, exponent) pairs in canonical order only at the
+boundary: ``.terms``, iteration, ``leading()``, rendering and JSON.  One
+polynomial renamed at many permutations, as in the specializations
+p(u^mu, u) of the transition theorems, is compiled once by
+:func:`compile_specialization`, after which each permutation adds one
+integer shift per group of terms.
 
 >>> p = LaurentPoly.variable("x1") - LaurentPoly.variable("y1")
 >>> str(p * p)
@@ -41,12 +45,14 @@ by the cached variable keys; only a monomial given as a mapping is sorted.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb as _comb, gcd as _int_gcd, lcm as _int_lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DivisionByZero,
     ExactDivisionError,
+    ExponentOverflow,
     SubstitutionSingular,
     ZeroPolynomial,
 )
@@ -80,18 +86,43 @@ _LAURENT_FAMILIES = frozenset({"x", "u"})
 # Display significance when rendering: x's first, then y, u, q.
 _DISPLAY_RANK = {"x": 0, "y": 1, "u": 2, "q": 3}
 
-Monomial = tuple  # tuple[tuple[str, int], ...], sorted by var_sort_key
+# The key of a monomial, sum_v e_v * 2^(16*slot(v)); the public views decode
+# it into a tuple of (variable, exponent) pairs in canonical variable order.
+Monomial = int
 Scalar = Union[int, Fraction]
 
+_WIDTH = 16  # bits per slot
+_MASK = (1 << _WIDTH) - 1
+_HALF_DIGIT = 1 << (_WIDTH - 1)
+_LIMIT = 1 << (_WIDTH - 2)  # stored exponents lie in [-_LIMIT, _LIMIT)
 
 # Every name `_var_info` has accepted, and BETA below -> ((family, index),
-# canonical key, display key, invertible).  A memo of a pure function of the
-# name: a name enters only after validation, so a bad name is rejected on
-# every call.
-_VARS: dict[str, tuple[tuple[str, int], tuple[int, int], tuple[int, int], bool]] = {}
+# canonical key, display key, invertible, shift of its slot).  A memo of the
+# name's validation: a name enters only after validation, so a bad name is
+# rejected on every call.  _NAMES maps each slot back to its variable.
+_VARS: dict[str, tuple[tuple[str, int], tuple[int, int], tuple[int, int], bool, int]] = {}
+_NAMES: list[str] = []
+# Masks over every slot so far.  k + _HALF has the unsigned digits e + 2^15,
+# so (k + _HALF) >> shift & _MASK is a biased exponent; (k + _LOW) & _VALID
+# is 0 exactly when every x/u exponent of k lies in [-2^14, 2^14) and every
+# y/q one in [0, 2^14), for any k with digits in [-2^15, 2^15).
+_HALF = 0  # 2^15 in each slot
+_LOW = 0  # 2^14 in each x/u slot
+_VALID = 0  # bit 15 of each x/u slot, bits 14 and 15 of each y/q slot
 
 
-def _var_info(v: str) -> tuple[tuple[str, int], tuple[int, int], tuple[int, int], bool]:
+def _register(v: str, parts: tuple[str, int], canon: tuple[int, int], invertible: bool):
+    global _HALF, _LOW, _VALID
+    shift = _WIDTH * len(_NAMES)
+    _NAMES.append(v)
+    _HALF |= _HALF_DIGIT << shift
+    _LOW |= (_LIMIT if invertible else 0) << shift
+    _VALID |= (_HALF_DIGIT if invertible else _HALF_DIGIT | _LIMIT) << shift
+    _VARS[v] = (parts, canon, (_DISPLAY_RANK[parts[0]], parts[1]), invertible, shift)
+    return _VARS[v]
+
+
+def _var_info(v: str) -> tuple[tuple[str, int], tuple[int, int], tuple[int, int], bool, int]:
     info = _VARS.get(v)
     if info is not None:
         return info
@@ -107,9 +138,7 @@ def _var_info(v: str) -> tuple[tuple[str, int], tuple[int, int], tuple[int, int]
     if fam == "q" and idx not in (1, 2):
         raise ValueError(f"unknown variable {v!r}")
     rank = _FAMILY_RANK[fam] if fam != "q" else idx - 1
-    info = ((fam, idx), (rank, idx), (_DISPLAY_RANK[fam], idx), fam in _LAURENT_FAMILIES)
-    _VARS[v] = info
-    return info
+    return _register(v, (fam, idx), (rank, idx), fam in _LAURENT_FAMILIES)
 
 
 # The one internal name: it carries beta = q1*q2/(q1+q2)^2 while the generic
@@ -117,7 +146,13 @@ def _var_info(v: str) -> tuple[tuple[str, int], tuple[int, int], tuple[int, int]
 # (hecke.py).  It sorts and prints like a q variable below q1, stays
 # polynomial, and the text grammar cannot spell it.
 BETA = "q0"
-_VARS[BETA] = (("q", 0), (-1, 0), (_DISPLAY_RANK["q"], 0), False)
+# The spectral parameters take the lowest slots: the Yang-Baxter coefficients
+# and every specialization p(u^mu, u) are polynomials in them, so those keys
+# stay a few machine words wide.
+for _k in range(1, 9):
+    _var_info(f"u{_k}")
+del _k
+_register(BETA, ("q", 0), (-1, 0), False)
 
 
 def var_parts(v: str) -> tuple[str, int]:
@@ -133,89 +168,97 @@ def _display_key(v: str) -> tuple[int, int]:
     return _var_info(v)[2]
 
 
-def _item_sort_key(item: tuple[str, int]) -> tuple[int, int]:
-    info = _VARS.get(item[0])
-    return (info if info is not None else _var_info(item[0]))[1]
+def _pack(exps: Mapping[str, int], check: bool = True) -> Monomial:
+    """The key of the monomial with exponents ``exps``; zero exponents drop
+    out.  ``check`` also rejects a negative y/q exponent."""
+    k = 0
+    for v, e in exps.items():
+        info = _VARS.get(v) or _var_info(v)
+        if not isinstance(e, int):
+            raise ValueError(f"bad exponent {e!r} for {v}")
+        if not -_LIMIT <= e < _LIMIT:
+            raise ExponentOverflow(f"exponent {v}^{e} outside [-{_LIMIT}, {_LIMIT})")
+        k += e << info[4]
+    if check:
+        _check_keys((k,))
+    return k
 
 
-def _mono_from_dict(exps: Mapping[str, int]) -> Monomial:
-    items = [(v, e) for v, e in exps.items() if e != 0]
-    items.sort(key=_item_sort_key)
+@lru_cache(maxsize=1 << 16)
+def _decode(k: Monomial) -> tuple[tuple[str, int], ...]:
+    """The key ``k`` as (variable, exponent) pairs in canonical order."""
+    items = []
+    s = 0
+    while k:
+        e = (k + _HALF_DIGIT & _MASK) - _HALF_DIGIT
+        if e:
+            items.append((_NAMES[s], e))
+        k = (k - e) >> _WIDTH
+        s += 1
+    items.sort(key=lambda item: _VARS[item[0]][1])
     return tuple(items)
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """The product of two canonical monomials, by merging them.
-
-    The items of ``m2`` are inserted into ``m1`` in canonical order; the
-    exponents of a shared variable add up and a zero sum drops out.  Items
-    whose exponent does not change are kept as they are.
-    """
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    info = _VARS  # every variable of a monomial is in it, [1] its canonical key
-    out = list(m1)
-    n = len(out)
-    i = 0
-    for item in m2:
-        v = item[0]
-        k = info[v][1]
-        while i < n and info[out[i][0]][1] < k:
-            i += 1
-        if i < n and out[i][0] == v:
-            e = out[i][1] + item[1]
-            if e:
-                out[i] = (v, e)
-                i += 1
-            else:
-                del out[i]
-                n -= 1
-        else:
-            out.insert(i, item)
-            i += 1
-            n += 1
-    return tuple(out)
+def _check_keys(keys: Iterable[Monomial]) -> None:
+    """Raise unless every key is a valid monomial: every exponent in range,
+    and no negative y/q exponent.  Exact for keys whose digits lie in
+    [-2^15, 2^15), which every kernel guarantees before it asks."""
+    low, valid = _LOW, _VALID
+    for k in keys:
+        if (k + low) & valid:
+            for v, e in _decode(k):
+                if e < 0 and not _VARS[v][3]:
+                    raise ValueError(f"negative exponent on {v}: only x/u may be inverted")
+            raise ExponentOverflow(f"an exponent of {_decode(k)} is outside [-{_LIMIT}, {_LIMIT})")
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _present(keys: Iterable[Monomial]) -> list[str]:
+    """The variables with a nonzero exponent in some key, in slot order."""
+    half = _HALF
+    z = 0
+    for k in keys:
+        z |= (k + half) ^ half
+    return [v for s, v in enumerate(_NAMES) if z >> (_WIDTH * s) & _MASK]
 
 
 def _graded_key(names: Sequence[str]) -> Callable[[Monomial], tuple[int, list[int]]]:
     """A sort key of monomials in the variables ``names``: the total degree,
-    then the exponents over ``names``, the first the most significant."""
-    slot = {v: i for i, v in enumerate(names)}
-    width = len(names)
+    then the exponents over ``names``, the first the most significant.  The
+    exponents keep their bias of 2^15, which changes no comparison."""
+    shifts = [_VARS[v][4] for v in names]
+    half = _HALF
 
-    def key(m: Monomial) -> tuple[int, list[int]]:
-        exps = [0] * width
-        for v, e in m:
-            exps[slot[v]] = e
+    def key(k: Monomial) -> tuple[int, list[int]]:
+        k += half
+        exps = [k >> s & _MASK for s in shifts]
         return sum(exps), exps
 
     return key
 
 
-def _canonical_key(monos: Iterable[Monomial]) -> Callable[[Monomial], tuple[int, list[int]]]:
+def _canonical_key(keys: Iterable[Monomial]) -> Callable[[Monomial], tuple[int, list[int]]]:
     """The graded-lex key in the canonical variable order, the largest
     variable the most significant, for monomials in the variables of
-    ``monos``.  It decides leading terms (the sign of a denominator)."""
-    names = sorted({v for m in monos for v, _ in m}, key=var_sort_key, reverse=True)
-    return _graded_key(names)
+    ``keys``.  It decides leading terms (the sign of a denominator)."""
+    return _graded_key(sorted(_present(keys), key=var_sort_key, reverse=True))
 
 
-def _display_sorted(monos: Iterable[Monomial]) -> list[Monomial]:
-    """The monomials in rendering order: higher total degree first, then
-    lexicographically by exponent with x1 as the most significant variable,
-    so that x1 + x2 - y1 - y2 prints in the familiar way.
+def _lead(terms: Mapping[Monomial, Scalar]) -> Monomial:
+    """The leading key of a nonzero term map in the canonical order."""
+    if len(terms) == 1:
+        return next(iter(terms))
+    return max(terms, key=_canonical_key(terms))
 
-    Canonical decisions (denominator sign) use :func:`_canonical_key` instead.
+
+def _display_sorted(p: "LaurentPoly") -> list[tuple[tuple[tuple[str, int], ...], Scalar]]:
+    """The terms of ``p`` as (decoded monomial, coefficient) in rendering
+    order: higher total degree first, then by exponent with x1 the most
+    significant variable, so that x1 + x2 - y1 - y2 prints in the familiar
+    way.  Canonical decisions (denominator sign) use :func:`_canonical_key`.
     """
-    monos = list(monos)
-    names = sorted({v for m in monos for v, _ in m}, key=_display_key)
-    return sorted(monos, key=_graded_key(names), reverse=True)
+    t = p._terms
+    key = _graded_key(sorted(_present(t), key=_display_key))
+    return [(_decode(k), t[k]) for k in sorted(t, key=key, reverse=True)]
 
 
 def _scalar(c) -> Scalar:
@@ -231,32 +274,36 @@ def _scalar(c) -> Scalar:
     raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
-def _check_mono(m: Monomial) -> None:
-    for v, e in m:
-        info = _VARS.get(v)
-        invertible = (info if info is not None else _var_info(v))[3]
-        if not isinstance(e, int) or e == 0:
-            raise ValueError(f"bad exponent {e!r} for {v}")
-        if e < 0 and not invertible:
-            raise ValueError(f"negative exponent on {v}: only x/u may be inverted")
+def _integral(terms: Mapping[Monomial, Scalar]) -> bool:
+    """Every coefficient is an int, so sums and products of them are too;
+    otherwise a kernel passes its results through :func:`_scalar`."""
+    return type(sum(terms.values())) is int
+
+
+def _stored(terms: dict, integral: bool) -> dict:
+    """``terms`` without zeros, through :func:`_scalar` unless ``integral``."""
+    if integral:
+        return {m: c for m, c in terms.items() if c}
+    return {m: _scalar(c) for m, c in terms.items() if c}
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial with exact rational coefficients."""
+    """A sparse Laurent polynomial with exact rational coefficients; ``_terms``
+    maps monomial keys to coefficients, ``terms`` decodes the keys."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+    def __init__(self, terms: Mapping | None = None):
+        """``terms`` maps monomials (mappings or (variable, exponent) pairs) to coefficients."""
         clean: dict[Monomial, Scalar] = {}
         if terms:
             for m, c in terms.items():
                 c = _scalar(c)
                 if not c:
                     continue
-                m = _mono_from_dict(dict(m)) if m else ()
-                _check_mono(m)
-                clean[m] = clean.get(m, 0) + c
-        self._terms = {m: _scalar(c) for m, c in clean.items() if c}
+                k = _pack(dict(m)) if m else 0
+                clean[k] = clean.get(k, 0) + c
+        self._terms = {k: _scalar(c) for k, c in clean.items() if c}
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, Scalar]) -> "LaurentPoly":
@@ -273,34 +320,31 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({(): 1})
+        return cls._raw({0: 1})
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPoly":
         c = _scalar(c)
-        return cls._raw({(): c} if c else {})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def variable(cls, v: str, exp: int = 1) -> "LaurentPoly":
-        m = _mono_from_dict({v: exp})
-        _check_mono(m)
-        return cls._raw({m: 1})
+        return cls._raw({_pack({v: exp}): 1})
 
     @classmethod
     def monomial(cls, exps: Mapping[str, int], coeff: Scalar = 1) -> "LaurentPoly":
         c = _scalar(coeff)
         if not c:
             return cls.zero()
-        m = _mono_from_dict(exps)
-        _check_mono(m)
-        return cls._raw({m: c})
+        return cls._raw({_pack(exps): c})
 
     # ------------------------------------------------------------------
     # views
 
     @property
-    def terms(self) -> Mapping[Monomial, Scalar]:
-        return self._terms
+    def terms(self) -> dict[tuple[tuple[str, int], ...], Scalar]:
+        """The terms, each monomial as (variable, exponent) pairs in canonical order."""
+        return {_decode(k): c for k, c in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -309,33 +353,28 @@ class LaurentPoly:
     @property
     def is_one(self) -> bool:
         t = self._terms
-        return len(t) == 1 and t.get(()) == 1
+        return len(t) == 1 and t.get(0) == 1
 
     @property
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Scalar:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self._terms.get((), 0)
+        return self._terms.get(0, 0)
 
     def variables(self) -> set[str]:
-        return {v for m in self._terms for v, _ in m}
+        return set(_present(self._terms))
 
     def coefficient(self, exps: Mapping[str, int]) -> Scalar:
-        return self._terms.get(_mono_from_dict(exps), 0)
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            raise ZeroPolynomial("the zero polynomial has no degree")
-        return max(_mono_degree(m) for m in self._terms)
+        return self._terms.get(_pack(exps, check=False), 0)
 
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Scalar]]:
-        return iter(self._terms.items())
+    def __iter__(self) -> Iterator[tuple[tuple[tuple[str, int], ...], Scalar]]:
+        return ((_decode(k), c) for k, c in self._terms.items())
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -376,7 +415,10 @@ class LaurentPoly:
             if nc:
                 out[m] = nc
             else:
-                out.pop(m, None)
+                del out[m]
+        # two Fractions may add up to an integer
+        if not (_integral(other._terms) or _integral(self._terms)):
+            out = _stored(out, False)
         return LaurentPoly._raw(out)
 
     __radd__ = __add__
@@ -399,20 +441,23 @@ class LaurentPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return LaurentPoly.zero()
-        if other.is_constant:
-            c = other.constant_value()
-            return LaurentPoly._raw({m: a * c for m, a in self._terms.items()})
-        if self.is_constant:
-            c = self.constant_value()
-            return LaurentPoly._raw({m: a * c for m, a in other._terms.items()})
-        b = other._terms.items()
+        a, b = self._terms, other._terms
+        if other.is_constant or self.is_constant:
+            if self.is_constant:
+                a, b = b, a
+            c = b[0]
+            out = {m: x * c for m, x in a.items()}
+            return LaurentPoly._raw(out if type(c) is int and _integral(a) else _stored(out, False))
+        items = b.items()
         out: dict[Monomial, Scalar] = {}
         get = out.get
-        for m1, c1 in self._terms.items():
-            for m2, c2 in b:
-                m = _mono_mul(m1, m2)
+        for m1, c1 in a.items():
+            for m2, c2 in items:
+                m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
-        return LaurentPoly._raw({m: c for m, c in out.items() if c})
+        out = _stored(out, _integral(a) and _integral(b))
+        _check_keys(out)
+        return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
 
@@ -422,9 +467,8 @@ class LaurentPoly:
         if n < 0:
             if len(self._terms) == 1:
                 (m, c), = self._terms.items()
-                inv = tuple((v, -e) for v, e in m)
-                _check_mono(inv)
-                return LaurentPoly._raw({inv: _scalar(Fraction(1, c))}) ** (-n)
+                _check_keys((-m,))
+                return LaurentPoly._raw({-m: _scalar(Fraction(1, c))}) ** (-n)
             raise ValueError("negative powers only for invertible monomials")
         return _power(self, n)
 
@@ -440,45 +484,32 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # structure helpers
 
-    def leading(self) -> tuple[Monomial, Scalar]:
+    def leading(self) -> tuple[tuple[tuple[str, int], ...], Scalar]:
         """Leading (monomial, coefficient) in the canonical order."""
         if not self._terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        m = max(self._terms, key=_canonical_key(self._terms))
-        return m, self._terms[m]
+        m = _lead(self._terms)
+        return _decode(m), self._terms[m]
 
     def min_exponents(self) -> dict[str, int]:
-        """Per-variable minimum exponent across all terms (0 if absent somewhere).
-
-        One pass: the lowest exponent of each variable and the number of
-        terms it occurs in; a positive minimum counts only if it occurs in
-        every term.
-        """
-        low: dict[str, int] = {}
-        seen: dict[str, int] = {}
-        for m in self._terms:
-            for v, e in m:
-                k = seen.get(v)
-                if k is None:
-                    low[v] = e
-                    seen[v] = 1
-                else:
-                    if e < low[v]:
-                        low[v] = e
-                    seen[v] = k + 1
-        n = len(self._terms)
-        return {v: e for v, e in low.items() if e < 0 or seen[v] == n}
+        """Per-variable minimum exponent across all terms (0 if absent somewhere)."""
+        half = _HALF
+        biased = [m + half for m in self._terms]
+        out = {}
+        for v in _present(self._terms):
+            s = _VARS[v][4]
+            e = min([k >> s & _MASK for k in biased]) - _HALF_DIGIT
+            if e:
+                out[v] = e
+        return out
 
     def shifted(self, delta: Mapping[str, int]) -> "LaurentPoly":
         """Multiply by the monomial with exponent vector ``delta``."""
-        if not delta:
-            return self
-        dm = _mono_from_dict(delta)
-        out = {}
-        for m, c in self._terms.items():
-            nm = _mono_mul(m, dm)
-            _check_mono(nm)
-            out[nm] = c
+        return self._shift(_pack(delta, check=False)) if delta else self
+
+    def _shift(self, d: Monomial) -> "LaurentPoly":
+        out = {m + d: c for m, c in self._terms.items()}
+        _check_keys(out)
         return LaurentPoly._raw(out)
 
     def content(self) -> Fraction:
@@ -550,22 +581,23 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
 
 
 def _divide_ordinary(P: LaurentPoly, D: LaurentPoly) -> LaurentPoly:
-    lead_m, lead_c = D.leading()
-    lead_inv = tuple((v, -e) for v, e in lead_m)
-    rem = dict(P.terms)
+    lead_m = _lead(D._terms)
+    lead_c = D._terms[lead_m]
+    rem = dict(P._terms)
     quo: dict[Monomial, Scalar] = {}
     # every remainder term is in the variables of P and D
-    key = _canonical_key([*P.terms, *D.terms])
+    key = _canonical_key([*P._terms, *D._terms])
     while rem:
         m = max(rem, key=key)
         c = rem[m]
-        tm = _mono_mul(m, lead_inv)
-        if any(e < 0 for _, e in tm):
+        tm = m - lead_m
+        if tm < 0 or tm & _HALF:  # some exponent of tm is negative
             raise ExactDivisionError("not divisible")
+        _check_keys((tm,))  # so that tm + dm fits its digits
         tc = _scalar(Fraction(c, lead_c))
         quo[tm] = quo.get(tm, 0) + tc
-        for dm, dc in D.terms.items():
-            nm = _mono_mul(tm, dm)
+        for dm, dc in D._terms.items():
+            nm = tm + dm
             nc = rem.get(nm, 0) - tc * dc
             if nc:
                 rem[nm] = nc
@@ -579,35 +611,21 @@ def _normal_positive(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero:
         return p
     c = p.content()
-    _, lc = p.leading()
-    if lc < 0:
+    if p._terms[_lead(p._terms)] < 0:
         c = -c
     return p.map_coefficients(lambda a: a / c)
 
 
 def coefficients_in(p: LaurentPoly, v: str) -> dict[int, LaurentPoly]:
-    """``p`` as a polynomial in ``v``: each exponent of ``v`` -> its coefficient.
-
-    ``v`` is found by its canonical key: :data:`BETA`, which sorts first,
-    and the main variable of :func:`poly_gcd`, which sorts last in every
-    term that has it, are read off an end of each monomial.  Dropping one
-    item keeps a monomial canonical.
-    """
-    info = _VARS
-    key = _var_info(v)[1]
+    """``p`` as a polynomial in ``v``: each exponent of ``v`` -> its
+    coefficient, one digit read and cleared per term."""
+    s = _var_info(v)[4]
+    half = _HALF
     out: dict[int, dict[Monomial, Scalar]] = {}
-    for m, c in p.terms.items():
-        e = 0
-        if m and info[m[0][0]][1] <= key <= info[m[-1][0]][1]:
-            if m[0][0] == v:
-                e, m = m[0][1], m[1:]
-            elif m[-1][0] == v:
-                e, m = m[-1][1], m[:-1]
-            else:
-                for k in range(1, len(m) - 1):
-                    if m[k][0] == v:
-                        e, m = m[k][1], m[:k] + m[k + 1:]
-                        break
+    for m, c in p._terms.items():
+        e = ((m + half) >> s & _MASK) - _HALF_DIGIT
+        if e:
+            m -= e << s
         out.setdefault(e, {})[m] = c
     return {e: LaurentPoly._raw(t) for e, t in out.items()}
 
@@ -624,27 +642,31 @@ def clear_beta(p: LaurentPoly) -> tuple[LaurentPoly, int]:
     top = max(parts, default=0)
     if not top:
         return p, 0
+    if 2 * top >= _LIMIT:
+        raise ExponentOverflow(f"(q1+q2)^{2 * top} has an exponent outside [0, {_LIMIT})")
+    s1, s2 = _var_info("q1")[4], _var_info("q2")[4]
     out: dict[Monomial, Scalar] = {}
     get = out.get
     for j, part in parts.items():
         width = 2 * (top - j)
         for i in range(width + 1):
             b = _comb(width, i)
-            q = tuple(item for item in (("q1", j + i), ("q2", 2 * top - j - i)) if item[1])
-            for m, a in part.terms.items():
-                # BETA is gone, so only q1 or q2 can sort before the q part
-                nm = _mono_mul(q, m) if m and m[0][0] in ("q1", "q2") else q + m
-                out[nm] = get(nm, 0) + b * a
-    return LaurentPoly._raw({m: c for m, c in out.items() if c}), top
+            q = ((j + i) << s1) + ((2 * top - j - i) << s2)
+            for m, a in part._terms.items():
+                m += q
+                out[m] = get(m, 0) + b * a
+    out = _stored(out, _integral(p._terms))
+    _check_keys(out)
+    return LaurentPoly._raw(out), top
 
 
 def _collect_univar(A: dict[int, LaurentPoly], v: str) -> LaurentPoly:
-    out: dict[Monomial, Scalar] = {}
-    for e, coeff in A.items():
-        for m, c in coeff.terms.items():
-            nm = _mono_mul(m, ((v, e),) if e else ())
-            out[nm] = out.get(nm, 0) + c
-    return LaurentPoly._raw({m: c for m, c in out.items() if c})
+    # The coefficients are free of v, so every (exponent, key) pair gives its
+    # own key, and the exponents of v are those of a gcd of valid keys.
+    s = _VARS[v][4]
+    return LaurentPoly._raw(
+        {m + (e << s): c for e, coeff in A.items() for m, c in coeff._terms.items()}
+    )
 
 
 def _prem(A: dict[int, LaurentPoly], B: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
@@ -724,7 +746,7 @@ def _gcd_rec(P: LaurentPoly, Q: LaurentPoly) -> LaurentPoly:
             # primitive, so the rational content is divided out too, or the
             # integers grow with every pseudo-remainder.
             contR = _coeff_gcd(R.values()) * _rational_content(
-                a for c in R.values() for a in c.terms.values()
+                a for c in R.values() for a in c._terms.values()
             )
             R = {e: exact_div(c, contR) for e, c in R.items()}
         A, B = B, R
@@ -739,36 +761,34 @@ def divided_difference(p: LaurentPoly, va: str, vb: str) -> LaurentPoly:
     Term by term: va^a*vb^b with a > b gives the a - b terms
     va^(b+k)*vb^(a-1-k) of (va^a*vb^b - va^b*vb^a)/(va - vb), a < b gives
     the same terms negated, and a = b gives nothing.  Exponents may be
-    negative.
+    negative; every new exponent lies between a and b, so no key is checked.
     """
     sign = 1
     if var_sort_key(vb) < var_sort_key(va):  # put the pair in canonical order
         va, vb, sign = vb, va, -1
+    sa, sb = _VARS[va][4], _VARS[vb][4]
+    step = (1 << sa) - (1 << sb)
+    half = _HALF
     out: dict[Monomial, Scalar] = {}
-    for m, c in p.terms.items():
-        a = b = 0
-        rest = []
-        for item in m:
-            v = item[0]
-            if v == va:
-                a = item[1]
-            elif v == vb:
-                b = item[1]
-            else:
-                rest.append(item)
-        rest = tuple(rest)
+    for m, c in p._terms.items():
+        biased = m + half
+        a = (biased >> sa & _MASK) - _HALF_DIGIT
+        b = (biased >> sb & _MASK) - _HALF_DIGIT
+        if a == b:
+            continue
+        rest = m - (a << sa) - (b << sb)
         c *= sign
         if a < b:
             a, b, c = b, a, -c
-        for k in range(a - b):
-            pair = ((va, b + k), (vb, a - 1 - k))
-            tm = _mono_mul(rest, tuple(item for item in pair if item[1]))
+        tm = rest + (b << sa) + ((a - 1) << sb)
+        for _ in range(a - b):
             nc = out.get(tm, 0) + c
             if nc:
                 out[tm] = nc
             else:
-                out.pop(tm, None)
-    return LaurentPoly._raw(out)
+                del out[tm]
+            tm += step
+    return LaurentPoly._raw(out if _integral(p._terms) else _stored(out, False))
 
 
 # ----------------------------------------------------------------------
@@ -811,22 +831,20 @@ class RationalFunction:
             self.num = num
             self.den = _P_ONE
             return
-        shift: dict[str, int] = {}
+        shift = 0
         low = None
         for v, e in den.min_exponents().items():
-            if _VARS[v][3]:  # an x/u power of the denominator moves up
-                shift[v] = -e
+            info = _VARS[v]
+            if info[3]:  # an x/u power of the denominator moves up
+                shift -= e << info[4]
             else:  # a y/q factor cancels as far as the numerator shares it
                 low = num.min_exponents() if low is None else low
-                e = min(e, low.get(v, 0))
-                if e:
-                    shift[v] = -e
+                shift -= min(e, low.get(v, 0)) << info[4]
         if shift:
-            num = num.shifted(shift)
-            den = den.shifted(shift)
+            num = num._shift(shift)
+            den = den._shift(shift)
         s = den.content()
-        _, lc = den.leading()
-        if lc < 0:
+        if den._terms[_lead(den._terms)] < 0:
             s = -s
         if s != 1:
             num = num.map_coefficients(lambda x: x / s)
@@ -1008,53 +1026,44 @@ _R_ONE = RationalFunction.one()
 def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
     """Replace variables by variables (exponents of merged targets add up).
 
-    The map is compiled once into slots, one per target variable (a
-    variable outside the map is its own target), so each term's image is a
-    fixed-length exponent tuple.  The tuples are summed and become
-    canonical monomials only at the end; every distinct image is validated,
-    also one whose coefficients cancel.
+    Each renamed variable's digit moves to its target's slot (a variable
+    outside the map is its own target).  Where several exponents meet in
+    one slot their sum is checked against the range; every distinct image
+    is validated, also one whose coefficients cancel.
     """
     if not varmap:
         return p
-    names: list[str] = []  # slot -> target variable
-    target_slot: dict[str, int] = {}
-    for t in varmap.values():
-        if t not in target_slot:
-            target_slot[t] = len(names)
-            names.append(t)
-    slot = {v: target_slot[t] for v, t in varmap.items()}
-    for t, s in target_slot.items():
-        slot.setdefault(t, s)
-    width = len(names)
-    sums: dict[tuple[int, ...], Scalar] = {}
+    sources: dict[str, list[int]] = {}  # target -> shifts of the variables moved onto it
+    for v, t in varmap.items():
+        if v != t:
+            sources.setdefault(t, []).append(_var_info(v)[4])
+    # (target shift, source shifts, target keeps its own exponent, exponents meet)
+    groups = []
+    for t, shifts in sources.items():
+        kept = varmap.get(t, t) == t
+        groups.append((_var_info(t)[4], shifts, kept, kept or len(shifts) > 1))
+    half = _HALF
+    sums: dict[Monomial, Scalar] = {}
     get = sums.get
-    for m, c in p.terms.items():
-        exps = [0] * width
-        try:
-            for v, e in m:
-                exps[slot[v]] += e
-        except KeyError:  # first sight of a variable outside the map
-            for v, _ in m:
-                if v not in slot:
-                    slot[v] = width
-                    names.append(v)
-                    width += 1
-            exps = [0] * width
-            for v, e in m:
-                exps[slot[v]] += e
-        key = tuple(exps)
-        sums[key] = get(key, 0) + c
-    # Slots in canonical variable order make each image a sorted monomial;
-    # keys made before a slot was added are padded with zeros.
-    order = sorted(range(width), key=lambda s: var_sort_key(names[s]))
-    pad = (0,) * width
-    out: dict[Monomial, Scalar] = {}
-    for key, c in sums.items():
-        key += pad[len(key):]
-        m = tuple((names[s], key[s]) for s in order if key[s])
-        _check_mono(m)
-        out[m] = out.get(m, 0) + c
-    return LaurentPoly._raw({m: c for m, c in out.items() if c})
+    for m, c in p._terms.items():
+        biased = m + half
+        for s, shifts, kept, meet in groups:
+            total = 0
+            for r in shifts:
+                e = (biased >> r & _MASK) - _HALF_DIGIT
+                if e:
+                    m -= e << r
+                    total += e
+            if total:
+                m += total << s
+                if meet:
+                    if kept:
+                        total += (biased >> s & _MASK) - _HALF_DIGIT
+                    if not -_LIMIT <= total < _LIMIT:
+                        raise ExponentOverflow(f"merged exponent {total} out of range")
+        sums[m] = get(m, 0) + c
+    _check_keys(sums)
+    return LaurentPoly._raw(_stored(sums, _integral(p._terms)))
 
 
 def compile_specialization(
@@ -1065,71 +1074,53 @@ def compile_specialization(
     The result takes the images (w(1), ..., w(n)) and returns what
     ``rename_poly`` gives for that map (1 <= i, j <= n); every other
     variable passes through, a u_k with k <= n merging with the images.
-    The terms are grouped by their moved exponents a.  The exponents of the
-    other variables are packed into one integer key in base W = 2^bits, one
-    digit per output variable (u1..un first), each digit offset by the
-    largest sum of |e| over a term so that every signed image exponent
-    decodes.  At w a group adds the one shift sum_i a_i * W^(w(i) - 1) to
-    its keys, and each distinct key becomes a canonical monomial, validated,
-    once per compiled polynomial.
+    Once per compiled polynomial each key loses its moved digits, its
+    fixed digits move to u1..un, and the terms are grouped by their moved
+    exponents a.  At w a group adds the one shift sum_i a_i * 2^(16 *
+    slot(u_{w(i)})) to its keys.  The images are checked only when some
+    u exponent plus some a_i could leave the range.
     """
-    names = [f"u{k}" for k in range(1, n + 1)]  # slot -> output variable
-    slot = {v: k for k, v in enumerate(names)}
-    slot.update({f"{fixed}{j}": j - 1 for j in range(1, n + 1)})
-    moved_slot = {f"{moved}{i}": i - 1 for i in range(1, n + 1)}
-    terms = p.terms
-    bound = max((sum(abs(e) for _, e in m) for m in terms), default=0)
-    bits = (2 * bound).bit_length()  # offset digits lie in [0, 2 * bound]
-    # moved exponents (i, a_i) -> the terms' keys, without the offset
-    groups: dict[tuple[tuple[int, int], ...], list[tuple[int, Scalar]]] = {}
-    for m, c in terms.items():
+    us = [_var_info(f"u{k}")[4] for k in range(1, n + 1)]
+    movers = [_var_info(f"{moved}{i}")[4] for i in range(1, n + 1)]
+    fixers = [_var_info(f"{fixed}{j}")[4] for j in range(1, n + 1)]
+    half = _HALF
+    # moved exponents (i, a_i) -> the terms' keys without them
+    groups: dict[tuple[tuple[int, int], ...], list[tuple[Monomial, Scalar]]] = {}
+    for m, c in p._terms.items():
+        biased = m + half
         shift = []
-        key = 0
-        for v, e in m:
-            i = moved_slot.get(v)
-            if i is not None:
-                shift.append((i, e))
-                continue
-            s = slot.get(v)
-            if s is None:
-                s = slot[v] = len(names)
-                names.append(v)
-            key += e << (bits * s)
-        groups.setdefault(tuple(shift), []).append((key, c))
-    width = len(names)
-    offset = sum(bound << (bits * s) for s in range(width))
-    order = sorted(range(width), key=lambda s: var_sort_key(names[s]))
-    mask = (1 << bits) - 1
-    memo: dict[int, Monomial] = {}
-
-    def decode(key: int) -> Monomial:
-        digits = []
-        for _ in range(width):
-            digits.append((key & mask) - bound)
-            key >>= bits
-        m = tuple((names[s], digits[s]) for s in order if digits[s])
-        _check_mono(m)
-        return m
+        for i, r in enumerate(movers):
+            a = (biased >> r & _MASK) - _HALF_DIGIT
+            if a:
+                shift.append((i, a))
+                m -= a << r
+        for r, s in zip(fixers, us):
+            b = (biased >> r & _MASK) - _HALF_DIGIT
+            if b:
+                m += (b << s) - (b << r)
+        groups.setdefault(tuple(shift), []).append((m, c))
+    keys = [m for terms in groups.values() for m, _ in terms]
+    _check_keys(keys)
+    top = max((abs(a) for shift in groups for _, a in shift), default=0)
+    if top:
+        top += max(abs(((m + half) >> s & _MASK) - _HALF_DIGIT) for m in keys for s in us)
+    checked = top >= _LIMIT
+    integral = _integral(p._terms)
 
     def at(w: Sequence[int]) -> LaurentPoly:
-        power = [1 << (bits * (k - 1)) for k in w]
-        sums: dict[int, Scalar] = {}
+        power = [us[k - 1] for k in w]
+        sums: dict[Monomial, Scalar] = {}
         get = sums.get
-        for shift, keys in groups.items():
-            d = offset
-            for i, e in shift:
-                d += e * power[i]
-            for key, c in keys:
-                key += d
-                sums[key] = get(key, 0) + c
-        out: dict[Monomial, Scalar] = {}
-        for key, c in sums.items():
-            m = memo.get(key)
-            if m is None:
-                m = memo[key] = decode(key)
-            if c:
-                out[m] = c
-        return LaurentPoly._raw(out)
+        for shift, terms in groups.items():
+            d = 0
+            for i, a in shift:
+                d += a << power[i]
+            for m, c in terms:
+                m += d
+                sums[m] = get(m, 0) + c
+        if checked:
+            _check_keys(sums)
+        return LaurentPoly._raw(_stored(sums, integral))
 
     return at
 
@@ -1143,33 +1134,40 @@ def rename_rf(f: RationalFunction, varmap: Mapping[str, str]) -> RationalFunctio
 def substitute_poly(
     p: LaurentPoly, images: Mapping[str, RationalFunction]
 ) -> RationalFunction:
-    """Image of a polynomial under a variable -> rational-function map."""
+    """Image of a polynomial under a variable -> rational-function map.
+
+    Each power of an image is taken once.  When every power is a Laurent
+    polynomial, the terms are summed as polynomials and become one rational
+    function at the end.
+    """
     if not images:
         return RationalFunction(p)
-    cache: dict[tuple[str, int], RationalFunction] = {}
-
-    def power(v: str, e: int) -> RationalFunction:
-        key = (v, e)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        img = images.get(v)
-        if img is None:
-            val = RationalFunction.variable(v, e)
-        else:
-            if e < 0 and img.is_zero:
+    terms = list(p)
+    powers: dict[tuple[str, int], RationalFunction] = {}
+    for m, _ in terms:
+        for item in m:
+            if item in powers:
+                continue
+            v, e = item
+            img = images.get(v)
+            if img is None:
+                powers[item] = RationalFunction.variable(v, e)
+            elif e < 0 and img.is_zero:
                 raise SubstitutionSingular(f"substituting 0 for inverted {v}")
-            val = img ** e
-        cache[key] = val
-        return val
-
-    total = _R_ZERO
-    for m, c in p.terms.items():
-        term = RationalFunction.constant(c)
-        for v, e in m:
-            term = term * power(v, e)
+            elif e > 0 and img.den.is_one:
+                powers[item] = RationalFunction(img.num ** e)
+            else:
+                powers[item] = img ** e
+    ring = LaurentPoly if all(f.den.is_one for f in powers.values()) else RationalFunction
+    if ring is LaurentPoly:
+        powers = {item: f.num for item, f in powers.items()}
+    total = ring.zero()
+    for m, c in terms:
+        term = ring.constant(c)
+        for item in m:
+            term = term * powers[item]
         total = total + term
-    return total
+    return RationalFunction(total) if ring is LaurentPoly else total
 
 
 def substitute(
@@ -1190,16 +1188,18 @@ def lowest_homogeneous_component(p: LaurentPoly, vars: Iterable[str]) -> Laurent
     """Sum of the terms of minimal total degree in the given variables."""
     if p.is_zero:
         raise ZeroPolynomial("zero polynomial has no lowest component")
-    vs = set(vars)
+    shifts = [_VARS[v][4] for v in set(vars) if v in _VARS]
+    half = _HALF
     best: int | None = None
     groups: dict[int, dict[Monomial, Scalar]] = {}
-    for m, c in p.terms.items():
+    for m, c in p._terms.items():
+        biased = m + half
         d = 0
-        for v, e in m:
-            if v in vs:
-                if e < 0:
-                    raise ValueError("lowest component needs nonnegative exponents")
-                d += e
+        for s in shifts:
+            e = (biased >> s & _MASK) - _HALF_DIGIT
+            if e < 0:
+                raise ValueError("lowest component needs nonnegative exponents")
+            d += e
         groups.setdefault(d, {})[m] = c
         if best is None or d < best:
             best = d
@@ -1210,7 +1210,7 @@ def lowest_homogeneous_component(p: LaurentPoly, vars: Iterable[str]) -> Laurent
 # text rendering (the parsing side lives in serialize.py)
 
 
-def _format_mono(m: Monomial, latex: bool) -> str:
+def _format_mono(m: tuple[tuple[str, int], ...], latex: bool) -> str:
     parts = []
     for v, e in sorted(m, key=lambda it: _display_key(it[0])):
         fam, idx = var_parts(v)
@@ -1229,10 +1229,8 @@ def format_poly(p: LaurentPoly, latex: bool = False) -> str:
     """Deterministic text for a polynomial; parses back via the CLI grammar."""
     if p.is_zero:
         return "0"
-    monos = _display_sorted(p.terms)
     pieces: list[str] = []
-    for i, m in enumerate(monos):
-        c = p.terms[m]
+    for i, (m, c) in enumerate(_display_sorted(p)):
         neg = c < 0
         mag = -c if neg else c
         if not m:

@@ -165,8 +165,8 @@ from .poly import _display_sorted  # deterministic export order
 
 def poly_to_json(p: LaurentPoly) -> list[dict[str, Any]]:
     out = []
-    for m in _display_sorted(p.terms):
-        out.append({"coeff": str(p.terms[m]), "monomial": {v: e for v, e in m}})
+    for m, c in _display_sorted(p):
+        out.append({"coeff": str(c), "monomial": dict(m)})
     return out
 
 

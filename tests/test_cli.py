@@ -7,6 +7,7 @@ import pytest
 
 from ybhecke.cli import SUITES, main
 from ybhecke.permutations import Permutation, all_permutations
+from ybhecke.poly import poly_gcd
 from ybhecke.serialize import parse_scalar, poly_from_json, rf_from_json
 
 
@@ -117,22 +118,48 @@ def test_gram_at_given_spectral_parameters(capsys, family, spectral):
          "17a9aaf45d3e0d84f46610cb300fb9045f225ba4f0214ef13ce59af15a84c27e"),
         ("q1,u2,q2+1", "json", 5814,
          "711ad682dc0d6333990b367566243a0774f375f429a8d64e739e4a1c17750354"),
-        ("q1/q2,q2/q1,1", "text", 569,
-         "b25848fa91d9f0f878128928a32c266357dfc6e455523889c878cb7e67ef7ad1"),
-        ("q1/q2,q2/q1,1", "json", 2241,
-         "82c905c2edd873f944d1592fe9b22e09fc8e1792048146304563c1d0adabbd96"),
+        ("q1/q2,q2/q1,1", "text", 541,
+         "066fb780cbf794695bd4d0538f6acb175d919553f83a95cd45661ebc53a91cfa"),
+        ("q1/q2,q2/q1,1", "json", 2145,
+         "ecd32858d4a6a79aed04faf85eff5db9344aebe0c8b8ecffc30d24b24f7c07a8"),
     ],
 )
 def test_gram_T_at_spectral_parameters_in_q_is_pinned(capsys, spectral, fmt, size, digest):
-    # Family T is paired in its one-parameter form only when u is free of q1
-    # and q2: at q1/q2, q2/q1, 1 that form leaves a factor q1+q2 in both
-    # parts of an entry, which the (q1, q2) form cancels.
+    # Family T is paired in its one-parameter form; where u mentions q1 or q2
+    # each converted entry is gcd-reduced, since a factor q1+q2 may be
+    # shared by both parts (at q1/q2, q2/q1, 1 it is).
     code, out = run(
         capsys, "gram", "-n", "3", "--family", "T", "--spectral", spectral, "--format", fmt
     )
     assert code == 0
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# The entries of `gram -n 3 --family T --spectral q1/q2,q2/q1,1` before they
+# were reduced: (123,321) and (321,123) shared the factor q1+q2.
+UNREDUCED_Q_RATIO_GRAM = {
+    "123,321": "(-q1^4 + 2*q1^3*q2 - 2*q1*q2^3 + q2^4)"
+               "/(q1^4*q2^3 + 3*q1^3*q2^4 + 3*q1^2*q2^5 + q1*q2^6)",
+    "132,312": "(q1^3 - 3*q1^2*q2 + 3*q1*q2^2 - q2^3)/(q1^2*q2^4 + 2*q1*q2^5 + q2^6)",
+    "213,231": "(q1^3 - 3*q1^2*q2 + 3*q1*q2^2 - q2^3)/(q1^5*q2 + 2*q1^4*q2^2 + q1^3*q2^3)",
+    "231,213": "(-q1^3 + 3*q1^2*q2 - 3*q1*q2^2 + q2^3)/(q1^6 + 2*q1^5*q2 + q1^4*q2^2)",
+    "312,132": "(-q1^3 + 3*q1^2*q2 - 3*q1*q2^2 + q2^3)/(q1^3*q2^3 + 2*q1^2*q2^4 + q1*q2^5)",
+    "321,123": "(q1^4 - 2*q1^3*q2 + 2*q1*q2^3 - q2^4)"
+               "/(q1^6*q2 + 3*q1^5*q2^2 + 3*q1^4*q2^3 + q1^3*q2^4)",
+}
+
+
+def test_gram_T_at_q_ratios_is_reduced_and_equals_the_unreduced_entries(capsys):
+    code, out = run(capsys, "gram", "-n", "3", "--family", "T", "--spectral", "q1/q2,q2/q1,1")
+    assert code == 0
+    entries = dict(line.split(": ") for line in out.splitlines()[1:-1])
+    assert set(entries) == set(UNREDUCED_Q_RATIO_GRAM)
+    for pair, text in entries.items():
+        got, old = parse_scalar(text), parse_scalar(UNREDUCED_Q_RATIO_GRAM[pair])
+        assert poly_gcd(got.num, got.den).is_one, pair
+        assert got.num * old.den == old.num * got.den, pair
+    assert entries["123,321"] != UNREDUCED_Q_RATIO_GRAM["123,321"]
 
 
 def test_gram_rank_guard(capsys):

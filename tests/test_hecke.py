@@ -34,7 +34,14 @@ from ybhecke.hecke import (
 )
 from ybhecke.operators import apply_word, random_probe
 from ybhecke.permutations import Permutation, all_permutations, all_reduced_words
-from ybhecke.poly import BETA, LaurentPoly, RationalFunction, coefficients_in, substitute
+from ybhecke.poly import (
+    BETA,
+    LaurentPoly,
+    RationalFunction,
+    coefficients_in,
+    poly_gcd,
+    substitute,
+)
 from ybhecke.serialize import parse_scalar as S
 
 P = Permutation.from_string
@@ -349,13 +356,16 @@ def test_from_building_matches_the_horner_form():
             if not num.is_zero:
                 coeffs[nu] = R(num) / rng.choice(dens)
         h = HeckeElement(build, coeffs)
-        got = _from_building(alg, h)
+        got = _from_building(alg, h, False)
+        reduced = _from_building(alg, h, True)
         want = from_building_reference(alg, h)
-        assert list(got.coeffs) == list(want), coeffs
+        assert list(got.coeffs) == list(reduced.coeffs) == list(want), coeffs
         for nu, c in got.coeffs.items():
             assert (c.num.terms, c.den.terms) == (want[nu].num.terms, want[nu].den.terms)
             assert str(c) == str(want[nu])
             assert BETA not in c.num.variables() | c.den.variables()
+            r = reduced.coeffs[nu]
+            assert r == c and len(poly_gcd(r.num, r.den)) == 1  # a monomial
             d = h.coeffs[nu]
             seen.add((max(coefficients_in(d.num, BETA)), d.den.is_one))
     assert seen == {(k, one) for k in range(4) for one in (True, False)}

@@ -10,6 +10,7 @@ import pytest
 from ybhecke.errors import (
     DivisionByZero,
     ExactDivisionError,
+    ExponentOverflow,
     SubstitutionSingular,
     ZeroPolynomial,
 )
@@ -20,7 +21,7 @@ from ybhecke.poly import (
     RationalFunction,
     _display_key,
     _display_sorted,
-    _mono_mul,
+    clear_beta,
     coefficients_in,
     compile_specialization,
     divided_difference,
@@ -419,7 +420,7 @@ def random_kernel_poly(rng, max_terms=5):
     p = LaurentPoly.zero()
     while p.is_zero:
         for _ in range(rng.randint(1, max_terms)):
-            p = p + LaurentPoly._raw({random_monomial(rng): rng.randint(-9, 9) or 1})
+            p = p + LaurentPoly({random_monomial(rng): rng.randint(-9, 9) or 1})
     return p
 
 
@@ -438,15 +439,16 @@ def mono_mul_reference(m1, m2):
     return tuple(sorted(items, key=lambda item: var_sort_key(item[0])))
 
 
-def test_mono_mul_matches_a_dict_and_sort_reference():
+def test_packed_product_matches_a_dict_and_sort_reference():
+    # the product of two monomials is one addition of their packed keys
     rng = random.Random(15)
     cancelled = 0
     for _ in range(3000):
         m1 = random_monomial(rng)
         m2 = random_monomial(rng, cancel=m1)
         want = mono_mul_reference(m1, m2)
-        assert _mono_mul(m1, m2) == want, (m1, m2)
-        assert _mono_mul(m2, m1) == want, (m2, m1)
+        a, b = LaurentPoly({m1: 2}), LaurentPoly({m2: 3})
+        assert (a * b).terms == (b * a).terms == {want: 6}, (m1, m2)
         cancelled += len(want) < len({v for v, _ in m1 + m2})
     assert cancelled > 300  # exact cancellations were exercised
 
@@ -486,27 +488,198 @@ def test_monomial_kernels_return_canonical_monomials():
         assert quotient == p
         m = random_monomial(rng)
         m = tuple((v, e) for v, e in m if var_parts(v)[0] in ("x", "u"))
-        mono = LaurentPoly._raw({m: rng.choice((-2, 3))})
+        mono = LaurentPoly({m: rng.choice((-2, 3))})
         for k in (1, 2):
             inverse = mono ** (-k)
             assert_canonical(inverse)
             assert inverse * mono**k == LaurentPoly.one()
 
 
-def test_products_and_descents_build_no_monomial_from_a_dict(monkeypatch):
-    # the hot kernels merge canonical tuples; only entry points that take an
-    # arbitrary mapping sort
+def test_products_and_descents_pack_and_decode_no_monomial(monkeypatch):
+    # the hot kernels add and read digits of packed keys; only the entry
+    # points that take a mapping pack, and only the public views decode
     rng = random.Random(17)
     ps = [random_kernel_poly(rng) for _ in range(20)]
-    monkeypatch.setattr(ybhecke.poly, "_mono_from_dict", None)
-    for p, q in zip(ps, ps[1:]):
-        assert_canonical(p * q)
-        assert_canonical(divided_difference(p, "x2", "x1"))
-        for v in ("x1", "u2", BETA):
-            coefficients_in(p, v)
+    monos = []
+    for p in ps:
         (m, _), *_ = p.terms.items()
         m = tuple((v, e) for v, e in m if var_parts(v)[0] in ("x", "u"))
-        LaurentPoly._raw({m: 2}) ** -2
+        monos.append(LaurentPoly({m: 2}))
+    want = [(p * q, divided_difference(p, "x2", "x1")) for p, q in zip(ps, ps[1:])]
+    monkeypatch.setattr(ybhecke.poly, "_pack", None)
+    monkeypatch.setattr(ybhecke.poly, "_decode", None)
+    got = []
+    for p, q, mono in zip(ps, ps[1:], monos):
+        got.append((p * q, divided_difference(p, "x2", "x1")))
+        for v in ("x1", "u2", BETA):
+            coefficients_in(p, v)
+        mono ** -2
+        clear_beta(p)
+        rename_poly(p, {"x1": "u1", "u1": "x1"})
+    monkeypatch.undo()
+    assert [(a.terms, b.terms) for a, b in got] == [(a.terms, b.terms) for a, b in want]
+
+
+# A tuple reference of the kernels: a polynomial is a dict from canonical
+# (variable, exponent) tuples to Fractions, built with dict arithmetic only.
+
+
+def ref_of(p):
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def ref_clean(terms):
+    out = {}
+    for exps, c in terms:
+        m = tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda it: var_sort_key(it[0])))
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    terms = []
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            terms.append((exps, c1 * c2))
+    return ref_clean(terms)
+
+
+def ref_rename(a, varmap):
+    terms = []
+    for m, c in a.items():
+        exps = {}
+        for v, e in m:
+            t = varmap.get(v, v)
+            exps[t] = exps.get(t, 0) + e
+        terms.append((exps, c))
+    return ref_clean(terms)
+
+
+def ref_sum(*polys):
+    return ref_clean((dict(m), c) for p in polys for m, c in p.items())
+
+
+def assert_matches(p, ref):
+    assert p.terms == ref, (p, ref)
+    for c in p.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), (p, c)
+
+
+def test_packed_kernels_match_a_tuple_reference():
+    # Randomized, seed 25; every comparison is exact.
+    rng = random.Random(25)
+    theta2 = ref_mul(*[ref_of(parse_poly("q1 + q2"))] * 2)
+    q1q2 = ref_of(parse_poly("q1*q2"))
+    cancelled = 0
+    for _ in range(150):
+        p, q = random_kernel_poly(rng), random_kernel_poly(rng)
+        if rng.random() < 0.5:
+            p = p * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        # q shares some terms of p with opposite coefficients, so sums cancel
+        part = LaurentPoly({m: c for m, c in p.terms.items() if rng.random() < 0.5})
+        q = q - part
+        a, b = ref_of(p), ref_of(q)
+        assert_matches(p * q, ref_mul(a, b))
+        assert_matches(p + q, ref_sum(a, b))
+        cancelled += len(p + q) < len(p) + len(q)
+        delta = {v: rng.randint(-3, 3) for v in rng.sample(KERNEL_VARS, 3)}
+        delta = {v: e for v, e in delta.items() if var_parts(v)[0] in ("x", "u")}
+        assert_matches(p.shifted(delta), ref_mul(a, ref_of(LaurentPoly.monomial(delta))))
+        for v in rng.sample(KERNEL_VARS, 3):
+            parts = coefficients_in(p, v)
+            want: dict = {}
+            for m, c in a.items():
+                e = dict(m).get(v, 0)
+                want.setdefault(e, {})[tuple(it for it in m if it[0] != v)] = c
+            assert {e: part.terms for e, part in parts.items()} == want, (p, v)
+        va, vb = rng.sample(("x1", "x2", "x10", "u1", "u3"), 2)
+        d = divided_difference(p, va, vb)
+        diff = ref_mul(ref_of(d), ref_of(V(va) - V(vb)))
+        swapped = {m: -c for m, c in ref_rename(a, {va: vb, vb: va}).items()}
+        assert diff == ref_sum(a, swapped), (p, va, vb)
+        assert_matches(d, ref_of(d))
+        varmap = dict(zip(rng.sample(("x1", "x2", "x3", "u1", "u2"), 3),
+                          rng.choices(("x1", "x2", "u1", "u2", "u3"), k=3)))
+        assert_matches(rename_poly(p, varmap), ref_rename(a, varmap))
+        beta = p * LaurentPoly.variable(BETA, rng.randint(0, 2)) + q
+        n, k = clear_beta(beta)
+        parts = {}
+        for m, c in ref_of(beta).items():
+            e = dict(m).get(BETA, 0)
+            parts.setdefault(e, {})[tuple(it for it in m if it[0] != BETA)] = c
+        want = {}
+        for j, part in parts.items():
+            term = part
+            for _ in range(j):
+                term = ref_mul(term, q1q2)
+            for _ in range(k - j):
+                term = ref_mul(term, theta2)
+            want = ref_sum(want, term)
+        assert_matches(n, want if k else ref_of(beta))
+    assert cancelled > 50
+    for p in (random_kernel_poly(rng) * random_kernel_poly(rng) for _ in range(20)):
+        at = compile_specialization(p, 3, "x", "y")
+        for w in permutations((1, 2, 3)):
+            varmap = {f"x{i}": f"u{w[i - 1]}" for i in (1, 2, 3)}
+            varmap.update({f"y{j}": f"u{j}" for j in (1, 2, 3)})
+            assert_matches(at(w), ref_rename(ref_of(p), varmap))
+
+
+def test_kernels_keep_integral_values_as_ints():
+    # sums and products of non-integral Fractions that come out integral
+    cases = [
+        parse_poly("1/2*x1 + 1/2") * parse_poly("2*x1 + 2"),
+        rename_poly(parse_poly("1/2*x1 + 1/2*x2"), {"x1": "u1", "x2": "u1"}),
+        parse_poly("1/2*x1 + 1/3") + parse_poly("1/2*x1 + 2/3"),
+        parse_poly("1/2*x1 + 1/2") * 2,
+        divided_difference(parse_poly("1/2*x1^3 + 1/2*x1^2*x2"), "x1", "x2"),
+        compile_specialization(parse_poly("1/2*x1*y2 + 1/2*x2*y1"), 2, "x", "y")((1, 2)),
+        clear_beta(LaurentPoly({(): Fraction(1, 2), ((BETA, 1),): 1}))[0],
+    ]
+    want = ["x1^2 + 2*x1 + 1", "u1", "x1 + 1", "x1 + 1", "1/2*x1^2 + x1*x2 + 1/2*x2^2",
+            "u1*u2", "1/2*q1^2 + 2*q1*q2 + 1/2*q2^2"]
+    assert [str(p) for p in cases] == want
+    for p in cases:
+        assert Fraction(1) not in {c for c in p.terms.values() if type(c) is Fraction}, p
+
+
+def test_an_exponent_at_the_digit_bound_raises():
+    limit = ybhecke.poly._LIMIT
+    top = LaurentPoly.variable("x1", limit - 1)
+    assert V("x1") ** (limit - 1) == top
+    assert (top * V("x2")).terms == {(("x1", limit - 1), ("x2", 1)): 1}
+    for overflow in (
+        lambda: top * (V("x1") + 1),
+        lambda: V("x1") ** limit,
+        lambda: (V("x1") * V("u2") ** -1) ** limit,
+        lambda: LaurentPoly.variable("u1", -limit) * V("u1") ** -1,
+        lambda: LaurentPoly.variable("x1", -limit) ** -1,
+        lambda: LaurentPoly.variable("y1", limit - 1) * (V("y1") + 1),
+        lambda: top.shifted({"x1": 1}),
+        lambda: rename_poly(top * V("x2"), {"x2": "x1"}),
+        lambda: rename_poly(top * V("x2") * V("x3"), {"x2": "x1", "x3": "x1"}),
+        lambda: rename_poly(top * V("u1") ** -1 * V("x3") ** 2, {"u1": "x1", "x3": "x1"}),
+        lambda: compile_specialization(top * V("y2"), 2, "y", "x")((2, 1)),
+        lambda: LaurentPoly({(("x1", limit),): 1}),
+        lambda: LaurentPoly.monomial({"q2": limit}),
+    ):
+        with pytest.raises(ExponentOverflow):
+            overflow()
+    # the neighbouring slots are untouched when one stays just inside
+    assert (top * V("x1") ** -1 * V("x2")).terms == {(("x1", limit - 2), ("x2", 1)): 1}
+
+
+def test_terms_round_trip():
+    rng = random.Random(26)
+    for _ in range(100):
+        p = random_kernel_poly(rng, max_terms=8)
+        assert LaurentPoly(p.terms) == p
+        assert LaurentPoly(p.terms).terms == p.terms == dict(p)
+        assert_canonical(p)
+        assert p.variables() == {v for m in p.terms for v, _ in m}
 
 
 def test_simplify_reduces():
@@ -538,7 +711,8 @@ def test_display_key_orders_like_the_display_comparison():
     polys += [grothendieck_table(4)[mu] for mu in grothendieck_table(4).entries]
     polys.append(parse_poly("q1*q2 - 2*q1^2*u1 + u1^-1*x2 + 3*y1*y2^2 - x1^-2*u3"))
     for p in polys:
-        assert _display_sorted(p.terms) == sorted(p.terms, key=by_cmp, reverse=True)
+        got = [m for m, _ in _display_sorted(p)]
+        assert got == sorted(p.terms, key=by_cmp, reverse=True)
 
 
 def _schoolbook_product(p, q):
