@@ -20,9 +20,9 @@ K-theory tables need 1/x_i and multiplicative spectral parameters need v/u);
 lives in :class:`RationalFunction`.
 
 A monomial is stored as one int, its key: each variable gets a slot the
-first time it is validated, and the exponent e_v is the signed 16-bit digit
-of that slot, so the key is sum_v e_v * 2^(16*slot(v)) and the constant
-monomial is 0.  A product of monomials is one int addition, and a kernel
+first time it is validated (u1..u8 at import), and the exponent e_v is the
+signed 16-bit digit of that slot, so the key is sum_v e_v * 2^(16*slot(v))
+and the constant monomial is 0.  A product of monomials is one int addition, and a kernel
 that needs one exponent reads or shifts one digit.  Stored exponents lie in
 [-2^14, 2^14) (y/q exponents in [0, 2^14)); a sum of two of them fits its
 digit, so every kernel checks the keys it makes with one mask
