@@ -663,8 +663,21 @@ def test_an_exponent_at_the_digit_bound_raises():
         lambda: rename_poly(top * V("x2") * V("x3"), {"x2": "x1", "x3": "x1"}),
         lambda: rename_poly(top * V("u1") ** -1 * V("x3") ** 2, {"u1": "x1", "x3": "x1"}),
         lambda: compile_specialization(top * V("y2"), 2, "y", "x")((2, 1)),
+        # four exponents of limit - 1 sum to 2^16 - 4, which would wrap into
+        # the next slot and leave an exponent -4 that looks valid
+        lambda: rename_poly(
+            LaurentPoly.monomial({v: limit - 1 for v in ("x1", "x2", "x3", "x10")}),
+            {"x2": "x1", "x3": "x1", "x10": "x1"},
+        ),
+        # a quotient term of a division that is not exact grows x1 past the range
+        lambda: exact_div(
+            LaurentPoly.monomial({f"x{i}": limit - 1 for i in range(1, 6)}) + 1,
+            LaurentPoly.monomial({"x2": 1, "x3": 1, "x4": 1, "x5": 1}) + V("x1") ** 3,
+        ),
         lambda: LaurentPoly({(("x1", limit),): 1}),
         lambda: LaurentPoly.monomial({"q2": limit}),
+        lambda: LaurentPoly.variable("x1", 1 << 16),
+        lambda: V("x2").shifted({"x1": -(1 << 16)}),
     ):
         with pytest.raises(ExponentOverflow):
             overflow()
