@@ -351,7 +351,7 @@ def _theta_power(k: int) -> LaurentPoly:
     return (LaurentPoly.variable("q1") + LaurentPoly.variable("q2")) ** k
 
 
-def _from_beta(c: RationalFunction, length: int, reduce: bool = False) -> RationalFunction:
+def _from_beta(c: RationalFunction, length: int, reduce: bool) -> RationalFunction:
     """The coefficient of a generic-family T_nu, l(nu) = ``length``, whose
     T'_nu coefficient is ``c`` = P(beta) / D, of degree K in beta.
 

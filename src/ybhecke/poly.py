@@ -1028,8 +1028,8 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
 
     Each renamed variable's digit moves to its target's slot (a variable
     outside the map is its own target).  Where several exponents meet in
-    one slot their sum is checked against the range; every distinct image
-    is validated, also one whose coefficients cancel.
+    one slot their sum is checked against the range, before it could carry;
+    every distinct image is validated, also one whose coefficients cancel.
     """
     if not varmap:
         return p
@@ -1037,17 +1037,14 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
     for v, t in varmap.items():
         if v != t:
             sources.setdefault(t, []).append(_var_info(v)[4])
-    # (target shift, source shifts, target keeps its own exponent, exponents meet)
-    groups = []
-    for t, shifts in sources.items():
-        kept = varmap.get(t, t) == t
-        groups.append((_var_info(t)[4], shifts, kept, kept or len(shifts) > 1))
+    # (target shift, source shifts, whether the target keeps its own exponent)
+    groups = [(_var_info(t)[4], shifts, varmap.get(t, t) == t) for t, shifts in sources.items()]
     half = _HALF
     sums: dict[Monomial, Scalar] = {}
     get = sums.get
     for m, c in p._terms.items():
         biased = m + half
-        for s, shifts, kept, meet in groups:
+        for s, shifts, kept in groups:
             total = 0
             for r in shifts:
                 e = (biased >> r & _MASK) - _HALF_DIGIT
@@ -1056,11 +1053,10 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
                     total += e
             if total:
                 m += total << s
-                if meet:
-                    if kept:
-                        total += (biased >> s & _MASK) - _HALF_DIGIT
-                    if not -_LIMIT <= total < _LIMIT:
-                        raise ExponentOverflow(f"merged exponent {total} out of range")
+                if kept:
+                    total += (biased >> s & _MASK) - _HALF_DIGIT
+                if not -_LIMIT <= total < _LIMIT:
+                    raise ExponentOverflow(f"merged exponent {total} out of range")
         sums[m] = get(m, 0) + c
     _check_keys(sums)
     return LaurentPoly._raw(_stored(sums, _integral(p._terms)))
@@ -1154,8 +1150,6 @@ def substitute_poly(
                 powers[item] = RationalFunction.variable(v, e)
             elif e < 0 and img.is_zero:
                 raise SubstitutionSingular(f"substituting 0 for inverted {v}")
-            elif e > 0 and img.den.is_one:
-                powers[item] = RationalFunction(img.num ** e)
             else:
                 powers[item] = img ** e
     ring = LaurentPoly if all(f.den.is_one for f in powers.values()) else RationalFunction

@@ -439,7 +439,7 @@ def mono_mul_reference(m1, m2):
     return tuple(sorted(items, key=lambda item: var_sort_key(item[0])))
 
 
-def test_packed_product_matches_a_dict_and_sort_reference():
+def test_mono_mul_matches_a_dict_and_sort_reference():
     # the product of two monomials is one addition of their packed keys
     rng = random.Random(15)
     cancelled = 0
@@ -495,7 +495,7 @@ def test_monomial_kernels_return_canonical_monomials():
             assert inverse * mono**k == LaurentPoly.one()
 
 
-def test_products_and_descents_pack_and_decode_no_monomial(monkeypatch):
+def test_products_and_descents_build_no_monomial_from_a_dict(monkeypatch):
     # the hot kernels add and read digits of packed keys; only the entry
     # points that take a mapping pack, and only the public views decode
     rng = random.Random(17)
