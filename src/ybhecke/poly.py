@@ -184,7 +184,7 @@ def _pack(exps: Mapping[str, int], check: bool = True) -> Monomial:
     return k
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 10)
 def _decode(k: Monomial) -> tuple[tuple[str, int], ...]:
     """The key ``k`` as (variable, exponent) pairs in canonical order."""
     items = []
