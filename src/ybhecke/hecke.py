@@ -112,7 +112,7 @@ def algebra(family: str, n: int) -> AlgebraSpec:
     if family not in FAMILIES:
         raise ValueError(f"unknown algebra family {family!r}")
     a, b = FAMILIES[family]
-    return AlgebraSpec(family=family, n=n, a=a, b=b)
+    return AlgebraSpec(family=family, n=n, a=_R(a), b=_R(b))
 
 
 class HeckeElement:
@@ -626,8 +626,9 @@ def _expand(
     return out
 
 
-def apply_to_polynomial(h: HeckeElement, f: RationalFunction) -> RationalFunction:
-    """Realize ``h`` through the operator family and apply it to ``f``.
+def apply_to_polynomial(h: HeckeElement, f: LaurentPoly) -> RationalFunction:
+    """Realize ``h`` through the operator family and apply it to ``f``:
+    the sum of c_mu D_mu f over the terms c_mu T_mu of ``h``.
 
     Basis elements act along their reduced words with the first generator
     applied first, making the polynomial ring a right module: applying

@@ -1,4 +1,4 @@
-"""The six operator families acting on polynomials in the x variables.
+"""The six operator families acting on Laurent polynomials in the x variables.
 
 These realize the abstract algebras faithfully and serve as the ground truth
 for every identity proved at the level of Hecke elements:
@@ -9,6 +9,11 @@ for every identity proved at the level of Hecke elements:
 * ``pi_i f = partial_i(x_i f)`` (isobaric divided difference),
 * ``pibar_i = pi_i - 1``,
 * ``t_i = -(q1+q2) pibar_i + q2 sigma_i``.
+
+The ring is :class:`~ybhecke.poly.LaurentPoly` throughout: a divided
+difference of a Laurent polynomial is a Laurent polynomial, and every
+operator coefficient (q1, q2, or the values passed for them) must be free
+of x, so it commutes with the operators and no denominator appears.
 
 Words act with the first listed generator applied first (a right action of
 the algebra on the polynomial ring); ``apply_inverse_word`` composes in the
@@ -29,13 +34,7 @@ from typing import Sequence
 
 from .errors import IndexOutOfRange
 from .permutations import Permutation, all_permutations
-from .poly import (
-    LaurentPoly,
-    RationalFunction,
-    divided_difference,
-    rename_poly,
-    rename_rf,
-)
+from .poly import LaurentPoly, divided_difference, rename_poly
 from .report import CheckReport
 
 __all__ = [
@@ -49,10 +48,10 @@ __all__ = [
     "random_probe",
 ]
 
-_Q1 = RationalFunction.variable("q1")
-_Q2 = RationalFunction.variable("q2")
-_ZERO = RationalFunction.zero()
-_ONE = RationalFunction.one()
+_Q1 = LaurentPoly.variable("q1")
+_Q2 = LaurentPoly.variable("q2")
+_ZERO = LaurentPoly.zero()
+_ONE = LaurentPoly.one()
 
 # Each family's generators satisfy the braid relations and the quadratic
 # relation T_i^2 = a T_i + b; this maps the family to (a, b).
@@ -66,29 +65,13 @@ FAMILIES = {
 }
 
 
-def _swap(f: RationalFunction, i: int) -> RationalFunction:
-    a, b = f"x{i}", f"x{i + 1}"
-    return rename_rf(f, {a: b, b: a})
-
-
-def _divided_difference(f: RationalFunction, i: int) -> RationalFunction:
-    # (N/D - sN/sD)/(x_i - x_{i+1}) is (dN)/D when sD = D, else
-    # d(N sD)/(D sD) over the symmetric denominator D sD
-    a, b = f"x{i}", f"x{i + 1}"
-    num, den = f.num, f.den
-    swapped = rename_poly(den, {a: b, b: a})
-    if swapped != den:
-        num, den = num * swapped, den * swapped
-    return RationalFunction(divided_difference(num, a, b), den)
-
-
 def apply_generator(
     family: str,
     i: int,
-    f: RationalFunction,
+    f: LaurentPoly,
     n: int,
-    params: tuple[RationalFunction, RationalFunction] | None = None,
-) -> RationalFunction:
+    params: tuple[LaurentPoly, LaurentPoly] | None = None,
+) -> LaurentPoly:
     """Apply the i-th generator of the given family to ``f``.
 
     ``params`` supplies (q1, q2) for the T family and defaults to the formal
@@ -96,29 +79,27 @@ def apply_generator(
     """
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"generator index {i} outside 1..{n - 1}")
+    a, b = f"x{i}", f"x{i + 1}"
     if family == "sigma":
-        return _swap(f, i)
+        return rename_poly(f, {a: b, b: a})
     if family == "partial":
-        return _divided_difference(f, i)
+        return divided_difference(f, a, b)
     if family == "s":
-        return _swap(f, i) + _divided_difference(f, i)
+        return rename_poly(f, {a: b, b: a}) + divided_difference(f, a, b)
     if family == "pi":
-        xi = RationalFunction.variable(f"x{i}")
-        return _divided_difference(xi * f, i)
+        return divided_difference(LaurentPoly.variable(a) * f, a, b)
     if family == "pibar":
-        xi = RationalFunction.variable(f"x{i}")
-        return _divided_difference(xi * f, i) - f
+        return divided_difference(LaurentPoly.variable(a) * f, a, b) - f
     if family == "T":
         q1, q2 = params if params is not None else (_Q1, _Q2)
-        xi = RationalFunction.variable(f"x{i}")
-        pibar = _divided_difference(xi * f, i) - f
-        return -(q1 + q2) * pibar + q2 * _swap(f, i)
+        pibar = divided_difference(LaurentPoly.variable(a) * f, a, b) - f
+        return -(q1 + q2) * pibar + q2 * rename_poly(f, {a: b, b: a})
     raise ValueError(f"unknown operator family {family!r}")
 
 
 def apply_word(
-    family: str, word: Sequence[int], f: RationalFunction, n: int
-) -> RationalFunction:
+    family: str, word: Sequence[int], f: LaurentPoly, n: int
+) -> LaurentPoly:
     """Apply a generator word with the first letter acting first."""
     for i in word:
         f = apply_generator(family, i, f, n)
@@ -126,8 +107,8 @@ def apply_word(
 
 
 def apply_inverse_word(
-    family: str, mu: Permutation, f: RationalFunction
-) -> RationalFunction:
+    family: str, mu: Permutation, f: LaurentPoly
+) -> LaurentPoly:
     """Apply the classical operator D_mu (last letter of the word acts first).
 
     With word conventions as in :func:`apply_word`, this is the composition
@@ -138,8 +119,8 @@ def apply_inverse_word(
 
 
 def all_inverse_words(
-    family: str, f: RationalFunction, n: int
-) -> dict[Permutation, RationalFunction]:
+    family: str, f: LaurentPoly, n: int
+) -> dict[Permutation, LaurentPoly]:
     """D_mu f, as :func:`apply_inverse_word` computes it, for every mu in S_n.
 
     Each mu peels its first left descent i, so D_mu f = D_i (D_{s_i mu} f)
@@ -154,13 +135,13 @@ def all_inverse_words(
     return out
 
 
-def perm_action(mu: Permutation, f: RationalFunction) -> RationalFunction:
+def perm_action(mu: Permutation, f: LaurentPoly) -> LaurentPoly:
     """The substitution action x_i -> x_{mu(i)}; a left group action."""
     mapping = {f"x{i}": f"x{mu(i)}" for i in range(1, mu.n + 1) if mu(i) != i}
-    return rename_rf(f, mapping)
+    return rename_poly(f, mapping)
 
 
-def random_probe(rng: random.Random, n: int, max_deg: int = 4) -> RationalFunction:
+def random_probe(rng: random.Random, n: int, max_deg: int = 4) -> LaurentPoly:
     """A random integer polynomial probe in n variables: 1 to 6 terms of
     degree <= max_deg."""
     p = LaurentPoly.zero()
@@ -176,7 +157,7 @@ def random_probe(rng: random.Random, n: int, max_deg: int = 4) -> RationalFuncti
                 budget -= e
         coeff = rng.choice([c for c in range(-9, 10) if c])
         p = p + LaurentPoly.monomial(exps, coeff)
-    return RationalFunction(p)
+    return p
 
 
 def check_relations(

@@ -42,7 +42,6 @@ from .poly import (
     compile_specialization,
     lowest_homogeneous_component,
     rename_poly,
-    substitute,
     substitute_poly,
 )
 from .report import CheckReport
@@ -111,8 +110,8 @@ def _descend(n: int, top: LaurentPoly, family: str) -> dict:
     """Fill a table from the dominant entry: the entry at omega nu^-1 is
     D_nu(top), one divided difference per entry."""
     omega = Permutation.longest(n)
-    images = all_inverse_words(family, _R(top), n)
-    return {omega * nu.inverse(): image.as_poly() for nu, image in images.items()}
+    images = all_inverse_words(family, top, n)
+    return {omega * nu.inverse(): image for nu, image in images.items()}
 
 
 def schubert_table(n: int) -> SchubertTable:
@@ -143,13 +142,6 @@ def specialize_double(
 ) -> RationalFunction:
     """The specialization p(u^mu, u): substitute x_i -> u_{mu(i)}, y_j -> u_j."""
     return _specializer(p, mu.n, "x", u)(mu)
-
-
-def _specialize_swapped(
-    p: LaurentPoly, mu: Permutation, u: Sequence[RationalFunction] | None = None
-) -> RationalFunction:
-    """The mirror specialization p(u, u^mu): x_i -> u_i, y_j -> u_{mu(j)}."""
-    return _specializer(p, mu.n, "y", u)(mu)
 
 
 def _specializer(
@@ -280,7 +272,7 @@ def verify_yang_leading_terms(
         low = lowest_homogeneous_component(a, uvars)
         want = specialize_double(table[nu], mu)
         report.record(
-            _R(low) == want, lambda: f"mu={mu}, nu={nu}: lowest({a}) != {want}"
+            want == low, lambda: f"mu={mu}, nu={nu}: lowest({a}) != {want}"
         )
         rest = a - low
         if not rest.is_zero:
@@ -309,7 +301,7 @@ def _check_permutation_expansion(
         f = random_probe(rng, n)
         diffs = all_inverse_words("partial", f, n)
         for mu, row in coeffs.items():
-            total = _R.zero()
+            total = LaurentPoly.zero()
             for nu, c in row.items():
                 total = total + c * diffs[nu]
             report.record(total == perm_action(mu, f), lambda: f"mu={mu}, f={f}")
@@ -329,7 +321,7 @@ def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> Chec
     for mu in perms:
         at_mu = {f"x{i}": f"x{mu(i)}" for i in range(1, n + 1)}
         at_mu.update({f"y{j}": f"x{j}" for j in range(1, n + 1)})
-        coeffs[mu] = {nu: _R(rename_poly(table[nu], at_mu)) for nu in perms}
+        coeffs[mu] = {nu: rename_poly(table[nu], at_mu) for nu in perms}
     _check_permutation_expansion(report, coeffs, n, probes, seed)
     return report
 
@@ -345,7 +337,7 @@ def verify_normal_ordering(n: int, probes: int = 10, seed: int = 0) -> CheckRepo
     ys = yb_basis(algebra("partial", n))
     tox = {f"u{i}": f"x{i}" for i in range(1, n + 1)}
     coeffs = {
-        mu: {nu: _R(rename_poly(c.as_poly(), tox)) for nu, c in y.coeffs.items()}
+        mu: {nu: rename_poly(c.as_poly(), tox) for nu, c in y.coeffs.items()}
         for mu, y in ys.items()
     }
     _check_permutation_expansion(report, coeffs, n, probes, seed)
@@ -375,7 +367,7 @@ def _check_shape(shape: Sequence[int]) -> int:
     return total
 
 
-def _yb_operator(mu: Permutation, u: Sequence[RationalFunction], f, step):
+def _yb_operator(mu: Permutation, u: Sequence, f: LaurentPoly, step) -> LaurentPoly:
     """Apply the Yang-Baxter operator of mu to f, one factor per letter of
     the reduced word of mu: ``step(f, j, lo, hi, n)`` applies the factor at
     generator j whose spectral parameters :func:`~ybhecke.hecke.word_steps`
@@ -387,7 +379,7 @@ def _yb_operator(mu: Permutation, u: Sequence[RationalFunction], f, step):
 
 def _s_step(f, j, lo, hi, n):
     # the degenerate-family factor s_j + 1/(lo - hi), applied to f
-    return apply_generator("s", j, f, n) + f / (lo - hi)
+    return apply_generator("s", j, f, n) + f * Fraction(1, lo - hi)
 
 
 def verify_appendix_factorizations(
@@ -410,30 +402,33 @@ def verify_appendix_factorizations(
     rng = random.Random(seed)
     mu = _young_max(shape)
     if qmode == "qpow":
-        q = _R.variable("q1")
+        q = LaurentPoly.variable("q1")
         u = [q ** (i - 1) for i in range(1, n + 1)]
-        params = (q, _R.constant(-1))
+        params = (q, LaurentPoly.constant(-1))
         theta = params[0] + params[1]
 
         def step(f, j, lo, hi, n):
-            # the generic factor 1 + (hi/lo - 1)/(q1+q2) t_j, applied to f
-            c = (hi / lo - 1) / theta
+            # the generic factor 1 + (hi/lo - 1)/(q1+q2) t_j, applied to f;
+            # along a reduced word hi/lo = q^k with k >= 1, so c is
+            # 1 + q + ... + q^(k-1)
+            c = ((hi / lo - 1) / theta).as_poly()
             return f + c * apply_generator("T", j, f, n, params=params)
 
         def factor(i, j):
-            bracket = sum((q ** k for k in range(1, j - i)), _R.one())
-            return bracket * (_R.variable(f"x{i}") - q * _R.variable(f"x{j}"))
+            bracket = sum((q ** k for k in range(1, j - i)), LaurentPoly.one())
+            xi, xj = LaurentPoly.variable(f"x{i}"), LaurentPoly.variable(f"x{j}")
+            return bracket * (xi - q * xj)
 
     elif qmode == "linear":
-        u = [_R.constant(i) for i in range(1, n + 1)]
+        u = list(range(1, n + 1))
         step = _s_step
 
         def factor(i, j):
-            return 1 + _R.variable(f"x{j}") - _R.variable(f"x{i}")
+            return 1 + LaurentPoly.variable(f"x{j}") - LaurentPoly.variable(f"x{i}")
 
     else:
         raise ValueError(f"unknown q-mode {qmode!r}")
-    prefactor = _R.one()
+    prefactor = LaurentPoly.one()
     offset = 0
     for part in shape:
         for i, j in combinations(range(offset + 1, offset + part + 1), 2):
@@ -447,11 +442,11 @@ def verify_appendix_factorizations(
     return report
 
 
-def _schubert_coordinates(f: RationalFunction, n: int) -> dict:
-    """Coordinates of f modulo the symmetric ideal: c_nu(f) = (partial_nu f)(0)."""
-    zero = {f"x{i}": _R.zero() for i in range(1, n + 1)}
+def _schubert_coordinates(f: LaurentPoly, n: int) -> dict:
+    """Coordinates of a polynomial f modulo the symmetric ideal:
+    c_nu(f) = (partial_nu f)(0), read as the constant term of partial_nu f."""
     return {
-        nu: substitute(img, zero)
+        nu: img.coefficient({})
         for nu, img in all_inverse_words("partial", f, n).items()
     }
 
@@ -462,28 +457,23 @@ def verify_cohomology_basis(n: int) -> CheckReport:
     With u_i = i, the operators Y_mu^s map x_1^(n-1) x_2^(n-2) ... to a
     family whose coordinate matrix over the Schubert classes is invertible.
     The coordinate functional (partial_nu f)(0) is validated on the single
-    Schubert table itself before being trusted.
+    Schubert table X_kappa(x, 0) before being trusted; the constant term of
+    partial_nu X_kappa(x, y) is the value of partial_nu X_kappa(x, 0) at 0.
     """
     report = CheckReport(name=f"cohomology-basis[n={n}]")
     perms = all_permutations(n)
     table = schubert_table(n)
-    zero_y = {f"y{j}": _R.zero() for j in range(1, n + 1)}
     for kappa in perms:
-        single = substitute(_R(table[kappa]), zero_y)
-        coords = _schubert_coordinates(single, n)
-        ok = all(
-            (coords[nu] == _R.one()) == (nu == kappa)
-            and (nu == kappa or coords[nu].is_zero)
-            for nu in perms
-        )
+        coords = _schubert_coordinates(table[kappa], n)
+        ok = all(coords[nu] == (1 if nu == kappa else 0) for nu in perms)
         report.record(ok, lambda: f"coordinate functional fails on X_{kappa}")
-    u = [_R.constant(i) for i in range(1, n + 1)]
+    u = list(range(1, n + 1))
     staircase = LaurentPoly.monomial(
         {f"x{i}": n - i for i in range(1, n)} if n > 1 else {}
     )
     rows = []
     for mu in perms:
-        image = _yb_operator(mu, u, _R(staircase), _s_step)
+        image = _yb_operator(mu, u, staircase, _s_step)
         coords = _schubert_coordinates(image, n)
         rows.append([coords[nu] for nu in perms])
     report.record(_invertible(rows), "coordinate matrix is singular")
@@ -491,8 +481,8 @@ def verify_cohomology_basis(n: int) -> CheckReport:
 
 
 def _invertible(rows) -> bool:
-    m = [[Fraction(c.num.constant_value(), c.den.constant_value()) for c in row]
-         for row in rows]
+    """Whether a square matrix of exact scalars is invertible."""
+    m = [[Fraction(c) for c in row] for row in rows]
     size = len(m)
     for col in range(size):
         pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
@@ -532,7 +522,7 @@ def verify_groth_to_schubert_degeneration(n: int) -> CheckReport:
         low = lowest_homogeneous_component(img.num, lowvars)
         want = rename_poly(xtable[mu], {f"x{i}": f"u{i}" for i in range(1, n + 1)})
         report.record(
-            _R(low) == _R(want) * den_const,
+            low == want * den_const,
             lambda: f"mu={mu}: lowest component mismatch",
         )
     return report

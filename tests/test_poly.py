@@ -1,6 +1,7 @@
 """Exact arithmetic: canonical forms, field axioms, substitution, gcd."""
 
 import random
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations, product
@@ -14,6 +15,7 @@ from ybhecke.errors import (
     SubstitutionSingular,
     ZeroPolynomial,
 )
+from ybhecke.operators import random_probe
 import ybhecke.poly
 from ybhecke.poly import (
     BETA,
@@ -391,6 +393,40 @@ def test_divided_difference_matches_its_definition():
             p = p + LaurentPoly.monomial(exps, rng.randint(-9, 9))
         q = divided_difference(p, "x1", "x2")
         assert q * (V("x1") - V("x2")) == p - rename_poly(p, swap), p
+
+
+def test_divided_difference_on_an_asymmetric_denominator(monkeypatch):
+    # (N/D - sN/sD)/(x_i - x_{i+1}) is d(N sD)/(D sD) over the symmetric
+    # denominator D sD.  The quotient by x_i - x_{i+1} runs poly_gcd.
+    # Before each pseudo-remainder had its rational content divided out,
+    # the integers of the remainder sequence grew without bound (past 20
+    # million bits within 41 pseudo-remainders) and the first f took more
+    # than a minute.  With it, no coefficient of a pseudo-remainder here
+    # passes 3233 bits, so a guard at 8192 bits fails a regression at once,
+    # without a timer.
+    prem = ybhecke.poly._prem
+
+    def bounded_prem(A, B):
+        R = prem(A, B)
+        for c in R.values():
+            for a in c.terms.values():
+                bits = max(a.numerator.bit_length(), a.denominator.bit_length())
+                assert bits <= 8192, "pseudo-remainder coefficients grew"
+        return R
+
+    monkeypatch.setattr(ybhecke.poly, "_prem", bounded_prem)
+    rng = random.Random(9)
+    start = time.process_time()
+    for _ in range(12):
+        f = random_probe(rng, 3) / (random_probe(rng, 3) + parse_poly("x1 + 2*x2"))
+        for i in (1, 2):
+            a, b = f"x{i}", f"x{i + 1}"
+            swap = {a: b, b: a}
+            want = (f - rename_rf(f, swap)) / (V(a) - V(b))
+            sden = rename_poly(f.den, swap)
+            got = RationalFunction(divided_difference(f.num * sden, a, b), f.den * sden)
+            assert got == want, (f, i)
+    assert time.process_time() - start < 2.0
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from ybhecke.permutations import Permutation, all_permutations
 from ybhecke.poly import RationalFunction, lowest_homogeneous_component, rename_poly
 from ybhecke.report import CheckReport
 from ybhecke.schubert import (
-    _specialize_swapped,
     grothendieck_table,
     schubert_table,
     specialize_double,
@@ -108,10 +107,10 @@ def test_descent_recursion_all_covers():
         for mu in all_permutations(n):
             for j in mu.descents():
                 nu = mu.times_simple(j)
-                dx = apply_generator("partial", j, RationalFunction(xt[mu]), n)
-                assert dx.as_poly() == xt[nu], (mu, j)
-                dg = apply_generator("pi", j, RationalFunction(gt[mu]), n)
-                assert dg.as_poly() == gt[nu], (mu, j)
+                dx = apply_generator("partial", j, xt[mu], n)
+                assert dx == xt[nu], (mu, j)
+                dg = apply_generator("pi", j, gt[mu], n)
+                assert dg == gt[nu], (mu, j)
 
 
 def test_schubert_stability():
@@ -139,16 +138,19 @@ def test_specialize_double_examples():
 
 
 @pytest.mark.parametrize("table", [schubert_table, grothendieck_table])
-@pytest.mark.parametrize("specialize", [specialize_double, _specialize_swapped])
-def test_specialize_by_renaming_matches_substitution(table, specialize):
+@pytest.mark.parametrize("moved", ["x", "y"])
+def test_specialize_by_renaming_matches_substitution(table, moved):
     # at symbolic u the specializations rename variables; passing u
     # explicitly takes the substitution route (Grothendieck entries carry
-    # negative x exponents)
+    # negative x exponents); "x" is specialize_double's orientation p(u^mu, u),
+    # "y" the mirror p(u, u^mu) of the Grothendieck transition
     entries = table(4).entries
     u = symbolic_spectral(4)
-    for mu in all_permutations(4):
-        for nu, p in entries.items():
-            assert specialize(p, mu) == specialize(p, mu, u), (mu, nu)
+    for nu, p in entries.items():
+        by_renaming = schubert._specializer(p, 4, moved)
+        by_substitution = schubert._specializer(p, 4, moved, u)
+        for mu in all_permutations(4):
+            assert by_renaming(mu) == by_substitution(mu), (mu, nu)
 
 
 def test_lazy_witness_called_only_for_kept_failures():
@@ -318,6 +320,22 @@ def test_cohomology_basis():
         assert report.passed, report.lines()
 
 
+def test_cohomology_basis_fails_on_a_wrong_table_entry(monkeypatch):
+    # partial_213 of the extra x1 is 1, so the coordinate of X_213 at 213
+    # reads 2: the validation of that one entry fails, nothing else does
+    table = schubert_table(3)
+
+    def wrong_table(n):
+        entries = dict(table.entries)
+        entries[P("213")] = entries[P("213")] + parse_poly("x1")
+        return schubert.SchubertTable(n=n, entries=entries)
+
+    monkeypatch.setattr(schubert, "schubert_table", wrong_table)
+    report = verify_cohomology_basis(3)
+    assert report.checks == 7 and report.failed == 1
+    assert report.failures == ["coordinate functional fails on X_213"]
+
+
 def test_degeneration():
     # G_213 = 1 - y1/x1 degenerates to (a1-b1)/(1-b1), lowest part a1 - b1
     report = verify_groth_to_schubert_degeneration(3)
@@ -342,11 +360,8 @@ def test_groth_specialization_pattern_35142():
 def test_invertible_eliminates_exactly():
     from fractions import Fraction
 
-    def rows(entries):
-        return [[RationalFunction.constant(c) for c in row] for row in entries]
-
-    assert schubert._invertible(rows([[1, 2], [3, 4]]))
+    assert schubert._invertible([[1, 2], [3, 4]])
     # singular, and 1/3 has no float: a float pivot ratio leaves 4.4e-16 behind
-    assert not schubert._invertible(rows([[3, 7], [1, Fraction(7, 3)]]))
-    assert not schubert._invertible(rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
-    assert schubert._invertible(rows([[0, Fraction(1, 2)], [Fraction(2, 3), 5]]))
+    assert not schubert._invertible([[3, 7], [1, Fraction(7, 3)]])
+    assert not schubert._invertible([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert schubert._invertible([[0, Fraction(1, 2)], [Fraction(2, 3), 5]])
