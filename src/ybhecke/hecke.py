@@ -633,7 +633,9 @@ def apply_to_polynomial(h: HeckeElement, f: LaurentPoly) -> RationalFunction:
     Basis elements act along their reduced words with the first generator
     applied first, making the polynomial ring a right module: applying
     h1 * h2 equals applying h1, then h2.  Coefficients must not involve the
-    x variables.
+    x variables.  The image is a polynomial, and can be acted on again
+    through ``.as_poly()``, only when its denominator is 1, as it is for
+    polynomial coefficients.
     """
     total = _R.zero()
     for mu, c in h.coeffs.items():

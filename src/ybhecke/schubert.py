@@ -144,6 +144,13 @@ def specialize_double(
     return _specializer(p, mu.n, "x", u)(mu)
 
 
+def _specialize_swapped(
+    p: LaurentPoly, mu: Permutation, u: Sequence[RationalFunction] | None = None
+) -> RationalFunction:
+    """The mirror specialization p(u, u^mu): x_i -> u_i, y_j -> u_{mu(j)}."""
+    return _specializer(p, mu.n, "y", u)(mu)
+
+
 def _specializer(
     p: LaurentPoly, n: int, moved: str, u: Sequence[RationalFunction] | None = None
 ) -> Callable[[Permutation], RationalFunction]:
@@ -367,19 +374,19 @@ def _check_shape(shape: Sequence[int]) -> int:
     return total
 
 
-def _yb_operator(mu: Permutation, u: Sequence, f: LaurentPoly, step) -> LaurentPoly:
+def _yb_operator(mu: Permutation, f: LaurentPoly, step) -> LaurentPoly:
     """Apply the Yang-Baxter operator of mu to f, one factor per letter of
-    the reduced word of mu: ``step(f, j, lo, hi, n)`` applies the factor at
-    generator j whose spectral parameters :func:`~ybhecke.hecke.word_steps`
-    joins."""
+    the reduced word of mu: ``step(f, j, a, b, n)`` applies the factor at
+    generator j joining the spectral parameters u_a and u_b, as
+    :func:`~ybhecke.hecke.word_steps` gives them; a < b along a reduced word."""
     for j, a, b in word_steps(mu.n, mu.reduced_word()):
-        f = step(f, j, u[a - 1], u[b - 1], mu.n)
+        f = step(f, j, a, b, mu.n)
     return f
 
 
-def _s_step(f, j, lo, hi, n):
-    # the degenerate-family factor s_j + 1/(lo - hi), applied to f
-    return apply_generator("s", j, f, n) + f * Fraction(1, lo - hi)
+def _s_step(f, j, a, b, n):
+    # the degenerate-family factor s_j + 1/(u_a - u_b) at u_i = i, applied to f
+    return apply_generator("s", j, f, n) + f * Fraction(1, a - b)
 
 
 def verify_appendix_factorizations(
@@ -403,24 +410,21 @@ def verify_appendix_factorizations(
     mu = _young_max(shape)
     if qmode == "qpow":
         q = LaurentPoly.variable("q1")
-        u = [q ** (i - 1) for i in range(1, n + 1)]
         params = (q, LaurentPoly.constant(-1))
-        theta = params[0] + params[1]
 
-        def step(f, j, lo, hi, n):
-            # the generic factor 1 + (hi/lo - 1)/(q1+q2) t_j, applied to f;
-            # along a reduced word hi/lo = q^k with k >= 1, so c is
-            # 1 + q + ... + q^(k-1)
-            c = ((hi / lo - 1) / theta).as_poly()
-            return f + c * apply_generator("T", j, f, n, params=params)
+        def bracket(k):
+            return sum((q ** i for i in range(k)), LaurentPoly.zero())
+
+        def step(f, j, a, b, n):
+            # the generic factor 1 + (u_b/u_a - 1)/(q1+q2) t_j, applied to f;
+            # u_b/u_a = q^(b-a), so the coefficient is [b-a]_q
+            return f + bracket(b - a) * apply_generator("T", j, f, n, params=params)
 
         def factor(i, j):
-            bracket = sum((q ** k for k in range(1, j - i)), LaurentPoly.one())
             xi, xj = LaurentPoly.variable(f"x{i}"), LaurentPoly.variable(f"x{j}")
-            return bracket * (xi - q * xj)
+            return bracket(j - i) * (xi - q * xj)
 
     elif qmode == "linear":
-        u = list(range(1, n + 1))
         step = _s_step
 
         def factor(i, j):
@@ -436,7 +440,7 @@ def verify_appendix_factorizations(
         offset += part
     for _ in range(probes):
         f = random_probe(rng, n)
-        lhs = _yb_operator(mu, u, f, step)
+        lhs = _yb_operator(mu, f, step)
         rhs = prefactor * apply_inverse_word("partial", mu, f)
         report.record(lhs == rhs, lambda: f"f={f}")
     return report
@@ -467,13 +471,12 @@ def verify_cohomology_basis(n: int) -> CheckReport:
         coords = _schubert_coordinates(table[kappa], n)
         ok = all(coords[nu] == (1 if nu == kappa else 0) for nu in perms)
         report.record(ok, lambda: f"coordinate functional fails on X_{kappa}")
-    u = list(range(1, n + 1))
     staircase = LaurentPoly.monomial(
         {f"x{i}": n - i for i in range(1, n)} if n > 1 else {}
     )
     rows = []
     for mu in perms:
-        image = _yb_operator(mu, u, staircase, _s_step)
+        image = _yb_operator(mu, staircase, _s_step)
         coords = _schubert_coordinates(image, n)
         rows.append([coords[nu] for nu in perms])
     report.record(_invertible(rows), "coordinate matrix is singular")

@@ -570,6 +570,8 @@ def test_operator_realization_is_right_action(family):
         h1 = random_element(rng, alg)
         h2 = random_element(rng, alg)
         f = random_probe(rng, 3)
+        # random_element has monomial coefficients, so the image of h1 is a
+        # polynomial that h2 can act on
         lhs = apply_to_polynomial(h1 * h2, f)
         rhs = apply_to_polynomial(h2, apply_to_polynomial(h1, f).as_poly())
         assert lhs == rhs
