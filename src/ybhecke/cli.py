@@ -47,7 +47,7 @@ from .permutations import (
     all_reduced_words,
     rothe_diagram,
 )
-from .poly import RationalFunction, format_rf, substitute
+from .poly import RationalFunction, format_poly, format_rf, substitute
 from .report import CheckReport
 from .schubert import (
     TABLE_MAX_RANK,
@@ -152,7 +152,7 @@ def _table_lines(table, label: str, fmt: str, n: int) -> list[str]:
     lines = []
     for mu in perms:
         if fmt == "latex":
-            lines.append(f"{label}_{{{mu}}} = {format_rf(RationalFunction(table[mu]), latex=True)}")
+            lines.append(f"{label}_{{{mu}}} = {format_poly(table[mu], latex=True)}")
         else:
             lines.append(f"{mu}: {table[mu]}")
     return lines

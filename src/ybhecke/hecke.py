@@ -5,9 +5,15 @@ quadratic relation T_i^2 = a T_i + b, with the (a, b) of each family in
 :data:`ybhecke.operators.FAMILIES`; the families in :data:`FACTOR_FAMILIES`
 have Yang-Baxter elements.
 
-Elements are finitely supported maps from permutations to rational functions
-in the spectral parameters u_i (and q1, q2).  Yang-Baxter elements are built
-from the factors 1 + c(u, v) T_j by the recursion
+Elements are finitely supported maps from permutations to coefficients,
+which need only +, -, *, == and truth.  A coefficient is a LaurentPoly
+wherever the maths allows; a RationalFunction appears only where it
+divides: at a factor coefficient that is not a Laurent polynomial (at a
+spectral parameter such as 1 + u1), in the (q1, q2) form of the generic
+family, in :func:`delta`, in :func:`expand_in_yb`, and in :func:`pairing`
+away from the symbols.  So at the symbols u1..un every product, pairing and
+non-generic Yang-Baxter coefficient is a LaurentPoly.  Yang-Baxter elements
+are built from the factors 1 + c(u, v) T_j by the recursion
 
     Y_mu(u) = Y_nu(u) * Y_j(u_{nu(j)}, u_{nu(j+1)})     for mu = nu s_j, longer,
 
@@ -58,7 +64,7 @@ from .errors import (
 )
 from .operators import FAMILIES, apply_word
 from .permutations import Permutation, all_permutations, rothe_diagram
-from .poly import BETA, LaurentPoly, RationalFunction, clear_beta, rename_rf
+from .poly import BETA, LaurentPoly, RationalFunction, as_rf, clear_beta, rename_poly, rename_rf
 
 __all__ = [
     "FACTOR_FAMILIES",
@@ -85,7 +91,9 @@ __all__ = [
     "apply_to_polynomial",
 ]
 
-_R = RationalFunction
+Coefficient = LaurentPoly | RationalFunction
+_ZERO = LaurentPoly.zero()
+_ONE = LaurentPoly.one()
 # The families with an elementary factor 1 + c(u, v) T_j.
 FACTOR_FAMILIES = ("sigma", "partial", "pibar", "T")
 # The family tag of the generic family's one-parameter form; only
@@ -101,8 +109,8 @@ class AlgebraSpec:
 
     family: str
     n: int
-    a: RationalFunction
-    b: RationalFunction
+    a: LaurentPoly
+    b: LaurentPoly
 
     def __repr__(self) -> str:
         return f"AlgebraSpec({self.family!r}, n={self.n})"
@@ -112,22 +120,23 @@ def algebra(family: str, n: int) -> AlgebraSpec:
     if family not in FAMILIES:
         raise ValueError(f"unknown algebra family {family!r}")
     a, b = FAMILIES[family]
-    return AlgebraSpec(family=family, n=n, a=_R(a), b=_R(b))
+    return AlgebraSpec(family=family, n=n, a=a, b=b)
 
 
 class HeckeElement:
-    """A finitely supported linear combination of basis elements T_mu."""
+    """A finitely supported combination of basis elements T_mu with LaurentPoly
+    coefficients, or RationalFunction ones where the module docstring says."""
 
     __slots__ = ("alg", "coeffs")
 
-    def __init__(self, alg: AlgebraSpec, coeffs: Mapping[Permutation, RationalFunction]):
+    def __init__(self, alg: AlgebraSpec, coeffs: Mapping[Permutation, Coefficient]):
         self.alg = alg
-        self.coeffs = {mu: c for mu, c in coeffs.items() if not c.is_zero}
+        self.coeffs = {mu: c for mu, c in coeffs.items() if c}
 
     # ------------------------------------------------------------------
 
-    def coefficient(self, mu: Permutation) -> RationalFunction:
-        return self.coeffs.get(mu, _R.zero())
+    def coefficient(self, mu: Permutation) -> Coefficient:
+        return self.coeffs.get(mu, _ZERO)
 
     def support(self) -> list[Permutation]:
         return sorted(self.coeffs, key=Permutation.sort_key)
@@ -176,9 +185,6 @@ class HeckeElement:
         return HeckeElement(self.alg, {mu: -c for mu, c in self.coeffs.items()})
 
     def scale(self, c) -> "HeckeElement":
-        c = _coerce_rf(c)
-        if c.is_zero:
-            return HeckeElement(self.alg, {})
         return HeckeElement(self.alg, {mu: x * c for mu, x in self.coeffs.items()})
 
     def times_generator(self, j: int) -> "HeckeElement":
@@ -187,15 +193,15 @@ class HeckeElement:
         if not 1 <= j <= n - 1:
             raise IndexOutOfRange(f"generator index {j} outside 1..{n - 1}")
         a, b = self.alg.a, self.alg.b
-        out: dict[Permutation, RationalFunction] = {}
+        out: dict[Permutation, Coefficient] = {}
         for mu, c in self.coeffs.items():
             msj = mu.times_simple(j)
             if mu.window[j - 1] < mu.window[j]:  # length goes up
                 _acc(out, msj, c)
             else:
-                if not a.is_zero:
+                if a:
                     _acc(out, mu, c * a)
-                if not b.is_zero:
+                if b:
                     _acc(out, msj, c * b)
         return HeckeElement(self.alg, out)
 
@@ -205,15 +211,15 @@ class HeckeElement:
         if not 1 <= j <= n - 1:
             raise IndexOutOfRange(f"generator index {j} outside 1..{n - 1}")
         a, b = self.alg.a, self.alg.b
-        out: dict[Permutation, RationalFunction] = {}
+        out: dict[Permutation, Coefficient] = {}
         for mu, c in self.coeffs.items():
             sjm = mu.simple_times(j)
             if mu.window.index(j) < mu.window.index(j + 1):  # length goes up
                 _acc(out, sjm, c)
             else:
-                if not a.is_zero:
+                if a:
                     _acc(out, mu, c * a)
-                if not b.is_zero:
+                if b:
                     _acc(out, sjm, c * b)
         return HeckeElement(self.alg, out)
 
@@ -225,7 +231,7 @@ class HeckeElement:
                 h = self
                 for j in nu.reduced_word():
                     h = h.times_generator(j)
-                total = total + (h if c.is_one else h.scale(c))
+                total = total + (h if c == 1 else h.scale(c))
             return total
         return self.scale(other)
 
@@ -234,23 +240,17 @@ class HeckeElement:
         return self.scale(other)
 
 
-def _acc(out: dict, mu: Permutation, c: RationalFunction) -> None:
+def _acc(out: dict, mu: Permutation, c: Coefficient) -> None:
     old = out.get(mu)
     out[mu] = c if old is None else old + c
 
 
-def _coerce_rf(c) -> RationalFunction:
-    if isinstance(c, RationalFunction):
-        return c
-    return RationalFunction(c)
-
-
 def unit(alg: AlgebraSpec) -> HeckeElement:
-    return HeckeElement(alg, {Permutation.identity(alg.n): _R.one()})
+    return HeckeElement(alg, {Permutation.identity(alg.n): _ONE})
 
 
 def basis_element(alg: AlgebraSpec, mu: Permutation) -> HeckeElement:
-    return HeckeElement(alg, {mu: _R.one()})
+    return HeckeElement(alg, {mu: _ONE})
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +258,7 @@ def basis_element(alg: AlgebraSpec, mu: Permutation) -> HeckeElement:
 
 
 def symbolic_spectral(n: int) -> list[RationalFunction]:
-    return [_R.variable(f"u{i}") for i in range(1, n + 1)]
+    return [RationalFunction.variable(f"u{i}") for i in range(1, n + 1)]
 
 
 def permuted_spectral(
@@ -286,22 +286,19 @@ def factor_coefficient(
         return 1 - v / u
     if family == _BETA_FORM:
         return v / u - 1
-    theta = _R.variable("q1") + _R.variable("q2")
-    return (v / u - 1) / theta
+    return (v / u - 1) / _theta_power(1)
 
 
 def elementary_factor(
     alg: AlgebraSpec, j: int, u: RationalFunction, v: RationalFunction
 ) -> HeckeElement:
-    """The element 1 + c(u, v) T_j."""
+    """The element 1 + c(u, v) T_j, with c a LaurentPoly whenever it is one."""
     if not 1 <= j <= alg.n - 1:
         raise IndexOutOfRange(f"generator index {j} outside 1..{alg.n - 1}")
-    c = factor_coefficient(alg, u, v)
+    c = as_rf(factor_coefficient(alg, u, v))
+    c = c.num if c.is_polynomial else c
     n = alg.n
-    coeffs = {Permutation.identity(n): _R.one()}
-    if not c.is_zero:
-        coeffs[Permutation.simple(n, j)] = c
-    return HeckeElement(alg, coeffs)
+    return HeckeElement(alg, {Permutation.identity(n): _ONE, Permutation.simple(n, j): c})
 
 
 def _check_spectral(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> None:
@@ -314,7 +311,7 @@ def _check_spectral(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> None:
 
 
 def _spectral_names(u: Sequence[RationalFunction]) -> set[str]:
-    return set().union(*(x.num.variables() | x.den.variables() for x in map(_coerce_rf, u)))
+    return set().union(*(x.num.variables() | x.den.variables() for x in map(as_rf, u)))
 
 
 def _reduces(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> bool:
@@ -329,7 +326,7 @@ def _building_algebra(alg: AlgebraSpec) -> AlgebraSpec:
     generic family, the family itself otherwise."""
     if alg.family != "T":
         return alg
-    return AlgebraSpec(_BETA_FORM, alg.n, _R.one(), -_R.variable(BETA))
+    return AlgebraSpec(_BETA_FORM, alg.n, _ONE, -LaurentPoly.variable(BETA))
 
 
 def _from_building(alg: AlgebraSpec, h: HeckeElement, reduce: bool) -> HeckeElement:
@@ -351,7 +348,7 @@ def _theta_power(k: int) -> LaurentPoly:
     return (LaurentPoly.variable("q1") + LaurentPoly.variable("q2")) ** k
 
 
-def _from_beta(c: RationalFunction, length: int, reduce: bool) -> RationalFunction:
+def _from_beta(c: Coefficient, length: int, reduce: bool) -> RationalFunction:
     """The coefficient of a generic-family T_nu, l(nu) = ``length``, whose
     T'_nu coefficient is ``c`` = P(beta) / D, of degree K in beta.
 
@@ -363,8 +360,7 @@ def _from_beta(c: RationalFunction, length: int, reduce: bool) -> RationalFuncti
     P_j free of q1 and q2; where they are not (``reduce``, the spectral
     parameters mention q1 or q2) the quotient is gcd-reduced.
     """
-    if c.is_zero:
-        return c
+    c = as_rf(c)
     num, top = clear_beta(c.num)
     f = RationalFunction(num, c.den * _theta_power(2 * top + length))
     return f.simplify() if reduce else f
@@ -462,9 +458,10 @@ def phi(h: HeckeElement) -> HeckeElement:
     """
     n = h.alg.n
     rev = {f"u{i}": f"u{n + 1 - i}" for i in range(1, n + 1) if i != n + 1 - i}
-    out: dict[Permutation, RationalFunction] = {}
+    out: dict[Permutation, Coefficient] = {}
     for mu, c in h.coeffs.items():
-        out[mu.inverse()] = rename_rf(c, rev)
+        rename = rename_poly if isinstance(c, LaurentPoly) else rename_rf
+        out[mu.inverse()] = rename(c, rev)
     return HeckeElement(h.alg, out)
 
 
@@ -487,7 +484,7 @@ def pairing(
     h1: HeckeElement,
     h2: HeckeElement,
     u: Sequence[RationalFunction] | None = None,
-) -> RationalFunction:
+) -> Coefficient:
     """The coefficient of T_omega in h1 * phi(h2), phi reversing ``u``.
 
     At the symbols u1..un (the default) that is :func:`phi` on h2.  At any
@@ -501,7 +498,7 @@ def pairing(
     if u is None or list(u) == symbolic_spectral(alg.n):
         return (h1 * phi(h2)).coefficient(omega)
     phis = _phi_of_basis(alg, u)
-    total = _R.zero()
+    total = _ZERO
     for nu, c in _expand(h2, u, phis).items():
         total = total + c * (h1 * phis[nu]).coefficient(omega)
     return total
@@ -518,7 +515,7 @@ def delta(
     if u is None:
         u = symbolic_spectral(alg.n)
     _check_spectral(alg, u)
-    total = _R.one()
+    total = _ONE
     for i in range(alg.n):
         for j in range(i + 1, alg.n):
             total = total * factor_coefficient(alg, u[i], u[j])
@@ -527,7 +524,7 @@ def delta(
 
 def gram_matrix(
     alg: AlgebraSpec, u: Sequence[RationalFunction] | None = None
-) -> dict[tuple[Permutation, Permutation], RationalFunction]:
+) -> dict[tuple[Permutation, Permutation], Coefficient]:
     """All pairings <Y_mu, Y_nu> at once.
 
     The naive route multiplies n!^2 pairs of elements; instead, for each nu
@@ -549,7 +546,7 @@ def gram_matrix(
     phis = _phi_of_basis(build, u)
     perms = all_permutations(alg.n)
     omega = Permutation.longest(alg.n)
-    out: dict[tuple[Permutation, Permutation], RationalFunction] = {}
+    out: dict[tuple[Permutation, Permutation], Coefficient] = {}
     for nu in perms:
         g = phis[nu]
         left: dict[Permutation, HeckeElement] = {perms[0]: g}
@@ -559,10 +556,10 @@ def gram_matrix(
             left[kappa] = left[shorter].generator_times(i)
         w = {kappa: h.coefficient(omega) for kappa, h in left.items()}
         for mu in perms:
-            total = _R.zero()
+            total = _ZERO
             for kappa, c in ys[mu].coeffs.items():
                 wk = w[kappa]
-                if not wk.is_zero:
+                if wk:
                     total = total + c * wk
             out[(mu, nu)] = total
     if build is alg:
@@ -573,9 +570,9 @@ def gram_matrix(
 
 def orthogonality_violations(
     alg: AlgebraSpec,
-    gram: Mapping[tuple[Permutation, Permutation], RationalFunction],
+    gram: Mapping[tuple[Permutation, Permutation], Coefficient],
     u: Sequence[RationalFunction] | None = None,
-) -> dict[tuple[Permutation, Permutation], RationalFunction]:
+) -> dict[tuple[Permutation, Permutation], Coefficient]:
     """The entries of ``gram`` (as from :func:`gram_matrix` at ``u``) that
     break <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu}, in the
     order of ``gram``."""
@@ -587,7 +584,7 @@ def orthogonality_violations(
         if nu == omega * mu:
             ok = val == delta(alg, permuted_spectral(u, mu * omega))
         else:
-            ok = val.is_zero
+            ok = not val
         if not ok:
             bad[(mu, nu)] = val
     return bad
@@ -626,18 +623,17 @@ def _expand(
     return out
 
 
-def apply_to_polynomial(h: HeckeElement, f: LaurentPoly) -> RationalFunction:
+def apply_to_polynomial(h: HeckeElement, f: LaurentPoly) -> Coefficient:
     """Realize ``h`` through the operator family and apply it to ``f``:
     the sum of c_mu D_mu f over the terms c_mu T_mu of ``h``.
 
     Basis elements act along their reduced words with the first generator
     applied first, making the polynomial ring a right module: applying
     h1 * h2 equals applying h1, then h2.  Coefficients must not involve the
-    x variables.  The image is a polynomial, and can be acted on again
-    through ``.as_poly()``, only when its denominator is 1, as it is for
-    polynomial coefficients.
+    x variables.  For LaurentPoly coefficients the image is a LaurentPoly,
+    which can be acted on again.
     """
-    total = _R.zero()
+    total = _ZERO
     for mu, c in h.coeffs.items():
         image = apply_word(h.alg.family, mu.reduced_word(), f, h.alg.n)
         total = total + c * image

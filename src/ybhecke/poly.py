@@ -71,6 +71,7 @@ __all__ = [
     "divided_difference",
     "rename_poly",
     "compile_specialization",
+    "as_rf",
     "rename_rf",
     "substitute",
     "substitute_poly",
@@ -1015,8 +1016,9 @@ class RationalFunction:
         return f"RationalFunction({format_rf(self)!r})"
 
 
-_R_ZERO = RationalFunction.zero()
-_R_ONE = RationalFunction.one()
+def as_rf(f: "LaurentPoly | RationalFunction") -> RationalFunction:
+    """``f`` as a rational function: a LaurentPoly p is p/1."""
+    return RationalFunction(f) if isinstance(f, LaurentPoly) else f
 
 
 # ----------------------------------------------------------------------
@@ -1121,7 +1123,9 @@ def compile_specialization(
     return at
 
 
-def rename_rf(f: RationalFunction, varmap: Mapping[str, str]) -> RationalFunction:
+def rename_rf(f: LaurentPoly | RationalFunction, varmap: Mapping[str, str]) -> RationalFunction:
+    """Rename the variables of ``f``; a LaurentPoly is renamed as f/1."""
+    f = as_rf(f)
     if not varmap:
         return f
     return RationalFunction(rename_poly(f.num, varmap), rename_poly(f.den, varmap))
@@ -1165,12 +1169,14 @@ def substitute_poly(
 
 
 def substitute(
-    f: RationalFunction, images: Mapping[str, RationalFunction]
+    f: LaurentPoly | RationalFunction, images: Mapping[str, RationalFunction]
 ) -> RationalFunction:
-    """Image of ``f`` under the field homomorphism induced by ``images``.
+    """Image of ``f`` under the field homomorphism induced by ``images``; a
+    LaurentPoly is taken as the rational function f/1.
 
     Raises :class:`SubstitutionSingular` when the denominator goes to zero.
     """
+    f = as_rf(f)
     num = substitute_poly(f.num, images)
     den = substitute_poly(f.den, images)
     if den.is_zero:
@@ -1248,7 +1254,9 @@ def _format_scalar(c: Scalar, latex: bool) -> str:
     return str(c)
 
 
-def format_rf(f: RationalFunction, latex: bool = False) -> str:
+def format_rf(f: LaurentPoly | RationalFunction, latex: bool = False) -> str:
+    """Deterministic text for a rational function; a LaurentPoly is f/1."""
+    f = as_rf(f)
     if f.den.is_one:
         return format_poly(f.num, latex)
     if latex:

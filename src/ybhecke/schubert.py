@@ -65,8 +65,6 @@ __all__ = [
     "verify_groth_to_schubert_degeneration",
 ]
 
-_R = RationalFunction
-
 
 @dataclass(frozen=True)
 class SchubertTable:
@@ -91,10 +89,10 @@ class TransitionMatrix:
     row_basis: str
     col_basis: str
     n: int
-    entries: dict  # (row perm, col perm) -> RationalFunction
+    entries: dict  # (row perm, col perm) -> coefficient of a Hecke element
 
-    def __getitem__(self, key) -> RationalFunction:
-        return self.entries.get(key, _R.zero())
+    def __getitem__(self, key) -> LaurentPoly | RationalFunction:
+        return self.entries.get(key, LaurentPoly.zero())
 
 
 # The largest rank of a Schubert or Grothendieck table.
@@ -139,31 +137,31 @@ def grothendieck_table(n: int) -> GrothendieckTable:
 
 def specialize_double(
     p: LaurentPoly, mu: Permutation, u: Sequence[RationalFunction] | None = None
-) -> RationalFunction:
+) -> LaurentPoly | RationalFunction:
     """The specialization p(u^mu, u): substitute x_i -> u_{mu(i)}, y_j -> u_j."""
     return _specializer(p, mu.n, "x", u)(mu)
 
 
 def _specialize_swapped(
     p: LaurentPoly, mu: Permutation, u: Sequence[RationalFunction] | None = None
-) -> RationalFunction:
+) -> LaurentPoly | RationalFunction:
     """The mirror specialization p(u, u^mu): x_i -> u_i, y_j -> u_{mu(j)}."""
     return _specializer(p, mu.n, "y", u)(mu)
 
 
 def _specializer(
     p: LaurentPoly, n: int, moved: str, u: Sequence[RationalFunction] | None = None
-) -> Callable[[Permutation], RationalFunction]:
+) -> Callable[[Permutation], LaurentPoly | RationalFunction]:
     """The map mu -> p with the ``moved`` family at u^mu, the other at u.
 
     At the symbols u1..un, p is compiled once and each mu costs integer
-    additions (:func:`~ybhecke.poly.compile_specialization`); at an explicit
-    ``u`` each mu is one substitution.
+    additions (:func:`~ybhecke.poly.compile_specialization`), giving a
+    LaurentPoly; at an explicit ``u`` each mu is one substitution.
     """
     fixed = "y" if moved == "x" else "x"
     if u is None:
         at = compile_specialization(p, n, moved, fixed)
-        return lambda mu: _R(at(mu.window))
+        return lambda mu: at(mu.window)
 
     def substituted(mu: Permutation) -> RationalFunction:
         images = {f"{moved}{i}": u[mu(i) - 1] for i in range(1, n + 1)}
@@ -244,14 +242,11 @@ def yang_coefficients(
 ) -> dict:
     """The coefficients A_nu(mu) of Y_mu in the permutation family.
 
-    Each coefficient is a polynomial in the spectral parameters (the group
-    algebra produces no denominators for polynomial parameters).
+    At polynomial spectral parameters each coefficient is a LaurentPoly (the
+    group algebra produces no denominators there).
     """
     y = yb_element(algebra("sigma", mu.n), mu, u)
-    out = {}
-    for nu, c in y.coeffs.items():
-        out[nu] = c.as_poly()
-    return out
+    return dict(y.coeffs)
 
 
 def verify_yang_leading_terms(
@@ -344,7 +339,7 @@ def verify_normal_ordering(n: int, probes: int = 10, seed: int = 0) -> CheckRepo
     ys = yb_basis(algebra("partial", n))
     tox = {f"u{i}": f"x{i}" for i in range(1, n + 1)}
     coeffs = {
-        mu: {nu: rename_poly(c.as_poly(), tox) for nu, c in y.coeffs.items()}
+        mu: {nu: rename_poly(c, tox) for nu, c in y.coeffs.items()}
         for mu, y in ys.items()
     }
     _check_permutation_expansion(report, coeffs, n, probes, seed)
@@ -511,11 +506,10 @@ def verify_groth_to_schubert_degeneration(n: int) -> CheckReport:
     report = CheckReport(name=f"degeneration[n={n}]")
     gtable = grothendieck_table(n)
     xtable = schubert_table(n)
-    one = _R.one()
     images = {}
     for i in range(1, n + 1):
-        images[f"x{i}"] = one / (1 - _R.variable(f"u{i}"))
-        images[f"y{i}"] = one / (1 - _R.variable(f"y{i}"))
+        images[f"x{i}"] = RationalFunction(1, 1 - LaurentPoly.variable(f"u{i}"))
+        images[f"y{i}"] = RationalFunction(1, 1 - LaurentPoly.variable(f"y{i}"))
     lowvars = {f"u{i}" for i in range(1, n + 1)} | {f"y{j}" for j in range(1, n + 1)}
     for mu in all_permutations(n):
         img = substitute_poly(gtable[mu], images)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .poly import LaurentPoly, RationalFunction
+from .poly import LaurentPoly, RationalFunction, as_rf
 
 __all__ = [
     "parse_scalar",
@@ -178,7 +178,9 @@ def poly_from_json(data: list[dict[str, Any]]) -> LaurentPoly:
     return total
 
 
-def rf_to_json(f: RationalFunction) -> dict[str, Any]:
+def rf_to_json(f: LaurentPoly | RationalFunction) -> dict[str, Any]:
+    """The JSON form of ``f``; a LaurentPoly is the rational function f/1."""
+    f = as_rf(f)
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
 
 

@@ -136,6 +136,56 @@ def test_gram_T_at_spectral_parameters_in_q_is_pinned(capsys, spectral, fmt, siz
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+@pytest.mark.parametrize(
+    "command, family, fmt, size, digest",
+    [
+        ("yb", "sigma", "text", 217,
+         "6d61ef942703d1da8c0a2d5c1c0cda1dadf00113da3d8975f560829fe815dd96"),
+        ("yb", "sigma", "json", 1445,
+         "463966e11868de46343a31139358518b0bab543f1795a2d57a2f4008f3b388b4"),
+        ("yb", "partial", "text", 198,
+         "ef6603856ceeeedb77f9f30a3e442239f725c61d33283eaf68631178aa16d60c"),
+        ("yb", "partial", "json", 1319,
+         "76da71cd8faa0ae78df75c318b47985c64b22c1fdd8ee83a86d3edf5e54cfd9b"),
+        ("yb", "pibar", "text", 286,
+         "953df313fde1c809ed879df5b06e090f4e15d27e5b6a01b0ce4636973e945eaf"),
+        ("yb", "pibar", "json", 1603,
+         "923a37c741413181a71238d596aabc7ce3a2d1ad851fc11817f6de8c7e827a81"),
+        ("yb", "T", "text", 722,
+         "3e6cdf14dedafca192fcf0f70442e08c548c5994b008bc38168014ea2f617a27"),
+        ("yb", "T", "json", 3442,
+         "d1955e358bcad5850ee223d7afae1c09a52e8dde63d7cc8da83440fd5d184171"),
+        ("gram", "sigma", "text", 441,
+         "8667de3df5bb6692e69f5e213646c8ab2426ddc0f0be9dd507a0ea73abccca28"),
+        ("gram", "sigma", "json", 2218,
+         "5ab9ad55da69dcb7bac7132cc3d624a02ba320cbb05ef74d8b9d1073c23e704d"),
+        ("gram", "partial", "text", 443,
+         "8f3e68f7a3b457157da086b269cc197a76cce88b3dea8c36101e4d848fe1ab07"),
+        ("gram", "partial", "json", 2220,
+         "3fb342efdaa1075da043725c80a1d50fed7017ad5c03ccb0fddb2966bda7a2de"),
+        ("gram", "pibar", "text", 583,
+         "0fa0e2712ae34d6d77183e03def8ba579ef1c78593bc46fe7ce3acbbb0dd3396"),
+        ("gram", "pibar", "json", 2492,
+         "dd413d698467ffaf8746889d8b137689d48019601dbda8efe4e89445887d6553"),
+        ("gram", "T", "text", 1081,
+         "fc59cff7396f0fd80ffe5e1831cfc9dfb5f2528f5e1786e78deee95e569a7158"),
+        ("gram", "T", "json", 4366,
+         "19eac749bbe9935a07c1b4afc0b29292eea2220c495f14310cc8df8cd7b25a46"),
+    ],
+)
+def test_mixed_coefficients_at_spectral_parameters_are_pinned(
+    capsys, command, family, fmt, size, digest
+):
+    # At 1+u1, 2, u3 a factor joining u1 has a rational coefficient and the
+    # others a polynomial one, so these elements hold both kinds.  Sizes and
+    # digests were taken when every coefficient was a RationalFunction.
+    argv = [command, "-n", "3", "--family", family, "--spectral", "1+u1,2,u3", "--format", fmt]
+    code, out = run(capsys, *argv, *(["321"] if command == "yb" else []))
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 # The entries of `gram -n 3 --family T --spectral q1/q2,q2/q1,1` before they
 # were reduced: (123,321) and (321,123) shared the factor q1+q2.
 UNREDUCED_Q_RATIO_GRAM = {

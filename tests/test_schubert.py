@@ -7,7 +7,13 @@ from ybhecke.errors import RankOutOfRange, ShapeInvalid
 from ybhecke.hecke import algebra, symbolic_spectral, yb_basis
 from ybhecke.operators import apply_generator
 from ybhecke.permutations import Permutation, all_permutations
-from ybhecke.poly import RationalFunction, lowest_homogeneous_component, rename_poly
+from ybhecke.poly import (
+    LaurentPoly,
+    RationalFunction,
+    as_rf,
+    lowest_homogeneous_component,
+    rename_poly,
+)
 from ybhecke.report import CheckReport
 from ybhecke.schubert import (
     grothendieck_table,
@@ -290,7 +296,7 @@ def test_normal_ordering_fails_on_a_wrong_coefficient(monkeypatch):
     def wrong_basis(alg):
         y = ys[P("321")]
         coeffs = dict(y.coeffs)
-        coeffs[P("123")] = coeffs[P("123")] + RationalFunction.one()
+        coeffs[P("123")] = coeffs[P("123")] + LaurentPoly.one()
         return {**ys, P("321"): type(y)(y.alg, coeffs)}
 
     monkeypatch.setattr(schubert, "yb_basis", wrong_basis)
@@ -351,7 +357,7 @@ def test_groth_specialization_pattern_35142():
     from ybhecke.hecke import yb_element
 
     y = yb_element(alg, P("35142"))
-    got = y.coefficient(P("13245"))
+    got = as_rf(y.coefficient(P("13245")))
     ren = {f"u{i}": f"x{i}" for i in range(1, 6)}
     got = RationalFunction(rename_poly(got.num, ren), rename_poly(got.den, ren))
     assert got == parse_scalar("1 - x3*x5/(x1*x2)")
