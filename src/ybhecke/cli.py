@@ -119,10 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # rendering helpers
 
 
-def _perm_key(mu: Permutation):
-    return mu.sort_key()
-
-
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
@@ -141,7 +137,7 @@ def _spectral_from(arg: str | None, n: int) -> list[RationalFunction] | None:
 
 
 def _table_lines(table, label: str, fmt: str, n: int) -> list[str]:
-    perms = sorted(table.entries, key=_perm_key)
+    perms = sorted(table.entries, key=Permutation.sort_key)
     if fmt == "json":
         payload = {
             "kind": label.lower(),
@@ -193,7 +189,7 @@ def cmd_yb(args) -> int:
     coeffs = {
         nu: substitute(c, subs) if subs else c for nu, c in y.coeffs.items()
     }
-    perms = sorted(coeffs, key=_perm_key)
+    perms = sorted(coeffs, key=Permutation.sort_key)
     factors = None
     if args.basis == "rothe" or args.shorthand:
         factors = _factor_shorthand(mu, args.format == "latex")
@@ -233,7 +229,7 @@ def cmd_gram(args) -> int:
         f"<Y_{mu}, Y_{nu}> = {val}"
         for (mu, nu), val in orthogonality_violations(alg, g, u).items()
     ]
-    perms = sorted({k[0] for k in g}, key=_perm_key)
+    perms = sorted({k[0] for k in g}, key=Permutation.sort_key)
     if args.format == "json":
         payload = {
             "family": args.family,

@@ -46,7 +46,10 @@ The bilinear form pairs h1, h2 into the coefficient of T_omega in
 h1 * phi(h2), where phi is the anti-automorphism T_mu -> T_{mu^{-1}},
 u_i -> u_{n+1-i}.  The Yang-Baxter basis is orthogonal for it:
 <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu} with Delta as in
-:func:`delta`.
+:func:`delta`.  One kernel computes it: :func:`_omega_row` walks h1 once to
+the right along the weak order, and :func:`_pair` reads [T_omega](h1 * g)
+off that row for any g.  :func:`pairing`, :func:`gram_matrix` and
+:func:`expand_in_yb` all pair through it.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .errors import (
     AlgebraMismatch,
     DegenerateSpectrum,
     IndexOutOfRange,
+    RankMismatch,
     ReservedVariable,
     ZeroSpectral,
 )
@@ -206,22 +210,9 @@ class HeckeElement:
         return HeckeElement(self.alg, out)
 
     def generator_times(self, j: int) -> "HeckeElement":
-        """Left multiplication by T_j in the T_mu basis."""
-        n = self.alg.n
-        if not 1 <= j <= n - 1:
-            raise IndexOutOfRange(f"generator index {j} outside 1..{n - 1}")
-        a, b = self.alg.a, self.alg.b
-        out: dict[Permutation, Coefficient] = {}
-        for mu, c in self.coeffs.items():
-            sjm = mu.simple_times(j)
-            if mu.window.index(j) < mu.window.index(j + 1):  # length goes up
-                _acc(out, sjm, c)
-            else:
-                if a:
-                    _acc(out, mu, c * a)
-                if b:
-                    _acc(out, sjm, c * b)
-        return HeckeElement(self.alg, out)
+        """Left multiplication by T_j: the anti-automorphism :func:`_inverted`
+        turns it into right multiplication."""
+        return _inverted(_inverted(self).times_generator(j))
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
@@ -245,12 +236,23 @@ def _acc(out: dict, mu: Permutation, c: Coefficient) -> None:
     out[mu] = c if old is None else old + c
 
 
+def _inverted(h: HeckeElement) -> HeckeElement:
+    """The anti-automorphism T_mu -> T_{mu^{-1}} that fixes coefficients."""
+    return HeckeElement(h.alg, {mu.inverse(): c for mu, c in h.coeffs.items()})
+
+
 def unit(alg: AlgebraSpec) -> HeckeElement:
     return HeckeElement(alg, {Permutation.identity(alg.n): _ONE})
 
 
 def basis_element(alg: AlgebraSpec, mu: Permutation) -> HeckeElement:
+    _check_rank(alg, mu)
     return HeckeElement(alg, {mu: _ONE})
+
+
+def _check_rank(alg: AlgebraSpec, mu: Permutation) -> None:
+    if mu.n != alg.n:
+        raise RankMismatch(f"permutation {mu} is not in S_{alg.n}")
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +374,8 @@ def word_steps(n: int, word: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     the product of the letters before it."""
     nu = Permutation.identity(n)
     for j in word:
+        if not 1 <= j <= n - 1:
+            raise IndexOutOfRange(f"generator index {j} outside 1..{n - 1}")
         yield j, nu(j), nu(j + 1)
         nu = nu.times_simple(j)
 
@@ -402,6 +406,7 @@ def yb_element(
     u: Sequence[RationalFunction] | None = None,
 ) -> HeckeElement:
     """The Yang-Baxter element Y_mu(u), built along the canonical reduced word."""
+    _check_rank(alg, mu)
     if u is None:
         u = symbolic_spectral(alg.n)
     return yb_product(alg, u, word_steps(alg.n, mu.reduced_word()))
@@ -438,6 +443,7 @@ def yb_element_rothe(
     occidental reading (top row first, left to right) multiplies out to the
     same element as the recursion.
     """
+    _check_rank(alg, mu)
     if u is None:
         u = symbolic_spectral(alg.n)
     boxes = rothe_diagram(mu).boxes
@@ -458,11 +464,10 @@ def phi(h: HeckeElement) -> HeckeElement:
     """
     n = h.alg.n
     rev = {f"u{i}": f"u{n + 1 - i}" for i in range(1, n + 1) if i != n + 1 - i}
-    out: dict[Permutation, Coefficient] = {}
-    for mu, c in h.coeffs.items():
-        rename = rename_poly if isinstance(c, LaurentPoly) else rename_rf
-        out[mu.inverse()] = rename(c, rev)
-    return HeckeElement(h.alg, out)
+    return _inverted(HeckeElement(h.alg, {
+        mu: (rename_poly if isinstance(c, LaurentPoly) else rename_rf)(c, rev)
+        for mu, c in h.coeffs.items()
+    }))
 
 
 def _phi_of_basis(
@@ -474,10 +479,36 @@ def _phi_of_basis(
     phi reverses the spectral parameters, so this holds at any tuple; at
     the symbols u1..un it equals :func:`phi` on Y_nu(u) term for term.
     """
-    return {
-        nu: HeckeElement(alg, {mu.inverse(): c for mu, c in y.coeffs.items()})
-        for nu, y in yb_basis(alg, list(u)[::-1]).items()
-    }
+    return {nu: _inverted(y) for nu, y in yb_basis(alg, list(u)[::-1]).items()}
+
+
+def _omega_row(h: HeckeElement) -> dict[Permutation, Coefficient]:
+    """The nonzero values [T_omega](h * T_kappa), keyed by kappa.
+
+    The products h * T_kappa are built by one depth-first right walk along
+    the weak order: h * T_kappa = (h * T_{kappa s_j}) * T_j, j the first
+    descent of kappa.  Only the products still pending on one chain are
+    held at once, not all n! of them.
+    """
+    n = h.alg.n
+    omega = Permutation.longest(n)
+    row: dict[Permutation, Coefficient] = {}
+    stack = [(Permutation.identity(n), h)]
+    while stack:
+        kappa, g = stack.pop()
+        if c := g.coefficient(omega):
+            row[kappa] = c
+        for j in range(1, n):
+            child = kappa.times_simple(j)
+            if child.descents()[:1] == (j,):
+                stack.append((child, g.times_generator(j)))
+    return row
+
+
+def _pair(g: HeckeElement, row: Mapping[Permutation, Coefficient]) -> Coefficient:
+    """[T_omega](h * g) for ``row`` = ``_omega_row(h)``: the product is
+    linear in g, so it is sum_kappa g_kappa row[kappa]."""
+    return sum((c * row[kappa] for kappa, c in g.coeffs.items() if kappa in row), _ZERO)
 
 
 def pairing(
@@ -485,7 +516,8 @@ def pairing(
     h2: HeckeElement,
     u: Sequence[RationalFunction] | None = None,
 ) -> Coefficient:
-    """The coefficient of T_omega in h1 * phi(h2), phi reversing ``u``.
+    """The coefficient of T_omega in h1 * phi(h2), phi reversing ``u``,
+    read from the one row :func:`_omega_row` of h1.
 
     At the symbols u1..un (the default) that is :func:`phi` on h2.  At any
     other tuple, where renaming the symbols does nothing, h2 is expanded as
@@ -494,13 +526,13 @@ def pairing(
     if h1.alg != h2.alg:
         raise AlgebraMismatch(f"{h1.alg} vs {h2.alg}")
     alg = h1.alg
-    omega = Permutation.longest(alg.n)
+    row = _omega_row(h1)
     if u is None or list(u) == symbolic_spectral(alg.n):
-        return (h1 * phi(h2)).coefficient(omega)
+        return _pair(phi(h2), row)
     phis = _phi_of_basis(alg, u)
     total = _ZERO
     for nu, c in _expand(h2, u, phis).items():
-        total = total + c * (h1 * phis[nu]).coefficient(omega)
+        total = total + c * _pair(phis[nu], row)
     return total
 
 
@@ -525,12 +557,11 @@ def delta(
 def gram_matrix(
     alg: AlgebraSpec, u: Sequence[RationalFunction] | None = None
 ) -> dict[tuple[Permutation, Permutation], Coefficient]:
-    """All pairings <Y_mu, Y_nu> at once.
+    """All pairings <Y_mu, Y_nu> at once, keyed nu-major.
 
-    The naive route multiplies n!^2 pairs of elements; instead, for each nu
-    the products T_kappa * phi(Y_nu) are built once along the left weak
-    order, and every <Y_mu, Y_nu> becomes a short linear combination of
-    their T_omega coefficients.
+    Each Y_mu gets one row :func:`_omega_row`, and <Y_mu, Y_nu> is that
+    row paired with phi(Y_nu) by :func:`_pair`, so no product of two
+    elements is taken; only one row is held at a time.
 
     The generic family is paired in its one-parameter form, where no
     coefficient has a denominator at the symbols u1..un and no gcd is
@@ -542,29 +573,15 @@ def gram_matrix(
         u = symbolic_spectral(alg.n)
     _check_spectral(alg, u)
     build = _building_algebra(alg)
-    ys = yb_basis(build, u)
-    phis = _phi_of_basis(build, u)
-    perms = all_permutations(alg.n)
-    omega = Permutation.longest(alg.n)
-    out: dict[tuple[Permutation, Permutation], Coefficient] = {}
-    for nu in perms:
-        g = phis[nu]
-        left: dict[Permutation, HeckeElement] = {perms[0]: g}
-        for kappa in perms[1:]:
-            i = kappa.left_descents()[0]
-            shorter = kappa.simple_times(i)
-            left[kappa] = left[shorter].generator_times(i)
-        w = {kappa: h.coefficient(omega) for kappa, h in left.items()}
-        for mu in perms:
-            total = _ZERO
-            for kappa, c in ys[mu].coeffs.items():
-                wk = w[kappa]
-                if wk:
-                    total = total + c * wk
-            out[(mu, nu)] = total
+    ys, phis = yb_basis(build, u), _phi_of_basis(build, u)
+    out = dict.fromkeys((mu, nu) for nu in phis for mu in ys)
+    for mu, y in ys.items():
+        row = _omega_row(y)
+        for nu, g in phis.items():
+            out[mu, nu] = _pair(g, row)
     if build is alg:
         return out
-    length, reduce = omega.length(), _reduces(alg, u)
+    length, reduce = Permutation.longest(alg.n).length(), _reduces(alg, u)
     return {pair: _from_beta(c, length, reduce) for pair, c in out.items()}
 
 
@@ -609,15 +626,17 @@ def _expand(
     u: Sequence[RationalFunction],
     phis: Mapping[Permutation, HeckeElement],
 ) -> dict[Permutation, RationalFunction]:
-    """:func:`expand_in_yb` with ``phis`` = ``_phi_of_basis(h.alg, u)``."""
+    """:func:`expand_in_yb` with ``phis`` = ``_phi_of_basis(h.alg, u)``:
+    every <h, Y_{omega mu}> is read from the one row :func:`_omega_row` of h."""
     alg = h.alg
     omega = Permutation.longest(alg.n)
+    row = _omega_row(h)
     out: dict[Permutation, RationalFunction] = {}
     for mu in all_permutations(alg.n):
         d = delta(alg, permuted_spectral(u, mu * omega))
         if d.is_zero:
             raise DegenerateSpectrum(f"Delta(u^({mu}*omega)) = 0")
-        c = (h * phis[omega * mu]).coefficient(omega) / d
+        c = _pair(phis[omega * mu], row) / d
         if not c.is_zero:
             out[mu] = c
     return out

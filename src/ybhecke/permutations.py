@@ -84,6 +84,8 @@ class Permutation:
             entries = [t.strip() for t in s.split(",")]
         else:
             entries = list(s.strip())
+        if not entries:
+            raise ValueError(f"not a permutation window: {s!r}")
         for t in entries:
             if not (t.isascii() and t.isdigit()) or t[0] == "0":
                 raise ValueError(f"not a permutation window: {s!r}")

@@ -76,6 +76,9 @@ def test_yb_bad_permutation_exits_2(capsys):
     assert code == 2
     code, _ = run(capsys, "yb", "-n", "4", "--family", "T", "321")
     assert code == 2
+    for window in ("", " "):
+        code, out = run(capsys, "yb", "-n", "0", window)
+        assert code == 2 and out == ""
 
 
 def test_gram_n1_and_n2(capsys):

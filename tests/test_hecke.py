@@ -6,12 +6,21 @@ from fractions import Fraction
 import pytest
 
 from ybhecke.cli import main
-from ybhecke.errors import AlgebraMismatch, IndexOutOfRange, ReservedVariable, ZeroSpectral
+from ybhecke.errors import (
+    AlgebraMismatch,
+    IndexOutOfRange,
+    RankMismatch,
+    ReservedVariable,
+    ZeroSpectral,
+)
 import ybhecke.poly
 from ybhecke.hecke import (
+    FACTOR_FAMILIES,
     HeckeElement,
     _building_algebra,
     _from_building,
+    _omega_row,
+    _pair,
     _phi_of_basis,
     algebra,
     apply_to_polynomial,
@@ -160,6 +169,17 @@ def test_zero_spectral_guard():
 
 # ----------------------------------------------------------------------
 # Yang-Baxter elements
+
+
+def test_a_permutation_of_another_rank_is_refused():
+    alg = algebra("partial", 3)
+    for mu in (P("2134"), P("21"), P("1243")):
+        for build in (yb_element, yb_element_rothe, basis_element):
+            with pytest.raises(RankMismatch):
+                build(alg, mu)
+    for word in ((3,), (0,), (1, 2, 3)):
+        with pytest.raises(IndexOutOfRange):
+            list(word_steps(3, word))
 
 
 def test_yb_identity():
@@ -399,6 +419,19 @@ def test_phi_of_y231_display():
     assert got == want
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", FACTOR_FAMILIES)
+def test_pair_reads_the_omega_coefficient_of_the_product(family, n):
+    # the one kernel of the form against a full product
+    rng = random.Random(32)
+    alg = algebra(family, n)
+    omega = Permutation.longest(n)
+    for _ in range(3):
+        h = random_element(rng, alg)
+        g = random_element(rng, alg)
+        assert _pair(g, _omega_row(h)) == (h * g).coefficient(omega)
+
+
 def test_pairing_of_omega_with_unit():
     alg = algebra("T", 3)
     assert pairing(basis_element(alg, P("321")), unit(alg)) == R.one()
@@ -528,7 +561,7 @@ def test_expand_at_numeric_spectral_parameters():
     assert got == {P("213"): third, P("123"): -third}
 
 
-@pytest.mark.parametrize("family", ["partial", "T"])
+@pytest.mark.parametrize("family", ["partial", "T", "sigma", "pibar"])
 def test_pairing_at_numeric_spectral_parameters(family):
     # phi reverses u, so away from the symbols pairing needs u itself; the
     # symbolic reversal gives 20 for <Y_123, Y_321> in partial, the law -20

@@ -177,7 +177,7 @@ def test_comma_form_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "spelling", ["٢١", "２１", "2,01", "02,1", "1,2,", "2,,1", "2 1", "21x"]
+    "spelling", ["٢١", "２１", "2,01", "02,1", "1,2,", "2,,1", "2 1", "21x", "", " "]
 )
 def test_from_string_accepts_only_the_canonical_spelling(spelling):
     # int() reads any Unicode decimal digit and leading zeros, so these
