@@ -305,7 +305,7 @@ def elementary_factor(
 
 def _check_spectral(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> None:
     if len(u) != alg.n:
-        raise ValueError(f"need {alg.n} spectral parameters, got {len(u)}")
+        raise RankMismatch(f"need {alg.n} spectral parameters, got {len(u)}")
     if alg.family in _MULTIPLICATIVE and any(x.is_zero for x in u):
         raise ZeroSpectral("multiplicative families need nonzero parameters")
     if alg.family == "T" and BETA in _spectral_names(u):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ybhecke import hecke
 from ybhecke.cli import SUITES, main
 from ybhecke.permutations import Permutation, all_permutations
 from ybhecke.poly import poly_gcd
@@ -241,6 +242,15 @@ def test_gram_and_orthogonality_read_one_rank_guard(capsys, monkeypatch):
     assert "runs at n=2 (sigma)" in captured.err
 
 
+@pytest.mark.parametrize("family", [[], ["--family", "partial"]])
+def test_gram_below_rank_1_exits_2(capsys, family):
+    code = main(["gram", "-n", "-1", *family])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "newton", "-n", "3", "--seed", "7")
     assert code == 0
@@ -298,7 +308,7 @@ def test_verify_all_n5_output_is_pinned(capsys):
             for fam in ("sigma", "partial", "s", "pi", "pibar", "T")
         ]
         + [f"ybe[{fam}]: PASS (1 checks)" for fam in fams]
-        + [f"word-independence[{fam}, n=4]: PASS (24 checks)" for fam in fams]
+        + [f"word-independence[{fam}, n=5]: PASS (120 checks)" for fam in fams]
         + [f"rothe[{fam}, n=4]: PASS (24 checks)" for fam in fams]
         + [
             f"orthogonality[{fam}, n=4]: PASS (576 checks)"
@@ -322,7 +332,6 @@ def test_verify_all_n5_output_is_pinned(capsys):
     )
     assert captured.err.splitlines() == [
         "verify ybe: asked for n=5, runs at n=4",
-        "verify word-independence: asked for n=5, runs at n=4",
         "verify rothe: asked for n=5, runs at n=4",
         "verify orthogonality: asked for n=5, runs at n=4 (partial), n=4 (sigma),"
         " n=4 (pibar), n=3 (T)",
@@ -333,6 +342,31 @@ def test_verify_all_n5_output_is_pinned(capsys):
         "verify cohomology-basis: asked for n=5, runs at n=4",
         "verify degeneration: asked for n=5, runs at n=3",
     ]
+
+
+def test_word_independence_fails_when_the_factor_breaks_the_yang_baxter_equation(
+    capsys, monkeypatch
+):
+    real = hecke.factor_coefficient
+
+    def broken(alg, u, v):
+        return v if alg.family == "partial" else real(alg, u, v)
+
+    monkeypatch.setattr(hecke, "factor_coefficient", broken)
+    assert main(["verify", "ybe", "-n", "3", "--family", "partial"]) == 3
+    capsys.readouterr()
+    code, out = run(capsys, "verify", "word-independence", "-n", "3", "--family", "partial")
+    # 321 is the one permutation of S3 with two descents
+    assert code == 3
+    assert out.splitlines() == [
+        "word-independence[partial, n=3]: FAIL (6 checks)",
+        "  witness: mu=321: reduced words disagree",
+        "verify word-independence: FAIL",
+    ]
+    code, out = run(capsys, "verify", "word-independence", "-n", "4", "--family", "partial")
+    assert code == 3
+    assert out.splitlines()[0] == "word-independence[partial, n=4]: FAIL (24 checks)"
+    assert "  witness: mu=4321: reduced words disagree" in out.splitlines()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
