@@ -32,8 +32,9 @@ decoded into (variable, exponent) pairs in canonical order only at the
 boundary: ``.terms``, iteration, ``leading()``, rendering and JSON.  One
 polynomial renamed at many permutations, as in the specializations
 p(u^mu, u) of the transition theorems, is compiled once by
-:func:`compile_specialization`, after which each permutation adds one
-integer shift per group of terms.
+:func:`compile_specialization`, which renames one variable at a time and
+keeps the result for each prefix of a permutation, so permutations that
+share a prefix share its renames.
 
 >>> p = LaurentPoly.variable("x1") - LaurentPoly.variable("y1")
 >>> str(p * p)
@@ -1069,56 +1070,96 @@ def compile_specialization(
 ) -> Callable[[Sequence[int]], LaurentPoly]:
     """Compile the renames moved_i -> u_{w(i)}, fixed_j -> u_j of ``p``.
 
-    The result takes the images (w(1), ..., w(n)) and returns what
-    ``rename_poly`` gives for that map (1 <= i, j <= n); every other
-    variable passes through, a u_k with k <= n merging with the images.
-    Once per compiled polynomial each key loses its moved digits, its
-    fixed digits move to u1..un, and the terms are grouped by their moved
-    exponents a.  At w a group adds the one shift sum_i a_i * 2^(16 *
-    slot(u_{w(i)})) to its keys.  The images are checked only when some
-    u exponent plus some a_i could leave the range.
+    The result takes the images w = (w(1), ..., w(n)), which must be a
+    permutation of 1..n (``ValueError`` otherwise), and returns what
+    ``rename_poly`` gives for that map; every other variable passes
+    through, a u_k with k <= n merging with the images.  The fixed digits
+    move to u1..un once.  The movers are then renamed one at a time: the
+    polynomial for each prefix (w(1), ..., w(i)) is kept in a memo keyed
+    by that prefix, with its terms split once by their exponent a of
+    moved_{i+1}, and each child adds a << slot(u_{w(i+1)}) to the keys of
+    a part.  A mover that no term has passes a node through uncopied, and
+    an empty node makes every window below it zero.  The memo holds at
+    most sum_i n!/(n-i)! nodes (the windows themselves at i = n) and is
+    freed with the returned function.  The keys are checked only when some
+    u exponent plus some moved exponent could leave the range; the nodes
+    then keep their cancelled terms, so every image is checked as
+    ``rename_poly`` checks it.
     """
     us = [_var_info(f"u{k}")[4] for k in range(1, n + 1)]
     movers = [_var_info(f"{moved}{i}")[4] for i in range(1, n + 1)]
     fixers = [_var_info(f"{fixed}{j}")[4] for j in range(1, n + 1)]
     half = _HALF
-    # moved exponents (i, a_i) -> the terms' keys without them
-    groups: dict[tuple[tuple[int, int], ...], list[tuple[Monomial, Scalar]]] = {}
+    terms: dict[Monomial, Scalar] = {}
     for m, c in p._terms.items():
         biased = m + half
-        shift = []
-        for i, r in enumerate(movers):
-            a = (biased >> r & _MASK) - _HALF_DIGIT
-            if a:
-                shift.append((i, a))
-                m -= a << r
         for r, s in zip(fixers, us):
             b = (biased >> r & _MASK) - _HALF_DIGIT
             if b:
                 m += (b << s) - (b << r)
-        groups.setdefault(tuple(shift), []).append((m, c))
-    keys = [m for terms in groups.values() for m, _ in terms]
-    _check_keys(keys)
-    top = max((abs(a) for shift in groups for _, a in shift), default=0)
-    if top:
-        top += max(abs(((m + half) >> s & _MASK) - _HALF_DIGIT) for m in keys for s in us)
-    checked = top >= _LIMIT
+        terms[m] = terms.get(m, 0) + c
+    _check_keys(terms)
+    present = set(_present(terms))
+    has = [f"{moved}{i}" in present for i in range(1, n + 1)] + [False]
+    # a u exponent plus a moved one stays in range if both lie in [-2^13, 2^13)
+    low, high = _HALF >> 2, _HALF | _HALF >> 1
+    checked = any((m + low) & high for m in terms)
     integral = _integral(p._terms)
+    Node = tuple[dict[Monomial, Scalar], list[tuple[int, dict[Monomial, Scalar]]]]
+
+    def split(terms: dict[Monomial, Scalar], i: int) -> Node:
+        """The terms without moved_{i+1}, and the others by its exponent a,
+        with a removed; zeros are dropped unless ``checked``."""
+        if not has[i]:
+            return terms, []
+        r = movers[i]
+        parts: dict[int, dict[Monomial, Scalar]] = {0: {}}
+        for m, c in terms.items():
+            if c or checked:
+                a = ((m + half) >> r & _MASK) - _HALF_DIGIT
+                part = parts.get(a)
+                if part is None:
+                    part = parts[a] = {}
+                part[m - (a << r)] = c
+        still = parts.pop(0)
+        return still, list(parts.items())
+
+    nodes: dict[tuple[int, ...], Node] = {(): split(terms, 0)}
+    leaves: dict[tuple[int, ...], LaurentPoly] = {}
 
     def at(w: Sequence[int]) -> LaurentPoly:
-        power = [us[k - 1] for k in w]
-        sums: dict[Monomial, Scalar] = {}
-        get = sums.get
-        for shift, terms in groups.items():
-            d = 0
-            for i, a in shift:
-                d += a << power[i]
-            for m, c in terms:
-                m += d
-                sums[m] = get(m, 0) + c
-        if checked:
-            _check_keys(sums)
-        return LaurentPoly._raw(_stored(sums, integral))
+        w = tuple(w)
+        leaf = leaves.get(w)
+        if leaf is not None:
+            return leaf
+        if sorted(w) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {w}")
+        sums = terms
+        still, moving = nodes[()]
+        for i in range(1, n + 1):
+            if not (still or moving):
+                sums = {}
+                break
+            node = nodes.get(w[:i])
+            if node is None:
+                sums = still
+                if moving:
+                    s = us[w[i - 1] - 1]
+                    sums = dict(still)
+                    get = sums.get
+                    for a, part in moving:
+                        d = a << s
+                        for m, c in part.items():
+                            m += d
+                            sums[m] = get(m, 0) + c
+                    if checked:
+                        _check_keys(sums)
+                if i == n:
+                    break
+                node = nodes[w[:i]] = split(sums, i)
+            still, moving = node
+        leaf = leaves[w] = LaurentPoly._raw(_stored(sums, integral))
+        return leaf
 
     return at
 

@@ -825,13 +825,37 @@ def test_polynomial_over_one_is_already_normal():
                 assert_stored_exactly(f.den, integral=True)
 
 
-def _assert_compiled_like_renamed(p, n, moved, fixed):
+# polynomials of compile_specialization's corner cases, by rank
+SPECIALIZATION_EDGE_CASES = {
+    4: [
+        parse_poly("x1^300*x2^-300*y3^300 - 7*x3^-300*y1^2 + x4^-1*y4^299"),
+        parse_poly("1/2*x1*y2 - 3/2*x2^-1 + 1/3*y1"),
+        # images cancel: at the identity x1*y2 and x2*y1 both give u1*u2
+        parse_poly("x1*y2 - x2*y1 + x1 - y1 + x1^-1*y1 - x2^-1*y2"),
+        # exponents past 2^13 make the keys checked, with the same cancellation
+        parse_poly("x1^9000*y2 - x3^-9000*y4^9000 + x1*y2 - x2*y1"),
+        LaurentPoly.zero(),
+        LaurentPoly.one(),
+    ],
+    # q1, u3, x6 and y6 pass through; u3 merges with the images
+    5: [
+        parse_poly("q1*x1*u3 + x6^2*y6*y1 - u3^-1*x3 + u6*x5^-2 - y3*u2 + y2*u3"),
+        parse_poly("1/2*q1^2*x6^-1 - 1/2*u3*y6"),
+    ],
+}
+
+
+def _renamed_at(p, n, moved, fixed, w):
+    varmap = {f"{moved}{i}": f"u{w[i - 1]}" for i in range(1, n + 1)}
+    varmap.update({f"{fixed}{j}": f"u{j}" for j in range(1, n + 1)})
+    return rename_poly(p, varmap)
+
+
+def _assert_compiled_like_renamed(p, n, moved, fixed, windows=None):
     at = compile_specialization(p, n, moved, fixed)
-    for w in permutations(range(1, n + 1)):
-        varmap = {f"{moved}{i}": f"u{w[i - 1]}" for i in range(1, n + 1)}
-        varmap.update({f"{fixed}{j}": f"u{j}" for j in range(1, n + 1)})
+    for w in windows or permutations(range(1, n + 1)):
         got = at(w)
-        assert got.terms == rename_poly(p, varmap).terms, (p, w)
+        assert got.terms == _renamed_at(p, n, moved, fixed, w).terms, (p, w)
         assert_stored_exactly(got, integral(p))
 
 
@@ -840,24 +864,63 @@ def test_compiled_specialization_matches_renaming(moved, fixed):
     # Grothendieck entries carry negative x exponents
     for p in grothendieck_table(4).entries.values():
         _assert_compiled_like_renamed(p, 4, moved, fixed)
-    cases = {
-        4: [
-            parse_poly("x1^300*x2^-300*y3^300 - 7*x3^-300*y1^2 + x4^-1*y4^299"),
-            parse_poly("1/2*x1*y2 - 3/2*x2^-1 + 1/3*y1"),
-            # images cancel: at the identity x1*y2 and x2*y1 both give u1*u2
-            parse_poly("x1*y2 - x2*y1 + x1 - y1 + x1^-1*y1 - x2^-1*y2"),
-            LaurentPoly.zero(),
-            LaurentPoly.one(),
-        ],
-        # q1, u3, x6 and y6 pass through; u3 merges with the images
-        5: [
-            parse_poly("q1*x1*u3 + x6^2*y6*y1 - u3^-1*x3 + u6*x5^-2 - y3*u2 + y2*u3"),
-            parse_poly("1/2*q1^2*x6^-1 - 1/2*u3*y6"),
-        ],
-    }
-    for n, polys in cases.items():
+    for n, polys in SPECIALIZATION_EDGE_CASES.items():
         for p in polys:
             _assert_compiled_like_renamed(p, n, moved, fixed)
+
+
+@pytest.mark.parametrize("moved,fixed", [("x", "y"), ("y", "x")])
+def test_compiled_specialization_serves_windows_in_any_order(moved, fixed):
+    # Randomized, seed 27: each window once, half of them again, shuffled,
+    # so windows arrive after, before and between the siblings that share
+    # their prefixes.  Every comparison is exact.
+    rng = random.Random(27)
+    cases = [(4, p) for p in grothendieck_table(4).entries.values()]
+    cases += [(n, p) for n, polys in SPECIALIZATION_EDGE_CASES.items() for p in polys]
+    for n, p in cases:
+        windows = list(permutations(range(1, n + 1)))
+        windows += rng.sample(windows, len(windows) // 2)
+        rng.shuffle(windows)
+        _assert_compiled_like_renamed(p, n, moved, fixed, windows)
+
+
+def test_compiled_specialization_overflows_below_a_served_prefix():
+    limit = ybhecke.poly._LIMIT
+    # x1 -> u1 carries u1^(limit - 1); y4 -> u1 overflows it in every window
+    # that ends in 1, also after a sibling has served the shared prefix 2, 3
+    p = LaurentPoly.variable("x1", limit - 1) * V("y4")
+    at = compile_specialization(p, 4, "y", "x")
+    assert at((2, 3, 1, 4)).terms == {(("u1", limit - 1), ("u4", 1)): 1}
+    for w in ((2, 3, 4, 1), (2, 3, 4, 1), (3, 2, 4, 1)):
+        with pytest.raises(ExponentOverflow):
+            _renamed_at(p, 4, "y", "x", w)
+        with pytest.raises(ExponentOverflow):
+            at(w)
+    assert at((2, 3, 1, 4)).terms == {(("u1", limit - 1), ("u4", 1)): 1}
+    # the two terms cancel at the first mover, yet their image u1*u2^limit
+    # is out of range, and rename_poly checks it
+    p = (V("x1") - V("y1")) * LaurentPoly.variable("x2", limit - 1) * V("y2")
+    at = compile_specialization(p, 2, "x", "y")
+    for w in ((1, 2), (2, 1), (1, 2)):
+        with pytest.raises(ExponentOverflow):
+            _renamed_at(p, 2, "x", "y", w)
+        with pytest.raises(ExponentOverflow):
+            at(w)
+
+
+def test_compiled_specialization_takes_only_permutations():
+    at = compile_specialization(parse_poly("x1 - y1 + x2^2"), 3, "x", "y")
+    assert str(at((1, 2, 3))) == "u2^2"
+    # (1, 2) is a served prefix of (1, 2, 3), not a window
+    for w in ((0, 1, 2), (1, 1, 2), (1, 2), (1, 2, 3, 4), (), (1, 2, 4)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            at(w)
+    assert str(at((3, 2, 1))) == "u2^2 - u1 + u3"
+    # each u_k receives one mover, so (1, 1) could pass the overflow guard
+    limit = ybhecke.poly._LIMIT
+    p = LaurentPoly.monomial({"x1": limit - 1, "x2": limit - 1})
+    with pytest.raises(ValueError, match="not a permutation"):
+        compile_specialization(p, 2, "x", "y")((1, 1))
 
 
 # ----------------------------------------------------------------------
