@@ -1100,6 +1100,8 @@ def compile_specialization(
         terms[m] = terms.get(m, 0) + c
     _check_keys(terms)
     present = set(_present(terms))
+    # has[i]: some term has moved_{i+1}; the entry past the last mover
+    # serves the root at n = 0
     has = [f"{moved}{i}" in present for i in range(1, n + 1)] + [False]
     # a u exponent plus a moved one stays in range if both lie in [-2^13, 2^13)
     low, high = _HALF >> 2, _HALF | _HALF >> 1
