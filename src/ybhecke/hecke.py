@@ -36,9 +36,18 @@ coefficient leaves the library, into
 
     sum_j P_j (q1*q2)^j theta^(2K-2j) / theta^(2K+l(nu)),
 
-which at the symbols is reduced as it stands: modulo theta its numerator is
-P_K (q1*q2)^K.  :func:`gram_matrix` pairs in the same form and homogenises
-each pairing once.  The carrier of beta is the internal variable
+which at the symbols is born normal.  It is reduced, since modulo theta its
+numerator is P_K (q1*q2)^K, and theta^k is a normal denominator as it
+stands: q1 and q2 both have minimum exponent 0 in it, its content is 1
+(C(k, 0) = 1) and every coefficient is positive.  So it is made by the
+trusted ``RationalFunction._normal``, which skips the normalisation.
+:func:`gram_matrix` pairs in the same form and homogenises each pairing
+once.  The factor coefficients (v/u - 1)/theta and Delta = prod_{i<j}
+(u_j/u_i - 1)/theta^l(omega) are born normal in the same way wherever u
+is a Laurent monomial, v a Laurent polynomial, and neither mentions q1 or
+q2: a nonzero Laurent polynomial free of q1 and q2 is prime to theta.  Any
+other quotient is normalised, and gcd-reduced where the spectral
+parameters mention q1 or q2.  The carrier of beta is the internal variable
 ``poly.BETA``; spectral parameters of family T may not mention it, and no
 returned coefficient does.
 
@@ -273,7 +282,15 @@ def permuted_spectral(
 def factor_coefficient(
     alg: AlgebraSpec, u: RationalFunction, v: RationalFunction
 ) -> RationalFunction:
-    """The coefficient c(u, v) of T_j in the elementary factor 1 + c T_j."""
+    """The coefficient c(u, v) of T_j in the elementary factor 1 + c T_j.
+
+    The multiplicative families divide v by u.  Where u is a Laurent
+    monomial and v a Laurent polynomial, v/u is taken inside LaurentPoly
+    and the coefficient is wrapped once; for the generic family it is then
+    (v/u - 1)/theta, born normal by :func:`_from_beta` when v/u is free of
+    q1 and q2 (see the module docstring).  Any other u or v goes through
+    RationalFunction arithmetic.
+    """
     family = alg.family
     if family not in FACTOR_FAMILIES and family != _BETA_FORM:
         raise ValueError(
@@ -284,11 +301,32 @@ def factor_coefficient(
         return v - u
     if u.is_zero:
         raise ZeroSpectral(f"{family} factors need an invertible first parameter")
+    ratio = _laurent_ratio(u, v)
+    if ratio is None:
+        ratio = v / u
     if family == "pibar":
-        return 1 - v / u
+        return as_rf(1 - ratio)
+    c = ratio - 1  # the coefficient of T'_j in the one-parameter form
     if family == _BETA_FORM:
-        return v / u - 1
-    return (v / u - 1) / _theta_power(1)
+        return as_rf(c)
+    return _from_beta(c, 1, False) if _born_normal(c) else c / _theta_power(1)
+
+
+def _laurent_ratio(u: Coefficient, v: Coefficient) -> LaurentPoly | None:
+    """v/u as a LaurentPoly when v is one and u is a monomial in the
+    invertible x/u variables, and None otherwise."""
+    u, v = as_rf(u), as_rf(v)
+    if u.is_polynomial and v.is_polynomial and u.num.is_unit:
+        return v.num * u.num ** -1
+    return None
+
+
+def _born_normal(c: Coefficient | None) -> bool:
+    """Whether c/theta^k is normal as it stands, for a value c of the
+    generic family's one-parameter form (v/u, v/u - 1 or a product of such):
+    c is a LaurentPoly free of q1, q2 and BETA, so :func:`_from_beta` keeps c
+    and gcd(c, theta) = 1 for c nonzero."""
+    return isinstance(c, LaurentPoly) and c.variables().isdisjoint(("q1", "q2", BETA))
 
 
 def elementary_factor(
@@ -356,15 +394,22 @@ def _from_beta(c: Coefficient, length: int, reduce: bool) -> RationalFunction:
 
     With theta = q1+q2 that is N / (D theta^(2K+l(nu))), N from
     :func:`ybhecke.poly.clear_beta`; a coefficient free of beta keeps its
-    numerator.  At the symbols u1..un (D = 1) the quotient is reduced as it
-    stands: modulo theta, N is P_K (q1 q2)^K, and theta^k has no monomial
-    factor and content 1, so normalising it changes nothing.  That needs the
-    P_j free of q1 and q2; where they are not (``reduce``, the spectral
-    parameters mention q1 or q2) the quotient is gcd-reduced.
+    numerator.  Where D = 1 and not ``reduce`` (at the symbols u1..un, say)
+    the quotient is born normal, so it is made by the trusted
+    ``RationalFunction._normal``: theta^k has no monomial factor, content 1
+    and a positive leading coefficient, so normalising it changes nothing,
+    and modulo theta N is P_K (q1 q2)^K, so the quotient is reduced.  That
+    needs the P_j free of q1 and q2.  Where they are not (``reduce``, the
+    spectral parameters mention q1 or q2) the quotient is gcd-reduced, and
+    a denominator D != 1 (a rational spectral parameter such as 1 + u1) is
+    normalised.
     """
     c = as_rf(c)
     num, top = clear_beta(c.num)
-    f = RationalFunction(num, c.den * _theta_power(2 * top + length))
+    theta = _theta_power(2 * top + length)
+    if c.is_polynomial and not reduce:
+        return RationalFunction._normal(num, theta)
+    f = RationalFunction(num, c.den * theta)
     return f.simplify() if reduce else f
 
 
@@ -542,15 +587,26 @@ def delta(
     """The normalizing factor prod_{i<j} c(u_i, u_j) of the orthogonality law.
 
     For the generic family this is prod_{i<j} (u_j/u_i - 1)/(q1+q2); the
-    additive families use their own elementary coefficients.
+    additive families use their own elementary coefficients.  Where every
+    factor of the generic family is born normal (see
+    :func:`factor_coefficient`), so is the product: it is multiplied out in
+    the one-parameter form and converted once, over theta^l(omega), by
+    :func:`_from_beta`, with no gcd.
     """
     if u is None:
         u = symbolic_spectral(alg.n)
     _check_spectral(alg, u)
+    pairs = [(u[i], u[j]) for i in range(alg.n) for j in range(i + 1, alg.n)]
+    if alg.family == "T":
+        ratios = [_laurent_ratio(a, b) for a, b in pairs]
+        if all(map(_born_normal, ratios)):
+            total = _ONE
+            for r in ratios:
+                total = total * (r - 1)
+            return _from_beta(total, len(pairs), False)
     total = _ONE
-    for i in range(alg.n):
-        for j in range(i + 1, alg.n):
-            total = total * factor_coefficient(alg, u[i], u[j])
+    for a, b in pairs:
+        total = total * factor_coefficient(alg, a, b)
     return total
 
 

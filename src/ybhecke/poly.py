@@ -361,6 +361,12 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
+    @property
+    def is_unit(self) -> bool:
+        """Whether 1/self is a LaurentPoly: one term in the invertible x/u variables."""
+        t = self._terms
+        return len(t) == 1 and all(_VARS[v][3] for v in _present(t))
+
     def constant_value(self) -> Scalar:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
@@ -809,6 +815,11 @@ class RationalFunction:
     Equality is decided by cross-multiplication, so it never depends on gcd
     reduction; gcds are only used inside ``+`` and ``*`` to keep
     denominators from growing.
+
+    :meth:`_normal` is the trusted maker that skips normalization.  Its one
+    precondition: ``__init__`` would leave the pair (num, den) as it is, so
+    there is no monomial to move, den has content 1 and a positive leading
+    coefficient.  A zero numerator is still made 0/1.
     """
 
     __slots__ = ("num", "den")
@@ -853,6 +864,17 @@ class RationalFunction:
             den = den.map_coefficients(lambda x: x / s)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _normal(cls, num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
+        """num/den as it stands, for a pair the caller knows is normal (see
+        the class docstring); a zero ``num`` still gives 0/1."""
+        f = object.__new__(cls)
+        if num.is_zero:
+            num, den = _P_ZERO, _P_ONE
+        f.num = num
+        f.den = den
+        return f
 
     @classmethod
     def zero(cls) -> "RationalFunction":
@@ -914,10 +936,7 @@ class RationalFunction:
     __hash__ = None
 
     def __neg__(self) -> "RationalFunction":
-        f = RationalFunction.__new__(RationalFunction)
-        f.num = -self.num
-        f.den = self.den
-        return f
+        return RationalFunction._normal(-self.num, self.den)
 
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)

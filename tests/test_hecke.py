@@ -28,6 +28,7 @@ from ybhecke.hecke import (
     delta,
     elementary_factor,
     expand_in_yb,
+    factor_coefficient,
     gram_matrix,
     orthogonality_violations,
     pairing,
@@ -648,3 +649,103 @@ def test_phi_of_basis_is_phi_at_the_symbols(family, n):
     assert list(got) == list(want)
     for nu, h in want.items():
         assert terms(got[nu]) == terms(h), nu
+
+
+# ----------------------------------------------------------------------
+# quotients of the generic family that are born normal
+
+
+def assert_born_normal(f):
+    """``f`` has the very terms that normalising its pair gives."""
+    f = as_rf(f)
+    want = RationalFunction(f.num, f.den)
+    assert (f.num.terms, f.den.terms) == (want.num.terms, want.den.terms), f
+
+
+def test_generic_coefficients_at_the_symbols_are_born_normal():
+    for n in (3, 4):
+        alg = algebra("T", n)
+        for y in yb_basis(alg).values():
+            for c in y.coeffs.values():
+                assert_born_normal(c)
+        u = symbolic_spectral(n)
+        for mu in all_permutations(n):
+            assert_born_normal(delta(alg, permuted_spectral(u, mu)))
+    g = gram_matrix(algebra("T", 3))
+    zeros = [val for val in g.values() if not val]
+    assert zeros and len(zeros) < len(g)
+    for val in g.values():
+        assert_born_normal(val)
+    for val in zeros:
+        assert (val.num.terms, val.den.terms) == ({}, {(): 1})
+
+
+def test_delta_at_coincident_parameters_is_zero_over_one():
+    d = delta(algebra("T", 3), [S("u1"), S("u1"), S("u3")])
+    assert (d.num.terms, d.den.terms) == ({}, {(): 1})
+
+
+SPECTRAL_VALUES = ["u1", "u2", "-2*u1", "u1^2*u2^-1", "1/u2", "x1", "3", "1+u1", "u1+u2",
+                   "q1", "q1*u2", "(q1+q2)*u2", "(1+q1+q2)*u1", "y1", "u2/(1+u1)"]
+
+
+@pytest.mark.parametrize("family", ["pibar", "T", "T'"])
+def test_factor_coefficients_match_rational_arithmetic(family):
+    # the coefficients taken inside LaurentPoly, or born normal, are the
+    # quotients RationalFunction arithmetic gives, term for term
+    alg = _building_algebra(algebra("T", 2)) if family == "T'" else algebra(family, 2)
+    theta = S("q1+q2")
+    for a in map(S, SPECTRAL_VALUES):
+        for b in map(S, SPECTRAL_VALUES):
+            ratio = as_rf(b) / as_rf(a)
+            want = {"pibar": 1 - ratio, "T": (ratio - 1) / theta, "T'": ratio - 1}[family]
+            got = factor_coefficient(alg, a, b)
+            assert isinstance(got, RationalFunction)
+            assert (str(got), got.num.terms, got.den.terms) == (
+                str(want), want.num.terms, want.den.terms
+            ), (a, b)
+
+
+@pytest.mark.parametrize("family", ["pibar", "T"])
+def test_factors_and_delta_at_the_symbols_take_no_rational_arithmetic(family, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("RationalFunction arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(RationalFunction, name, refuse)
+    alg = algebra(family, 4)
+    assert len(yb_basis(alg)) == 24
+    assert yb_element(algebra(family, 5), P("54321"))
+    if family == "T":
+        assert delta(alg)
+
+
+def test_orthogonality_violations_T_n4_takes_no_gcd(monkeypatch):
+    def no_gcd(p, q):
+        raise AssertionError(f"poly_gcd({p}, {q})")
+
+    alg = algebra("T", 4)
+    g = gram_matrix(alg)
+    monkeypatch.setattr(ybhecke.poly, "poly_gcd", no_gcd)
+    assert orthogonality_violations(alg, g) == {}
+
+
+def test_generic_coefficients_at_parameters_in_q_are_reduced():
+    # u2/u1 - 1 = q1+q2: converted without the gcd, the coefficient of T_213
+    # in Y_213 would be (q1+q2)/(q1+q2); the returned (q1, q2) form is 1
+    def reduced(c):
+        want = c.simplify()
+        return (c.num.terms, c.den.terms) == (want.num.terms, want.den.terms)
+
+    alg = algebra("T", 3)
+    u = [S("u1"), S("(1+q1+q2)*u1"), S("u3")]
+    built = yb_basis(_building_algebra(alg), u)
+    bare = [_from_building(alg, h, False) for h in built.values()]
+    assert not all(reduced(c) for y in bare for c in y.coeffs.values())
+    ys = yb_basis(alg, u)
+    for y in ys.values():
+        assert all(map(reduced, y.coeffs.values())), y
+    assert ys[P("213")].coefficient(P("213")) == 1
+    d = delta(algebra("T", 2), u[:2])
+    assert (d.num.terms, d.den.terms) == ({(): 1}, {(): 1})

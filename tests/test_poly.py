@@ -1115,3 +1115,30 @@ def test_no_float_or_zero_coefficient_is_ever_stored(monkeypatch, capsys, argv):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out
     assert sum(seen) > 0
+
+
+def test_trusted_maker_keeps_a_normal_pair_and_zero_is_zero_over_one():
+    theta3 = parse_poly("(q1 + q2)^3")
+    num = parse_poly("u1^-1*u3 - 2*u2 + 1/2")
+    f = RationalFunction._normal(num, theta3)
+    assert f.num is num and f.den is theta3
+    want = RationalFunction(num, theta3)
+    assert (f.num.terms, f.den.terms) == (want.num.terms, want.den.terms)
+    zero = RationalFunction._normal(LaurentPoly.zero(), theta3)
+    assert (zero.num.terms, zero.den.terms) == ({}, {(): 1})
+    assert zero == 0 and str(zero) == "0"
+    neg = -f
+    assert (neg.num.terms, neg.den.terms) == ((-num).terms, theta3.terms)
+
+
+@pytest.mark.parametrize(
+    "text, unit",
+    [("u1", True), ("-2*u1^-1*u2^3", True), ("x1*x2^-1", True), ("3", True),
+     ("1/2*x1*u1", True), ("0", False), ("q1", False), ("y1", False),
+     ("u1*q2", False), ("u1 + u2", False), ("1 + u1", False)],
+)
+def test_a_unit_is_one_term_in_the_invertible_variables(text, unit):
+    p = parse_poly(text)
+    assert p.is_unit is unit
+    if unit:
+        assert p * p ** -1 == 1
