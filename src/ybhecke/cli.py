@@ -275,8 +275,15 @@ def _per_family(template: str, check: Callable[..., None]) -> Callable[..., list
 
 
 def _check_ybe(alg, report: CheckReport) -> None:
+    """Y_1(u, v) Y_2(u, w) Y_1(v, w) = Y_2(v, w) Y_1(u, w) Y_2(u, v).
+
+    Family T is compared in its one-parameter building algebra, as in
+    :func:`_check_word_independence`: T'_j -> T_j/theta is an injective map
+    of algebras that sends each factor there to the (q1, q2) factor, so
+    equality there is the same statement.
+    """
     u, v, w = (RationalFunction.variable(f"u{i}") for i in (1, 2, 3))
-    y = partial(elementary_factor, alg)
+    y = partial(elementary_factor, _building_algebra(alg))
     lhs = y(1, u, v) * y(2, u, w) * y(1, v, w)
     rhs = y(2, v, w) * y(1, u, w) * y(2, u, v)
     report.record(lhs == rhs, "Yang-Baxter equation fails")

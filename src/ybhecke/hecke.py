@@ -55,10 +55,17 @@ The bilinear form pairs h1, h2 into the coefficient of T_omega in
 h1 * phi(h2), where phi is the anti-automorphism T_mu -> T_{mu^{-1}},
 u_i -> u_{n+1-i}.  The Yang-Baxter basis is orthogonal for it:
 <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu} with Delta as in
-:func:`delta`.  One kernel computes it: :func:`_omega_row` walks h1 once to
-the right along the weak order, and :func:`_pair` reads [T_omega](h1 * g)
-off that row for any g.  :func:`pairing`, :func:`gram_matrix` and
-:func:`expand_in_yb` all pair through it.
+:func:`delta`.  Every pairing is read off the omega-row of h1, the values
+M[kappa] = [T_omega](h1 * T_kappa) from :func:`_omega_row`; by linearity
+[T_omega](h1 * g) = sum_kappa g_kappa M[kappa], which :func:`_pair`
+accumulates once, with no polynomial per product or partial sum.  In the
+group algebra (sigma, T_i^2 = 1) and the nil-Coxeter algebra (partial,
+T_i^2 = 0) the structure constants are [T_omega](T_kappa T_b) =
+delta_{b, kappa^-1 omega}, because omega = kappa b always has l(kappa) +
+l(b) = l(omega); so the row of h1 is its coefficients relabelled, and no
+product is taken.  The other families build the row by one walk of h1 to
+the right along the weak order.  :func:`pairing`, :func:`gram_matrix` and
+:func:`expand_in_yb` all pair through these two kernels.
 """
 
 from __future__ import annotations
@@ -77,7 +84,16 @@ from .errors import (
 )
 from .operators import FAMILIES, apply_word
 from .permutations import Permutation, all_permutations, rothe_diagram
-from .poly import BETA, LaurentPoly, RationalFunction, as_rf, clear_beta, rename_poly, rename_rf
+from .poly import (
+    BETA,
+    LaurentPoly,
+    RationalFunction,
+    as_rf,
+    clear_beta,
+    rename_poly,
+    rename_rf,
+    sum_of_products,
+)
 
 __all__ = [
     "FACTOR_FAMILIES",
@@ -530,13 +546,22 @@ def _phi_of_basis(
 def _omega_row(h: HeckeElement) -> dict[Permutation, Coefficient]:
     """The nonzero values [T_omega](h * T_kappa), keyed by kappa.
 
-    The products h * T_kappa are built by one depth-first right walk along
-    the weak order: h * T_kappa = (h * T_{kappa s_j}) * T_j, j the first
-    descent of kappa.  Only the products still pending on one chain are
-    held at once, not all n! of them.
+    Where T_i^2 is 1 or 0 (sigma and partial), T_mu * T_kappa is T_{mu kappa}
+    whenever l(mu kappa) = l(mu) + l(kappa), and every factorisation
+    omega = mu kappa has that, since l(omega kappa^-1) = l(omega) - l(kappa).
+    So row[kappa] = h(omega kappa^-1): the row relabels the coefficients of
+    h, and kappa = mu^-1 omega for each of its terms c T_mu.
+
+    Any other algebra builds the products h * T_kappa by one depth-first
+    right walk along the weak order: h * T_kappa = (h * T_{kappa s_j}) * T_j,
+    j the first descent of kappa.  Only the products still pending on one
+    chain are held at once, not all n! of them.
     """
-    n = h.alg.n
+    alg = h.alg
+    n = alg.n
     omega = Permutation.longest(n)
+    if not alg.a and (not alg.b or alg.b == 1):
+        return {mu.inverse() * omega: c for mu, c in h.coeffs.items()}
     row: dict[Permutation, Coefficient] = {}
     stack = [(Permutation.identity(n), h)]
     while stack:
@@ -552,8 +577,16 @@ def _omega_row(h: HeckeElement) -> dict[Permutation, Coefficient]:
 
 def _pair(g: HeckeElement, row: Mapping[Permutation, Coefficient]) -> Coefficient:
     """[T_omega](h * g) for ``row`` = ``_omega_row(h)``: the product is
-    linear in g, so it is sum_kappa g_kappa row[kappa]."""
-    return sum((c * row[kappa] for kappa, c in g.coeffs.items() if kappa in row), _ZERO)
+    linear in g, so it is sum_kappa g_kappa row[kappa].
+
+    Where every factor is a LaurentPoly (at the symbols, or at numbers) the
+    sum is accumulated once by :func:`~ybhecke.poly.sum_of_products`; a
+    RationalFunction factor sums the products one by one.
+    """
+    products = [(c, row[kappa]) for kappa, c in g.coeffs.items() if kappa in row]
+    if all(isinstance(c, LaurentPoly) and isinstance(r, LaurentPoly) for c, r in products):
+        return sum_of_products(products)
+    return sum((c * r for c, r in products), _ZERO)
 
 
 def pairing(
@@ -587,11 +620,14 @@ def delta(
     """The normalizing factor prod_{i<j} c(u_i, u_j) of the orthogonality law.
 
     For the generic family this is prod_{i<j} (u_j/u_i - 1)/(q1+q2); the
-    additive families use their own elementary coefficients.  Where every
+    other families use their own elementary coefficients.  Where every
     factor of the generic family is born normal (see
     :func:`factor_coefficient`), so is the product: it is multiplied out in
     the one-parameter form and converted once, over theta^l(omega), by
-    :func:`_from_beta`, with no gcd.
+    :func:`_from_beta`, with no gcd.  Where every factor is a Laurent
+    polynomial (sigma, partial and pibar at the symbols or at numbers) the
+    product is taken in LaurentPoly and wrapped once; any other factors are
+    multiplied as rational functions.
     """
     if u is None:
         u = symbolic_spectral(alg.n)
@@ -604,10 +640,13 @@ def delta(
             for r in ratios:
                 total = total * (r - 1)
             return _from_beta(total, len(pairs), False)
+    coeffs = [as_rf(factor_coefficient(alg, a, b)) for a, b in pairs]
+    if all(c.is_polynomial for c in coeffs):
+        coeffs = [c.num for c in coeffs]
     total = _ONE
-    for a, b in pairs:
-        total = total * factor_coefficient(alg, a, b)
-    return total
+    for c in coeffs:
+        total = total * c
+    return as_rf(total)
 
 
 def gram_matrix(

@@ -71,6 +71,7 @@ __all__ = [
     "clear_beta",
     "divided_difference",
     "rename_poly",
+    "sum_of_products",
     "compile_specialization",
     "as_rf",
     "rename_rf",
@@ -545,6 +546,40 @@ def _rational_content(coeffs: Iterable[Scalar]) -> Fraction:
 
 _P_ZERO = LaurentPoly.zero()
 _P_ONE = LaurentPoly.one()
+
+
+def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """sum_i a_i * b_i over the pairs (a_i, b_i), accumulated in one term map.
+
+    No polynomial is made per product or per partial sum.  Zeros are dropped
+    and the coefficient type is decided once, from the output: a Fraction
+    anywhere keeps the sum of the values a Fraction.  A pair whose operand
+    exponents all lie in [-2^13, 2^13) makes only keys in range, so it is
+    not checked; any other pair is multiplied by ``a * b``, which checks its
+    keys, so :class:`ExponentOverflow` is raised exactly where the products
+    would raise it.
+
+    >>> x, y = LaurentPoly.variable("x1"), LaurentPoly.variable("y1")
+    >>> str(sum_of_products([(x, x), (x - y, x + y)]))
+    '2*x1^2 - y1^2'
+    >>> half = LaurentPoly.constant(Fraction(1, 2))
+    >>> sum_of_products([(half, x), (x, half)]).coefficient({"x1": 1})
+    1
+    """
+    # every exponent of k lies in [-2^13, 2^13) exactly when (k + low) & high is 0
+    low, high = _HALF >> 2, _HALF | _HALF >> 1
+    out: dict[Monomial, Scalar] = {}
+    get = out.get
+    for a, b in pairs:
+        ta, tb = a._terms, b._terms
+        if any((m + low) & high for m in ta) or any((m + low) & high for m in tb):
+            ta, tb = (a * b)._terms, {0: 1}
+        items = tb.items()
+        for m1, c1 in ta.items():
+            for m2, c2 in items:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+    return LaurentPoly._raw(_stored(out, _integral(out)))
 
 
 def _power(base, n: int):
@@ -1273,18 +1308,14 @@ def lowest_homogeneous_component(p: LaurentPoly, vars: Iterable[str]) -> Laurent
 
 
 def _format_mono(m: tuple[tuple[str, int], ...], latex: bool) -> str:
+    items = sorted(m, key=lambda it: _VARS[it[0]][2])  # the display key
+    if not latex:
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in items)
     parts = []
-    for v, e in sorted(m, key=lambda it: _display_key(it[0])):
+    for v, e in items:
         fam, idx = var_parts(v)
-        if latex:
-            name = f"{fam}_{idx}" if fam != "q" else f"q_{idx}"
-            if e == 1:
-                parts.append(name)
-            else:
-                parts.append(f"{name}^{{{e}}}")
-        else:
-            parts.append(v if e == 1 else f"{v}^{e}")
-    return ("" if latex else "*").join(parts)
+        parts.append(f"{fam}_{idx}" if e == 1 else f"{fam}_{idx}^{{{e}}}")
+    return "".join(parts)
 
 
 def format_poly(p: LaurentPoly, latex: bool = False) -> str:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ybhecke.cli import main
+from ybhecke.cli import _check_ybe, main
 from ybhecke.errors import (
     AlgebraMismatch,
     IndexOutOfRange,
@@ -53,6 +53,7 @@ from ybhecke.poly import (
     poly_gcd,
     substitute,
 )
+from ybhecke.report import CheckReport
 from ybhecke.serialize import parse_scalar as S
 
 P = Permutation.from_string
@@ -749,3 +750,75 @@ def test_generic_coefficients_at_parameters_in_q_are_reduced():
     assert ys[P("213")].coefficient(P("213")) == 1
     d = delta(algebra("T", 2), u[:2])
     assert (d.num.terms, d.den.terms) == ({(): 1}, {(): 1})
+
+
+# ----------------------------------------------------------------------
+# the closed omega-row of sigma and partial, and delta in one ring
+
+
+def multiterm_element(rng, alg):
+    """A random element whose coefficients have up to three terms in u1..un,
+    with negative exponents and Fraction coefficients."""
+    names = [f"u{i}" for i in range(1, alg.n + 1)]
+    coeffs = {}
+    for mu in all_permutations(alg.n):
+        if rng.random() < 0.4:
+            c = LaurentPoly.zero()
+            for _ in range(rng.randint(1, 3)):
+                exps = {v: rng.randint(-2, 2) for v in rng.sample(names, 2)}
+                scalar = rng.choice([rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)])
+                c = c + LaurentPoly.monomial(exps, scalar)
+            coeffs[mu] = c
+    return HeckeElement(alg, coeffs)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("family", ["sigma", "partial"])
+def test_closed_omega_row_matches_the_products(family, n):
+    # row[kappa] = h(omega kappa^-1), read without a product, against
+    # [T_omega](h * T_kappa) multiplied out
+    rng = random.Random(2500 + n)
+    alg = algebra(family, n)
+    omega = Permutation.longest(n)
+    for _ in range(2 if n < 5 else 1):
+        h = multiterm_element(rng, alg)
+        want = {}
+        for kappa in all_permutations(n):
+            c = (h * basis_element(alg, kappa)).coefficient(omega)
+            if c:
+                want[kappa] = c
+        got = _omega_row(h)
+        assert set(got) == set(want)
+        for kappa, c in want.items():
+            assert got[kappa]._terms == c._terms, kappa
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", ["sigma", "partial", "pibar"])
+def test_delta_keeps_its_terms_in_one_ring(family, n):
+    # the product of the factor coefficients, as RationalFunction arithmetic
+    # multiplies them, at the symbols, at numbers and at 1 + u1
+    alg = algebra(family, n)
+    tuples = [
+        symbolic_spectral(n),
+        [S(t) for t in ("2", "3", "7", "11")[:n]],
+        [S("1+u1")] + symbolic_spectral(n)[1:],
+    ]
+    for u in tuples:
+        want = R.one()
+        for i in range(n):
+            for j in range(i + 1, n):
+                want = want * factor_coefficient(alg, u[i], u[j])
+        got = delta(alg, u)
+        assert isinstance(got, RationalFunction)
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), u
+
+
+def test_ybe_check_of_family_T_takes_no_gcd(monkeypatch):
+    def no_gcd(p, q):
+        raise AssertionError(f"poly_gcd({p}, {q})")
+
+    monkeypatch.setattr(ybhecke.poly, "poly_gcd", no_gcd)
+    report = CheckReport(name="ybe[T]", seed=0)
+    _check_ybe(algebra("T", 3), report)
+    assert report.passed and report.checks == 1

@@ -34,6 +34,7 @@ from ybhecke.poly import (
     rename_rf,
     substitute,
     substitute_poly,
+    sum_of_products,
     var_parts,
     var_sort_key,
 )
@@ -1142,3 +1143,89 @@ def test_a_unit_is_one_term_in_the_invertible_variables(text, unit):
     assert p.is_unit is unit
     if unit:
         assert p * p ** -1 == 1
+
+
+# ----------------------------------------------------------------------
+# sum_of_products: one accumulation for sum a_i * b_i
+
+
+def products_then_sum(pairs):
+    return sum((a * b for a, b in pairs), LaurentPoly.zero())
+
+
+def stored(p):
+    """The stored term map with each coefficient's type."""
+    return {m: (c, type(c)) for m, c in p._terms.items()}
+
+
+def random_scaled_poly(rng):
+    """A random kernel polynomial, scaled by a Fraction half the time."""
+    p = random_kernel_poly(rng, max_terms=4)
+    if rng.random() < 0.5:
+        p = p * LaurentPoly.constant(Fraction(rng.choice([-3, -1, 1, 5]), rng.choice([2, 3, 6])))
+    return p
+
+
+def test_sum_of_products_matches_products_then_sum():
+    rng = random.Random(2501)
+    for _ in range(200):
+        pairs = [(random_scaled_poly(rng), random_scaled_poly(rng))
+                 for _ in range(rng.randint(1, 6))]
+        assert stored(sum_of_products(pairs)) == stored(products_then_sum(pairs)), pairs
+
+
+def test_sum_of_products_stores_an_integral_fraction_sum_as_int():
+    half = LaurentPoly.constant(Fraction(1, 2))
+    third = LaurentPoly.monomial({"u1": -1, "q1": 2}, Fraction(1, 3))
+    pairs = [(half, V("x1")), (V("x1"), half), (third, V("y1")), (V("y1") * 2, third)]
+    got = sum_of_products(pairs)
+    assert stored(got) == stored(products_then_sum(pairs))
+    assert got.terms == {(("x1", 1),): 1, (("q1", 2), ("u1", -1), ("y1", 1)): 1}
+    assert all(type(c) is int for c in got.terms.values())
+
+
+def test_sum_of_products_drops_a_cancelled_sum_and_sums_nothing_to_zero():
+    a, b = parse_poly("x1 - 1/2*u1^-1"), parse_poly("y1*q2 + 3")
+    for pairs in ([(a, b), (-a, b)], [(a, b), (b, -a)], []):
+        got = sum_of_products(pairs)
+        assert got._terms == {} and got.is_zero and got == products_then_sum(pairs)
+
+
+def test_sum_of_products_overflows_exactly_where_the_products_do():
+    # exponents at and past 2^13 leave the unchecked range of the kernel; it
+    # must raise on the same inputs as a * b, and agree with it otherwise
+    rng = random.Random(2502)
+    half = ybhecke.poly._LIMIT // 2
+    raised = 0
+
+    def near(v):
+        low = [-half - 2, -3] if var_parts(v)[0] in ("x", "u") else []
+        return rng.choice(low + [0, 2, half - 2, half - 1, half, half + 1, half + 3])
+
+    def poly():
+        p = LaurentPoly.zero()
+        for _ in range(rng.randint(1, 3)):
+            exps = {v: near(v) for v in rng.sample(["x1", "u2", "y1", "q1"], 2)}
+            p = p + LaurentPoly.monomial(exps, rng.randint(-3, 3) or 1)
+        return p
+
+    for _ in range(300):
+        pairs = [(poly(), poly()) for _ in range(rng.randint(1, 3))]
+        try:
+            want = stored(products_then_sum(pairs))
+        except ExponentOverflow:
+            raised += 1
+            with pytest.raises(ExponentOverflow):
+                sum_of_products(pairs)
+            continue
+        assert stored(sum_of_products(pairs)) == want, pairs
+    assert 30 < raised < 270
+    # a product out of range raises even where the sum would cancel it
+    big = LaurentPoly.variable("x1", half)
+    with pytest.raises(ExponentOverflow):
+        products_then_sum([(big, big), (-big, big)])
+    with pytest.raises(ExponentOverflow):
+        sum_of_products([(big, big), (-big, big)])
+    assert str(sum_of_products([(big, LaurentPoly.variable("x1", half - 1))])) == (
+        f"x1^{2 * half - 1}"
+    )
