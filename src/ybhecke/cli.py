@@ -123,6 +123,11 @@ def _emit(lines: list[str], out: str | None) -> None:
             fh.write(text)
 
 
+def _check_rank(command: str, n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"{command}: rank must be at least 1, got n={n}")
+
+
 def _spectral_from(arg: str | None, n: int) -> list[RationalFunction] | None:
     if arg is None:
         return None
@@ -168,6 +173,7 @@ def _factor_shorthand(mu: Permutation, latex: bool) -> list[str]:
 
 
 def cmd_yb(args) -> int:
+    _check_rank("yb", args.n)
     try:
         mu = Permutation.from_string(args.mu)
     except ValueError as exc:
@@ -212,6 +218,7 @@ def cmd_yb(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    _check_rank("gram", args.n)
     # verify orthogonality builds the same matrices, up to the same rank
     limit = SUITES["orthogonality"].limits[args.family]
     if args.n > limit and not args.force:
@@ -429,8 +436,7 @@ def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckRe
     part's limit; stderr says so when any part runs at another rank.
     Standard output carries only the reports.
     """
-    if n < 1:
-        raise ConfigError(f"verify {suite}: rank must be at least 1, got n={n}")
+    _check_rank(f"verify {suite}", n)
     if suite == "all":
         return [
             report

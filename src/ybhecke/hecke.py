@@ -42,14 +42,13 @@ stands: q1 and q2 both have minimum exponent 0 in it, its content is 1
 (C(k, 0) = 1) and every coefficient is positive.  So it is made by the
 trusted ``RationalFunction._normal``, which skips the normalisation.
 :func:`gram_matrix` pairs in the same form and homogenises each pairing
-once.  The factor coefficients (v/u - 1)/theta and Delta = prod_{i<j}
-(u_j/u_i - 1)/theta^l(omega) are born normal in the same way wherever u
-is a Laurent monomial, v a Laurent polynomial, and neither mentions q1 or
-q2: a nonzero Laurent polynomial free of q1 and q2 is prime to theta.  Any
-other quotient is normalised, and gcd-reduced where the spectral
-parameters mention q1 or q2.  The carrier of beta is the internal variable
-``poly.BETA``; spectral parameters of family T may not mention it, and no
-returned coefficient does.
+once.  The factor coefficient (v/u - 1)/theta and Delta = prod_{i<j}
+(u_j/u_i - 1)/theta^l(omega) are converted by :func:`_from_beta` too, from
+their one-parameter values v/u - 1 and prod_{i<j} (u_j/u_i - 1), so every
+generic-family quotient has one route to (q1, q2).  It is gcd-reduced
+exactly where the spectral parameters mention q1 or q2.  The carrier of
+beta is the internal variable ``poly.BETA``; spectral parameters of family
+T may not mention it, and no returned coefficient does.
 
 The bilinear form pairs h1, h2 into the coefficient of T_omega in
 h1 * phi(h2), where phi is the anti-automorphism T_mu -> T_{mu^{-1}},
@@ -302,10 +301,9 @@ def factor_coefficient(
 
     The multiplicative families divide v by u.  Where u is a Laurent
     monomial and v a Laurent polynomial, v/u is taken inside LaurentPoly
-    and the coefficient is wrapped once; for the generic family it is then
-    (v/u - 1)/theta, born normal by :func:`_from_beta` when v/u is free of
-    q1 and q2 (see the module docstring).  Any other u or v goes through
-    RationalFunction arithmetic.
+    and the coefficient is wrapped once; any other u or v goes through
+    RationalFunction arithmetic.  The generic family's coefficient is its
+    one-parameter value v/u - 1 over theta, made by :func:`_from_beta`.
     """
     family = alg.family
     if family not in FACTOR_FAMILIES and family != _BETA_FORM:
@@ -322,10 +320,11 @@ def factor_coefficient(
         ratio = v / u
     if family == "pibar":
         return as_rf(1 - ratio)
-    c = ratio - 1  # the coefficient of T'_j in the one-parameter form
     if family == _BETA_FORM:
-        return as_rf(c)
-    return _from_beta(c, 1, False) if _born_normal(c) else c / _theta_power(1)
+        return as_rf(ratio - 1)
+    if BETA in _spectral_names((u, v)):  # _from_beta would read it as beta
+        raise ReservedVariable(f"family T spectral parameters must not mention {BETA}")
+    return _from_beta(ratio - 1, 1, _reduces(alg, (u, v)))
 
 
 def _laurent_ratio(u: Coefficient, v: Coefficient) -> LaurentPoly | None:
@@ -335,14 +334,6 @@ def _laurent_ratio(u: Coefficient, v: Coefficient) -> LaurentPoly | None:
     if u.is_polynomial and v.is_polynomial and u.num.is_unit:
         return v.num * u.num ** -1
     return None
-
-
-def _born_normal(c: Coefficient | None) -> bool:
-    """Whether c/theta^k is normal as it stands, for a value c of the
-    generic family's one-parameter form (v/u, v/u - 1 or a product of such):
-    c is a LaurentPoly free of q1, q2 and BETA, so :func:`_from_beta` keeps c
-    and gcd(c, theta) = 1 for c nonzero."""
-    return isinstance(c, LaurentPoly) and c.variables().isdisjoint(("q1", "q2", BETA))
 
 
 def elementary_factor(
@@ -620,33 +611,26 @@ def delta(
     """The normalizing factor prod_{i<j} c(u_i, u_j) of the orthogonality law.
 
     For the generic family this is prod_{i<j} (u_j/u_i - 1)/(q1+q2); the
-    other families use their own elementary coefficients.  Where every
-    factor of the generic family is born normal (see
-    :func:`factor_coefficient`), so is the product: it is multiplied out in
-    the one-parameter form and converted once, over theta^l(omega), by
-    :func:`_from_beta`, with no gcd.  Where every factor is a Laurent
-    polynomial (sigma, partial and pibar at the symbols or at numbers) the
-    product is taken in LaurentPoly and wrapped once; any other factors are
-    multiplied as rational functions.
+    other families use their own elementary coefficients.  The coefficients
+    are those of :func:`_building_algebra`: where every one is a Laurent
+    polynomial (at the symbols or at numbers) the product is taken in
+    LaurentPoly, and otherwise as rational functions.  The generic family's
+    product is converted once, over theta^l(omega), by :func:`_from_beta`.
     """
     if u is None:
         u = symbolic_spectral(alg.n)
     _check_spectral(alg, u)
     pairs = [(u[i], u[j]) for i in range(alg.n) for j in range(i + 1, alg.n)]
-    if alg.family == "T":
-        ratios = [_laurent_ratio(a, b) for a, b in pairs]
-        if all(map(_born_normal, ratios)):
-            total = _ONE
-            for r in ratios:
-                total = total * (r - 1)
-            return _from_beta(total, len(pairs), False)
-    coeffs = [as_rf(factor_coefficient(alg, a, b)) for a, b in pairs]
+    build = _building_algebra(alg)
+    coeffs = [as_rf(factor_coefficient(build, a, b)) for a, b in pairs]
     if all(c.is_polynomial for c in coeffs):
         coeffs = [c.num for c in coeffs]
     total = _ONE
     for c in coeffs:
         total = total * c
-    return as_rf(total)
+    if build is alg:
+        return as_rf(total)
+    return _from_beta(total, len(pairs), _reduces(alg, u))
 
 
 def gram_matrix(

@@ -43,7 +43,6 @@ __all__ = [
     "apply_word",
     "apply_inverse_word",
     "all_inverse_words",
-    "perm_action",
     "check_relations",
     "random_probe",
 ]
@@ -133,12 +132,6 @@ def all_inverse_words(
         shorter = out[mu.simple_times(i)]
         out[mu] = apply_generator(family, i, shorter, n)
     return out
-
-
-def perm_action(mu: Permutation, f: LaurentPoly) -> LaurentPoly:
-    """The substitution action x_i -> x_{mu(i)}; a left group action."""
-    mapping = {f"x{i}": f"x{mu(i)}" for i in range(1, mu.n + 1) if mu(i) != i}
-    return rename_poly(f, mapping)
 
 
 def random_probe(rng: random.Random, n: int, max_deg: int = 4) -> LaurentPoly:

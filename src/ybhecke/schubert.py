@@ -16,6 +16,14 @@ elements to specializations of these tables:
 
 together with the Newton interpolation identity, the normal-ordering rule,
 and the appendix factorizations for Young subgroups.
+
+Every specialization is read at the symbols u1..un, by one compiled
+renaming (:func:`specialize_double` and its mirror); the value at another
+tuple is that tuple substituted into it.  X_213 = x1 - y1 at mu = 213:
+
+>>> mu = Permutation.from_string("213")
+>>> print(specialize_double(schubert_table(3)[mu], mu))
+-u1 + u2
 """
 
 from __future__ import annotations
@@ -28,13 +36,7 @@ from typing import Callable, Sequence
 
 from .errors import RankOutOfRange, ShapeInvalid, SubstitutionSingular
 from .hecke import algebra, word_steps, yb_basis, yb_element
-from .operators import (
-    all_inverse_words,
-    apply_generator,
-    apply_inverse_word,
-    perm_action,
-    random_probe,
-)
+from .operators import all_inverse_words, apply_generator, apply_inverse_word, random_probe
 from .permutations import MAX_RANK, Permutation, all_permutations
 from .poly import (
     LaurentPoly,
@@ -43,6 +45,7 @@ from .poly import (
     lowest_homogeneous_component,
     rename_poly,
     substitute_poly,
+    sum_of_products,
 )
 from .report import CheckReport
 
@@ -135,42 +138,27 @@ def grothendieck_table(n: int) -> GrothendieckTable:
     return GrothendieckTable(n=n, entries=_descend(n, top, "pi"))
 
 
-def specialize_double(
-    p: LaurentPoly, mu: Permutation, u: Sequence[RationalFunction] | None = None
-) -> LaurentPoly | RationalFunction:
-    """The specialization p(u^mu, u): substitute x_i -> u_{mu(i)}, y_j -> u_j."""
-    return _specializer(p, mu.n, "x", u)(mu)
+def specialize_double(p: LaurentPoly, mu: Permutation) -> LaurentPoly:
+    """The specialization p(u^mu, u): rename x_i -> u_{mu(i)}, y_j -> u_j."""
+    return _specializer(p, mu.n, "x")(mu)
 
 
-def _specialize_swapped(
-    p: LaurentPoly, mu: Permutation, u: Sequence[RationalFunction] | None = None
-) -> LaurentPoly | RationalFunction:
+def _specialize_swapped(p: LaurentPoly, mu: Permutation) -> LaurentPoly:
     """The mirror specialization p(u, u^mu): x_i -> u_i, y_j -> u_{mu(j)}."""
-    return _specializer(p, mu.n, "y", u)(mu)
+    return _specializer(p, mu.n, "y")(mu)
 
 
-def _specializer(
-    p: LaurentPoly, n: int, moved: str, u: Sequence[RationalFunction] | None = None
-) -> Callable[[Permutation], LaurentPoly | RationalFunction]:
-    """The map mu -> p with the ``moved`` family at u^mu, the other at u.
+def _specializer(p: LaurentPoly, n: int, moved: str) -> Callable[[Permutation], LaurentPoly]:
+    """The map mu -> p with the ``moved`` family at u^mu, the other at u,
+    at the symbols u1..un.
 
-    At the symbols u1..un, p is compiled once and gives a LaurentPoly
+    Every specialization of a table entry is read here.  p is compiled once
     (:func:`~ybhecke.poly.compile_specialization`): the windows of mu that
     share a prefix share its renames, through a memo of at most
     sum_i n!/(n-i)! partial renames that lives as long as the returned map.
-    At an explicit ``u`` each mu is one substitution.
     """
-    fixed = "y" if moved == "x" else "x"
-    if u is None:
-        at = compile_specialization(p, n, moved, fixed)
-        return lambda mu: at(mu.window)
-
-    def substituted(mu: Permutation) -> RationalFunction:
-        images = {f"{moved}{i}": u[mu(i) - 1] for i in range(1, n + 1)}
-        images.update({f"{fixed}{j}": u[j - 1] for j in range(1, n + 1)})
-        return substitute_poly(p, images)
-
-    return substituted
+    at = compile_specialization(p, n, moved, "y" if moved == "x" else "x")
+    return lambda mu: at(mu.window)
 
 
 # ----------------------------------------------------------------------
@@ -178,12 +166,7 @@ def _specializer(
 
 
 def _check_transition(
-    report: CheckReport,
-    ys: dict,
-    n: int,
-    want: Callable[[Permutation], LaurentPoly],
-    moved: str,
-    u: Sequence[RationalFunction] | None,
+    report: CheckReport, ys: dict, n: int, want: Callable[[Permutation], LaurentPoly], moved: str
 ) -> dict:
     """Check each coefficient of Y_mu at nu against want(nu) specialized at mu.
 
@@ -194,16 +177,14 @@ def _check_transition(
     perms = all_permutations(n)
     entries = {(mu, nu): y.coefficient(nu) for mu, y in ys.items() for nu in perms}
     for nu in perms:
-        want_at = _specializer(want(nu), n, moved, u)
+        want_at = _specializer(want(nu), n, moved)
         for mu in ys:
             got, spec = entries[(mu, nu)], want_at(mu)
             report.record(got == spec, lambda: f"mu={mu}, nu={nu}: {got} != {spec}")
     return entries
 
 
-def verify_schubert_transition(
-    n: int, u: Sequence[RationalFunction] | None = None
-) -> tuple[TransitionMatrix, CheckReport]:
+def verify_schubert_transition(n: int) -> tuple[TransitionMatrix, CheckReport]:
     """Check Y_mu in the nil-Coxeter family expands with Schubert coefficients.
 
     For every mu, nu the coefficient of the basis element indexed by nu in
@@ -212,15 +193,13 @@ def verify_schubert_transition(
     """
     report = CheckReport(name=f"schubert-transition[n={n}]")
     table = schubert_table(n)
-    ys = yb_basis(algebra("partial", n), u)
-    entries = _check_transition(report, ys, n, lambda nu: table[nu], "x", u)
+    ys = yb_basis(algebra("partial", n))
+    entries = _check_transition(report, ys, n, lambda nu: table[nu], "x")
     matrix = TransitionMatrix("Y^partial", "partial", n, entries)
     return matrix, report
 
 
-def verify_grothendieck_transition(
-    n: int, u: Sequence[RationalFunction] | None = None
-) -> tuple[TransitionMatrix, CheckReport]:
+def verify_grothendieck_transition(n: int) -> tuple[TransitionMatrix, CheckReport]:
     """Check Y_mu in the pibar family expands with Grothendieck coefficients.
 
     For every mu, nu the coefficient indexed by nu in Y_mu(u) must equal the
@@ -233,8 +212,8 @@ def verify_grothendieck_transition(
     """
     report = CheckReport(name=f"grothendieck-transition[n={n}]")
     table = grothendieck_table(n)
-    ys = yb_basis(algebra("pibar", n), u)
-    entries = _check_transition(report, ys, n, lambda nu: table[nu.inverse()], "y", u)
+    ys = yb_basis(algebra("pibar", n))
+    entries = _check_transition(report, ys, n, lambda nu: table[nu.inverse()], "y")
     matrix = TransitionMatrix("Y^pibar", "pibar", n, entries)
     return matrix, report
 
@@ -306,35 +285,41 @@ def verify_yang_leading_terms(
 def _check_permutation_expansion(
     report: CheckReport, coeffs: dict, n: int, probes: int, seed: int
 ) -> None:
-    """Check mu f = sum_nu coeffs[mu][nu] partial_nu f for every mu, where
-    mu acts by x_i -> x_{mu(i)}; f runs over random integer polynomials in
-    x of degree <= 4."""
+    """Check f(u^mu) = sum_nu coeffs[mu][nu] (partial_nu f)(u) for every mu,
+    with f(u^mu) the rename x_i -> u_{mu(i)}; f runs over random integer
+    polynomials in x of degree <= 4.  The coefficients are LaurentPolys in
+    u, so each probe's n! divided differences move to u once."""
     rng = random.Random(seed)
+    tou = {f"x{i}": f"u{i}" for i in range(1, n + 1)}
     for _ in range(probes):
         f = random_probe(rng, n)
-        diffs = all_inverse_words("partial", f, n)
+        diffs = {nu: rename_poly(d, tou) for nu, d in all_inverse_words("partial", f, n).items()}
+        f_at = _specializer(f, n, "x")
         for mu, row in coeffs.items():
-            total = LaurentPoly.zero()
-            for nu, c in row.items():
-                total = total + c * diffs[nu]
-            report.record(total == perm_action(mu, f), lambda: f"mu={mu}, f={f}")
+            total = sum_of_products((c, diffs[nu]) for nu, c in row.items())
+            report.record(total == f_at(mu), lambda: f"mu={mu}, f={f}")
 
 
 def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> CheckReport:
-    """Check the Newton interpolation identity at y = x on probes.
+    """Check the Newton interpolation identity at y = u on probes.
 
     The identity sum_nu X_nu(x^mu, y) (partial^y_nu f)(y) = f(x^mu), with
     the divided differences acting on y, is checked in the form it takes at
-    y = x: sum_nu X_nu(x^mu, x) (partial_nu f)(x) = f(x^mu).
+    x = y = u:
+
+        sum_nu X_nu(u^mu, u) (partial_nu f)(u) = f(u^mu).
+
+    Each X_nu is compiled once by :func:`_specializer`, and the table of
+    X_nu(u^mu, u) is filled nu-major.
     """
     report = CheckReport(name=f"newton-interpolation[n={n}]", seed=seed)
     table = schubert_table(n)
     perms = all_permutations(n)
-    coeffs = {}
-    for mu in perms:
-        at_mu = {f"x{i}": f"x{mu(i)}" for i in range(1, n + 1)}
-        at_mu.update({f"y{j}": f"x{j}" for j in range(1, n + 1)})
-        coeffs[mu] = {nu: rename_poly(table[nu], at_mu) for nu in perms}
+    coeffs: dict[Permutation, dict] = {mu: {} for mu in perms}
+    for nu in perms:
+        at = _specializer(table[nu], n, "x")
+        for mu in perms:
+            coeffs[mu][nu] = at(mu)
     _check_permutation_expansion(report, coeffs, n, probes, seed)
     return report
 
@@ -342,17 +327,13 @@ def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> Chec
 def verify_normal_ordering(n: int, probes: int = 10, seed: int = 0) -> CheckReport:
     """A permutation equals its Yang-Baxter element, normally ordered.
 
-    Substituting u_i -> x_i into the nil-Coxeter expansion coefficients of
-    Y_mu and placing them left of the operators partial_nu gives an operator
-    equal to the substitution action of mu.
+    The nil-Coxeter expansion coefficients of Y_mu, placed left of the
+    operators partial_nu acting on u, give an operator equal to the
+    substitution action of mu: sum_nu Y_mu(nu) (partial_nu f)(u) = f(u^mu).
     """
     report = CheckReport(name=f"normal-ordering[n={n}]", seed=seed)
     ys = yb_basis(algebra("partial", n))
-    tox = {f"u{i}": f"x{i}" for i in range(1, n + 1)}
-    coeffs = {
-        mu: {nu: rename_poly(c, tox) for nu, c in y.coeffs.items()}
-        for mu, y in ys.items()
-    }
+    coeffs = {mu: y.coeffs for mu, y in ys.items()}
     _check_permutation_expansion(report, coeffs, n, probes, seed)
     return report
 

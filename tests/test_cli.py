@@ -242,13 +242,17 @@ def test_gram_and_orthogonality_read_one_rank_guard(capsys, monkeypatch):
     assert "runs at n=2 (sigma)" in captured.err
 
 
-@pytest.mark.parametrize("family", [[], ["--family", "partial"]])
-def test_gram_below_rank_1_exits_2(capsys, family):
-    code = main(["gram", "-n", "-1", *family])
+@pytest.mark.parametrize(
+    "args",
+    [["gram", "-n", "-1"], ["gram", "-n", "-3", "--family", "partial"], ["yb", "-n", "-1", "1"]],
+    ids=["family0", "family1", "yb"],
+)
+def test_gram_below_rank_1_exits_2(capsys, args):
+    # the same message as verify's, from the same check
+    code = main(args)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "Traceback" not in captured.err
+    assert captured.err == f"error: {args[0]}: rank must be at least 1, got n={args[2]}\n"
 
 
 def test_verify_exit_codes(capsys):

@@ -6,11 +6,14 @@ import pytest
 
 import ybhecke.permutations
 import ybhecke.poly
+import ybhecke.schubert
 import ybhecke.serialize
 
 
 @pytest.mark.parametrize(
-    "module", [ybhecke.poly, ybhecke.permutations, ybhecke.serialize], ids=lambda m: m.__name__
+    "module",
+    [ybhecke.poly, ybhecke.permutations, ybhecke.schubert, ybhecke.serialize],
+    ids=lambda m: m.__name__,
 )
 def test_module_examples(module):
     failed, attempted = doctest.testmod(module)

@@ -331,6 +331,8 @@ def test_spectral_parameter_mentioning_the_beta_carrier_is_rejected(capsys):
         lambda: yb_basis(alg, u),
         lambda: yb_element_rothe(alg, P("321"), u),
         lambda: yb_product(alg, u, word_steps(3, (1, 2, 1))),
+        lambda: delta(alg, u),
+        lambda: factor_coefficient(alg, u[0], u[1]),
     ):
         with pytest.raises(ReservedVariable):
             build()
@@ -794,15 +796,19 @@ def test_closed_omega_row_matches_the_products(family, n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("family", ["sigma", "partial", "pibar"])
+@pytest.mark.parametrize("family", ["sigma", "partial", "pibar", "T"])
 def test_delta_keeps_its_terms_in_one_ring(family, n):
     # the product of the factor coefficients, as RationalFunction arithmetic
-    # multiplies them, at the symbols, at numbers and at 1 + u1
+    # multiplies them, at the symbols, at numbers, at 1 + u1, at a quotient
+    # and at q-bearing parameters, the last where family T's theta cancels
     alg = algebra(family, n)
     tuples = [
         symbolic_spectral(n),
         [S(t) for t in ("2", "3", "7", "11")[:n]],
         [S("1+u1")] + symbolic_spectral(n)[1:],
+        [S("(1+q1+q2)*u1")] + symbolic_spectral(n)[1:],
+        [S("u2/(1+u1)")] + symbolic_spectral(n)[1:],
+        [S("1"), S("1+q1+q2")] + symbolic_spectral(n)[2:],
     ]
     for u in tuples:
         want = R.one()

@@ -13,11 +13,11 @@ from ybhecke.operators import (
     apply_inverse_word,
     apply_word,
     check_relations,
-    perm_action,
     random_probe,
 )
 from ybhecke.permutations import Permutation, all_permutations
-from ybhecke.poly import LaurentPoly
+from ybhecke.poly import LaurentPoly, rename_poly
+from ybhecke.schubert import specialize_double
 from ybhecke.serialize import parse_poly
 
 P = Permutation.from_string
@@ -112,14 +112,18 @@ def test_isobaric_descent_to_grothendieck_132():
 
 
 def test_perm_action():
+    # the substitution action x_i -> x_{mu(i)} is read, at u, from
+    # specialize_double: a probe in x alone becomes f(u^mu)
     f = S("x1")
-    assert perm_action(P("213"), f) == S("x2")
-    assert perm_action(P("231"), S("x1*x2^2")) == S("x2*x3^2")
+    assert specialize_double(f, P("213")) == S("u2")
+    assert specialize_double(S("x1*x2^2"), P("231")) == S("u2*u3^2")
     rng = random.Random(6)
+    mu, nu = P("231"), P("312")
+    by_nu = {f"x{i}": f"x{nu(i)}" for i in range(1, 4)}
     for _ in range(5):
         g = random_probe(rng, 3)
-        mu, nu = P("231"), P("312")
-        assert perm_action(mu * nu, g) == perm_action(mu, perm_action(nu, g))
+        # a left action: (mu nu) f = mu (nu f)
+        assert specialize_double(g, mu * nu) == specialize_double(rename_poly(g, by_nu), mu)
 
 
 def test_index_out_of_range():

@@ -13,6 +13,7 @@ from ybhecke.poly import (
     as_rf,
     lowest_homogeneous_component,
     rename_poly,
+    substitute_poly,
 )
 from ybhecke.report import CheckReport
 from ybhecke.schubert import (
@@ -146,17 +147,32 @@ def test_specialize_double_examples():
 @pytest.mark.parametrize("table", [schubert_table, grothendieck_table])
 @pytest.mark.parametrize("moved", ["x", "y"])
 def test_specialize_by_renaming_matches_substitution(table, moved):
-    # at symbolic u the specializations rename variables; passing u
-    # explicitly takes the substitution route (Grothendieck entries carry
-    # negative x exponents); "x" is specialize_double's orientation p(u^mu, u),
-    # "y" the mirror p(u, u^mu) of the Grothendieck transition
+    # the compiled renaming against substituting the symbols u1..un one
+    # map at a time (Grothendieck entries carry negative x exponents); "x"
+    # is specialize_double's orientation p(u^mu, u), "y" the mirror
+    # p(u, u^mu) of the Grothendieck transition
     entries = table(4).entries
     u = symbolic_spectral(4)
+    fixed = "y" if moved == "x" else "x"
     for nu, p in entries.items():
         by_renaming = schubert._specializer(p, 4, moved)
-        by_substitution = schubert._specializer(p, 4, moved, u)
         for mu in all_permutations(4):
-            assert by_renaming(mu) == by_substitution(mu), (mu, nu)
+            images = {f"{moved}{i}": u[mu(i) - 1] for i in range(1, 5)}
+            images.update({f"{fixed}{j}": u[j - 1] for j in range(1, 5)})
+            assert by_renaming(mu) == substitute_poly(p, images), (mu, nu)
+
+
+def test_newton_and_normal_ordering_specialize_only_by_compiling(monkeypatch):
+    # the coefficients are read in u as they come; only the probes' divided
+    # differences, which hold x alone, are renamed
+    def x_only(p, varmap):
+        assert not any(v[0] in "yu" for v in p.variables()), p
+        return rename_poly(p, varmap)
+
+    monkeypatch.setattr(schubert, "rename_poly", x_only)
+    for verify in (verify_newton_interpolation, verify_normal_ordering):
+        report = verify(3, probes=3, seed=1)
+        assert report.passed and report.checks == 18
 
 
 def test_lazy_witness_called_only_for_kept_failures():
