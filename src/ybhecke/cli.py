@@ -117,10 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+    sys.stdout.write(text)
 
 
 def _check_rank(command: str, n: int) -> None:

@@ -11,9 +11,9 @@ wherever the maths allows; a RationalFunction appears only where it
 divides: at a factor coefficient that is not a Laurent polynomial (at a
 spectral parameter such as 1 + u1), in the (q1, q2) form of the generic
 family, in :func:`delta`, in :func:`expand_in_yb`, and in :func:`pairing`
-away from the symbols.  So at the symbols u1..un every product, pairing and
-non-generic Yang-Baxter coefficient is a LaurentPoly.  Yang-Baxter elements
-are built from the factors 1 + c(u, v) T_j by the recursion
+away from the symbols.  So at the symbols u1..un every factor, product,
+pairing and non-generic Yang-Baxter coefficient is a LaurentPoly.  Yang-Baxter
+elements are built from the factors 1 + c(u, v) T_j by the recursion
 
     Y_mu(u) = Y_nu(u) * Y_j(u_{nu(j)}, u_{nu(j+1)})     for mu = nu s_j, longer,
 
@@ -299,9 +299,9 @@ def factor_coefficient(
 ) -> RationalFunction:
     """The coefficient c(u, v) of T_j in the elementary factor 1 + c T_j.
 
-    The multiplicative families divide v by u.  Where u is a Laurent
-    monomial and v a Laurent polynomial, v/u is taken inside LaurentPoly
-    and the coefficient is wrapped once; any other u or v goes through
+    Where u and v are Laurent polynomials (u a monomial, for the v/u of the
+    multiplicative families), v - u or v/u is taken inside LaurentPoly and
+    wrapped once; any other u or v, such as 1 + u1, goes through
     RationalFunction arithmetic.  The generic family's coefficient is its
     one-parameter value v/u - 1 over theta, made by :func:`_from_beta`.
     """
@@ -311,13 +311,13 @@ def factor_coefficient(
             f"no elementary Yang-Baxter factor for family {family!r}; "
             f"supported: {FACTOR_FAMILIES}"
         )
+    u, v = as_rf(u), as_rf(v)
+    laurent = u.is_polynomial and v.is_polynomial
     if family not in _MULTIPLICATIVE:
-        return v - u
+        return as_rf(v.num - u.num) if laurent else v - u
     if u.is_zero:
         raise ZeroSpectral(f"{family} factors need an invertible first parameter")
-    ratio = _laurent_ratio(u, v)
-    if ratio is None:
-        ratio = v / u
+    ratio = v.num * u.num ** -1 if laurent and u.num.is_unit else v / u
     if family == "pibar":
         return as_rf(1 - ratio)
     if family == _BETA_FORM:
@@ -325,15 +325,6 @@ def factor_coefficient(
     if BETA in _spectral_names((u, v)):  # _from_beta would read it as beta
         raise ReservedVariable(f"family T spectral parameters must not mention {BETA}")
     return _from_beta(ratio - 1, 1, _reduces(alg, (u, v)))
-
-
-def _laurent_ratio(u: Coefficient, v: Coefficient) -> LaurentPoly | None:
-    """v/u as a LaurentPoly when v is one and u is a monomial in the
-    invertible x/u variables, and None otherwise."""
-    u, v = as_rf(u), as_rf(v)
-    if u.is_polynomial and v.is_polynomial and u.num.is_unit:
-        return v.num * u.num ** -1
-    return None
 
 
 def elementary_factor(

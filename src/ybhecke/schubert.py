@@ -34,17 +34,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .errors import RankOutOfRange, ShapeInvalid, SubstitutionSingular
+from .errors import RankOutOfRange, ShapeInvalid
 from .hecke import algebra, word_steps, yb_basis, yb_element
 from .operators import all_inverse_words, apply_generator, apply_inverse_word, random_probe
 from .permutations import MAX_RANK, Permutation, all_permutations
 from .poly import (
     LaurentPoly,
     RationalFunction,
+    coefficients_in,
     compile_specialization,
     lowest_homogeneous_component,
     rename_poly,
-    substitute_poly,
     sum_of_products,
 )
 from .report import CheckReport
@@ -372,8 +372,10 @@ def _yb_operator(mu: Permutation, f: LaurentPoly, step) -> LaurentPoly:
 
 
 def _s_step(f, j, a, b, n):
-    # the degenerate-family factor s_j + 1/(u_a - u_b) at u_i = i, applied to f
-    return apply_generator("s", j, f, n) + f * Fraction(1, a - b)
+    # (a - b)(s_j + 1/(u_a - u_b)) at u_i = i, the degenerate-family factor
+    # scaled to stay over Z, applied to f.  Along a reduced word of mu the
+    # (a, b) are the value-inversions of mu, each once.
+    return (a - b) * apply_generator("s", j, f, n) + f
 
 
 def verify_appendix_factorizations(
@@ -390,6 +392,8 @@ def verify_appendix_factorizations(
     times the divided difference of mu (for blocks of size 2 the bracket is
     1 and this is the bare q-Vandermonde).  linear mode: with u_i = i, the
     degenerate family factors through prod_{i<j} (1 + x_j - x_i) blockwise.
+    The value-inversions of mu are the pairs i < j within a block, so with
+    the steps of :func:`_s_step` the factor is (i - j)(1 + x_j - x_i).
     """
     n = _check_shape(shape)
     report = CheckReport(name=f"appendix[{qmode}, shape={tuple(shape)}]", seed=seed)
@@ -415,7 +419,7 @@ def verify_appendix_factorizations(
         step = _s_step
 
         def factor(i, j):
-            return 1 + LaurentPoly.variable(f"x{j}") - LaurentPoly.variable(f"x{i}")
+            return (i - j) * (1 + LaurentPoly.variable(f"x{j}") - LaurentPoly.variable(f"x{i}"))
 
     else:
         raise ValueError(f"unknown q-mode {qmode!r}")
@@ -450,6 +454,8 @@ def verify_cohomology_basis(n: int) -> CheckReport:
     The coordinate functional (partial_nu f)(0) is validated on the single
     Schubert table X_kappa(x, 0) before being trusted; the constant term of
     partial_nu X_kappa(x, y) is the value of partial_nu X_kappa(x, 0) at 0.
+    The images are taken by the steps of :func:`_s_step`, which scale the
+    row of mu by a nonzero integer, so the invertibility is unchanged.
     """
     report = CheckReport(name=f"cohomology-basis[n={n}]")
     perms = all_permutations(n)
@@ -458,13 +464,10 @@ def verify_cohomology_basis(n: int) -> CheckReport:
         coords = _schubert_coordinates(table[kappa], n)
         ok = all(coords[nu] == (1 if nu == kappa else 0) for nu in perms)
         report.record(ok, lambda: f"coordinate functional fails on X_{kappa}")
-    staircase = LaurentPoly.monomial(
-        {f"x{i}": n - i for i in range(1, n)} if n > 1 else {}
-    )
+    staircase = LaurentPoly.monomial({f"x{i}": n - i for i in range(1, n)})
     rows = []
     for mu in perms:
-        image = _yb_operator(mu, staircase, _s_step)
-        coords = _schubert_coordinates(image, n)
+        coords = _schubert_coordinates(_yb_operator(mu, staircase, _s_step), n)
         rows.append([coords[nu] for nu in perms])
     report.record(_invertible(rows), "coordinate matrix is singular")
     return report
@@ -487,31 +490,34 @@ def _invertible(rows) -> bool:
     return True
 
 
+def _cleared(p: LaurentPoly, v: str, w: LaurentPoly) -> LaurentPoly:
+    """w^d p(v -> 1/w), d the top exponent of v in p: v^e becomes w^(d-e)."""
+    parts = coefficients_in(p, v)
+    d = max(parts)
+    return sum_of_products((c, w ** (d - e)) for e, c in parts.items())
+
+
 def verify_groth_to_schubert_degeneration(n: int) -> CheckReport:
     """Grothendieck entries degenerate to Schubert entries.
 
     Substituting x_i -> 1/(1 - a_i), y_j -> 1/(1 - b_j) into G_mu yields a
     rational function whose lowest homogeneous component (as a power series
     at a = b = 0) is X_mu(a, b).  The a variables are modeled by u_i and the
-    b variables by y_j.
+    b variables by y_j.  Each variable's denominator is cleared in turn by
+    :func:`_cleared`, which multiplies the series by a power of 1 - a_i or
+    1 - b_j, a series with constant term 1; so the polynomial left has the
+    same lowest component, and no rational function or gcd is made.
     """
     report = CheckReport(name=f"degeneration[n={n}]")
     gtable = grothendieck_table(n)
     xtable = schubert_table(n)
-    images = {}
-    for i in range(1, n + 1):
-        images[f"x{i}"] = RationalFunction(1, 1 - LaurentPoly.variable(f"u{i}"))
-        images[f"y{i}"] = RationalFunction(1, 1 - LaurentPoly.variable(f"y{i}"))
-    lowvars = {f"u{i}" for i in range(1, n + 1)} | {f"y{j}" for j in range(1, n + 1)}
+    tou = {f"x{i}": f"u{i}" for i in range(1, n + 1)}
+    clearing = {**tou, **{f"y{j}": f"y{j}" for j in range(1, n + 1)}}
     for mu in all_permutations(n):
-        img = substitute_poly(gtable[mu], images)
-        den_const = img.den.coefficient({})
-        if den_const == 0:
-            raise SubstitutionSingular(f"denominator vanishes at 0 for {mu}")
-        low = lowest_homogeneous_component(img.num, lowvars)
-        want = rename_poly(xtable[mu], {f"x{i}": f"u{i}" for i in range(1, n + 1)})
-        report.record(
-            low == want * den_const,
-            lambda: f"mu={mu}: lowest component mismatch",
-        )
+        cleared = gtable[mu]
+        for v, a in clearing.items():
+            cleared = _cleared(cleared, v, 1 - LaurentPoly.variable(a))
+        low = lowest_homogeneous_component(cleared, clearing.values())
+        ok = low == rename_poly(xtable[mu], tou)
+        report.record(ok, lambda: f"mu={mu}: lowest component mismatch")
     return report

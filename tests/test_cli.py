@@ -568,3 +568,29 @@ def test_out_file(capsys, tmp_path):
     code, out = run(capsys, "schubert", "-n", "2", "--out", str(target))
     assert code == 0
     assert target.read_text() == out
+
+
+def test_out_path_that_cannot_be_opened_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    for argv in (["schubert", "-n", "2"], ["verify", "degeneration", "-n", "2"]):
+        assert main([*argv, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write --out {target}: No such file or directory\n"
+    assert main(["schubert", "-n", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+
+
+def test_verify_all_n4_takes_no_gcd_and_no_rational_arithmetic(capsys, monkeypatch):
+    import ybhecke.poly
+    from ybhecke.poly import RationalFunction
+
+    def refuse(*args):
+        raise AssertionError("poly_gcd or RationalFunction arithmetic")
+
+    monkeypatch.setattr(ybhecke.poly, "poly_gcd", refuse)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(RationalFunction, name, refuse)
+    assert main(["verify", "all", "-n", "4"]) == 0
+    assert capsys.readouterr().out.endswith("verify all: PASS\n")

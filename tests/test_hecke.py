@@ -709,7 +709,7 @@ def test_factor_coefficients_match_rational_arithmetic(family):
             ), (a, b)
 
 
-@pytest.mark.parametrize("family", ["pibar", "T"])
+@pytest.mark.parametrize("family", ["pibar", "T", "sigma", "partial"])
 def test_factors_and_delta_at_the_symbols_take_no_rational_arithmetic(family, monkeypatch):
     def refuse(*args):
         raise AssertionError("RationalFunction arithmetic")

@@ -1,11 +1,15 @@
 """Polynomial tables and the transition/verification drivers."""
 
+import random
+from fractions import Fraction
+from math import prod
+
 import pytest
 
 from ybhecke import schubert
 from ybhecke.errors import RankOutOfRange, ShapeInvalid
-from ybhecke.hecke import algebra, symbolic_spectral, yb_basis
-from ybhecke.operators import apply_generator
+from ybhecke.hecke import algebra, symbolic_spectral, word_steps, yb_basis
+from ybhecke.operators import apply_generator, random_probe
 from ybhecke.permutations import Permutation, all_permutations
 from ybhecke.poly import (
     LaurentPoly,
@@ -387,3 +391,84 @@ def test_invertible_eliminates_exactly():
     assert not schubert._invertible([[3, 7], [1, Fraction(7, 3)]])
     assert not schubert._invertible([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert schubert._invertible([[0, Fraction(1, 2)], [Fraction(2, 3), 5]])
+
+
+def _cleared_entry(g, n):
+    # the suite's route: every x_i and y_j cleared in turn by schubert._cleared
+    for i in range(1, n + 1):
+        g = schubert._cleared(g, f"x{i}", 1 - LaurentPoly.variable(f"u{i}"))
+    for j in range(1, n + 1):
+        g = schubert._cleared(g, f"y{j}", 1 - LaurentPoly.variable(f"y{j}"))
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_degeneration_by_clearing_matches_substitution(n):
+    # the earlier route: substitute into RationalFunction, then compare the
+    # lowest component of the numerator with X_mu times the constant term
+    # of the denominator; the cleared polynomial's lowest component is X_mu
+    images = {}
+    for i in range(1, n + 1):
+        images[f"x{i}"] = RationalFunction(1, 1 - LaurentPoly.variable(f"u{i}"))
+        images[f"y{i}"] = RationalFunction(1, 1 - LaurentPoly.variable(f"y{i}"))
+    low_vars = {f"u{i}" for i in range(1, n + 1)} | {f"y{j}" for j in range(1, n + 1)}
+    tou = {f"x{i}": f"u{i}" for i in range(1, n + 1)}
+    gtable, xtable = grothendieck_table(n), schubert_table(n)
+    for mu in all_permutations(n):
+        img = substitute_poly(gtable[mu], images)
+        den_const = img.den.coefficient({})
+        assert den_const != 0, mu
+        old = lowest_homogeneous_component(img.num, low_vars)
+        new = lowest_homogeneous_component(_cleared_entry(gtable[mu], n), low_vars)
+        assert old == new * den_const, mu
+        assert new == rename_poly(xtable[mu], tou), mu
+
+
+def test_cleared_is_the_power_times_the_substitution():
+    # w^d p(v -> 1/w) with d = 2, the top exponent of y1, and w = 1 - y1
+    p = parse_poly("3*y1^2*x1 - y1 + 5*x1^-1")
+    w = 1 - LaurentPoly.variable("y1")
+    got = schubert._cleared(p, "y1", w)
+    assert got == parse_poly("3*x1") - w + 5 * w ** 2 * parse_poly("x1^-1")
+    # x1 has exponents 1 and -1, so d = 1 and x1^e becomes w^(1-e)
+    w = 1 - LaurentPoly.variable("u1")
+    got = schubert._cleared(p, "x1", w)
+    assert got == 3 * parse_poly("y1^2") - parse_poly("y1") * w + 5 * w ** 2
+
+
+def test_degeneration_fails_on_a_wrong_table_entry(monkeypatch):
+    table = grothendieck_table(3)
+
+    def wrong_table(n):
+        entries = dict(table.entries)
+        entries[P("213")] = entries[P("213")] + parse_poly("y2*x2^-1")
+        return schubert.GrothendieckTable(n=n, entries=entries)
+
+    monkeypatch.setattr(schubert, "grothendieck_table", wrong_table)
+    report = verify_groth_to_schubert_degeneration(3)
+    assert report.checks == 6 and report.failed == 1
+    assert report.failures == ["mu=213: lowest component mismatch"]
+
+
+def _fraction_step(f, j, a, b, n):
+    # the unscaled degenerate-family factor s_j + 1/(u_a - u_b) at u_i = i
+    return apply_generator("s", j, f, n) + f * Fraction(1, a - b)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_scaled_step_is_the_fraction_step_times_the_inversion_product(n):
+    rng = random.Random(n)
+    staircase = LaurentPoly.monomial({f"x{i}": n - i for i in range(1, n)})
+    for mu in all_permutations(n):
+        steps = list(word_steps(n, mu.reduced_word()))
+        inversions = {
+            (mu(j), mu(i))
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if mu(i) > mu(j)
+        }
+        assert sorted((a, b) for _, a, b in steps) == sorted(inversions), mu
+        scale = prod(a - b for _, a, b in steps)
+        for f in (staircase, random_probe(rng, n)):
+            scaled = schubert._yb_operator(mu, f, schubert._s_step)
+            assert scaled == scale * schubert._yb_operator(mu, f, _fraction_step), (mu, f)
