@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import YBHeckeError
@@ -65,7 +65,11 @@ class ConfigError(Exception):
     """A bad flag combination; maps to exit code 2."""
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand names its
+    handler, which :func:`main` looks up when it dispatches, so a handler
+    replaced after the first call (patched or traced) is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="ybhecke",
         description="Exact Yang-Baxter bases of type-A Hecke algebras.",
@@ -83,12 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--family", choices=FACTOR_FAMILIES, default="T")
 
     p = sub.add_parser("schubert", help="double Schubert polynomial table")
-    common(p, cmd_table)
+    common(p, "cmd_table")
     p = sub.add_parser("grothendieck", help="double Grothendieck polynomial table")
-    common(p, cmd_table)
+    common(p, "cmd_table")
 
     p = sub.add_parser("yb", help="expand a Yang-Baxter element")
-    common(p, cmd_yb, with_family=True)
+    common(p, "cmd_yb", with_family=True)
     p.add_argument("mu", help="permutation window, e.g. 35142")
     p.add_argument("--basis", choices=("standard", "rothe"), default="standard")
     p.add_argument("--shorthand", action="store_true", help="factor list as (ji)Tk")
@@ -97,12 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectral", help="comma-separated expressions for u1..un")
 
     p = sub.add_parser("gram", help="pairing matrix of the Yang-Baxter basis")
-    common(p, cmd_gram, with_family=True)
+    common(p, "cmd_gram", with_family=True)
     p.add_argument("--spectral", help="comma-separated expressions for u1..un")
     p.add_argument("--force", action="store_true", help="lift the symbolic rank guard")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.set_defaults(handler=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
     p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--family", choices=FAMILIES)
@@ -486,7 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except (ConfigError, YBHeckeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

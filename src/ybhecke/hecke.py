@@ -176,7 +176,7 @@ class HeckeElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        if self.alg != other.alg or set(self.coeffs) != set(other.coeffs):
+        if self.alg != other.alg or self.coeffs.keys() != other.coeffs.keys():
             return False
         return all(c == other.coeffs[mu] for mu, c in self.coeffs.items())
 

@@ -5,6 +5,18 @@ The window (one-line notation) is the single source of truth: a permutation
 multiplication by the simple transposition ``s_j`` swaps window positions
 ``j`` and ``j+1``; left multiplication swaps the values ``j`` and ``j+1``.
 
+There is one object per window: every constructor, product and neighbour
+returns the entry of a module-wide table, and pickle, ``copy`` and
+``deepcopy`` return it too.  So two permutations are equal exactly when they
+are the same object, and equality and hashing are the identity defaults,
+which dict lookups keyed by permutations take without a Python call.  Each
+object caches its structure the first time it is asked for: its right and
+left neighbours ``mu s_j`` and ``s_j mu`` (the edges of the Cayley graph),
+its inverse, length, descents, left descents and canonical reduced word.
+The table keeps every window ever built; the enumerations of
+:func:`all_permutations` up to :data:`MAX_RANK` hold at most
+1! + 2! + ... + 6! = 873 objects.
+
 >>> mu = Permutation.from_string("35142")
 >>> mu.length()
 6
@@ -12,6 +24,8 @@ multiplication by the simple transposition ``s_j`` swaps window positions
 '31542'
 >>> Permutation.from_string("321").reduced_word()
 (1, 2, 1)
+>>> mu.times_simple(2) is Permutation.from_string("31542")
+True
 """
 
 from __future__ import annotations
@@ -34,25 +48,54 @@ __all__ = [
 # The desk-scale rank guard of every enumeration of S_n.
 MAX_RANK = 6
 
+# The one permutation of each window.
+_INTERNED: dict[tuple[int, ...], "Permutation"] = {}
+# S_n sorted by (length, window), once per n.
+_SORTED: dict[int, tuple["Permutation", ...]] = {}
+
 
 class Permutation:
-    """An element of the symmetric group S_n, indexed from 1."""
+    """An element of the symmetric group S_n, indexed from 1; one object per
+    window (see the module docstring)."""
 
-    __slots__ = ("window",)
+    __slots__ = (
+        "window",
+        "n",
+        "_right",
+        "_left",
+        "_inverse",
+        "_length",
+        "_descents",
+        "_left_descents",
+        "_reduced_word",
+    )
 
-    def __init__(self, window):
+    def __new__(cls, window):
         w = tuple(int(v) for v in window)
+        mu = _INTERNED.get(w)
+        if mu is not None:
+            return mu
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"not a permutation window: {w}")
-        self.window = w
+        return cls._trusted(w)
 
     @classmethod
     def _trusted(cls, window: tuple[int, ...]) -> "Permutation":
         """The permutation with ``window``, unchecked: for windows built
         from valid permutations, which are valid by construction."""
-        mu = object.__new__(cls)
-        mu.window = window
+        mu = _INTERNED.get(window)
+        if mu is None:
+            mu = object.__new__(cls)
+            mu.window = window
+            mu.n = len(window)
+            mu._right = mu._left = mu._inverse = mu._length = None
+            mu._descents = mu._left_descents = mu._reduced_word = None
+            # a construction racing this one gets the same object
+            mu = _INTERNED.setdefault(window, mu)
         return mu
+
+    def __reduce__(self):
+        return (Permutation, (self.window,))
 
     # ------------------------------------------------------------------
 
@@ -68,9 +111,7 @@ class Permutation:
     def simple(cls, n: int, j: int) -> "Permutation":
         if not 1 <= j <= n - 1:
             raise IndexOutOfRange(f"simple reflection s_{j} undefined in S_{n}")
-        w = list(range(1, n + 1))
-        w[j - 1], w[j] = w[j], w[j - 1]
-        return cls(w)
+        return cls.identity(n).times_simple(j)
 
     @classmethod
     def from_string(cls, s: str) -> "Permutation":
@@ -93,18 +134,8 @@ class Permutation:
 
     # ------------------------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
     def __call__(self, i: int) -> int:
         return self.window[i - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.window == other.window
-
-    def __hash__(self) -> int:
-        return hash(self.window)
 
     def __str__(self) -> str:
         if self.n <= 9:
@@ -123,46 +154,72 @@ class Permutation:
         return Permutation._trusted(tuple(self.window[v - 1] for v in other.window))
 
     def inverse(self) -> "Permutation":
-        w = [0] * self.n
-        for i, v in enumerate(self.window):
-            w[v - 1] = i + 1
-        return Permutation._trusted(tuple(w))
+        inv = self._inverse
+        if inv is None:
+            w = [0] * self.n
+            for i, v in enumerate(self.window):
+                w[v - 1] = i + 1
+            inv = self._inverse = Permutation._trusted(tuple(w))
+            inv._inverse = self
+        return inv
 
     @property
     def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.window))
+        return self.length() == 0
 
     def length(self) -> int:
         """Number of inversions #{(i, j) : i < j, mu(i) > mu(j)}."""
-        w = self.window
-        return sum(1 for i in range(self.n) for j in range(i + 1, self.n) if w[i] > w[j])
+        k = self._length
+        if k is None:
+            w, n = self.window, self.n
+            k = self._length = sum(
+                1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j]
+            )
+        return k
 
     def descents(self) -> tuple[int, ...]:
         """Positions j with mu(j) > mu(j+1), i.e. length(mu*s_j) < length(mu)."""
-        w = self.window
-        return tuple(j for j in range(1, self.n) if w[j - 1] > w[j])
+        d = self._descents
+        if d is None:
+            w = self.window
+            d = self._descents = tuple(j for j in range(1, self.n) if w[j - 1] > w[j])
+        return d
 
     def left_descents(self) -> tuple[int, ...]:
         """Values i with i+1 before i in the window, i.e. length(s_i*mu) < length(mu)."""
-        w = self.window
-        return tuple(i for i in range(1, self.n) if w.index(i) > w.index(i + 1))
+        d = self._left_descents
+        if d is None:
+            w = self.window
+            d = self._left_descents = tuple(
+                i for i in range(1, self.n) if w.index(i) > w.index(i + 1)
+            )
+        return d
 
     def times_simple(self, j: int) -> "Permutation":
         """Right multiplication by s_j: swap window positions j, j+1."""
         if not 1 <= j <= self.n - 1:
             raise IndexOutOfRange(f"generator index {j} outside 1..{self.n - 1}")
-        w = list(self.window)
-        w[j - 1], w[j] = w[j], w[j - 1]
-        return Permutation._trusted(tuple(w))
+        right = self._right
+        if right is None:
+            w = self.window
+            right = self._right = tuple(
+                Permutation._trusted(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
+                for i in range(1, self.n)
+            )
+        return right[j - 1]
 
     def simple_times(self, j: int) -> "Permutation":
         """Left multiplication by s_j: swap the values j, j+1 in the window."""
         if not 1 <= j <= self.n - 1:
             raise IndexOutOfRange(f"generator index {j} outside 1..{self.n - 1}")
-        w = list(self.window)
-        a, b = w.index(j), w.index(j + 1)
-        w[a], w[b] = w[b], w[a]
-        return Permutation._trusted(tuple(w))
+        left = self._left
+        if left is None:
+            w = self.window
+            left = self._left = tuple(
+                Permutation._trusted(tuple(i + 1 if v == i else i if v == i + 1 else v for v in w))
+                for i in range(1, self.n)
+            )
+        return left[j - 1]
 
     def reduced_word(self) -> tuple[int, ...]:
         """Canonical reduced word: the product s_{i1}...s_{ir} equals ``self``.
@@ -172,27 +229,33 @@ class Permutation:
         is the canonical word.  Any deterministic choice would do, since all
         downstream constructions are reduced-word independent.
         """
-        w = list(self.window)
-        n = len(w)
-        sorting: list[int] = []
-        for value in range(n, 0, -1):
-            pos = w.index(value) + 1
-            for j in range(pos, value):
-                w[j - 1], w[j] = w[j], w[j - 1]
-                sorting.append(j)
-        return tuple(reversed(sorting))
+        word = self._reduced_word
+        if word is None:
+            w = list(self.window)
+            sorting: list[int] = []
+            for value in range(len(w), 0, -1):
+                pos = w.index(value) + 1
+                for j in range(pos, value):
+                    w[j - 1], w[j] = w[j], w[j - 1]
+                    sorting.append(j)
+            word = self._reduced_word = tuple(reversed(sorting))
+        return word
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (self.length(), self.window)
 
 
 def all_permutations(n: int) -> list[Permutation]:
-    """All of S_n sorted by (length, window); guarded by :data:`MAX_RANK`."""
+    """All of S_n sorted by (length, window), as a fresh list; guarded by
+    :data:`MAX_RANK`."""
     if not 1 <= n <= MAX_RANK:
         raise RankOutOfRange(f"rank {n} outside 1..{MAX_RANK}")
-    perms = [Permutation._trusted(w) for w in _itperms(range(1, n + 1))]
-    perms.sort(key=Permutation.sort_key)
-    return perms
+    perms = _SORTED.get(n)
+    if perms is None:
+        perms = [Permutation._trusted(w) for w in _itperms(range(1, n + 1))]
+        perms.sort(key=Permutation.sort_key)
+        perms = _SORTED.setdefault(n, tuple(perms))
+    return list(perms)
 
 
 def all_reduced_words(mu: Permutation) -> list[tuple[int, ...]]:

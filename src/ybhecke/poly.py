@@ -477,7 +477,9 @@ class LaurentPoly:
             if len(self._terms) == 1:
                 (m, c), = self._terms.items()
                 _check_keys((-m,))
-                return LaurentPoly._raw({-m: _scalar(Fraction(1, c))}) ** (-n)
+                # a stored 1 or -1 is an int, and its own inverse
+                inv = c if c == 1 or c == -1 else _scalar(Fraction(1, c))
+                return LaurentPoly._raw({-m: inv}) ** (-n)
             raise ValueError("negative powers only for invertible monomials")
         return _power(self, n)
 

@@ -46,6 +46,7 @@ from .poly import (
     lowest_homogeneous_component,
     rename_poly,
     sum_of_products,
+    var_parts,
 )
 from .report import CheckReport
 
@@ -439,7 +440,15 @@ def verify_appendix_factorizations(
 
 def _schubert_coordinates(f: LaurentPoly, n: int) -> dict:
     """Coordinates of a polynomial f modulo the symmetric ideal:
-    c_nu(f) = (partial_nu f)(0), read as the constant term of partial_nu f."""
+    c_nu(f) = (partial_nu f)(0), read as the constant term of partial_nu f.
+
+    partial_nu acts on x and is linear over y, so a term with a y in it
+    stays a multiple of its y-monomial and never reaches the constant term:
+    only the y-free part f(x, 0) is descended.
+    """
+    for v in f.variables():
+        if var_parts(v)[0] == "y":
+            f = coefficients_in(f, v).get(0, LaurentPoly.zero())
     return {
         nu: img.coefficient({})
         for nu, img in all_inverse_words("partial", f, n).items()

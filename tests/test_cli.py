@@ -594,3 +594,23 @@ def test_verify_all_n4_takes_no_gcd_and_no_rational_arithmetic(capsys, monkeypat
         monkeypatch.setattr(RationalFunction, name, refuse)
     assert main(["verify", "all", "-n", "4"]) == 0
     assert capsys.readouterr().out.endswith("verify all: PASS\n")
+
+
+def test_parser_is_built_once_and_a_patched_handler_still_runs(capsys, monkeypatch):
+    from ybhecke import cli
+
+    assert main(["schubert", "-n", "2"]) == 0
+    assert capsys.readouterr().out == "12: 1\n21: x1 - y1\n"
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+
+    def patched(args):
+        seen.append((args.command, args.n))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_table", patched)
+    assert main(["grothendieck", "-n", "3"]) == 0
+    assert seen == [("grothendieck", 3)] and capsys.readouterr().out == ""
+    monkeypatch.undo()
+    assert main(["schubert", "-n", "2"]) == 0
+    assert capsys.readouterr().out == "12: 1\n21: x1 - y1\n"

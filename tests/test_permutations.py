@@ -1,5 +1,8 @@
 """Symmetric-group combinatorics: windows, words, Rothe diagrams."""
 
+import copy
+import pickle
+
 import pytest
 
 from ybhecke.errors import IndexOutOfRange, RankMismatch, RankOutOfRange
@@ -212,3 +215,93 @@ def test_rank_guard_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("YB_HECKE_MAX_N", "8")
     with pytest.raises(RankOutOfRange):
         all_permutations(7)
+
+
+# ----------------------------------------------------------------------
+# one object per window
+
+
+def test_equality_and_hash_are_the_identity_defaults():
+    assert Permutation.__eq__ is object.__eq__
+    assert Permutation.__hash__ is object.__hash__
+
+
+def test_every_constructor_returns_the_one_object_of_its_window():
+    mu = P("35142")
+    assert Permutation((3, 5, 1, 4, 2)) is mu
+    assert Permutation([3, 5, 1, 4, 2]) is mu
+    assert Permutation(str(v) for v in (3, 5, 1, 4, 2)) is mu
+    assert P("3,5,1,4,2") is mu
+    assert Permutation._trusted((3, 5, 1, 4, 2)) is mu
+    assert Permutation.identity(5) is P("12345")
+    assert Permutation.longest(5) is P("54321")
+    assert Permutation.simple(5, 2) is P("13245")
+    assert mu * Permutation.identity(5) is mu
+    assert mu * Permutation.simple(5, 2) is P("31542")
+    assert P("31542").inverse() is P("31542").inverse() is P("25143")
+    assert mu.times_simple(2) is P("31542")
+    assert mu.simple_times(2) is P("25143")
+    assert all_permutations(5)[-1] is Permutation.longest(5)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda mu: pickle.loads(pickle.dumps(mu)),
+    lambda mu: pickle.loads(pickle.dumps(mu, protocol=0)),
+    copy.copy,
+    copy.deepcopy,
+])
+def test_pickle_and_copies_return_the_same_object(clone):
+    for mu in all_permutations(4):
+        assert clone(mu) is mu
+    pair = {P("213"): [P("321")]}
+    cloned = clone(pair)
+    assert list(cloned) == [P("213")] and cloned[P("213")][0] is P("321")
+
+
+def _scratch_reduced_word(w):
+    w, sorting = list(w), []
+    for value in range(len(w), 0, -1):
+        for j in range(w.index(value) + 1, value):
+            w[j - 1], w[j] = w[j], w[j - 1]
+            sorting.append(j)
+    return tuple(reversed(sorting))
+
+
+def test_cached_structure_agrees_with_a_computation_from_the_window():
+    # each method is asked twice, so a wrong cached value fails on either call
+    for mu in all_permutations(5):
+        w = mu.window
+        n = len(w)
+        expect = {
+            "length": brute_length(mu),
+            "descents": tuple(j for j in range(1, n) if w[j - 1] > w[j]),
+            "left_descents": tuple(
+                i for i in range(1, n) if w.index(i) > w.index(i + 1)
+            ),
+            "inverse": tuple(w.index(v) + 1 for v in range(1, n + 1)),
+            "reduced_word": _scratch_reduced_word(w),
+        }
+        for _ in range(2):
+            assert mu.length() == expect["length"]
+            assert mu.descents() == expect["descents"]
+            assert mu.left_descents() == expect["left_descents"]
+            assert mu.inverse().window == expect["inverse"]
+            assert mu.reduced_word() == expect["reduced_word"]
+            assert mu.sort_key() == (expect["length"], w)
+            assert mu.is_identity == (w == tuple(range(1, n + 1)))
+            for j in range(1, n):
+                right = list(w)
+                right[j - 1], right[j] = right[j], right[j - 1]
+                left = [j + 1 if v == j else j if v == j + 1 else v for v in w]
+                assert mu.times_simple(j).window == tuple(right)
+                assert mu.simple_times(j).window == tuple(left)
+
+
+def test_all_permutations_returns_a_fresh_list():
+    first = all_permutations(3)
+    expect = [p.window for p in first]
+    first.reverse()
+    first.append(P("4321"))
+    again = all_permutations(3)
+    assert [p.window for p in again] == expect
+    assert again is not first

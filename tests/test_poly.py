@@ -997,6 +997,31 @@ def test_negative_power_of_a_monomial_is_exact():
     assert_stored_exactly(got, integral=True)
 
 
+@pytest.mark.parametrize("c", [1, -1, 2, Fraction(1, 3)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_negative_power_of_a_monomial_matches_the_inverted_coefficient(c, k):
+    got = LaurentPoly.monomial({"u1": 2, "x2": -1}, c) ** -k
+    # the route that always inverted through Fraction(1, c)
+    want = LaurentPoly.monomial({"u1": -2, "x2": 1}, Fraction(1, c)) ** k
+    assert [(m, type(v), v) for m, v in got.terms.items()] == [
+        (m, type(v), v) for m, v in want.terms.items()
+    ]
+
+
+@pytest.mark.parametrize("c", [1, -1])
+def test_negative_power_of_a_unit_monomial_builds_no_fraction(c, monkeypatch):
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    mono = LaurentPoly.monomial({"u1": 1, "u3": -2}, c)
+    monkeypatch.setattr(ybhecke.poly, "Fraction", NoFraction)
+    got = mono ** -3
+    monkeypatch.undo()
+    assert got.terms == {(("u1", -3), ("u3", 6)): c}
+    assert_stored_exactly(got, integral=True)
+
+
 def test_normalisation_divides_exactly():
     f = RationalFunction(parse_poly("2*x1 + 4"), LaurentPoly.constant(-6))
     assert f.num.terms == {(("x1", 1),): Fraction(-1, 3), (): Fraction(-2, 3)}

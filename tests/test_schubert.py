@@ -9,7 +9,7 @@ import pytest
 from ybhecke import schubert
 from ybhecke.errors import RankOutOfRange, ShapeInvalid
 from ybhecke.hecke import algebra, symbolic_spectral, word_steps, yb_basis
-from ybhecke.operators import apply_generator, random_probe
+from ybhecke.operators import all_inverse_words, apply_generator, random_probe
 from ybhecke.permutations import Permutation, all_permutations
 from ybhecke.poly import (
     LaurentPoly,
@@ -360,6 +360,22 @@ def test_cohomology_basis_fails_on_a_wrong_table_entry(monkeypatch):
     report = verify_cohomology_basis(3)
     assert report.checks == 7 and report.failed == 1
     assert report.failures == ["coordinate functional fails on X_213"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coordinates_of_the_y_free_part_match_the_whole_polynomial(n):
+    # the constant term of partial_nu f, read from f with its y terms kept
+    def whole(f):
+        return {nu: img.coefficient({}) for nu, img in all_inverse_words("partial", f, n).items()}
+
+    rng = random.Random(n)
+    table = schubert_table(n)
+    staircase = LaurentPoly.monomial({f"x{i}": n - i for i in range(1, n)})
+    probes = [table[mu] for mu in all_permutations(n)]
+    probes += [schubert._yb_operator(mu, staircase, schubert._s_step) for mu in all_permutations(n)]
+    probes += [random_probe(rng, n) * parse_poly(f"y1 - 2*y{n}^2 + 3") for _ in range(5)]
+    for f in probes:
+        assert schubert._schubert_coordinates(f, n) == whole(f), f
 
 
 def test_degeneration():
