@@ -29,12 +29,14 @@ digit, so every kernel checks the keys it makes with one mask
 (:func:`_check_keys`) and an exponent out of range raises
 :class:`ExponentOverflow` rather than carry into the next slot.  Keys are
 decoded into (variable, exponent) pairs in canonical order only at the
-boundary: ``.terms``, iteration, ``leading()``, rendering and JSON.  One
-polynomial renamed at many permutations, as in the specializations
-p(u^mu, u) of the transition theorems, is compiled once by
-:func:`compile_specialization`, which renames one variable at a time and
-keeps the result for each prefix of a permutation, so permutations that
-share a prefix share its renames.
+boundary: ``.terms``, iteration, ``leading()`` and JSON.  Rendering decodes
+nothing: it orders the variables of a polynomial by display key once, sorts
+the keys by one integer each (the total degree, then the exponents in that
+order) and reads each exponent from its slot.  One polynomial renamed at
+many permutations, as in the specializations p(u^mu, u) of the transition
+theorems, is compiled once by :func:`compile_specialization`, which renames
+one variable at a time and keeps the result for each prefix of a
+permutation, so permutations that share a prefix share its renames.
 
 >>> p = LaurentPoly.variable("x1") - LaurentPoly.variable("y1")
 >>> str(p * p)
@@ -224,22 +226,28 @@ def _present(keys: Iterable[Monomial]) -> list[str]:
     return [v for s, v in enumerate(_NAMES) if z >> (_WIDTH * s) & _MASK]
 
 
-def _graded_key(names: Sequence[str]) -> Callable[[Monomial], tuple[int, list[int]]]:
-    """A sort key of monomials in the variables ``names``: the total degree,
-    then the exponents over ``names``, the first the most significant.  The
-    exponents keep their bias of 2^15, which changes no comparison."""
+def _graded_key(names: Sequence[str]) -> Callable[[Monomial], int]:
+    """A sort key of monomials in the variables ``names``, one integer: the
+    total degree above the exponents over ``names``, the first the most
+    significant, one 16-bit digit each.  The exponents keep their bias of
+    2^15, which changes no comparison."""
     shifts = [_VARS[v][4] for v in names]
+    top = _WIDTH * len(shifts)
     half = _HALF
 
-    def key(k: Monomial) -> tuple[int, list[int]]:
+    def key(k: Monomial) -> int:
         k += half
-        exps = [k >> s & _MASK for s in shifts]
-        return sum(exps), exps
+        r = d = 0
+        for s in shifts:
+            e = k >> s & _MASK
+            r = r << _WIDTH | e
+            d += e
+        return d << top | r
 
     return key
 
 
-def _canonical_key(keys: Iterable[Monomial]) -> Callable[[Monomial], tuple[int, list[int]]]:
+def _canonical_key(keys: Iterable[Monomial]) -> Callable[[Monomial], int]:
     """The graded-lex key in the canonical variable order, the largest
     variable the most significant, for monomials in the variables of
     ``keys``.  It decides leading terms (the sign of a denominator)."""
@@ -253,15 +261,21 @@ def _lead(terms: Mapping[Monomial, Scalar]) -> Monomial:
     return max(terms, key=_canonical_key(terms))
 
 
+def _display_order(terms: Mapping[Monomial, Scalar]) -> tuple[list[str], list[Monomial]]:
+    """The variables of ``terms`` in display order (x's first, then y, u, q,
+    each family by index) and the keys in rendering order: higher total
+    degree first, then by exponent with the first of those variables the
+    most significant, so that x1 + x2 - y1 - y2 prints in the familiar way.
+    Canonical decisions (denominator sign) use :func:`_canonical_key`."""
+    names = sorted(_present(terms), key=_display_key)
+    return names, sorted(terms, key=_graded_key(names), reverse=True)
+
+
 def _display_sorted(p: "LaurentPoly") -> list[tuple[tuple[tuple[str, int], ...], Scalar]]:
     """The terms of ``p`` as (decoded monomial, coefficient) in rendering
-    order: higher total degree first, then by exponent with x1 the most
-    significant variable, so that x1 + x2 - y1 - y2 prints in the familiar
-    way.  Canonical decisions (denominator sign) use :func:`_canonical_key`.
-    """
+    order (:func:`_display_order`), each monomial in canonical order."""
     t = p._terms
-    key = _graded_key(sorted(_present(t), key=_display_key))
-    return [(_decode(k), t[k]) for k in sorted(t, key=key, reverse=True)]
+    return [(_decode(k), t[k]) for k in _display_order(t)[1]]
 
 
 def _scalar(c) -> Scalar:
@@ -445,17 +459,32 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
+        """The product, by one of two paths.
+
+        When either operand is one term c*X^d (a constant included), the
+        product is {m + d: x*c} over the other operand's terms: a shift is
+        injective, so nothing accumulates and no zero appears, and the keys
+        are checked only when d != 0.  Otherwise every pair of terms is
+        multiplied and summed, zeros are dropped and the keys are checked.
+        Either way each coefficient is stored as :func:`_scalar` stores it
+        (only a product with a Fraction operand is passed through it), and
+        :class:`ExponentOverflow` is raised where an exponent of the product
+        leaves the range.
+        """
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not self._terms or not other._terms:
             return LaurentPoly.zero()
         a, b = self._terms, other._terms
-        if other.is_constant or self.is_constant:
-            if self.is_constant:
+        if len(b) == 1 or len(a) == 1:
+            if len(b) != 1:
                 a, b = b, a
-            c = b[0]
-            out = {m: x * c for m, x in a.items()}
+            # a shift by one key: no two products meet and none is zero
+            (d, c), = b.items()
+            out = {m + d: x * c for m, x in a.items()}
+            if d:
+                _check_keys(out)
             return LaurentPoly._raw(out if type(c) is int and _integral(a) else _stored(out, False))
         items = b.items()
         out: dict[Monomial, Scalar] = {}
@@ -1129,33 +1158,37 @@ def compile_specialization(
     The result takes the images w = (w(1), ..., w(n)), which must be a
     permutation of 1..n (``ValueError`` otherwise), and returns what
     ``rename_poly`` gives for that map; every other variable passes
-    through, a u_k with k <= n merging with the images.  The fixed digits
-    move to u1..un once.  The movers are then renamed one at a time: the
-    polynomial for each prefix (w(1), ..., w(i)) is kept in a memo keyed
-    by that prefix, with its terms split once by their exponent a of
-    moved_{i+1}, and each child adds a << slot(u_{w(i+1)}) to the keys of
-    a part.  A mover that no term has passes a node through uncopied, and
-    an empty node makes every window below it zero.  The memo holds at
-    most sum_i n!/(n-i)! nodes (the windows themselves at i = n) and is
-    freed with the returned function.  The keys are checked only when some
-    u exponent plus some moved exponent could leave the range; the nodes
-    then keep their cancelled terms, so every image is checked as
-    ``rename_poly`` checks it.
+    through, a u_k with k <= n merging with the images.  The variables
+    present are read once: only the fixed variables that some term has
+    move, to u1..un, once, and they say which movers occur.  The movers
+    are then renamed one at a time: the polynomial for each prefix
+    (w(1), ..., w(i)) is kept in a memo keyed by that prefix, with its
+    terms split once by their exponent a of moved_{i+1}, and each child
+    adds a << slot(u_{w(i+1)}) to the keys of a part.  A mover that no
+    term has passes a node through uncopied, and an empty node makes every
+    window below it zero.  The memo holds at most sum_i n!/(n-i)! nodes
+    (the windows themselves at i = n) and is freed with the returned
+    function.  The keys are checked only when some u exponent plus some
+    moved exponent could leave the range; the nodes then keep their
+    cancelled terms, so every image is checked as ``rename_poly`` checks
+    it.
     """
     us = [_var_info(f"u{k}")[4] for k in range(1, n + 1)]
     movers = [_var_info(f"{moved}{i}")[4] for i in range(1, n + 1)]
-    fixers = [_var_info(f"{fixed}{j}")[4] for j in range(1, n + 1)]
+    fixers = [(f"{fixed}{j}", _var_info(f"{fixed}{j}")[4]) for j in range(1, n + 1)]
+    # moving the fixed digits leaves the movers' digits as they are
+    present = set(_present(p._terms))
+    fixes = [(r, s) for (v, r), s in zip(fixers, us) if v in present]
     half = _HALF
     terms: dict[Monomial, Scalar] = {}
     for m, c in p._terms.items():
         biased = m + half
-        for r, s in zip(fixers, us):
+        for r, s in fixes:
             b = (biased >> r & _MASK) - _HALF_DIGIT
             if b:
                 m += (b << s) - (b << r)
         terms[m] = terms.get(m, 0) + c
     _check_keys(terms)
-    present = set(_present(terms))
     # has[i]: some term has moved_{i+1}; the entry past the last mover
     # serves the root at n = 0
     has = [f"{moved}{i}" in present for i in range(1, n + 1)] + [False]
@@ -1184,13 +1217,14 @@ def compile_specialization(
 
     nodes: dict[tuple[int, ...], Node] = {(): split(terms, 0)}
     leaves: dict[tuple[int, ...], LaurentPoly] = {}
+    identity = list(range(1, n + 1))
 
     def at(w: Sequence[int]) -> LaurentPoly:
         w = tuple(w)
         leaf = leaves.get(w)
         if leaf is not None:
             return leaf
-        if sorted(w) != list(range(1, n + 1)):
+        if sorted(w) != identity:
             raise ValueError(f"not a permutation of 1..{n}: {w}")
         sums = terms
         still, moving = nodes[()]
@@ -1309,33 +1343,44 @@ def lowest_homogeneous_component(p: LaurentPoly, vars: Iterable[str]) -> Laurent
 # text rendering (the parsing side lives in serialize.py)
 
 
-def _format_mono(m: tuple[tuple[str, int], ...], latex: bool) -> str:
-    items = sorted(m, key=lambda it: _VARS[it[0]][2])  # the display key
-    if not latex:
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in items)
-    parts = []
-    for v, e in items:
-        fam, idx = var_parts(v)
-        parts.append(f"{fam}_{idx}" if e == 1 else f"{fam}_{idx}^{{{e}}}")
-    return "".join(parts)
-
-
 def format_poly(p: LaurentPoly, latex: bool = False) -> str:
-    """Deterministic text for a polynomial; parses back via the CLI grammar."""
-    if p.is_zero:
+    """Deterministic text for a polynomial; parses back via the CLI grammar.
+
+    The terms come in rendering order (:func:`_display_order`), and each
+    exponent is read from its slot with the variables in display order."""
+    t = p._terms
+    if not t:
         return "0"
+    names, keys = _display_order(t)
+    sep = "" if latex else "*"
+    # (slot shift, the variable's text, its text to a power)
+    labels = []
+    for v in names:
+        info = _VARS[v]
+        if latex:
+            label = "{}_{}".format(*info[0])
+            labels.append((info[4], label, label + "^{{{}}}"))
+        else:
+            labels.append((info[4], v, v + "^{}"))
+    half = _HALF
     pieces: list[str] = []
-    for i, (m, c) in enumerate(_display_sorted(p)):
+    for k in keys:
+        c = t[k]
+        b = k + half
+        mono = []
+        for s, label, power in labels:
+            e = (b >> s & _MASK) - _HALF_DIGIT
+            if e:
+                mono.append(label if e == 1 else power.format(e))
         neg = c < 0
         mag = -c if neg else c
-        if not m:
+        if not mono:
             body = _format_scalar(mag, latex)
         elif mag == 1:
-            body = _format_mono(m, latex)
+            body = sep.join(mono)
         else:
-            sep = "" if latex else "*"
-            body = f"{_format_scalar(mag, latex)}{sep}{_format_mono(m, latex)}"
-        if i == 0:
+            body = f"{_format_scalar(mag, latex)}{sep}{sep.join(mono)}"
+        if not pieces:
             pieces.append(f"-{body}" if neg else body)
         else:
             pieces.append(f"{' - ' if neg else ' + '}{body}" if not latex else

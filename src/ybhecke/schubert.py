@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .errors import RankOutOfRange, ShapeInvalid
@@ -172,16 +172,21 @@ def _check_transition(
     """Check each coefficient of Y_mu at nu against want(nu) specialized at mu.
 
     Each want(nu) is specialized at every mu in turn (``moved`` family at
-    u^mu), so the pairs are checked, and failures kept, nu-major.  Returns
+    u^mu), so the pairs are checked, and failures kept, nu-major; a witness
+    string is built only for a failed pair that the report keeps.  Returns
     the coefficients by (mu, nu) in mu-major order.
     """
     perms = all_permutations(n)
-    entries = {(mu, nu): y.coefficient(nu) for mu, y in ys.items() for nu in perms}
+    entries = dict.fromkeys(product(ys, perms))  # mu-major, filled below
     for nu in perms:
         want_at = _specializer(want(nu), n, moved)
-        for mu in ys:
-            got, spec = entries[(mu, nu)], want_at(mu)
-            report.record(got == spec, lambda: f"mu={mu}, nu={nu}: {got} != {spec}")
+        for mu, y in ys.items():
+            got = entries[mu, nu] = y.coefficient(nu)
+            spec = want_at(mu)
+            if got == spec:
+                report.record(True, "")
+            else:
+                report.record(False, lambda: f"mu={mu}, nu={nu}: {got} != {spec}")
     return entries
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .poly import LaurentPoly, RationalFunction, as_rf
+from .poly import LaurentPoly, RationalFunction, _display_sorted, as_rf
 
 __all__ = [
     "parse_scalar",
@@ -159,8 +159,7 @@ def parse_poly(text: str) -> LaurentPoly:
 # ----------------------------------------------------------------------
 # JSON codecs.  A polynomial is a list of {"coeff": "p/q", "monomial":
 # {"x1": -1, ...}}; a rational function is {"num": [...], "den": [...]}.
-
-from .poly import _display_sorted  # deterministic export order
+# The terms come in the deterministic rendering order of _display_sorted.
 
 
 def poly_to_json(p: LaurentPoly) -> list[dict[str, Any]]:

@@ -530,8 +530,18 @@ def test_noncanonical_permutation_exits_2(capsys):
             747636,
             "48f310880a34119a8984b198b21f13fbe3102d0add87a203a05b79b498fc36dd",
         ),
+        (
+            ("schubert", "-n", "5", "--format", "latex"),
+            315722,
+            "c3a1063dbc21824a4ef28496bc9472ffebf42cb909acde3249eebb9f2b487e61",
+        ),
+        (
+            ("grothendieck", "-n", "5", "--format", "latex"),
+            319258,
+            "b663bac5d717ba6141f6fc5eaacfedf60ed39caa0547720ff95f486b272eaa67",
+        ),
     ],
-    ids=["schubert-text", "grothendieck-json"],
+    ids=["schubert-text", "grothendieck-json", "schubert-latex", "grothendieck-latex"],
 )
 def test_n5_table_output_is_pinned(capsys, argv, size, digest):
     # Size and SHA-256 of the exact bytes, so any change of rendering order shows.

@@ -803,6 +803,62 @@ def test_products_match_the_schoolbook_product():
     )
 
 
+def test_one_term_products_match_the_schoolbook_product():
+    # a one-term operand, a constant included, on either side shifts the
+    # other operand's keys: the same terms, stored as the same types, as the
+    # schoolbook product, and ExponentOverflow exactly where the schoolbook
+    # product and the general path (an operand of two terms) raise
+    rng = random.Random(2901)
+    names = ("q1", "u1", "u2", "x1", "x2", "y1")
+    limit = ybhecke.poly._LIMIT
+
+    def coeff():
+        c = rng.randint(-9, 9) or 1
+        return c if rng.random() < 0.5 else Fraction(c, rng.randint(2, 4))
+
+    def exponent(v, edge):
+        if var_parts(v)[0] in ("x", "u"):
+            return rng.choice([-limit, -limit + 1, limit - 2, limit - 1] if edge else [-3, -1, 1, 2])
+        return rng.choice([limit - 2, limit - 1] if edge else [1, 2])
+
+    def one_term(edge=False):
+        exps = {v: exponent(v, edge) for v in rng.sample(names, rng.randint(0, 3))}
+        return LaurentPoly.monomial(exps, coeff())
+
+    def poly():
+        # two terms at least, so that p * (mono + q2) takes the general path
+        p = LaurentPoly.zero()
+        while len(p) < 2:
+            for _ in range(rng.randint(2, 5)):
+                p = p + one_term()
+        return p
+
+    kinds = set()
+    for _ in range(300):
+        p = poly()
+        mono = LaurentPoly.constant(coeff()) if rng.random() < 0.25 else one_term()
+        want = stored(_schoolbook_product(p, mono))
+        assert stored(p * mono) == want == stored(mono * p), (p, mono)
+        kinds.update(type(c) for c, _ in want.values())
+    assert kinds == {int, Fraction}
+
+    raised = 0
+    q2 = LaurentPoly.variable("q2")  # no operand has q2: nothing cancels
+    for _ in range(300):
+        p, mono = poly(), one_term(edge=True)
+        try:
+            want = stored(_schoolbook_product(p, mono))
+        except ExponentOverflow:
+            raised += 1
+            for mul in (lambda: p * mono, lambda: mono * p, lambda: p * (mono + q2)):
+                with pytest.raises(ExponentOverflow):
+                    mul()
+            continue
+        assert stored(p * mono) == want == stored(mono * p), (p, mono)
+        assert p * (mono + q2) == p * mono + p * q2
+    assert 30 < raised < 270
+
+
 def test_polynomial_over_one_is_already_normal():
     rng = random.Random(22)
     polys = [
