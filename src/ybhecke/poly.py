@@ -1357,11 +1357,8 @@ def format_poly(p: LaurentPoly, latex: bool = False) -> str:
     labels = []
     for v in names:
         info = _VARS[v]
-        if latex:
-            label = "{}_{}".format(*info[0])
-            labels.append((info[4], label, label + "^{{{}}}"))
-        else:
-            labels.append((info[4], v, v + "^{}"))
+        label = "{}_{}".format(*info[0]) if latex else v
+        labels.append((info[4], label, label + ("^{{{}}}" if latex else "^{}")))
     half = _HALF
     pieces: list[str] = []
     for k in keys:
