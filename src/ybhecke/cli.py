@@ -11,8 +11,8 @@ Subcommands:
   least rank it needs) says so on stderr.
 
 :data:`SUITES` is the one place that says at which ranks each suite runs,
-which families it runs without ``--family`` and how it runs; ``verify``,
-``verify all`` and ``gram`` all read it.
+which families it runs without ``--family`` and which driver runs it;
+``verify``, ``verify all`` and ``gram`` all read it.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 a mathematical
 verification failed.
@@ -23,33 +23,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, partial
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import YBHeckeError
 from .hecke import (
     FACTOR_FAMILIES,
-    _building_algebra,
     algebra,
-    elementary_factor,
     gram_matrix,
     orthogonality_violations,
     symbolic_spectral,
+    verify_orthogonality,
+    verify_rothe,
+    verify_word_independence,
+    verify_ybe,
     word_steps,
-    yb_basis,
     yb_element,
-    yb_element_rothe,
     yb_product,
 )
 from .operators import FAMILIES, check_relations
-from .permutations import Permutation, all_permutations, rothe_diagram
+from .permutations import Permutation, rothe_diagram
 from .poly import RationalFunction, format_poly, format_rf, substitute
 from .report import CheckReport
 from .schubert import (
     TABLE_MAX_RANK,
     grothendieck_table,
     schubert_table,
-    verify_appendix_factorizations,
+    verify_appendix,
     verify_cohomology_basis,
     verify_grothendieck_transition,
     verify_groth_to_schubert_degeneration,
@@ -130,7 +130,7 @@ def _emit(lines: list[str], out: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _check_rank(command: str, n: int) -> None:
+def _guard_rank(command: str, n: int) -> None:
     if n < 1:
         raise ConfigError(f"{command}: rank must be at least 1, got n={n}")
 
@@ -153,13 +153,9 @@ def _table_lines(table, label: str, fmt: str, n: int) -> list[str]:
             "entries": {str(mu): poly_to_json(table[mu]) for mu in perms},
         }
         return [json.dumps(payload, sort_keys=True)]
-    lines = []
-    for mu in perms:
-        if fmt == "latex":
-            lines.append(f"{label}_{{{mu}}} = {format_poly(table[mu], latex=True)}")
-        else:
-            lines.append(f"{mu}: {table[mu]}")
-    return lines
+    if fmt == "latex":
+        return [f"{label}_{{{mu}}} = {format_poly(table[mu], latex=True)}" for mu in perms]
+    return [f"{mu}: {table[mu]}" for mu in perms]
 
 
 def cmd_table(args) -> int:
@@ -180,7 +176,7 @@ def _factor_shorthand(mu: Permutation, latex: bool) -> list[str]:
 
 
 def cmd_yb(args) -> int:
-    _check_rank("yb", args.n)
+    _guard_rank("yb", args.n)
     try:
         mu = Permutation.from_string(args.mu)
     except ValueError as exc:
@@ -188,13 +184,9 @@ def cmd_yb(args) -> int:
     if mu.n != args.n:
         raise ConfigError(f"permutation {args.mu} is not in S_{args.n}")
     alg = algebra(args.family, args.n)
-    u = _spectral_from(getattr(args, "spectral", None), args.n)
+    u = _spectral_from(args.spectral, args.n)
     y = yb_element(alg, mu, u)
-    subs = {}
-    if args.q1:
-        subs["q1"] = parse_scalar(args.q1)
-    if args.q2:
-        subs["q2"] = parse_scalar(args.q2)
+    subs = {q: parse_scalar(v) for q, v in (("q1", args.q1), ("q2", args.q2)) if v}
     coeffs = {
         nu: substitute(c, subs) if subs else c for nu, c in y.coeffs.items()
     }
@@ -225,7 +217,7 @@ def cmd_yb(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    _check_rank("gram", args.n)
+    _guard_rank("gram", args.n)
     # verify orthogonality builds the same matrices, up to the same rank
     limit = SUITES["orthogonality"].limits[args.family]
     if args.n > limit and not args.force:
@@ -271,86 +263,9 @@ def cmd_gram(args) -> int:
 # verification suites
 
 
-def _per_family(template: str, check: Callable[..., None]) -> Callable[..., list[CheckReport]]:
-    """The runner of a suite with one report per family, named by
-    ``template``: ``check(alg, report)`` records the checks in the family's
-    algebra, at the rank of the family's part or else of the whole suite."""
-
-    def run(ranks: dict[str, int], families: Sequence[str], seed: int) -> list[CheckReport]:
-        reports = []
-        for fam in families:
-            rank = ranks.get(fam, ranks.get(""))
-            report = CheckReport(name=template.format(fam=fam, n=rank))
-            check(algebra(fam, rank), report)
-            reports.append(report)
-        return reports
-
-    return run
-
-
-def _check_ybe(alg, report: CheckReport) -> None:
-    """Y_1(u, v) Y_2(u, w) Y_1(v, w) = Y_2(v, w) Y_1(u, w) Y_2(u, v).
-
-    Family T is compared in its one-parameter building algebra, as in
-    :func:`_check_word_independence`: T'_j -> T_j/theta is an injective map
-    of algebras that sends each factor there to the (q1, q2) factor, so
-    equality there is the same statement.
-    """
-    u, v, w = (RationalFunction.variable(f"u{i}") for i in (1, 2, 3))
-    y = partial(elementary_factor, _building_algebra(alg))
-    lhs = y(1, u, v) * y(2, u, w) * y(1, v, w)
-    rhs = y(2, v, w) * y(1, u, w) * y(2, u, v)
-    report.record(lhs == rhs, "Yang-Baxter equation fails")
-
-
 def yb_element_along_word(alg, word, u):
     """Y built along an explicit reduced word: the full-word cross-check (tests)."""
     return yb_product(alg, u, word_steps(alg.n, word))
-
-
-def _check_word_independence(alg, report: CheckReport) -> None:
-    """One check per mu: Y_mu is the same along every reduced word of mu.
-
-    Every reduced word of mu ends in a descent j of mu, after a reduced word
-    of nu = mu s_j, and :func:`~ybhecke.hecke.word_steps` gives that last
-    letter the factor Y_j(u_{nu(j)}, u_{nu(j+1)}).  So if Y_nu * Y_j(...)
-    equals Y_mu at every descent j, induction on the length of mu gives the
-    same Y_mu along every reduced word.  :func:`~ybhecke.hecke.yb_basis`
-    builds Y_mu at the first descent, so only the others are multiplied.
-    Family T is compared in its one-parameter building algebra: the map to
-    (q1, q2) is injective (beta = q1 q2 / theta^2), so equality there is the
-    same statement.
-    """
-    build = _building_algebra(alg)
-    u = symbolic_spectral(alg.n)
-    ys = yb_basis(build, u)
-
-    def last_letter_agrees(mu: Permutation, j: int) -> bool:
-        nu = mu.times_simple(j)
-        return ys[nu] * elementary_factor(build, j, u[nu(j) - 1], u[nu(j + 1) - 1]) == ys[mu]
-
-    for mu in all_permutations(alg.n):
-        report.record(
-            all(last_letter_agrees(mu, j) for j in mu.descents()[1:]),
-            lambda: f"mu={mu}: reduced words disagree",
-        )
-
-
-def _check_rothe(alg, report: CheckReport) -> None:
-    for mu, y in yb_basis(alg).items():
-        report.record(
-            yb_element_rothe(alg, mu) == y, lambda: f"mu={mu}: rothe product differs"
-        )
-
-
-def _check_orthogonality(alg, report: CheckReport) -> None:
-    u = symbolic_spectral(alg.n)
-    g = gram_matrix(alg, u)
-    bad = orthogonality_violations(alg, g, u)
-    for mu, nu in g:
-        report.record(
-            (mu, nu) not in bad, lambda: f"<Y_{mu}, Y_{nu}> = {bad[(mu, nu)]}"
-        )
 
 
 def _run_yang_leading(ranks, families, seed) -> list[CheckReport]:
@@ -358,16 +273,6 @@ def _run_yang_leading(ranks, families, seed) -> list[CheckReport]:
     if ranks["20 samples"] > ranks["exhaustive"]:  # a rank not covered exhaustively
         reports.append(verify_yang_leading_terms(ranks["20 samples"], samples=20, seed=seed))
     return reports
-
-
-def _run_appendix(ranks, families, seed) -> list[CheckReport]:
-    rank = ranks[""]
-    shapes = [(1,) * rank, (rank,)] + ([(2, 2)] if rank == 4 else [])
-    return [
-        verify_appendix_factorizations(shape, qmode, 5, seed)
-        for shape in shapes
-        for qmode in ("qpow", "linear")
-    ]
 
 
 class Suite(NamedTuple):
@@ -394,18 +299,27 @@ SUITES: dict[str, Suite] = {
         lambda r, fams, seed: [check_relations(f, r[""], probes=4, seed=seed) for f in fams],
     ),
     # the equation lives on generators 1 and 2
-    "ybe": Suite({"": 4}, FACTOR_FAMILIES, _per_family("ybe[{fam}]", _check_ybe), least=3),
+    "ybe": Suite(
+        {"": 4},
+        FACTOR_FAMILIES,
+        lambda r, fams, seed: [verify_ybe(algebra(f, r[""])) for f in fams],
+        least=3,
+    ),
     "word-independence": Suite(
         {"": 5},
         FACTOR_FAMILIES,
-        _per_family("word-independence[{fam}, n={n}]", _check_word_independence),
+        lambda r, fams, seed: [verify_word_independence(algebra(f, r[""])) for f in fams],
     ),
-    "rothe": Suite({"": 4}, FACTOR_FAMILIES, _per_family("rothe[{fam}, n={n}]", _check_rothe)),
+    "rothe": Suite(
+        {"": 4},
+        FACTOR_FAMILIES,
+        lambda r, fams, seed: [verify_rothe(algebra(f, r[""])) for f in fams],
+    ),
     "orthogonality": Suite(
         # gram refuses a larger symbolic matrix without --force
         {"partial": 4, "sigma": 4, "pibar": 4, "T": 3},
         ("partial", "sigma", "pibar", "T"),
-        _per_family("orthogonality[{fam}, n={n}]", _check_orthogonality),
+        lambda r, fams, seed: [verify_orthogonality(algebra(f, r[f])) for f in fams],
     ),
     "schubert-transition": Suite(
         {"": TABLE_MAX_RANK}, None, lambda r, fams, seed: [verify_schubert_transition(r[""])[1]]
@@ -426,7 +340,7 @@ SUITES: dict[str, Suite] = {
         None,
         lambda r, fams, seed: [verify_normal_ordering(r[""], probes=10, seed=seed)],
     ),
-    "appendix": Suite({"": 4}, None, _run_appendix),
+    "appendix": Suite({"": 4}, None, lambda r, fams, seed: verify_appendix(r[""], seed=seed)),
     "cohomology-basis": Suite(
         {"": 4}, None, lambda r, fams, seed: [verify_cohomology_basis(r[""])]
     ),
@@ -443,7 +357,7 @@ def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckRe
     part's limit; stderr says so when any part runs at another rank.
     Standard output carries only the reports.
     """
-    _check_rank(f"verify {suite}", n)
+    _guard_rank(f"verify {suite}", n)
     if suite == "all":
         return [
             report
@@ -474,9 +388,7 @@ def run_suite(suite: str, n: int, family: str | None, seed: int) -> list[CheckRe
 
 def cmd_verify(args) -> int:
     reports = run_suite(args.suite, args.n, args.family, args.seed)
-    lines = []
-    for r in reports:
-        lines.extend(r.lines())
+    lines = [line for r in reports for line in r.lines()]
     ok = all(r.passed for r in reports)
     lines.append(f"verify {args.suite}: " + ("PASS" if ok else "FAIL"))
     _emit(lines, args.out)

@@ -65,12 +65,16 @@ l(b) = l(omega); so the row of h1 is its coefficients relabelled, and no
 product is taken.  The other families build the row by one walk of h1 to
 the right along the weak order.  :func:`pairing`, :func:`gram_matrix` and
 :func:`expand_in_yb` all pair through these two kernels.
+
+The paper's four facts about a family's Yang-Baxter basis are checked by
+the drivers :func:`verify_ybe`, :func:`verify_word_independence`,
+:func:`verify_rothe` and :func:`verify_orthogonality`, one report each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -93,6 +97,7 @@ from .poly import (
     rename_rf,
     sum_of_products,
 )
+from .report import CheckReport
 
 __all__ = [
     "FACTOR_FAMILIES",
@@ -117,6 +122,10 @@ __all__ = [
     "orthogonality_violations",
     "expand_in_yb",
     "apply_to_polynomial",
+    "verify_ybe",
+    "verify_word_independence",
+    "verify_rothe",
+    "verify_orthogonality",
 ]
 
 Coefficient = LaurentPoly | RationalFunction
@@ -727,3 +736,72 @@ def apply_to_polynomial(h: HeckeElement, f: LaurentPoly) -> Coefficient:
         image = apply_word(h.alg.family, mu.reduced_word(), f, h.alg.n)
         total = total + c * image
     return total
+
+
+# ----------------------------------------------------------------------
+# verification drivers
+
+
+def verify_ybe(alg: AlgebraSpec) -> CheckReport:
+    """Y_1(u, v) Y_2(u, w) Y_1(v, w) = Y_2(v, w) Y_1(u, w) Y_2(u, v), family T
+    in its building algebra as in :func:`verify_word_independence`."""
+    report = CheckReport(name=f"ybe[{alg.family}]")
+    u, v, w = (RationalFunction.variable(f"u{i}") for i in (1, 2, 3))
+    y = partial(elementary_factor, _building_algebra(alg))
+    lhs = y(1, u, v) * y(2, u, w) * y(1, v, w)
+    rhs = y(2, v, w) * y(1, u, w) * y(2, u, v)
+    report.record(lhs == rhs, "Yang-Baxter equation fails")
+    return report
+
+
+def verify_word_independence(alg: AlgebraSpec) -> CheckReport:
+    """One check per mu: Y_mu is the same along every reduced word of mu.
+
+    Every reduced word of mu ends in a descent j of mu, after a reduced word
+    of nu = mu s_j, and :func:`word_steps` gives that last letter the factor
+    Y_j(u_{nu(j)}, u_{nu(j+1)}).  So if Y_nu * Y_j(...) equals Y_mu at every
+    descent j, induction on the length of mu gives the same Y_mu along every
+    reduced word.  :func:`yb_basis` builds Y_mu at the first descent, so
+    only the others are multiplied.  Family T is compared in its
+    one-parameter building algebra: T'_j -> T_j/theta is an injective map of
+    algebras that sends each factor there to the (q1, q2) factor, so
+    equality there is the same statement.
+    """
+    report = CheckReport(name=f"word-independence[{alg.family}, n={alg.n}]")
+    build = _building_algebra(alg)
+    u = symbolic_spectral(alg.n)
+    ys = yb_basis(build, u)
+
+    def last_letter_agrees(mu: Permutation, j: int) -> bool:
+        nu = mu.times_simple(j)
+        return ys[nu] * elementary_factor(build, j, u[nu(j) - 1], u[nu(j + 1) - 1]) == ys[mu]
+
+    for mu in all_permutations(alg.n):
+        report.record(
+            all(last_letter_agrees(mu, j) for j in mu.descents()[1:]),
+            lambda: f"mu={mu}: reduced words disagree",
+        )
+    return report
+
+
+def verify_rothe(alg: AlgebraSpec) -> CheckReport:
+    """One check per mu: :func:`yb_element_rothe` gives the Y_mu of :func:`yb_basis`."""
+    report = CheckReport(name=f"rothe[{alg.family}, n={alg.n}]")
+    for mu, y in yb_basis(alg).items():
+        report.record(
+            yb_element_rothe(alg, mu) == y, lambda: f"mu={mu}: rothe product differs"
+        )
+    return report
+
+
+def verify_orthogonality(alg: AlgebraSpec) -> CheckReport:
+    """One check per pairing <Y_mu, Y_nu> at the symbols u1..un."""
+    report = CheckReport(name=f"orthogonality[{alg.family}, n={alg.n}]")
+    u = symbolic_spectral(alg.n)
+    g = gram_matrix(alg, u)
+    bad = orthogonality_violations(alg, g, u)
+    for mu, nu in g:
+        report.record(
+            (mu, nu) not in bad, lambda: f"<Y_{mu}, Y_{nu}> = {bad[(mu, nu)]}"
+        )
+    return report

@@ -134,13 +134,13 @@ def all_inverse_words(
     return out
 
 
-def random_probe(rng: random.Random, n: int, max_deg: int = 4) -> LaurentPoly:
+def random_probe(rng: random.Random, n: int) -> LaurentPoly:
     """A random integer polynomial probe in n variables: 1 to 6 terms of
-    degree <= max_deg."""
+    degree <= 4."""
     p = LaurentPoly.zero()
     for _ in range(rng.randint(1, 6)):
         exps = {}
-        budget = rng.randint(0, max_deg)
+        budget = rng.randint(0, 4)
         for i in range(1, n + 1):
             if budget <= 0:
                 break

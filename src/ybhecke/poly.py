@@ -1151,9 +1151,10 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
 
 
 def compile_specialization(
-    p: LaurentPoly, n: int, moved: str, fixed: str
+    p: LaurentPoly, n: int, moved: str
 ) -> Callable[[Sequence[int]], LaurentPoly]:
-    """Compile the renames moved_i -> u_{w(i)}, fixed_j -> u_j of ``p``.
+    """Compile the renames moved_i -> u_{w(i)}, fixed_j -> u_j of ``p``,
+    where ``moved`` is x or y and the fixed family is the other one.
 
     The result takes the images w = (w(1), ..., w(n)), which must be a
     permutation of 1..n (``ValueError`` otherwise), and returns what
@@ -1166,13 +1167,14 @@ def compile_specialization(
     terms split once by their exponent a of moved_{i+1}, and each child
     adds a << slot(u_{w(i+1)}) to the keys of a part.  A mover that no
     term has passes a node through uncopied, and an empty node makes every
-    window below it zero.  The memo holds at most sum_i n!/(n-i)! nodes
-    (the windows themselves at i = n) and is freed with the returned
-    function.  The keys are checked only when some u exponent plus some
-    moved exponent could leave the range; the nodes then keep their
-    cancelled terms, so every image is checked as ``rename_poly`` checks
-    it.
+    window below it zero.  The memo holds one node per prefix shorter than
+    n, at most sum_{i<n} n!/(n-i)! of them, and is freed with the returned
+    function; the windows themselves are not kept.  The keys are checked
+    only when some u exponent plus some moved exponent could leave the
+    range; the nodes then keep their cancelled terms, so every image is
+    checked as ``rename_poly`` checks it.
     """
+    fixed = "y" if moved == "x" else "x"
     us = [_var_info(f"u{k}")[4] for k in range(1, n + 1)]
     movers = [_var_info(f"{moved}{i}")[4] for i in range(1, n + 1)]
     fixers = [(f"{fixed}{j}", _var_info(f"{fixed}{j}")[4]) for j in range(1, n + 1)]
@@ -1216,14 +1218,10 @@ def compile_specialization(
         return still, list(parts.items())
 
     nodes: dict[tuple[int, ...], Node] = {(): split(terms, 0)}
-    leaves: dict[tuple[int, ...], LaurentPoly] = {}
     identity = list(range(1, n + 1))
 
     def at(w: Sequence[int]) -> LaurentPoly:
         w = tuple(w)
-        leaf = leaves.get(w)
-        if leaf is not None:
-            return leaf
         if sorted(w) != identity:
             raise ValueError(f"not a permutation of 1..{n}: {w}")
         sums = terms
@@ -1250,8 +1248,7 @@ def compile_specialization(
                     break
                 node = nodes[w[:i]] = split(sums, i)
             still, moving = node
-        leaf = leaves[w] = LaurentPoly._raw(_stored(sums, integral))
-        return leaf
+        return LaurentPoly._raw(_stored(sums, integral))
 
     return at
 

@@ -65,6 +65,7 @@ __all__ = [
     "verify_newton_interpolation",
     "verify_normal_ordering",
     "verify_appendix_factorizations",
+    "verify_appendix",
     "verify_cohomology_basis",
     "verify_groth_to_schubert_degeneration",
 ]
@@ -156,9 +157,9 @@ def _specializer(p: LaurentPoly, n: int, moved: str) -> Callable[[Permutation], 
     Every specialization of a table entry is read here.  p is compiled once
     (:func:`~ybhecke.poly.compile_specialization`): the windows of mu that
     share a prefix share its renames, through a memo of at most
-    sum_i n!/(n-i)! partial renames that lives as long as the returned map.
+    sum_{i<n} n!/(n-i)! partial renames that lives as long as the returned map.
     """
-    at = compile_specialization(p, n, moved, "y" if moved == "x" else "x")
+    at = compile_specialization(p, n, moved)
     return lambda mu: at(mu.window)
 
 
@@ -441,6 +442,14 @@ def verify_appendix_factorizations(
         rhs = prefactor * apply_inverse_word("partial", mu, f)
         report.record(lhs == rhs, lambda: f"f={f}")
     return report
+
+
+def verify_appendix(n: int, seed: int = 0) -> list[CheckReport]:
+    """The appendix factorizations at rank n in both q-modes, for the shapes
+    1^n, (n) and, at n = 4, (2, 2)."""
+    shapes = [(1,) * n, (n,)] + ([(2, 2)] if n == 4 else [])
+    modes = ("qpow", "linear")
+    return [verify_appendix_factorizations(s, q, seed=seed) for s in shapes for q in modes]
 
 
 def _schubert_coordinates(f: LaurentPoly, n: int) -> dict:

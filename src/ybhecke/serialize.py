@@ -1,4 +1,5 @@
-"""Parsing and serialization: the text grammar, LaTeX rendering, JSON codecs.
+"""Parsing and serialization: the text grammar and the JSON codecs.  Text
+and LaTeX rendering live in :func:`~ybhecke.poly.format_poly`.
 
 Text grammar (the single parse/render contract used by the CLI and tests):
 variables are ``x1``, ``y2``, ``u3``, ``q1``, ``q2``; ``^`` takes an integer
@@ -170,11 +171,12 @@ def poly_to_json(p: LaurentPoly) -> list[dict[str, Any]]:
 
 
 def poly_from_json(data: list[dict[str, Any]]) -> LaurentPoly:
-    total = LaurentPoly.zero()
+    """The polynomial of the terms in ``data``; a repeated monomial sums."""
+    terms: dict[tuple[tuple[str, int], ...], Fraction] = {}
     for item in data:
-        coeff = Fraction(item["coeff"])
-        total = total + LaurentPoly.monomial(item.get("monomial", {}), coeff)
-    return total
+        m = tuple(item.get("monomial", {}).items())
+        terms[m] = terms.get(m, 0) + Fraction(item["coeff"])
+    return LaurentPoly(terms)
 
 
 def rf_to_json(f: LaurentPoly | RationalFunction) -> dict[str, Any]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ybhecke.cli import _check_ybe, main
+from ybhecke.cli import main
 from ybhecke.errors import (
     AlgebraMismatch,
     IndexOutOfRange,
@@ -36,6 +36,10 @@ from ybhecke.hecke import (
     phi,
     symbolic_spectral,
     unit,
+    verify_orthogonality,
+    verify_rothe,
+    verify_word_independence,
+    verify_ybe,
     word_steps,
     yb_basis,
     yb_element,
@@ -53,7 +57,6 @@ from ybhecke.poly import (
     poly_gcd,
     substitute,
 )
-from ybhecke.report import CheckReport
 from ybhecke.serialize import parse_scalar as S
 
 P = Permutation.from_string
@@ -825,6 +828,21 @@ def test_ybe_check_of_family_T_takes_no_gcd(monkeypatch):
         raise AssertionError(f"poly_gcd({p}, {q})")
 
     monkeypatch.setattr(ybhecke.poly, "poly_gcd", no_gcd)
-    report = CheckReport(name="ybe[T]", seed=0)
-    _check_ybe(algebra("T", 3), report)
+    report = verify_ybe(algebra("T", 3))
     assert report.passed and report.checks == 1
+
+
+@pytest.mark.parametrize("family", FACTOR_FAMILIES)
+@pytest.mark.parametrize(
+    "driver, name, checks",
+    [
+        (verify_ybe, "ybe[{}]", 1),
+        (verify_word_independence, "word-independence[{}, n=3]", 6),
+        (verify_rothe, "rothe[{}, n=3]", 6),
+        (verify_orthogonality, "orthogonality[{}, n=3]", 36),
+    ],
+)
+def test_basis_drivers_pass_at_n3(driver, name, checks, family):
+    # the counts that `verify <suite> -n 3` prints for each family
+    report = driver(algebra(family, 3))
+    assert report.lines() == [f"{name.format(family)}: PASS ({checks} checks)"]

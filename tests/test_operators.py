@@ -87,7 +87,7 @@ def test_word_independence_for_every_family():
         for j in mu.descents():
             words.add(mu.times_simple(j).reduced_word() + (j,))
         words.add(mu.reduced_word())
-        f = random_probe(rng, 4, max_deg=3)
+        f = random_probe(rng, 4)
         for family in ("sigma", "partial", "s", "pi", "pibar", "T"):
             values = [apply_word(family, w, f, 4) for w in words]
             assert all(v == values[0] for v in values[1:])

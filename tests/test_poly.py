@@ -658,7 +658,7 @@ def test_packed_kernels_match_a_tuple_reference():
         assert_matches(n, want if k else ref_of(beta))
     assert cancelled > 50
     for p in (random_kernel_poly(rng) * random_kernel_poly(rng) for _ in range(20)):
-        at = compile_specialization(p, 3, "x", "y")
+        at = compile_specialization(p, 3, "x")
         for w in permutations((1, 2, 3)):
             varmap = {f"x{i}": f"u{w[i - 1]}" for i in (1, 2, 3)}
             varmap.update({f"y{j}": f"u{j}" for j in (1, 2, 3)})
@@ -673,7 +673,7 @@ def test_kernels_keep_integral_values_as_ints():
         parse_poly("1/2*x1 + 1/3") + parse_poly("1/2*x1 + 2/3"),
         parse_poly("1/2*x1 + 1/2") * 2,
         divided_difference(parse_poly("1/2*x1^3 + 1/2*x1^2*x2"), "x1", "x2"),
-        compile_specialization(parse_poly("1/2*x1*y2 + 1/2*x2*y1"), 2, "x", "y")((1, 2)),
+        compile_specialization(parse_poly("1/2*x1*y2 + 1/2*x2*y1"), 2, "x")((1, 2)),
         clear_beta(LaurentPoly({(): Fraction(1, 2), ((BETA, 1),): 1}))[0],
     ]
     want = ["x1^2 + 2*x1 + 1", "u1", "x1 + 1", "x1 + 1", "1/2*x1^2 + x1*x2 + 1/2*x2^2",
@@ -699,7 +699,7 @@ def test_an_exponent_at_the_digit_bound_raises():
         lambda: rename_poly(top * V("x2"), {"x2": "x1"}),
         lambda: rename_poly(top * V("x2") * V("x3"), {"x2": "x1", "x3": "x1"}),
         lambda: rename_poly(top * V("u1") ** -1 * V("x3") ** 2, {"u1": "x1", "x3": "x1"}),
-        lambda: compile_specialization(top * V("y2"), 2, "y", "x")((2, 1)),
+        lambda: compile_specialization(top * V("y2"), 2, "y")((2, 1)),
         # four exponents of limit - 1 sum to 2^16 - 4, which would wrap into
         # the next slot and leave an exponent -4 that looks valid
         lambda: rename_poly(
@@ -909,7 +909,7 @@ def _renamed_at(p, n, moved, fixed, w):
 
 
 def _assert_compiled_like_renamed(p, n, moved, fixed, windows=None):
-    at = compile_specialization(p, n, moved, fixed)
+    at = compile_specialization(p, n, moved)
     for w in windows or permutations(range(1, n + 1)):
         got = at(w)
         assert got.terms == _renamed_at(p, n, moved, fixed, w).terms, (p, w)
@@ -946,7 +946,7 @@ def test_compiled_specialization_overflows_below_a_served_prefix():
     # x1 -> u1 carries u1^(limit - 1); y4 -> u1 overflows it in every window
     # that ends in 1, also after a sibling has served the shared prefix 2, 3
     p = LaurentPoly.variable("x1", limit - 1) * V("y4")
-    at = compile_specialization(p, 4, "y", "x")
+    at = compile_specialization(p, 4, "y")
     assert at((2, 3, 1, 4)).terms == {(("u1", limit - 1), ("u4", 1)): 1}
     for w in ((2, 3, 4, 1), (2, 3, 4, 1), (3, 2, 4, 1)):
         with pytest.raises(ExponentOverflow):
@@ -957,7 +957,7 @@ def test_compiled_specialization_overflows_below_a_served_prefix():
     # the two terms cancel at the first mover, yet their image u1*u2^limit
     # is out of range, and rename_poly checks it
     p = (V("x1") - V("y1")) * LaurentPoly.variable("x2", limit - 1) * V("y2")
-    at = compile_specialization(p, 2, "x", "y")
+    at = compile_specialization(p, 2, "x")
     for w in ((1, 2), (2, 1), (1, 2)):
         with pytest.raises(ExponentOverflow):
             _renamed_at(p, 2, "x", "y", w)
@@ -966,7 +966,7 @@ def test_compiled_specialization_overflows_below_a_served_prefix():
 
 
 def test_compiled_specialization_takes_only_permutations():
-    at = compile_specialization(parse_poly("x1 - y1 + x2^2"), 3, "x", "y")
+    at = compile_specialization(parse_poly("x1 - y1 + x2^2"), 3, "x")
     assert str(at((1, 2, 3))) == "u2^2"
     # (1, 2) is a served prefix of (1, 2, 3), not a window
     for w in ((0, 1, 2), (1, 1, 2), (1, 2), (1, 2, 3, 4), (), (1, 2, 4)):
@@ -977,7 +977,7 @@ def test_compiled_specialization_takes_only_permutations():
     limit = ybhecke.poly._LIMIT
     p = LaurentPoly.monomial({"x1": limit - 1, "x2": limit - 1})
     with pytest.raises(ValueError, match="not a permutation"):
-        compile_specialization(p, 2, "x", "y")((1, 1))
+        compile_specialization(p, 2, "x")((1, 1))
 
 
 # ----------------------------------------------------------------------

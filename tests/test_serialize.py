@@ -2,6 +2,7 @@
 
 import doctest
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +82,23 @@ def test_json_coefficients_are_fraction_strings():
     data = poly_to_json(p)
     assert {item["coeff"] for item in data} == {"3/4", "-2"}
     assert data[0]["monomial"] == {"x1": 1}
+
+
+def test_json_decoding_sums_repeated_monomials():
+    # the same terms, with the same stored types, as summing one monomial per item
+    data = [
+        {"coeff": "1/2", "monomial": {"x1": 1, "x2": -1}},
+        {"coeff": "3", "monomial": {}},
+        {"coeff": "1/2", "monomial": {"x2": -1, "x1": 1}},
+        {"coeff": "-3"},
+        {"coeff": "2/3", "monomial": {"u1": 2}},
+        {"coeff": "0", "monomial": {"q1": 1}},
+    ]
+    p = poly_from_json(data)
+    assert p.terms == {(("x1", 1), ("x2", -1)): 1, (("u1", 2),): Fraction(2, 3)}
+    assert [type(c) for c in p.terms.values()] == [int, Fraction]
+    assert poly_from_json([]) == LaurentPoly.zero()
+    assert poly_from_json([]).terms == {}
 
 
 def test_rendering_is_deterministic():
