@@ -32,7 +32,6 @@ from .hecke import (
     algebra,
     gram_matrix,
     orthogonality_violations,
-    symbolic_spectral,
     verify_orthogonality,
     verify_rothe,
     verify_word_independence,
@@ -225,7 +224,7 @@ def cmd_gram(args) -> int:
             f"family {args.family} is guarded at n <= {limit} (use --force)"
         )
     alg = algebra(args.family, args.n)
-    u = _spectral_from(args.spectral, args.n) or symbolic_spectral(args.n)
+    u = _spectral_from(args.spectral, args.n)
     g = gram_matrix(alg, u)
     violations = [
         f"<Y_{mu}, Y_{nu}> = {val}"

@@ -331,40 +331,45 @@ def factor_coefficient(
         return as_rf(1 - ratio)
     if family == _BETA_FORM:
         return as_rf(ratio - 1)
-    if BETA in _spectral_names((u, v)):  # _from_beta would read it as beta
+    names = _spectral_names((u, v))
+    if BETA in names:  # _from_beta would read it as beta
         raise ReservedVariable(f"family T spectral parameters must not mention {BETA}")
-    return _from_beta(ratio - 1, 1, _reduces(alg, (u, v)))
+    return _from_beta(ratio - 1, 1, not names.isdisjoint(("q1", "q2")))
 
 
 def elementary_factor(
     alg: AlgebraSpec, j: int, u: RationalFunction, v: RationalFunction
 ) -> HeckeElement:
     """The element 1 + c(u, v) T_j, with c a LaurentPoly whenever it is one."""
-    if not 1 <= j <= alg.n - 1:
-        raise IndexOutOfRange(f"generator index {j} outside 1..{alg.n - 1}")
+    s_j = Permutation.simple(alg.n, j)
     c = as_rf(factor_coefficient(alg, u, v))
     c = c.num if c.is_polynomial else c
-    n = alg.n
-    return HeckeElement(alg, {Permutation.identity(n): _ONE, Permutation.simple(n, j): c})
+    return HeckeElement(alg, {Permutation.identity(alg.n): _ONE, s_j: c})
 
 
-def _check_spectral(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> None:
+def _spectrum(
+    alg: AlgebraSpec, u: Sequence[RationalFunction] | None
+) -> tuple[Sequence[RationalFunction], bool]:
+    """The spectral parameters of ``alg``, the symbols u1..un when ``u`` is
+    None, checked, and whether :func:`_from_beta` must gcd-reduce the
+    coefficients built at them: for the generic family where they mention
+    q1 or q2."""
+    if u is None:
+        return symbolic_spectral(alg.n), False
     if len(u) != alg.n:
         raise RankMismatch(f"need {alg.n} spectral parameters, got {len(u)}")
     if alg.family in _MULTIPLICATIVE and any(x.is_zero for x in u):
         raise ZeroSpectral("multiplicative families need nonzero parameters")
-    if alg.family == "T" and BETA in _spectral_names(u):
+    if alg.family != "T":
+        return u, False
+    names = _spectral_names(u)
+    if BETA in names:
         raise ReservedVariable(f"family T spectral parameters must not mention {BETA}")
+    return u, not names.isdisjoint(("q1", "q2"))
 
 
 def _spectral_names(u: Sequence[RationalFunction]) -> set[str]:
     return set().union(*(x.num.variables() | x.den.variables() for x in map(as_rf, u)))
-
-
-def _reduces(alg: AlgebraSpec, u: Sequence[RationalFunction]) -> bool:
-    """Whether :func:`_from_beta` must gcd-reduce the coefficients of ``alg``
-    built at ``u``: for the generic family when ``u`` mentions q1 or q2."""
-    return alg.family == "T" and not _spectral_names(u).isdisjoint(("q1", "q2"))
 
 
 def _building_algebra(alg: AlgebraSpec) -> AlgebraSpec:
@@ -381,7 +386,7 @@ def _from_building(alg: AlgebraSpec, h: HeckeElement, reduce: bool) -> HeckeElem
 
     In the generic family each coefficient of T'_nu becomes the coefficient
     of T_nu = theta^l(nu) T'_nu by :func:`_from_beta`, gcd-reduced when
-    ``reduce`` (see :func:`_reduces`); elsewhere ``h`` is returned as it is.
+    ``reduce`` (see :func:`_spectrum`); elsewhere ``h`` is returned as it is.
     """
     if alg.family != "T":
         return h
@@ -434,22 +439,22 @@ def word_steps(n: int, word: Sequence[int]) -> Iterator[tuple[int, int, int]]:
 
 def yb_product(
     alg: AlgebraSpec,
-    u: Sequence[RationalFunction],
+    u: Sequence[RationalFunction] | None,
     steps: Iterable[tuple[int, int, int]],
 ) -> HeckeElement:
     """The product, left to right, of the factors Y_j(u_a, u_b) = 1 + c T_j
-    over the steps (j, a, b).
+    over the steps (j, a, b), at the symbols u1..un when ``u`` is None.
 
     Every Yang-Baxter element is multiplied out here, or in :func:`yb_basis`
     with the same two conversions, so the generic family always takes its
     one-parameter form.
     """
-    _check_spectral(alg, u)
+    u, reduce = _spectrum(alg, u)
     build = _building_algebra(alg)
     h = unit(build)
     for j, a, b in steps:
         h = h * elementary_factor(build, j, u[a - 1], u[b - 1])
-    return _from_building(alg, h, _reduces(alg, u))
+    return _from_building(alg, h, reduce)
 
 
 def yb_element(
@@ -459,8 +464,6 @@ def yb_element(
 ) -> HeckeElement:
     """The Yang-Baxter element Y_mu(u), built along the canonical reduced word."""
     _check_rank(alg, mu)
-    if u is None:
-        u = symbolic_spectral(alg.n)
     return yb_product(alg, u, word_steps(alg.n, mu.reduced_word()))
 
 
@@ -468,9 +471,7 @@ def yb_basis(
     alg: AlgebraSpec, u: Sequence[RationalFunction] | None = None
 ) -> dict[Permutation, HeckeElement]:
     """All Y_mu at once, sharing the recursion along the weak order."""
-    if u is None:
-        u = symbolic_spectral(alg.n)
-    _check_spectral(alg, u)
+    u, reduce = _spectrum(alg, u)
     build = _building_algebra(alg)
     perms = all_permutations(alg.n)
     built = {perms[0]: unit(build)}
@@ -479,7 +480,6 @@ def yb_basis(
         nu = mu.times_simple(j)
         factor = elementary_factor(build, j, u[nu(j) - 1], u[nu(j + 1) - 1])
         built[mu] = built[nu] * factor
-    reduce = _reduces(alg, u)
     return {mu: _from_building(alg, h, reduce) for mu, h in built.items()}
 
 
@@ -496,8 +496,6 @@ def yb_element_rothe(
     same element as the recursion.
     """
     _check_rank(alg, mu)
-    if u is None:
-        u = symbolic_spectral(alg.n)
     boxes = rothe_diagram(mu).boxes
     return yb_product(alg, u, ((b.generator, mu(b.j), mu(b.i)) for b in boxes))
 
@@ -592,8 +590,7 @@ def pairing(
     other tuple, where renaming the symbols does nothing, h2 is expanded as
     sum_nu c_nu Y_nu(u) and phi(h2) is sum_nu c_nu phi(Y_nu(u)).
     """
-    if h1.alg != h2.alg:
-        raise AlgebraMismatch(f"{h1.alg} vs {h2.alg}")
+    h1._check(h2)
     alg = h1.alg
     row = _omega_row(h1)
     if u is None or list(u) == symbolic_spectral(alg.n):
@@ -617,9 +614,7 @@ def delta(
     LaurentPoly, and otherwise as rational functions.  The generic family's
     product is converted once, over theta^l(omega), by :func:`_from_beta`.
     """
-    if u is None:
-        u = symbolic_spectral(alg.n)
-    _check_spectral(alg, u)
+    u, reduce = _spectrum(alg, u)
     pairs = [(u[i], u[j]) for i in range(alg.n) for j in range(i + 1, alg.n)]
     build = _building_algebra(alg)
     coeffs = [as_rf(factor_coefficient(build, a, b)) for a, b in pairs]
@@ -630,7 +625,7 @@ def delta(
         total = total * c
     if build is alg:
         return as_rf(total)
-    return _from_beta(total, len(pairs), _reduces(alg, u))
+    return _from_beta(total, len(pairs), reduce)
 
 
 def gram_matrix(
@@ -648,9 +643,7 @@ def gram_matrix(
     respects it, so each pairing is the coefficient of T'_omega converted
     once by :func:`_from_beta`, gcd-reduced where ``u`` mentions q1 or q2.
     """
-    if u is None:
-        u = symbolic_spectral(alg.n)
-    _check_spectral(alg, u)
+    u, reduce = _spectrum(alg, u)
     build = _building_algebra(alg)
     ys, phis = yb_basis(build, u), _phi_of_basis(build, u)
     out = dict.fromkeys((mu, nu) for nu in phis for mu in ys)
@@ -660,7 +653,7 @@ def gram_matrix(
             out[mu, nu] = _pair(g, row)
     if build is alg:
         return out
-    length, reduce = Permutation.longest(alg.n).length(), _reduces(alg, u)
+    length = Permutation.longest(alg.n).length()
     return {pair: _from_beta(c, length, reduce) for pair, c in out.items()}
 
 
@@ -672,8 +665,7 @@ def orthogonality_violations(
     """The entries of ``gram`` (as from :func:`gram_matrix` at ``u``) that
     break <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu}, in the
     order of ``gram``."""
-    if u is None:
-        u = symbolic_spectral(alg.n)
+    u = _spectrum(alg, u)[0]
     omega = Permutation.longest(alg.n)
     bad = {}
     for (mu, nu), val in gram.items():
@@ -695,8 +687,7 @@ def expand_in_yb(
     orthogonality law <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu};
     the spectral parameters must keep every Delta nonzero.
     """
-    if u is None:
-        u = symbolic_spectral(h.alg.n)
+    u = _spectrum(h.alg, u)[0]
     return _expand(h, u, _phi_of_basis(h.alg, u))
 
 
@@ -797,9 +788,8 @@ def verify_rothe(alg: AlgebraSpec) -> CheckReport:
 def verify_orthogonality(alg: AlgebraSpec) -> CheckReport:
     """One check per pairing <Y_mu, Y_nu> at the symbols u1..un."""
     report = CheckReport(name=f"orthogonality[{alg.family}, n={alg.n}]")
-    u = symbolic_spectral(alg.n)
-    g = gram_matrix(alg, u)
-    bad = orthogonality_violations(alg, g, u)
+    g = gram_matrix(alg)
+    bad = orthogonality_violations(alg, g)
     for mu, nu in g:
         report.record(
             (mu, nu) not in bad, lambda: f"<Y_{mu}, Y_{nu}> = {bad[(mu, nu)]}"

@@ -10,9 +10,10 @@ returns the entry of a module-wide table, and pickle, ``copy`` and
 ``deepcopy`` return it too.  So two permutations are equal exactly when they
 are the same object, and equality and hashing are the identity defaults,
 which dict lookups keyed by permutations take without a Python call.  Each
-object caches its structure the first time it is asked for: its right and
-left neighbours ``mu s_j`` and ``s_j mu`` (the edges of the Cayley graph),
-its inverse, length, descents, left descents and canonical reduced word.
+object caches its structure the first time it is asked for: its right
+neighbours ``mu s_j`` (the edges of the Cayley graph), its inverse, length,
+descents and canonical reduced word.  Left neighbours and left descents are
+read through the inverse, whose cache holds them.
 The table keeps every window ever built; the enumerations of
 :func:`all_permutations` up to :data:`MAX_RANK` hold at most
 1! + 2! + ... + 6! = 873 objects.
@@ -62,11 +63,9 @@ class Permutation:
         "window",
         "n",
         "_right",
-        "_left",
         "_inverse",
         "_length",
         "_descents",
-        "_left_descents",
         "_reduced_word",
     )
 
@@ -88,8 +87,8 @@ class Permutation:
             mu = object.__new__(cls)
             mu.window = window
             mu.n = len(window)
-            mu._right = mu._left = mu._inverse = mu._length = None
-            mu._descents = mu._left_descents = mu._reduced_word = None
+            mu._right = mu._inverse = mu._length = None
+            mu._descents = mu._reduced_word = None
             # a construction racing this one gets the same object
             mu = _INTERNED.setdefault(window, mu)
         return mu
@@ -109,8 +108,6 @@ class Permutation:
 
     @classmethod
     def simple(cls, n: int, j: int) -> "Permutation":
-        if not 1 <= j <= n - 1:
-            raise IndexOutOfRange(f"simple reflection s_{j} undefined in S_{n}")
         return cls.identity(n).times_simple(j)
 
     @classmethod
@@ -186,14 +183,9 @@ class Permutation:
         return d
 
     def left_descents(self) -> tuple[int, ...]:
-        """Values i with i+1 before i in the window, i.e. length(s_i*mu) < length(mu)."""
-        d = self._left_descents
-        if d is None:
-            w = self.window
-            d = self._left_descents = tuple(
-                i for i in range(1, self.n) if w.index(i) > w.index(i + 1)
-            )
-        return d
+        """Values i with i+1 before i in the window, i.e. length(s_i*mu) < length(mu):
+        the descents of mu^-1."""
+        return self.inverse().descents()
 
     def times_simple(self, j: int) -> "Permutation":
         """Right multiplication by s_j: swap window positions j, j+1."""
@@ -209,17 +201,9 @@ class Permutation:
         return right[j - 1]
 
     def simple_times(self, j: int) -> "Permutation":
-        """Left multiplication by s_j: swap the values j, j+1 in the window."""
-        if not 1 <= j <= self.n - 1:
-            raise IndexOutOfRange(f"generator index {j} outside 1..{self.n - 1}")
-        left = self._left
-        if left is None:
-            w = self.window
-            left = self._left = tuple(
-                Permutation._trusted(tuple(i + 1 if v == i else i if v == i + 1 else v for v in w))
-                for i in range(1, self.n)
-            )
-        return left[j - 1]
+        """Left multiplication by s_j: swap the values j, j+1 in the window,
+        which is s_j mu = (mu^-1 s_j)^-1."""
+        return self.inverse().times_simple(j).inverse()
 
     def reduced_word(self) -> tuple[int, ...]:
         """Canonical reduced word: the product s_{i1}...s_{ir} equals ``self``.

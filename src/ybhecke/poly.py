@@ -226,6 +226,18 @@ def _present(keys: Iterable[Monomial]) -> list[str]:
     return [v for s, v in enumerate(_NAMES) if z >> (_WIDTH * s) & _MASK]
 
 
+def _floor(keys: Iterable[Monomial]) -> Monomial:
+    """The key of the lowest exponent of each variable over ``keys``, a key
+    without the variable counting as exponent 0; ``keys`` is read twice."""
+    half = _HALF
+    biased = [k + half for k in keys]
+    f = 0
+    for v in _present(keys):
+        s = _VARS[v][4]
+        f += (min([k >> s & _MASK for k in biased]) - _HALF_DIGIT) << s
+    return f
+
+
 def _graded_key(names: Sequence[str]) -> Callable[[Monomial], int]:
     """A sort key of monomials in the variables ``names``, one integer: the
     total degree above the exponents over ``names``, the first the most
@@ -486,13 +498,8 @@ class LaurentPoly:
             if d:
                 _check_keys(out)
             return LaurentPoly._raw(out if type(c) is int and _integral(a) else _stored(out, False))
-        items = b.items()
         out: dict[Monomial, Scalar] = {}
-        get = out.get
-        for m1, c1 in a.items():
-            for m2, c2 in items:
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
+        _accumulate(out, a, b)
         out = _stored(out, _integral(a) and _integral(b))
         _check_keys(out)
         return LaurentPoly._raw(out)
@@ -533,21 +540,15 @@ class LaurentPoly:
 
     def min_exponents(self) -> dict[str, int]:
         """Per-variable minimum exponent across all terms (0 if absent somewhere)."""
-        half = _HALF
-        biased = [m + half for m in self._terms]
-        out = {}
-        for v in _present(self._terms):
-            s = _VARS[v][4]
-            e = min([k >> s & _MASK for k in biased]) - _HALF_DIGIT
-            if e:
-                out[v] = e
-        return out
+        return dict(_decode(_floor(self._terms)))
 
     def shifted(self, delta: Mapping[str, int]) -> "LaurentPoly":
         """Multiply by the monomial with exponent vector ``delta``."""
         return self._shift(_pack(delta, check=False)) if delta else self
 
     def _shift(self, d: Monomial) -> "LaurentPoly":
+        if not d:
+            return self
         out = {m + d: c for m, c in self._terms.items()}
         _check_keys(out)
         return LaurentPoly._raw(out)
@@ -600,17 +601,23 @@ def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> Laurent
     # every exponent of k lies in [-2^13, 2^13) exactly when (k + low) & high is 0
     low, high = _HALF >> 2, _HALF | _HALF >> 1
     out: dict[Monomial, Scalar] = {}
-    get = out.get
     for a, b in pairs:
         ta, tb = a._terms, b._terms
         if any((m + low) & high for m in ta) or any((m + low) & high for m in tb):
             ta, tb = (a * b)._terms, {0: 1}
-        items = tb.items()
-        for m1, c1 in ta.items():
-            for m2, c2 in items:
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
+        _accumulate(out, ta, tb)
     return LaurentPoly._raw(_stored(out, _integral(out)))
+
+
+def _accumulate(out: dict[Monomial, Scalar], ta: Mapping, tb: Mapping) -> None:
+    """Add the product of every pair of terms of ``ta`` and ``tb`` into
+    ``out``, zeros kept and keys unchecked."""
+    get = out.get
+    items = tb.items()
+    for m1, c1 in ta.items():
+        for m2, c2 in items:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
 
 
 def _power(base, n: int):
@@ -638,20 +645,14 @@ def exact_div(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     if d.is_constant:
         c = d.constant_value()
         return p.map_coefficients(lambda a: Fraction(a, c))
-    sp = p.min_exponents()
-    sd = d.min_exponents()
-    P = p.shifted({v: -e for v, e in sp.items()})
-    D = d.shifted({v: -e for v, e in sd.items()})
-    Q = _divide_ordinary(P, D)
-    delta = dict(sp)
-    for v, e in sd.items():
-        delta[v] = delta.get(v, 0) - e
-    delta = {v: e for v, e in delta.items() if e}
-    for v, e in delta.items():
-        fam, _ = var_parts(v)
-        if e < 0 and fam not in _LAURENT_FAMILIES:
-            raise ExactDivisionError("quotient would need a negative y/q exponent")
-    return Q.shifted(delta)
+    fp, fd = _floor(p._terms), _floor(d._terms)
+    Q = _divide_ordinary(p._shift(-fp), d._shift(-fd))
+    # Q has floor 0, so Q times the shift has a negative y/q exponent
+    # exactly where the shift has one
+    try:
+        return Q._shift(fp - fd)
+    except ValueError:
+        raise ExactDivisionError("quotient would need a negative y/q exponent") from None
 
 
 def _divide_ordinary(P: LaurentPoly, D: LaurentPoly) -> LaurentPoly:
@@ -783,17 +784,10 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return _normal_positive(q)
     if q.is_zero:
         return _normal_positive(p)
-    sp = p.min_exponents()
-    sq = q.min_exponents()
-    common = {}
-    for v in set(sp) | set(sq):
-        e = min(sp.get(v, 0), sq.get(v, 0))
-        if e:
-            common[v] = e
-    P = _normal_positive(p.shifted({v: -e for v, e in sp.items()}))
-    Q = _normal_positive(q.shifted({v: -e for v, e in sq.items()}))
-    G = _gcd_rec(P, Q)
-    return G.shifted(common)
+    fp, fq = _floor(p._terms), _floor(q._terms)
+    P = _normal_positive(p._shift(-fp))
+    Q = _normal_positive(q._shift(-fq))
+    return _gcd_rec(P, Q)._shift(_floor((fp, fq)))
 
 
 def _gcd_rec(P: LaurentPoly, Q: LaurentPoly) -> LaurentPoly:
@@ -956,8 +950,7 @@ class RationalFunction:
 
     @classmethod
     def variable(cls, v: str, exp: int = 1) -> "RationalFunction":
-        fam, _ = var_parts(v)
-        if exp < 0 and fam not in _LAURENT_FAMILIES:
+        if exp < 0 and not _var_info(v)[3]:
             return cls(_P_ONE, LaurentPoly.variable(v, -exp))
         return cls(LaurentPoly.variable(v, exp))
 

@@ -109,9 +109,13 @@ def _table_guard(n: int) -> None:
         raise RankOutOfRange(f"tables support 1 <= n <= {TABLE_MAX_RANK}, got {n}")
 
 
-def _descend(n: int, top: LaurentPoly, family: str) -> dict:
-    """Fill a table from the dominant entry: the entry at omega nu^-1 is
-    D_nu(top), one divided difference per entry."""
+def _descend(n: int, factor: Callable[[int, int], LaurentPoly], family: str) -> dict:
+    """Fill a table from the dominant entry top = prod_{i+j<=n} factor(i, j):
+    the entry at omega nu^-1 is D_nu(top), one divided difference per entry."""
+    top = LaurentPoly.one()
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            top = top * factor(i, j)
     omega = Permutation.longest(n)
     images = all_inverse_words(family, top, n)
     return {omega * nu.inverse(): image for nu, image in images.items()}
@@ -120,47 +124,27 @@ def _descend(n: int, top: LaurentPoly, family: str) -> dict:
 def schubert_table(n: int) -> SchubertTable:
     """All n! double Schubert polynomials X_mu(x, y)."""
     _table_guard(n)
-    top = LaurentPoly.one()
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            top = top * (LaurentPoly.variable(f"x{i}") - LaurentPoly.variable(f"y{j}"))
-    return SchubertTable(n=n, entries=_descend(n, top, "partial"))
+    var = LaurentPoly.variable
+    entries = _descend(n, lambda i, j: var(f"x{i}") - var(f"y{j}"), "partial")
+    return SchubertTable(n=n, entries=entries)
 
 
 def grothendieck_table(n: int) -> GrothendieckTable:
     """All n! double Grothendieck polynomials G_mu(x, y)."""
     _table_guard(n)
-    top = LaurentPoly.one()
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            factor = LaurentPoly.one() - (
-                LaurentPoly.variable(f"y{j}") * LaurentPoly.variable(f"x{i}", -1)
-            )
-            top = top * factor
-    return GrothendieckTable(n=n, entries=_descend(n, top, "pi"))
+    var = LaurentPoly.variable
+    entries = _descend(n, lambda i, j: 1 - var(f"y{j}") * var(f"x{i}", -1), "pi")
+    return GrothendieckTable(n=n, entries=entries)
 
 
 def specialize_double(p: LaurentPoly, mu: Permutation) -> LaurentPoly:
     """The specialization p(u^mu, u): rename x_i -> u_{mu(i)}, y_j -> u_j."""
-    return _specializer(p, mu.n, "x")(mu)
+    return compile_specialization(p, mu.n, "x")(mu.window)
 
 
 def _specialize_swapped(p: LaurentPoly, mu: Permutation) -> LaurentPoly:
     """The mirror specialization p(u, u^mu): x_i -> u_i, y_j -> u_{mu(j)}."""
-    return _specializer(p, mu.n, "y")(mu)
-
-
-def _specializer(p: LaurentPoly, n: int, moved: str) -> Callable[[Permutation], LaurentPoly]:
-    """The map mu -> p with the ``moved`` family at u^mu, the other at u,
-    at the symbols u1..un.
-
-    Every specialization of a table entry is read here.  p is compiled once
-    (:func:`~ybhecke.poly.compile_specialization`): the windows of mu that
-    share a prefix share its renames, through a memo of at most
-    sum_{i<n} n!/(n-i)! partial renames that lives as long as the returned map.
-    """
-    at = compile_specialization(p, n, moved)
-    return lambda mu: at(mu.window)
+    return compile_specialization(p, mu.n, "y")(mu.window)
 
 
 # ----------------------------------------------------------------------
@@ -172,18 +156,20 @@ def _check_transition(
 ) -> dict:
     """Check each coefficient of Y_mu at nu against want(nu) specialized at mu.
 
-    Each want(nu) is specialized at every mu in turn (``moved`` family at
-    u^mu), so the pairs are checked, and failures kept, nu-major; a witness
-    string is built only for a failed pair that the report keeps.  Returns
-    the coefficients by (mu, nu) in mu-major order.
+    Each want(nu) is compiled once by
+    :func:`~ybhecke.poly.compile_specialization` and specialized at every mu
+    in turn (``moved`` family at u^mu), so the pairs are checked, and
+    failures kept, nu-major; a witness string is built only for a failed
+    pair that the report keeps.  Returns the coefficients by (mu, nu) in
+    mu-major order.
     """
     perms = all_permutations(n)
     entries = dict.fromkeys(product(ys, perms))  # mu-major, filled below
     for nu in perms:
-        want_at = _specializer(want(nu), n, moved)
+        want_at = compile_specialization(want(nu), n, moved)
         for mu, y in ys.items():
             got = entries[mu, nu] = y.coefficient(nu)
-            spec = want_at(mu)
+            spec = want_at(mu.window)
             if got == spec:
                 report.record(True, "")
             else:
@@ -264,8 +250,8 @@ def verify_yang_leading_terms(
         mus_of.setdefault(nu, []).append(mu)
     wants = {}
     for nu, mus in mus_of.items():
-        at = _specializer(table[nu], n, "x")
-        wants.update(((mu, nu), at(mu)) for mu in mus)
+        at = compile_specialization(table[nu], n, "x")
+        wants.update(((mu, nu), at(mu.window)) for mu in mus)
     for mu, nu in pairs:
         a = coeffs[mu][nu]
         low = lowest_homogeneous_component(a, uvars)
@@ -301,10 +287,10 @@ def _check_permutation_expansion(
     for _ in range(probes):
         f = random_probe(rng, n)
         diffs = {nu: rename_poly(d, tou) for nu, d in all_inverse_words("partial", f, n).items()}
-        f_at = _specializer(f, n, "x")
+        f_at = compile_specialization(f, n, "x")
         for mu, row in coeffs.items():
             total = sum_of_products((c, diffs[nu]) for nu, c in row.items())
-            report.record(total == f_at(mu), lambda: f"mu={mu}, f={f}")
+            report.record(total == f_at(mu.window), lambda: f"mu={mu}, f={f}")
 
 
 def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> CheckReport:
@@ -316,7 +302,8 @@ def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> Chec
 
         sum_nu X_nu(u^mu, u) (partial_nu f)(u) = f(u^mu).
 
-    Each X_nu is compiled once by :func:`_specializer`, and the table of
+    Each X_nu is compiled once by
+    :func:`~ybhecke.poly.compile_specialization`, and the table of
     X_nu(u^mu, u) is filled nu-major.
     """
     report = CheckReport(name=f"newton-interpolation[n={n}]", seed=seed)
@@ -324,9 +311,9 @@ def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> Chec
     perms = all_permutations(n)
     coeffs: dict[Permutation, dict] = {mu: {} for mu in perms}
     for nu in perms:
-        at = _specializer(table[nu], n, "x")
+        at = compile_specialization(table[nu], n, "x")
         for mu in perms:
-            coeffs[mu][nu] = at(mu)
+            coeffs[mu][nu] = at(mu.window)
     _check_permutation_expansion(report, coeffs, n, probes, seed)
     return report
 

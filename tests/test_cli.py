@@ -1,14 +1,15 @@
 """Command-line surface: output contracts, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from ybhecke import hecke
+from ybhecke import cli, hecke, schubert
 from ybhecke.cli import SUITES, main
 from ybhecke.permutations import Permutation, all_permutations
-from ybhecke.poly import poly_gcd
+from ybhecke.poly import LaurentPoly, poly_gcd
 from ybhecke.serialize import parse_scalar, poly_from_json, rf_from_json
 
 
@@ -373,6 +374,90 @@ def test_word_independence_fails_when_the_factor_breaks_the_yang_baxter_equation
     assert "  witness: mu=4321: reduced words disagree" in out.splitlines()
 
 
+def recorded_reports(monkeypatch) -> list:
+    """The reports of every single suite run through ``main`` from now on."""
+    seen = []
+    real = cli.run_suite
+
+    def recording(*args):
+        reports = real(*args)
+        seen.extend(reports)
+        return reports
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    return seen
+
+
+def test_rothe_fails_when_one_box_moves(capsys, monkeypatch):
+    real = hecke.rothe_diagram
+    mu321 = Permutation.from_string("321")
+
+    def moved(mu):
+        diagram = real(mu)
+        if mu is not mu321:
+            return diagram
+        first = diagram.boxes[0]  # generator 1 becomes 2, and 2 becomes 1
+        boxes = (dataclasses.replace(first, generator=3 - first.generator),)
+        return dataclasses.replace(diagram, boxes=boxes + diagram.boxes[1:])
+
+    monkeypatch.setattr(hecke, "rothe_diagram", moved)
+    reports = recorded_reports(monkeypatch)
+    code, out = run(capsys, "verify", "rothe", "-n", "3")
+    assert code == 3
+    assert [r.failed for r in reports] == [1, 1, 1, 1]
+    assert out.splitlines() == [
+        line
+        for family in ("sigma", "partial", "pibar", "T")
+        for line in (
+            f"rothe[{family}, n=3]: FAIL (6 checks)",
+            "  witness: mu=321: rothe product differs",
+        )
+    ] + ["verify rothe: FAIL"]
+
+
+def test_yang_leading_fails_when_one_coefficient_moves(capsys, monkeypatch):
+    real = schubert.yang_coefficients
+    mu321, nu213 = Permutation.from_string("321"), Permutation.from_string("213")
+
+    def moved(mu, u=None):
+        coeffs = real(mu, u)
+        if mu is mu321:  # A_213(321) = u3 - u1 gets a second degree-1 term
+            coeffs[nu213] = coeffs[nu213] + LaurentPoly.variable("u1")
+        return coeffs
+
+    monkeypatch.setattr(schubert, "yang_coefficients", moved)
+    reports = recorded_reports(monkeypatch)
+    code, out = run(capsys, "verify", "yang-leading", "-n", "3")
+    assert code == 3
+    assert [r.failed for r in reports] == [1]
+    assert out.splitlines() == [
+        "yang-leading-terms[n=3]: FAIL (20 checks, seed=0)",
+        "  witness: mu=321, nu=213: lowest(u3) != -u1 + u3",
+        "verify yang-leading: FAIL",
+    ]
+
+
+def test_appendix_fails_when_one_factor_step_moves(capsys, monkeypatch):
+    real = schubert._s_step
+
+    def moved(f, j, a, b, n):  # the step at generator 2 adds f once more
+        return real(f, j, a, b, n) + (f if j == 2 else 0)
+
+    monkeypatch.setattr(schubert, "_s_step", moved)
+    reports = recorded_reports(monkeypatch)
+    code, out = run(capsys, "verify", "appendix", "-n", "3")
+    assert code == 3
+    # only the linear mode steps by _s_step, and the shape (1, 1, 1) takes
+    # no step; so every probe of the linear (3,) report fails
+    assert [r.failed for r in reports] == [0, 0, 0, 5]
+    lines = out.splitlines()
+    assert lines[3:5] == [
+        "appendix[linear, shape=(3,)]: FAIL (5 checks, seed=0)",
+        "  witness: f=-5*x1^2*x2^2 - 6*x1*x2^2 + 4*x2^2*x3 - 3*x1*x2",
+    ]
+    assert lines[-1] == "verify appendix: FAIL"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ybe_runs_at_rank_3_at_least_and_says_so(capsys, n):
     # the equation needs generators 1 and 2
@@ -607,8 +692,6 @@ def test_verify_all_n4_takes_no_gcd_and_no_rational_arithmetic(capsys, monkeypat
 
 
 def test_parser_is_built_once_and_a_patched_handler_still_runs(capsys, monkeypatch):
-    from ybhecke import cli
-
     assert main(["schubert", "-n", "2"]) == 0
     assert capsys.readouterr().out == "12: 1\n21: x1 - y1\n"
     assert cli._build_parser() is cli._build_parser()

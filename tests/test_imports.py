@@ -1,0 +1,56 @@
+"""The modules of the package use one another through public names only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ybhecke
+
+MODULES = sorted(Path(ybhecke.__file__).parent.glob("*.py"))
+# The one private name a module takes from a sibling: serialize writes the
+# terms of a polynomial in poly's rendering order.
+ALLOWED = {("serialize", "poly", "_display_sorted")}
+
+
+def private_imports(source: str, importer: str) -> set[tuple[str, str, str]]:
+    """(importer, sibling, name) for every underscore name that ``source``
+    imports from a module of the package, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "ybhecke":
+            continue
+        sibling = module.split(".")[-1] if module else ""
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                found.add((importer, sibling or alias.name, alias.name))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_a_private_name_of_a_sibling(path):
+    found = private_imports(path.read_text(encoding="utf-8"), path.stem)
+    assert found <= ALLOWED, sorted(found - ALLOWED)
+
+
+def test_the_named_exception_is_the_one_that_exists():
+    found = set()
+    for path in MODULES:
+        found |= private_imports(path.read_text(encoding="utf-8"), path.stem)
+    assert found == ALLOWED
+
+
+@pytest.mark.parametrize(
+    "source, expect",
+    [
+        ("from .hecke import _spectrum, yb_basis\n", {("cli", "hecke", "_spectrum")}),
+        ("from ybhecke.poly import _floor\n", {("cli", "poly", "_floor")}),
+        ("from . import _private\n", {("cli", "_private", "_private")}),
+        ("from .hecke import yb_basis\nfrom functools import _lru_cache_wrapper\n", set()),
+    ],
+)
+def test_the_scan_sees_relative_and_absolute_imports(source, expect):
+    assert private_imports(source, "cli") == expect

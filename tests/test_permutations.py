@@ -118,6 +118,10 @@ def test_generator_index_is_guarded():
         P("321").times_simple(0)
     with pytest.raises(IndexOutOfRange):
         Permutation.simple(3, 5)
+    with pytest.raises(IndexOutOfRange):
+        P("321").simple_times(0)
+    with pytest.raises(IndexOutOfRange):
+        P("321").simple_times(3)
 
 
 def test_rothe_identity_empty():

@@ -353,6 +353,17 @@ def test_exact_division_failure():
         exact_div(parse_poly("x1^2 + y1"), parse_poly("x1 + y1"))
 
 
+@pytest.mark.parametrize("p, d", [("y1", "y1^2"), ("q1*x1", "q1^2")])
+def test_exact_division_refuses_a_negative_y_or_q_exponent(p, d):
+    # the ordinary parts divide (1 / 1); only the monomial shift fails
+    with pytest.raises(ExactDivisionError):
+        exact_div(parse_poly(p), parse_poly(d))
+
+
+def test_exact_division_inverts_an_x_monomial():
+    assert exact_div(parse_poly("x1"), parse_poly("x1^2")) == parse_poly("x1^-1")
+
+
 def test_gcd_divides_common_factor():
     rng = random.Random(17)
     names = ["u1", "u2", "q1"]

@@ -15,6 +15,7 @@ from ybhecke.poly import (
     LaurentPoly,
     RationalFunction,
     as_rf,
+    compile_specialization,
     lowest_homogeneous_component,
     rename_poly,
     substitute_poly,
@@ -159,11 +160,11 @@ def test_specialize_by_renaming_matches_substitution(table, moved):
     u = symbolic_spectral(4)
     fixed = "y" if moved == "x" else "x"
     for nu, p in entries.items():
-        by_renaming = schubert._specializer(p, 4, moved)
+        at = compile_specialization(p, 4, moved)
         for mu in all_permutations(4):
             images = {f"{moved}{i}": u[mu(i) - 1] for i in range(1, 5)}
             images.update({f"{fixed}{j}": u[j - 1] for j in range(1, 5)})
-            assert by_renaming(mu) == substitute_poly(p, images), (mu, nu)
+            assert at(mu.window) == substitute_poly(p, images), (mu, nu)
 
 
 def test_newton_and_normal_ordering_specialize_only_by_compiling(monkeypatch):
