@@ -5,9 +5,12 @@ The package computes, over an exact rational-function field:
 * the six classical operator families on the polynomial ring,
 * Yang-Baxter bases of the corresponding Hecke algebras (by recursion and by
   Rothe-diagram factorization), their bilinear form and orthogonality,
-* double Schubert and Grothendieck polynomial tables together with the
-  transition matrices identifying Yang-Baxter coefficients with their
-  specializations.
+* double Schubert and Grothendieck polynomial tables, and the transition
+  checks identifying Yang-Baxter coefficients with their specializations.
+
+Results are plain containers: a table is a dict from mu to its polynomial,
+the transition coefficients [T_nu]Y_mu a dict keyed by (mu, nu), and a
+Rothe diagram the tuple of its boxes.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -39,9 +42,6 @@ from .poly import (
     substitute,
 )
 from .schubert import (
-    GrothendieckTable,
-    SchubertTable,
-    TransitionMatrix,
     grothendieck_table,
     schubert_table,
     specialize_double,
@@ -55,13 +55,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraSpec",
-    "GrothendieckTable",
     "HeckeElement",
     "LaurentPoly",
     "Permutation",
     "RationalFunction",
-    "SchubertTable",
-    "TransitionMatrix",
     "YBHeckeError",
     "algebra",
     "all_permutations",

@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``schubert`` / ``grothendieck`` print the full polynomial tables,
-* ``yb`` expands a Yang-Baxter element on the standard basis (optionally
-  showing the Rothe factor sequence),
+* ``yb`` expands a Yang-Baxter element on the standard basis
+  (``--shorthand`` also lists its Rothe factor sequence),
 * ``gram`` prints the pairing matrix and checks orthogonality,
 * ``verify`` runs one of the named verification suites; a suite that runs
   at another rank than the one asked for (above its guard, or below the
@@ -93,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("yb", help="expand a Yang-Baxter element")
     common(p, "cmd_yb", with_family=True)
     p.add_argument("mu", help="permutation window, e.g. 35142")
-    p.add_argument("--basis", choices=("standard", "rothe"), default="standard")
     p.add_argument("--shorthand", action="store_true", help="factor list as (ji)Tk")
     p.add_argument("--q1", help="specialize q1 to this expression")
     p.add_argument("--q2", help="specialize q2 to this expression")
@@ -143,8 +142,8 @@ def _spectral_from(arg: str | None, n: int) -> list[RationalFunction] | None:
     return [parse_scalar(p) for p in parts]
 
 
-def _table_lines(table, label: str, fmt: str, n: int) -> list[str]:
-    perms = sorted(table.entries, key=Permutation.sort_key)
+def _table_lines(table: dict, label: str, fmt: str, n: int) -> list[str]:
+    perms = sorted(table, key=Permutation.sort_key)
     if fmt == "json":
         payload = {
             "kind": label.lower(),
@@ -168,7 +167,7 @@ def cmd_table(args) -> int:
 
 def _factor_shorthand(mu: Permutation, latex: bool) -> list[str]:
     out = []
-    for box in rothe_diagram(mu).boxes:
+    for box in rothe_diagram(mu):
         k = f"T_{box.generator}" if latex else f"T{box.generator}"
         out.append(f"({mu(box.i)}{mu(box.j)}){k}")
     return out
@@ -190,9 +189,7 @@ def cmd_yb(args) -> int:
         nu: substitute(c, subs) if subs else c for nu, c in y.coeffs.items()
     }
     perms = sorted(coeffs, key=Permutation.sort_key)
-    factors = None
-    if args.basis == "rothe" or args.shorthand:
-        factors = _factor_shorthand(mu, args.format == "latex")
+    factors = _factor_shorthand(mu, args.format == "latex") if args.shorthand else None
     if args.format == "json":
         payload = {
             "family": args.family,

@@ -211,12 +211,7 @@ class HeckeElement:
         return HeckeElement(self.alg, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for mu, c in other.coeffs.items():
-            nc = out.get(mu)
-            out[mu] = -c if nc is None else nc - c
-        return HeckeElement(self.alg, out)
+        return self + (-other)
 
     def __neg__(self) -> "HeckeElement":
         return HeckeElement(self.alg, {mu: -c for mu, c in self.coeffs.items()})
@@ -331,10 +326,7 @@ def factor_coefficient(
         return as_rf(1 - ratio)
     if family == _BETA_FORM:
         return as_rf(ratio - 1)
-    names = _spectral_names((u, v))
-    if BETA in names:  # _from_beta would read it as beta
-        raise ReservedVariable(f"family T spectral parameters must not mention {BETA}")
-    return _from_beta(ratio - 1, 1, not names.isdisjoint(("q1", "q2")))
+    return _from_beta(ratio - 1, 1, _mentions_q((u, v)))
 
 
 def elementary_factor(
@@ -360,16 +352,16 @@ def _spectrum(
         raise RankMismatch(f"need {alg.n} spectral parameters, got {len(u)}")
     if alg.family in _MULTIPLICATIVE and any(x.is_zero for x in u):
         raise ZeroSpectral("multiplicative families need nonzero parameters")
-    if alg.family != "T":
-        return u, False
-    names = _spectral_names(u)
+    return u, alg.family == "T" and _mentions_q(u)
+
+
+def _mentions_q(u: Sequence[RationalFunction]) -> bool:
+    """Whether family T spectral parameters mention q1 or q2; a mention of
+    ``BETA``, which :func:`_from_beta` would read as beta, raises."""
+    names = set().union(*(x.num.variables() | x.den.variables() for x in map(as_rf, u)))
     if BETA in names:
         raise ReservedVariable(f"family T spectral parameters must not mention {BETA}")
-    return u, not names.isdisjoint(("q1", "q2"))
-
-
-def _spectral_names(u: Sequence[RationalFunction]) -> set[str]:
-    return set().union(*(x.num.variables() | x.den.variables() for x in map(as_rf, u)))
+    return not names.isdisjoint(("q1", "q2"))
 
 
 def _building_algebra(alg: AlgebraSpec) -> AlgebraSpec:
@@ -496,7 +488,7 @@ def yb_element_rothe(
     same element as the recursion.
     """
     _check_rank(alg, mu)
-    boxes = rothe_diagram(mu).boxes
+    boxes = rothe_diagram(mu)
     return yb_product(alg, u, ((b.generator, mu(b.j), mu(b.i)) for b in boxes))
 
 

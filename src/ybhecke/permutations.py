@@ -18,6 +18,9 @@ The table keeps every window ever built; the enumerations of
 :func:`all_permutations` up to :data:`MAX_RANK` hold at most
 1! + 2! + ... + 6! = 873 objects.
 
+A Rothe diagram is the plain tuple of its boxes in reading order
+(:func:`rothe_diagram`).
+
 >>> mu = Permutation.from_string("35142")
 >>> mu.length()
 6
@@ -40,7 +43,6 @@ from .errors import IndexOutOfRange, RankMismatch, RankOutOfRange
 __all__ = [
     "Permutation",
     "RotheBox",
-    "RotheDiagram",
     "all_permutations",
     "all_reduced_words",
     "MAX_RANK",
@@ -269,17 +271,9 @@ class RotheBox:
     generator: int
 
 
-@dataclass(frozen=True)
-class RotheDiagram:
-    perm: Permutation
-    boxes: tuple[RotheBox, ...]
-
-    def __len__(self) -> int:
-        return len(self.boxes)
-
-
-def rothe_diagram(mu: Permutation) -> RotheDiagram:
-    """Rothe diagram {(i, mu(j)) : i < j, mu(i) > mu(j)} in reading order.
+def rothe_diagram(mu: Permutation) -> tuple[RotheBox, ...]:
+    """The boxes of the Rothe diagram {(i, mu(j)) : i < j, mu(i) > mu(j)}, one
+    per inversion of mu, in reading order.
 
     Reading order is left to right within a row, proceeding from the top row
     (largest second coordinate) down; this is the order in which the boxes'
@@ -301,4 +295,4 @@ def rothe_diagram(mu: Permutation) -> RotheDiagram:
         for below, (i, row, j) in enumerate(items):
             boxes.append(RotheBox(row=row, i=i, j=j, generator=i + below))
     boxes.sort(key=lambda b: (-b.row, b.i))
-    return RotheDiagram(perm=mu, boxes=tuple(boxes))
+    return tuple(boxes)

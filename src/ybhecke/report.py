@@ -5,27 +5,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["CheckReport"]
+__all__ = ["CheckReport", "MAX_WITNESSES"]
+
+# The number of failures whose witnesses a report keeps.
+MAX_WITNESSES = 20
 
 
 @dataclass
 class CheckReport:
     """Counts of checks and failed checks, and the witnesses of the first
-    ``max_witnesses`` failures."""
+    :data:`MAX_WITNESSES` failures."""
 
     name: str
     checks: int = 0
     failures: list[str] = field(default_factory=list)
     seed: int | None = None
-    max_witnesses: int = 20
     failed: int = 0
 
     @property
     def passed(self) -> bool:
         return not self.failed
-
-    def __bool__(self) -> bool:
-        return self.passed
 
     def record(self, ok: bool, witness: str | Callable[[], str]) -> None:
         """Count one check; keep its witness if it failed and there is room.
@@ -37,7 +36,7 @@ class CheckReport:
         if ok:
             return
         self.failed += 1
-        if len(self.failures) < self.max_witnesses:
+        if len(self.failures) < MAX_WITNESSES:
             self.failures.append(witness if isinstance(witness, str) else witness())
 
     def lines(self) -> list[str]:

@@ -6,8 +6,10 @@ The tables start from the dominant products
     G_omega = prod_{i+j<=n} (1 - y_j/x_i),
 
 and descend through divided differences (partial_i for X, pi_i for G) along
-the weak order.  The verification drivers then tie the abstract Yang-Baxter
-elements to specializations of these tables:
+the weak order; each table is a plain dict from mu to its polynomial.  The
+verification drivers then tie the abstract Yang-Baxter elements to
+specializations of these tables (the two transition drivers also return
+the coefficients [T_nu]Y_mu as a dict keyed by (mu, nu)):
 
 * the coefficients of Y_mu in the nil-Coxeter family are X_nu(u^mu, u);
 * the coefficients of Y_mu in the pibar family are G_{nu^{-1}}(u, u^mu);
@@ -29,7 +31,6 @@ tuple is that tuple substituted into it.  X_213 = x1 - y1 at mu = 213:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Sequence
@@ -52,9 +53,6 @@ from .report import CheckReport
 
 __all__ = [
     "TABLE_MAX_RANK",
-    "SchubertTable",
-    "GrothendieckTable",
-    "TransitionMatrix",
     "schubert_table",
     "grothendieck_table",
     "specialize_double",
@@ -69,35 +67,6 @@ __all__ = [
     "verify_cohomology_basis",
     "verify_groth_to_schubert_degeneration",
 ]
-
-
-@dataclass(frozen=True)
-class SchubertTable:
-    n: int
-    entries: dict  # Permutation -> LaurentPoly in x, y
-
-    def __getitem__(self, mu: Permutation) -> LaurentPoly:
-        return self.entries[mu]
-
-
-@dataclass(frozen=True)
-class GrothendieckTable:
-    n: int
-    entries: dict  # Permutation -> LaurentPoly, negative x exponents allowed
-
-    def __getitem__(self, mu: Permutation) -> LaurentPoly:
-        return self.entries[mu]
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    row_basis: str
-    col_basis: str
-    n: int
-    entries: dict  # (row perm, col perm) -> coefficient of a Hecke element
-
-    def __getitem__(self, key) -> LaurentPoly | RationalFunction:
-        return self.entries.get(key, LaurentPoly.zero())
 
 
 # The largest rank of a Schubert or Grothendieck table.
@@ -121,20 +90,19 @@ def _descend(n: int, factor: Callable[[int, int], LaurentPoly], family: str) -> 
     return {omega * nu.inverse(): image for nu, image in images.items()}
 
 
-def schubert_table(n: int) -> SchubertTable:
-    """All n! double Schubert polynomials X_mu(x, y)."""
+def schubert_table(n: int) -> dict[Permutation, LaurentPoly]:
+    """All n! double Schubert polynomials X_mu(x, y), keyed by mu."""
     _table_guard(n)
     var = LaurentPoly.variable
-    entries = _descend(n, lambda i, j: var(f"x{i}") - var(f"y{j}"), "partial")
-    return SchubertTable(n=n, entries=entries)
+    return _descend(n, lambda i, j: var(f"x{i}") - var(f"y{j}"), "partial")
 
 
-def grothendieck_table(n: int) -> GrothendieckTable:
-    """All n! double Grothendieck polynomials G_mu(x, y)."""
+def grothendieck_table(n: int) -> dict[Permutation, LaurentPoly]:
+    """All n! double Grothendieck polynomials G_mu(x, y), keyed by mu; the
+    entries carry negative x exponents."""
     _table_guard(n)
     var = LaurentPoly.variable
-    entries = _descend(n, lambda i, j: 1 - var(f"y{j}") * var(f"x{i}", -1), "pi")
-    return GrothendieckTable(n=n, entries=entries)
+    return _descend(n, lambda i, j: 1 - var(f"y{j}") * var(f"x{i}", -1), "pi")
 
 
 def specialize_double(p: LaurentPoly, mu: Permutation) -> LaurentPoly:
@@ -177,22 +145,21 @@ def _check_transition(
     return entries
 
 
-def verify_schubert_transition(n: int) -> tuple[TransitionMatrix, CheckReport]:
+def verify_schubert_transition(n: int) -> tuple[dict, CheckReport]:
     """Check Y_mu in the nil-Coxeter family expands with Schubert coefficients.
 
     For every mu, nu the coefficient of the basis element indexed by nu in
     Y_mu(u) must equal X_nu(u^mu, u).  The pairs are checked, and failures
-    kept, nu-major.
+    kept, nu-major.  Returns the coefficients [T_nu]Y_mu keyed by every
+    (mu, nu) in S_n x S_n, and the report.
     """
     report = CheckReport(name=f"schubert-transition[n={n}]")
     table = schubert_table(n)
     ys = yb_basis(algebra("partial", n))
-    entries = _check_transition(report, ys, n, lambda nu: table[nu], "x")
-    matrix = TransitionMatrix("Y^partial", "partial", n, entries)
-    return matrix, report
+    return _check_transition(report, ys, n, lambda nu: table[nu], "x"), report
 
 
-def verify_grothendieck_transition(n: int) -> tuple[TransitionMatrix, CheckReport]:
+def verify_grothendieck_transition(n: int) -> tuple[dict, CheckReport]:
     """Check Y_mu in the pibar family expands with Grothendieck coefficients.
 
     For every mu, nu the coefficient indexed by nu in Y_mu(u) must equal the
@@ -201,14 +168,13 @@ def verify_grothendieck_transition(n: int) -> tuple[TransitionMatrix, CheckRepor
     the worked 35142 coefficient, the q-specialization link to the generic
     family, and exhaustive checks; it mirrors the Schubert-side coefficient
     X_nu(u^mu, u) through the classical inversion duality of the tables.)
-    The pairs are checked, and failures kept, nu-major.
+    The pairs are checked, and failures kept, nu-major.  Returns the
+    coefficients keyed by every (mu, nu), and the report.
     """
     report = CheckReport(name=f"grothendieck-transition[n={n}]")
     table = grothendieck_table(n)
     ys = yb_basis(algebra("pibar", n))
-    entries = _check_transition(report, ys, n, lambda nu: table[nu.inverse()], "y")
-    matrix = TransitionMatrix("Y^pibar", "pibar", n, entries)
-    return matrix, report
+    return _check_transition(report, ys, n, lambda nu: table[nu.inverse()], "y"), report
 
 
 def yang_coefficients(

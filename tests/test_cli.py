@@ -3,6 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +47,7 @@ def test_grothendieck_json_roundtrip(capsys):
 
 
 def test_yb_rothe_factor_sequence(capsys):
-    code, out = run(capsys, "yb", "-n", "5", "--family", "T", "35142", "--basis", "rothe")
+    code, out = run(capsys, "yb", "-n", "5", "--family", "T", "35142", "--shorthand")
     assert code == 0
     assert "factors: (54)T4 (32)T2 (52)T3 (42)T4 (31)T1 (51)T2" in out
 
@@ -396,9 +400,8 @@ def test_rothe_fails_when_one_box_moves(capsys, monkeypatch):
         diagram = real(mu)
         if mu is not mu321:
             return diagram
-        first = diagram.boxes[0]  # generator 1 becomes 2, and 2 becomes 1
-        boxes = (dataclasses.replace(first, generator=3 - first.generator),)
-        return dataclasses.replace(diagram, boxes=boxes + diagram.boxes[1:])
+        first = diagram[0]  # generator 1 becomes 2, and 2 becomes 1
+        return (dataclasses.replace(first, generator=3 - first.generator), *diagram[1:])
 
     monkeypatch.setattr(hecke, "rothe_diagram", moved)
     reports = recorded_reports(monkeypatch)
@@ -580,10 +583,9 @@ def test_yb_shorthand_lists_factors_in_every_format(capsys):
     argv = ["yb", "-n", "4", "4312", "--family", "pibar"]
     _, text = run(capsys, *argv, "--shorthand")
     factors = text.splitlines()[1].removeprefix("factors: ").split()
-    for flag in ("--shorthand", "--basis=rothe"):
-        code, out = run(capsys, *argv, flag, "--format", "json")
-        assert code == 0
-        assert json.loads(out)["factors"] == factors
+    code, out = run(capsys, *argv, "--shorthand", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["factors"] == factors
 
 
 def test_noncanonical_spectral_parameter_exits_2(capsys):
@@ -707,3 +709,31 @@ def test_parser_is_built_once_and_a_patched_handler_still_runs(capsys, monkeypat
     monkeypatch.undo()
     assert main(["schubert", "-n", "2"]) == 0
     assert capsys.readouterr().out == "12: 1\n21: x1 - y1\n"
+
+
+def test_basis_flag_is_gone(capsys):
+    code = main(["yb", "-n", "3", "321", "--basis", "rothe"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unrecognized arguments: --basis rothe" in captured.err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout_end,stderr",
+    [
+        (["verify", "relations", "-n", "2"], 0, "verify relations: PASS\n", ""),
+        (["schubert", "-n", "6"], 2, "", "error: tables support 1 <= n <= 5, got 6\n"),
+    ],
+)
+def test_package_runs_as_a_program(argv, code, stdout_end, stderr):
+    # one child at a time, through __main__ and cli.entry's sys.exit
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "ybhecke", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code
+    assert done.stdout.endswith(stdout_end) and done.stderr == stderr

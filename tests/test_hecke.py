@@ -105,6 +105,18 @@ def test_unit_and_associativity():
         assert (h1 * h2) * h3 == h1 * (h2 * h3)
 
 
+def test_subtraction_is_adding_the_negative():
+    rng = random.Random(32)
+    alg = algebra("T", 3)
+    for _ in range(4):
+        h1 = random_element(rng, alg)
+        h2 = random_element(rng, alg)
+        assert (h1 - h2) + h2 == h1 and (h1 - h1).is_zero
+        assert h1 - h2 == -(h2 - h1)
+    with pytest.raises(AlgebraMismatch):
+        unit(alg) - unit(algebra("partial", 3))
+
+
 def test_two_words_of_omega_agree():
     alg = algebra("T", 3)
     t1 = unit(alg).times_generator(1)

@@ -128,12 +128,18 @@ def test_rothe_identity_empty():
     assert len(rothe_diagram(Permutation.identity(4))) == 0
 
 
+def test_rothe_diagram_is_a_tuple_of_one_box_per_inversion():
+    for mu in all_permutations(4):
+        diagram = rothe_diagram(mu)
+        assert type(diagram) is tuple and len(diagram) == mu.length(), mu
+
+
 def test_rothe_35142_reading_order():
     mu = P("35142")
     diagram = rothe_diagram(mu)
     assert len(diagram) == mu.length() == 6
     # reading the boxes yields the factor digits (mu(i), mu(j)) and T-indices
-    reading = [(mu(b.i), mu(b.j), b.generator) for b in diagram.boxes]
+    reading = [(mu(b.i), mu(b.j), b.generator) for b in diagram]
     assert reading == [
         (5, 4, 4),
         (3, 2, 2),
@@ -149,7 +155,7 @@ def test_rothe_box_count_matches_length_s5():
         diagram = rothe_diagram(mu)
         assert len(diagram) == mu.length()
         # boxes are exactly the inversion set {(i, mu(j)) : i<j, mu(i)>mu(j)}
-        got = {(b.i, b.row) for b in diagram.boxes}
+        got = {(b.i, b.row) for b in diagram}
         expect = {
             (i, mu(j))
             for i in range(1, 6)
@@ -162,7 +168,7 @@ def test_rothe_box_count_matches_length_s5():
 def test_rothe_generator_indices_increase_in_columns():
     for mu in all_permutations(5):
         cols = {}
-        for b in rothe_diagram(mu).boxes:
+        for b in rothe_diagram(mu):
             cols.setdefault(b.i, []).append(b)
         for col, boxes in cols.items():
             boxes.sort(key=lambda b: b.row)

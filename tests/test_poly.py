@@ -768,8 +768,7 @@ def _cmp_display(m1, m2):
 
 def test_display_key_orders_like_the_display_comparison():
     by_cmp = cmp_to_key(_cmp_display)
-    polys = [schubert_table(4)[mu] for mu in schubert_table(4).entries]
-    polys += [grothendieck_table(4)[mu] for mu in grothendieck_table(4).entries]
+    polys = [*schubert_table(4).values(), *grothendieck_table(4).values()]
     polys.append(parse_poly("q1*q2 - 2*q1^2*u1 + u1^-1*x2 + 3*y1*y2^2 - x1^-2*u3"))
     for p in polys:
         got = [m for m, _ in _display_sorted(p)]
@@ -930,7 +929,7 @@ def _assert_compiled_like_renamed(p, n, moved, fixed, windows=None):
 @pytest.mark.parametrize("moved,fixed", [("x", "y"), ("y", "x")])
 def test_compiled_specialization_matches_renaming(moved, fixed):
     # Grothendieck entries carry negative x exponents
-    for p in grothendieck_table(4).entries.values():
+    for p in grothendieck_table(4).values():
         _assert_compiled_like_renamed(p, 4, moved, fixed)
     for n, polys in SPECIALIZATION_EDGE_CASES.items():
         for p in polys:
@@ -943,7 +942,7 @@ def test_compiled_specialization_serves_windows_in_any_order(moved, fixed):
     # so windows arrive after, before and between the siblings that share
     # their prefixes.  Every comparison is exact.
     rng = random.Random(27)
-    cases = [(4, p) for p in grothendieck_table(4).entries.values()]
+    cases = [(4, p) for p in grothendieck_table(4).values()]
     cases += [(n, p) for n, polys in SPECIALIZATION_EDGE_CASES.items() for p in polys]
     for n, p in cases:
         windows = list(permutations(range(1, n + 1)))

@@ -20,7 +20,7 @@ from ybhecke.poly import (
     rename_poly,
     substitute_poly,
 )
-from ybhecke.report import CheckReport
+from ybhecke.report import MAX_WITNESSES, CheckReport
 from ybhecke.schubert import (
     grothendieck_table,
     schubert_table,
@@ -85,14 +85,14 @@ GROTHENDIECK3 = {
 
 def test_schubert_table_n4_matches_classical_list():
     table = schubert_table(4)
-    assert len(table.entries) == 24
+    assert len(table) == 24
     for window, text in SCHUBERT4.items():
         assert table[P(window)] == parse_poly(text), window
 
 
 def test_grothendieck_table_n3_matches_classical_list():
     table = grothendieck_table(3)
-    assert len(table.entries) == 6
+    assert len(table) == 6
     for window, text in GROTHENDIECK3.items():
         assert table[P(window)] == parse_poly(text), window
 
@@ -104,7 +104,7 @@ def test_schubert_identity_is_one():
 
 def test_schubert_homogeneous_of_length_degree():
     table = schubert_table(4)
-    for mu, p in table.entries.items():
+    for mu, p in table.items():
         if mu.length():
             vars_ = p.variables()
             low = lowest_homogeneous_component(p, vars_)
@@ -156,7 +156,7 @@ def test_specialize_by_renaming_matches_substitution(table, moved):
     # map at a time (Grothendieck entries carry negative x exponents); "x"
     # is specialize_double's orientation p(u^mu, u), "y" the mirror
     # p(u, u^mu) of the Grothendieck transition
-    entries = table(4).entries
+    entries = table(4)
     u = symbolic_spectral(4)
     fixed = "y" if moved == "x" else "x"
     for nu, p in entries.items():
@@ -187,27 +187,49 @@ def test_lazy_witness_called_only_for_kept_failures():
         calls.append(1)
         return "failed"
 
-    report = CheckReport(name="lazy", max_witnesses=3)
+    report = CheckReport(name="lazy")
     for _ in range(5):
         report.record(True, witness)
     assert calls == [] and report.passed and report.checks == 5
-    for _ in range(5):
+    for _ in range(MAX_WITNESSES + 5):
         report.record(False, witness)
-    assert len(calls) == 3 and report.failures == ["failed"] * 3
-    assert report.checks == 10 and not report.passed
+    assert MAX_WITNESSES == 20
+    assert len(calls) == MAX_WITNESSES and report.failures == ["failed"] * MAX_WITNESSES
+    assert report.checks == MAX_WITNESSES + 10 and not report.passed
 
 
 def test_failure_without_room_for_a_witness_still_fails():
-    report = CheckReport(name="x", max_witnesses=0)
+    report = CheckReport(name="x", seed=3)
     report.record(True, "unused")
-    report.record(False, "w")
-    assert not report.passed and report.failed == 1 and report.failures == []
-    assert report.lines() == ["x: FAIL (2 checks)"]
-    kept = CheckReport(name="y", max_witnesses=1, seed=3)
-    kept.record(False, "first")
-    kept.record(False, "second")
-    assert kept.failed == 2
-    assert kept.lines() == ["y: FAIL (2 checks, seed=3)", "  witness: first"]
+    kept = [f"w{k}" for k in range(MAX_WITNESSES)]
+    for w in kept:
+        report.record(False, w)
+    assert report.failed == MAX_WITNESSES and report.failures == kept
+    report.record(False, "no room")
+    assert not report.passed and report.failed == MAX_WITNESSES + 1
+    assert report.failures == kept
+    assert report.lines() == [f"x: FAIL ({MAX_WITNESSES + 2} checks, seed=3)"] + [
+        f"  witness: {w}" for w in kept
+    ]
+
+
+@pytest.mark.parametrize("table", [schubert_table, grothendieck_table])
+def test_tables_are_dicts_keyed_by_all_of_s3(table):
+    entries = table(3)
+    assert type(entries) is dict
+    assert set(entries) == set(all_permutations(3))
+    assert all(isinstance(p, LaurentPoly) for p in entries.values())
+
+
+def test_schubert_transition_returns_every_coefficient_by_pair():
+    coeffs, report = verify_schubert_transition(3)
+    assert type(coeffs) is dict and report.passed
+    ys = yb_basis(algebra("partial", 3))
+    perms = all_permutations(3)
+    assert len(coeffs) == 36
+    assert set(coeffs) == {(mu, nu) for mu in perms for nu in perms}
+    for (mu, nu), c in coeffs.items():
+        assert c == ys[mu].coefficient(nu), (mu, nu)
 
 
 def test_schubert_transition_s3_s4():
@@ -239,9 +261,8 @@ def test_transition_checks_every_pair(monkeypatch, name, verify):
 
     def corrupted(n):
         table = build(n)
-        entries = dict(table.entries)
-        entries[P("1324")] = entries[P("1324")] + parse_poly("x1*y2")
-        return type(table)(n=n, entries=entries)
+        table[P("1324")] = table[P("1324")] + parse_poly("x1*y2")
+        return table
 
     monkeypatch.setattr(schubert, name, corrupted)
     _, report = verify(4)
@@ -251,11 +272,11 @@ def test_transition_checks_every_pair(monkeypatch, name, verify):
 
 def test_transition_unitriangular_by_length():
     m4, _ = verify_schubert_transition(4)
-    for (mu, nu), val in m4.entries.items():
+    for (mu, nu), val in m4.items():
         if not val.is_zero:
             assert nu.length() <= mu.length()
     g4, _ = verify_grothendieck_transition(4)
-    for (mu, nu), val in g4.entries.items():
+    for (mu, nu), val in g4.items():
         if not val.is_zero:
             assert nu.length() <= mu.length()
 
@@ -302,9 +323,7 @@ def test_newton_interpolation_fails_on_a_wrong_table_entry(monkeypatch):
     table = schubert_table(3)
 
     def wrong_table(n):
-        entries = dict(table.entries)
-        entries[P("213")] = entries[P("213")] + parse_poly("x1")
-        return schubert.SchubertTable(n=n, entries=entries)
+        return {**table, P("213"): table[P("213")] + parse_poly("x1")}
 
     monkeypatch.setattr(schubert, "schubert_table", wrong_table)
     report = verify_newton_interpolation(3, probes=3, seed=1)
@@ -353,9 +372,7 @@ def test_cohomology_basis_fails_on_a_wrong_table_entry(monkeypatch):
     table = schubert_table(3)
 
     def wrong_table(n):
-        entries = dict(table.entries)
-        entries[P("213")] = entries[P("213")] + parse_poly("x1")
-        return schubert.SchubertTable(n=n, entries=entries)
+        return {**table, P("213"): table[P("213")] + parse_poly("x1")}
 
     monkeypatch.setattr(schubert, "schubert_table", wrong_table)
     report = verify_cohomology_basis(3)
@@ -457,9 +474,7 @@ def test_degeneration_fails_on_a_wrong_table_entry(monkeypatch):
     table = grothendieck_table(3)
 
     def wrong_table(n):
-        entries = dict(table.entries)
-        entries[P("213")] = entries[P("213")] + parse_poly("y2*x2^-1")
-        return schubert.GrothendieckTable(n=n, entries=entries)
+        return {**table, P("213"): table[P("213")] + parse_poly("y2*x2^-1")}
 
     monkeypatch.setattr(schubert, "grothendieck_table", wrong_table)
     report = verify_groth_to_schubert_degeneration(3)
