@@ -6,14 +6,17 @@ quadratic relation T_i^2 = a T_i + b, with the (a, b) of each family in
 have Yang-Baxter elements.
 
 Elements are finitely supported maps from permutations to coefficients,
-which need only +, -, *, == and truth.  A coefficient is a LaurentPoly
-wherever the maths allows; a RationalFunction appears only where it
-divides: at a factor coefficient that is not a Laurent polynomial (at a
-spectral parameter such as 1 + u1), in the (q1, q2) form of the generic
-family, in :func:`delta`, in :func:`expand_in_yb`, and in :func:`pairing`
-away from the symbols.  So at the symbols u1..un every factor, product,
-pairing and non-generic Yang-Baxter coefficient is a LaurentPoly.  Yang-Baxter
-elements are built from the factors 1 + c(u, v) T_j by the recursion
+which need only +, -, *, == and truth.  The ring of a coefficient is a
+property of its value: a Laurent value is a LaurentPoly, from the spectral
+parameters (the symbols u1..un, or a given tuple narrowed once by
+:func:`_spectrum`) to the printed coefficient, and Python's reflected
+operators promote it to a RationalFunction only where a division leaves a
+denominator: at a spectral parameter such as 1 + u1, in the (q1, q2) form
+of the generic family, in :func:`expand_in_yb`, and in :func:`pairing` away
+from the symbols.  :func:`delta` returns its product as a RationalFunction.
+So at the symbols every factor, product, pairing and non-generic
+Yang-Baxter coefficient is a LaurentPoly.  Yang-Baxter elements are built
+from the factors 1 + c(u, v) T_j by the recursion
 
     Y_mu(u) = Y_nu(u) * Y_j(u_{nu(j)}, u_{nu(j+1)})     for mu = nu s_j, longer,
 
@@ -93,6 +96,7 @@ from .poly import (
     RationalFunction,
     as_rf,
     clear_beta,
+    narrow,
     rename_poly,
     rename_rf,
     sum_of_products,
@@ -287,27 +291,26 @@ def _check_rank(alg: AlgebraSpec, mu: Permutation) -> None:
 # spectral parameters and elementary factors
 
 
-def symbolic_spectral(n: int) -> list[RationalFunction]:
-    return [RationalFunction.variable(f"u{i}") for i in range(1, n + 1)]
+def symbolic_spectral(n: int) -> list[LaurentPoly]:
+    """The symbols u1..un, the default spectral parameters, as LaurentPolys."""
+    return [LaurentPoly.variable(f"u{i}") for i in range(1, n + 1)]
 
 
-def permuted_spectral(
-    u: Sequence[RationalFunction], mu: Permutation
-) -> list[RationalFunction]:
+def permuted_spectral(u: Sequence[Coefficient], mu: Permutation) -> list[Coefficient]:
     """The permuted tuple u^mu = (u_{mu(1)}, ..., u_{mu(n)})."""
     return [u[mu(i) - 1] for i in range(1, mu.n + 1)]
 
 
-def factor_coefficient(
-    alg: AlgebraSpec, u: RationalFunction, v: RationalFunction
-) -> RationalFunction:
+def factor_coefficient(alg: AlgebraSpec, u: Coefficient, v: Coefficient) -> Coefficient:
     """The coefficient c(u, v) of T_j in the elementary factor 1 + c T_j.
 
-    Where u and v are Laurent polynomials (u a monomial, for the v/u of the
-    multiplicative families), v - u or v/u is taken inside LaurentPoly and
-    wrapped once; any other u or v, such as 1 + u1, goes through
-    RationalFunction arithmetic.  The generic family's coefficient is its
-    one-parameter value v/u - 1 over theta, made by :func:`_from_beta`.
+    u and v are narrowed, and v - u, or v/u as v * u^-1 where u is a
+    LaurentPoly monomial, is taken by the operators of their rings and
+    narrowed: the result is a LaurentPoly exactly when it is a Laurent
+    polynomial, and a RationalFunction where a division leaves a
+    denominator, as at 1 + u1.  The generic family's coefficient is its
+    one-parameter value v/u - 1 over theta, made by :func:`_from_beta` and
+    narrowed in the same way.
     """
     family = alg.family
     if family not in FACTOR_FAMILIES and family != _BETA_FORM:
@@ -315,47 +318,48 @@ def factor_coefficient(
             f"no elementary Yang-Baxter factor for family {family!r}; "
             f"supported: {FACTOR_FAMILIES}"
         )
-    u, v = as_rf(u), as_rf(v)
-    laurent = u.is_polynomial and v.is_polynomial
+    u, v = narrow(u), narrow(v)
     if family not in _MULTIPLICATIVE:
-        return as_rf(v.num - u.num) if laurent else v - u
+        return narrow(v - u)
     if u.is_zero:
         raise ZeroSpectral(f"{family} factors need an invertible first parameter")
-    ratio = v.num * u.num ** -1 if laurent and u.num.is_unit else v / u
+    ratio = v * u ** -1 if isinstance(u, LaurentPoly) and u.is_unit else narrow(v / u)
     if family == "pibar":
-        return as_rf(1 - ratio)
+        return 1 - ratio
     if family == _BETA_FORM:
-        return as_rf(ratio - 1)
-    return _from_beta(ratio - 1, 1, _mentions_q((u, v)))
+        return ratio - 1
+    return narrow(_from_beta(ratio - 1, 1, _mentions_q((u, v))))
 
 
 def elementary_factor(
-    alg: AlgebraSpec, j: int, u: RationalFunction, v: RationalFunction
+    alg: AlgebraSpec, j: int, u: Coefficient, v: Coefficient
 ) -> HeckeElement:
-    """The element 1 + c(u, v) T_j, with c a LaurentPoly whenever it is one."""
+    """The element 1 + c(u, v) T_j, with c as :func:`factor_coefficient`
+    gives it: a LaurentPoly whenever it is one."""
     s_j = Permutation.simple(alg.n, j)
-    c = as_rf(factor_coefficient(alg, u, v))
-    c = c.num if c.is_polynomial else c
+    c = factor_coefficient(alg, u, v)
     return HeckeElement(alg, {Permutation.identity(alg.n): _ONE, s_j: c})
 
 
 def _spectrum(
-    alg: AlgebraSpec, u: Sequence[RationalFunction] | None
-) -> tuple[Sequence[RationalFunction], bool]:
-    """The spectral parameters of ``alg``, the symbols u1..un when ``u`` is
-    None, checked, and whether :func:`_from_beta` must gcd-reduce the
-    coefficients built at them: for the generic family where they mention
-    q1 or q2."""
+    alg: AlgebraSpec, u: Sequence[Coefficient] | None
+) -> tuple[Sequence[Coefficient], bool]:
+    """The spectral parameters of ``alg``, checked, and whether
+    :func:`_from_beta` must gcd-reduce the coefficients built at them: for
+    the generic family where they mention q1 or q2.  They are the symbols
+    u1..un when ``u`` is None, and otherwise ``u`` with each parameter
+    narrowed once, so a Laurent value is a LaurentPoly from here on."""
     if u is None:
         return symbolic_spectral(alg.n), False
     if len(u) != alg.n:
         raise RankMismatch(f"need {alg.n} spectral parameters, got {len(u)}")
+    u = [narrow(x) for x in u]
     if alg.family in _MULTIPLICATIVE and any(x.is_zero for x in u):
         raise ZeroSpectral("multiplicative families need nonzero parameters")
     return u, alg.family == "T" and _mentions_q(u)
 
 
-def _mentions_q(u: Sequence[RationalFunction]) -> bool:
+def _mentions_q(u: Sequence[Coefficient]) -> bool:
     """Whether family T spectral parameters mention q1 or q2; a mention of
     ``BETA``, which :func:`_from_beta` would read as beta, raises."""
     names = set().union(*(x.num.variables() | x.den.variables() for x in map(as_rf, u)))
@@ -431,7 +435,7 @@ def word_steps(n: int, word: Sequence[int]) -> Iterator[tuple[int, int, int]]:
 
 def yb_product(
     alg: AlgebraSpec,
-    u: Sequence[RationalFunction] | None,
+    u: Sequence[Coefficient] | None,
     steps: Iterable[tuple[int, int, int]],
 ) -> HeckeElement:
     """The product, left to right, of the factors Y_j(u_a, u_b) = 1 + c T_j
@@ -452,7 +456,7 @@ def yb_product(
 def yb_element(
     alg: AlgebraSpec,
     mu: Permutation,
-    u: Sequence[RationalFunction] | None = None,
+    u: Sequence[Coefficient] | None = None,
 ) -> HeckeElement:
     """The Yang-Baxter element Y_mu(u), built along the canonical reduced word."""
     _check_rank(alg, mu)
@@ -460,7 +464,7 @@ def yb_element(
 
 
 def yb_basis(
-    alg: AlgebraSpec, u: Sequence[RationalFunction] | None = None
+    alg: AlgebraSpec, u: Sequence[Coefficient] | None = None
 ) -> dict[Permutation, HeckeElement]:
     """All Y_mu at once, sharing the recursion along the weak order."""
     u, reduce = _spectrum(alg, u)
@@ -478,7 +482,7 @@ def yb_basis(
 def yb_element_rothe(
     alg: AlgebraSpec,
     mu: Permutation,
-    u: Sequence[RationalFunction] | None = None,
+    u: Sequence[Coefficient] | None = None,
 ) -> HeckeElement:
     """Y_mu(u) as the reading of the Rothe diagram of mu.
 
@@ -513,7 +517,7 @@ def phi(h: HeckeElement) -> HeckeElement:
 
 
 def _phi_of_basis(
-    alg: AlgebraSpec, u: Sequence[RationalFunction]
+    alg: AlgebraSpec, u: Sequence[Coefficient]
 ) -> dict[Permutation, HeckeElement]:
     """phi(Y_nu(u)) for every nu: Y_nu built at the reversed tuple, with
     its indices inverted.
@@ -573,7 +577,7 @@ def _pair(g: HeckeElement, row: Mapping[Permutation, Coefficient]) -> Coefficien
 def pairing(
     h1: HeckeElement,
     h2: HeckeElement,
-    u: Sequence[RationalFunction] | None = None,
+    u: Sequence[Coefficient] | None = None,
 ) -> Coefficient:
     """The coefficient of T_omega in h1 * phi(h2), phi reversing ``u``,
     read from the one row :func:`_omega_row` of h1.
@@ -595,33 +599,31 @@ def pairing(
 
 
 def delta(
-    alg: AlgebraSpec, u: Sequence[RationalFunction] | None = None
+    alg: AlgebraSpec, u: Sequence[Coefficient] | None = None
 ) -> RationalFunction:
-    """The normalizing factor prod_{i<j} c(u_i, u_j) of the orthogonality law.
+    """The normalizing factor prod_{i<j} c(u_i, u_j) of the orthogonality law,
+    as a RationalFunction.
 
     For the generic family this is prod_{i<j} (u_j/u_i - 1)/(q1+q2); the
     other families use their own elementary coefficients.  The coefficients
-    are those of :func:`_building_algebra`: where every one is a Laurent
-    polynomial (at the symbols or at numbers) the product is taken in
-    LaurentPoly, and otherwise as rational functions.  The generic family's
-    product is converted once, over theta^l(omega), by :func:`_from_beta`.
+    are those of :func:`_building_algebra`, multiplied as they come: the
+    product stays a LaurentPoly (at the symbols or at numbers) until a
+    factor with a denominator promotes it.  The generic family's product is
+    converted once, over theta^l(omega), by :func:`_from_beta`.
     """
     u, reduce = _spectrum(alg, u)
     pairs = [(u[i], u[j]) for i in range(alg.n) for j in range(i + 1, alg.n)]
     build = _building_algebra(alg)
-    coeffs = [as_rf(factor_coefficient(build, a, b)) for a, b in pairs]
-    if all(c.is_polynomial for c in coeffs):
-        coeffs = [c.num for c in coeffs]
     total = _ONE
-    for c in coeffs:
-        total = total * c
+    for a, b in pairs:
+        total = total * factor_coefficient(build, a, b)
     if build is alg:
         return as_rf(total)
     return _from_beta(total, len(pairs), reduce)
 
 
 def gram_matrix(
-    alg: AlgebraSpec, u: Sequence[RationalFunction] | None = None
+    alg: AlgebraSpec, u: Sequence[Coefficient] | None = None
 ) -> dict[tuple[Permutation, Permutation], Coefficient]:
     """All pairings <Y_mu, Y_nu> at once, keyed nu-major.
 
@@ -652,7 +654,7 @@ def gram_matrix(
 def orthogonality_violations(
     alg: AlgebraSpec,
     gram: Mapping[tuple[Permutation, Permutation], Coefficient],
-    u: Sequence[RationalFunction] | None = None,
+    u: Sequence[Coefficient] | None = None,
 ) -> dict[tuple[Permutation, Permutation], Coefficient]:
     """The entries of ``gram`` (as from :func:`gram_matrix` at ``u``) that
     break <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu}, in the
@@ -671,7 +673,7 @@ def orthogonality_violations(
 
 
 def expand_in_yb(
-    h: HeckeElement, u: Sequence[RationalFunction] | None = None
+    h: HeckeElement, u: Sequence[Coefficient] | None = None
 ) -> dict[Permutation, RationalFunction]:
     """Coefficients c_mu with h = sum_mu c_mu Y_mu(u).
 
@@ -685,7 +687,7 @@ def expand_in_yb(
 
 def _expand(
     h: HeckeElement,
-    u: Sequence[RationalFunction],
+    u: Sequence[Coefficient],
     phis: Mapping[Permutation, HeckeElement],
 ) -> dict[Permutation, RationalFunction]:
     """:func:`expand_in_yb` with ``phis`` = ``_phi_of_basis(h.alg, u)``:
@@ -729,7 +731,7 @@ def verify_ybe(alg: AlgebraSpec) -> CheckReport:
     """Y_1(u, v) Y_2(u, w) Y_1(v, w) = Y_2(v, w) Y_1(u, w) Y_2(u, v), family T
     in its building algebra as in :func:`verify_word_independence`."""
     report = CheckReport(name=f"ybe[{alg.family}]")
-    u, v, w = (RationalFunction.variable(f"u{i}") for i in (1, 2, 3))
+    u, v, w = symbolic_spectral(3)
     y = partial(elementary_factor, _building_algebra(alg))
     lhs = y(1, u, v) * y(2, u, w) * y(1, v, w)
     rhs = y(2, v, w) * y(1, u, w) * y(2, u, v)

@@ -64,18 +64,9 @@ FAMILIES = {
 }
 
 
-def apply_generator(
-    family: str,
-    i: int,
-    f: LaurentPoly,
-    n: int,
-    params: tuple[LaurentPoly, LaurentPoly] | None = None,
-) -> LaurentPoly:
-    """Apply the i-th generator of the given family to ``f``.
-
-    ``params`` supplies (q1, q2) for the T family and defaults to the formal
-    parameters.
-    """
+def apply_generator(family: str, i: int, f: LaurentPoly, n: int) -> LaurentPoly:
+    """Apply the i-th generator of the given family to ``f``, the T family at
+    the formal parameters q1, q2."""
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"generator index {i} outside 1..{n - 1}")
     a, b = f"x{i}", f"x{i + 1}"
@@ -90,9 +81,8 @@ def apply_generator(
     if family == "pibar":
         return divided_difference(LaurentPoly.variable(a) * f, a, b) - f
     if family == "T":
-        q1, q2 = params if params is not None else (_Q1, _Q2)
         pibar = divided_difference(LaurentPoly.variable(a) * f, a, b) - f
-        return -(q1 + q2) * pibar + q2 * rename_poly(f, {a: b, b: a})
+        return -(_Q1 + _Q2) * pibar + _Q2 * rename_poly(f, {a: b, b: a})
     raise ValueError(f"unknown operator family {family!r}")
 
 

@@ -261,8 +261,8 @@ class RotheBox:
 
     The box sits at Cartesian coordinates (column i, height mu(j)) where
     (i, j) is the inversion producing it; ``generator`` is the index k of the
-    elementary factor the box carries: inside one column the indices grow by
-    1 upwards, starting from the column index.
+    elementary factor the box carries: i plus the number of boxes below it
+    in its column, i + #{k > i : mu(k) < mu(j)}.
     """
 
     row: int
@@ -281,18 +281,11 @@ def rothe_diagram(mu: Permutation) -> tuple[RotheBox, ...]:
     """
     w = mu.window
     n = mu.n
-    raw: list[tuple[int, int, int]] = []  # (i, row=mu(j), j)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if w[i - 1] > w[j - 1]:
-                raw.append((i, w[j - 1], j))
-    by_col: dict[int, list[tuple[int, int, int]]] = {}
-    for box in raw:
-        by_col.setdefault(box[0], []).append(box)
-    boxes: list[RotheBox] = []
-    for col, items in by_col.items():
-        items.sort(key=lambda b: b[1])  # by height, bottom first
-        for below, (i, row, j) in enumerate(items):
-            boxes.append(RotheBox(row=row, i=i, j=j, generator=i + below))
+    boxes = [
+        RotheBox(row=w[j - 1], i=i, j=j, generator=i + sum(x < w[j - 1] for x in w[i:]))
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if w[i - 1] > w[j - 1]
+    ]
     boxes.sort(key=lambda b: (-b.row, b.i))
     return tuple(boxes)

@@ -76,6 +76,7 @@ __all__ = [
     "sum_of_products",
     "compile_specialization",
     "as_rf",
+    "narrow",
     "rename_rf",
     "substitute",
     "substitute_poly",
@@ -1100,6 +1101,11 @@ def as_rf(f: "LaurentPoly | RationalFunction") -> RationalFunction:
     return RationalFunction(f) if isinstance(f, LaurentPoly) else f
 
 
+def narrow(f: "LaurentPoly | RationalFunction") -> "LaurentPoly | RationalFunction":
+    """``f`` as a LaurentPoly when it is one: the inverse of :func:`as_rf`."""
+    return f.num if isinstance(f, RationalFunction) and f.den.is_one else f
+
+
 # ----------------------------------------------------------------------
 # substitution
 
@@ -1255,47 +1261,40 @@ def rename_rf(f: LaurentPoly | RationalFunction, varmap: Mapping[str, str]) -> R
 
 
 def substitute_poly(
-    p: LaurentPoly, images: Mapping[str, RationalFunction]
+    p: LaurentPoly, images: Mapping[str, LaurentPoly | RationalFunction]
 ) -> RationalFunction:
-    """Image of a polynomial under a variable -> rational-function map.
+    """Image of a polynomial under a map from variables to values, each a
+    LaurentPoly or a RationalFunction.
 
-    Each power of an image is taken once.  When every power is a Laurent
-    polynomial, the terms are summed as polynomials and become one rational
-    function at the end.
+    Each power of an image is taken once, in the ring of its value: a
+    Laurent image (a RationalFunction over 1 is narrowed) keeps its
+    nonnegative powers in LaurentPoly, and a negative power is the
+    rational function as_rf(img)^e, narrowed when it is a Laurent
+    polynomial.  The terms are multiplied and summed as they come, so
+    they leave LaurentPoly only where a power has a denominator.
     """
-    if not images:
-        return RationalFunction(p)
-    terms = list(p)
-    powers: dict[tuple[str, int], RationalFunction] = {}
-    for m, _ in terms:
+    powers: dict[tuple[str, int], LaurentPoly | RationalFunction] = {}
+    total = _P_ZERO
+    for m, c in p:
+        term = LaurentPoly.constant(c)
         for item in m:
-            if item in powers:
-                continue
-            v, e = item
-            img = images.get(v)
-            if img is None:
-                powers[item] = RationalFunction.variable(v, e)
-            elif e < 0 and img.is_zero:
-                raise SubstitutionSingular(f"substituting 0 for inverted {v}")
-            else:
-                powers[item] = img ** e
-    ring = LaurentPoly if all(f.den.is_one for f in powers.values()) else RationalFunction
-    if ring is LaurentPoly:
-        powers = {item: f.num for item, f in powers.items()}
-    total = ring.zero()
-    for m, c in terms:
-        term = ring.constant(c)
-        for item in m:
+            if item not in powers:
+                v, e = item
+                img = narrow(images.get(v, LaurentPoly.variable(v)))
+                if e < 0 and img.is_zero:
+                    raise SubstitutionSingular(f"substituting 0 for inverted {v}")
+                powers[item] = img ** e if e >= 0 else narrow(as_rf(img) ** e)
             term = term * powers[item]
         total = total + term
-    return RationalFunction(total) if ring is LaurentPoly else total
+    return as_rf(total)
 
 
 def substitute(
-    f: LaurentPoly | RationalFunction, images: Mapping[str, RationalFunction]
+    f: LaurentPoly | RationalFunction, images: Mapping[str, LaurentPoly | RationalFunction]
 ) -> RationalFunction:
-    """Image of ``f`` under the field homomorphism induced by ``images``; a
-    LaurentPoly is taken as the rational function f/1.
+    """Image of ``f`` under the field homomorphism induced by ``images``, each
+    image a LaurentPoly or a RationalFunction; a LaurentPoly ``f`` is taken
+    as the rational function f/1.
 
     Raises :class:`SubstitutionSingular` when the denominator goes to zero.
     """

@@ -361,15 +361,16 @@ def verify_appendix_factorizations(
     mu = _young_max(shape)
     if qmode == "qpow":
         q = LaurentPoly.variable("q1")
-        params = (q, LaurentPoly.constant(-1))
 
         def bracket(k):
             return sum((q ** i for i in range(k)), LaurentPoly.zero())
 
         def step(f, j, a, b, n):
             # the generic factor 1 + (u_b/u_a - 1)/(q1+q2) t_j, applied to f;
-            # u_b/u_a = q^(b-a), so the coefficient is [b-a]_q
-            return f + bracket(b - a) * apply_generator("T", j, f, n, params=params)
+            # u_b/u_a = q^(b-a), so the coefficient is [b-a]_q, and at
+            # (q1, q2) = (q, -1) t_j = (1 - q) pibar_j - sigma_j
+            t = (1 - q) * apply_generator("pibar", j, f, n) - apply_generator("sigma", j, f, n)
+            return f + bracket(b - a) * t
 
         def factor(i, j):
             xi, xj = LaurentPoly.variable(f"x{i}"), LaurentPoly.variable(f"x{j}")

@@ -709,8 +709,8 @@ SPECTRAL_VALUES = ["u1", "u2", "-2*u1", "u1^2*u2^-1", "1/u2", "x1", "3", "1+u1",
 
 @pytest.mark.parametrize("family", ["pibar", "T", "T'"])
 def test_factor_coefficients_match_rational_arithmetic(family):
-    # the coefficients taken inside LaurentPoly, or born normal, are the
-    # quotients RationalFunction arithmetic gives, term for term
+    # the coefficients are the quotients RationalFunction arithmetic gives,
+    # term for term, and a LaurentPoly exactly when they are Laurent polynomials
     alg = _building_algebra(algebra("T", 2)) if family == "T'" else algebra(family, 2)
     theta = S("q1+q2")
     for a in map(S, SPECTRAL_VALUES):
@@ -718,7 +718,8 @@ def test_factor_coefficients_match_rational_arithmetic(family):
             ratio = as_rf(b) / as_rf(a)
             want = {"pibar": 1 - ratio, "T": (ratio - 1) / theta, "T'": ratio - 1}[family]
             got = factor_coefficient(alg, a, b)
-            assert isinstance(got, RationalFunction)
+            assert isinstance(got, LaurentPoly) == want.is_polynomial, (a, b)
+            got = as_rf(got)
             assert (str(got), got.num.terms, got.den.terms) == (
                 str(want), want.num.terms, want.den.terms
             ), (a, b)
@@ -737,6 +738,33 @@ def test_factors_and_delta_at_the_symbols_take_no_rational_arithmetic(family, mo
     assert yb_element(algebra(family, 5), P("54321"))
     if family == "T":
         assert delta(alg)
+
+
+def ring_and_terms(c):
+    f = as_rf(c)
+    return type(c), f.num.terms, f.den.terms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", FACTOR_FAMILIES)
+def test_the_symbols_in_either_ring_give_the_default(family, n):
+    # the symbols are LaurentPolys, and given as LaurentPolys or as
+    # RationalFunctions they build the default's values in the default's rings
+    alg = algebra(family, n)
+
+    def built(u):
+        return (
+            {mu: {nu: ring_and_terms(c) for nu, c in y.coeffs.items()}
+             for mu, y in yb_basis(alg, u).items()},
+            {pair: ring_and_terms(c) for pair, c in gram_matrix(alg, u).items()},
+            ring_and_terms(delta(alg, u)),
+        )
+
+    symbols = symbolic_spectral(n)
+    assert all(isinstance(x, LaurentPoly) for x in symbols)
+    want = built(None)
+    assert built(symbols) == want
+    assert built([as_rf(x) for x in symbols]) == want
 
 
 def test_orthogonality_violations_T_n4_takes_no_gcd(monkeypatch):

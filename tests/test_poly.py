@@ -23,12 +23,14 @@ from ybhecke.poly import (
     RationalFunction,
     _display_key,
     _display_sorted,
+    as_rf,
     clear_beta,
     coefficients_in,
     compile_specialization,
     divided_difference,
     exact_div,
     lowest_homogeneous_component,
+    narrow,
     poly_gcd,
     rename_poly,
     rename_rf,
@@ -308,6 +310,39 @@ def test_substitution_singular():
     f = parse_scalar("1/(q1+q2)")
     with pytest.raises(SubstitutionSingular):
         substitute(f, {"q1": -RationalFunction.variable("q2")})
+
+
+def test_narrow_is_the_inverse_of_as_rf():
+    p = parse_poly("u1^-1 + 2*q1")
+    assert isinstance(narrow(as_rf(p)), LaurentPoly) and narrow(as_rf(p)) == p
+    assert narrow(p) is p
+    f = parse_scalar("1/(1+u1)")
+    assert narrow(f) is f
+
+
+def test_laurent_images_substitute_as_rational_ones():
+    # LaurentPoly images, with a negative power of the non-monomial 1 + u1,
+    # give the terms RationalFunction images give, and the value that
+    # RationalFunction arithmetic gives power by power
+    images = {"x1": "1+u1", "x2": "u1*u2^-1", "u2": "3", "q1": "q2+u1"}
+    laurent = {v: parse_poly(t) for v, t in images.items()}
+    rational = {v: parse_scalar(t) for v, t in images.items()}
+
+    def by_rf(p):
+        total = RationalFunction.zero()
+        for m, c in p:
+            term = RationalFunction.constant(c)
+            for v, e in m:
+                term = term * rational.get(v, RationalFunction.variable(v)) ** e
+            total = total + term
+        return total
+
+    rng = random.Random(13)
+    for _ in range(10):
+        f = random_rf(rng, ["x1", "x2", "u2", "q1"]) * parse_scalar("x1^-2*x2^-1")
+        got, want = substitute(f, laurent), substitute(f, rational)
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms), f
+        assert got == by_rf(f.num) / by_rf(f.den), f
 
 
 # ----------------------------------------------------------------------
