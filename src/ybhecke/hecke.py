@@ -179,9 +179,6 @@ class HeckeElement:
     def coefficient(self, mu: Permutation) -> Coefficient:
         return self.coeffs.get(mu, _ZERO)
 
-    def support(self) -> list[Permutation]:
-        return sorted(self.coeffs, key=Permutation.sort_key)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -210,8 +207,7 @@ class HeckeElement:
         self._check(other)
         out = dict(self.coeffs)
         for mu, c in other.coeffs.items():
-            nc = out.get(mu)
-            out[mu] = c if nc is None else nc + c
+            _acc(out, mu, c)
         return HeckeElement(self.alg, out)
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
@@ -247,20 +243,17 @@ class HeckeElement:
         return _inverted(_inverted(self).times_generator(j))
 
     def __mul__(self, other):
-        if isinstance(other, HeckeElement):
-            self._check(other)
-            total = HeckeElement(self.alg, {})
-            for nu, c in other.coeffs.items():
-                h = self
-                for j in nu.reduced_word():
-                    h = h.times_generator(j)
-                total = total + (h if c == 1 else h.scale(c))
-            return total
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with everything here
-        return self.scale(other)
+        """The product of two elements; a scalar multiple is :meth:`scale`."""
+        if not isinstance(other, HeckeElement):
+            return NotImplemented
+        self._check(other)
+        total = HeckeElement(self.alg, {})
+        for nu, c in other.coeffs.items():
+            h = self
+            for j in nu.reduced_word():
+                h = h.times_generator(j)
+            total = total + (h if c == 1 else h.scale(c))
+        return total
 
 
 def _acc(out: dict, mu: Permutation, c: Coefficient) -> None:

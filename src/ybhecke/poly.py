@@ -792,10 +792,7 @@ def poly_gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 
 def _gcd_rec(P: LaurentPoly, Q: LaurentPoly) -> LaurentPoly:
-    if P.is_zero:
-        return _normal_positive(Q)
-    if Q.is_zero:
-        return _normal_positive(P)
+    """:func:`poly_gcd` of two nonzero polynomials with no negative exponent."""
     if P.is_constant or Q.is_constant:
         return _P_ONE
     vs = P.variables() | Q.variables()
@@ -950,18 +947,12 @@ class RationalFunction:
         return cls(LaurentPoly.constant(c))
 
     @classmethod
-    def variable(cls, v: str, exp: int = 1) -> "RationalFunction":
-        if exp < 0 and not _var_info(v)[3]:
-            return cls(_P_ONE, LaurentPoly.variable(v, -exp))
-        return cls(LaurentPoly.variable(v, exp))
+    def variable(cls, v: str) -> "RationalFunction":
+        return cls(LaurentPoly.variable(v))
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_one(self) -> bool:
-        return self.num == self.den
 
     @property
     def is_polynomial(self) -> bool:

@@ -17,10 +17,10 @@ class CheckReport:
     :data:`MAX_WITNESSES` failures."""
 
     name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    checks: int = field(init=False, default=0)
+    failures: list[str] = field(init=False, default_factory=list)
     seed: int | None = None
-    failed: int = 0
+    failed: int = field(init=False, default=0)
 
     @property
     def passed(self) -> bool:

@@ -41,7 +41,6 @@ from .operators import all_inverse_words, apply_generator, apply_inverse_word, r
 from .permutations import MAX_RANK, Permutation, all_permutations
 from .poly import (
     LaurentPoly,
-    RationalFunction,
     coefficients_in,
     compile_specialization,
     lowest_homogeneous_component,
@@ -177,16 +176,11 @@ def verify_grothendieck_transition(n: int) -> tuple[dict, CheckReport]:
     return _check_transition(report, ys, n, lambda nu: table[nu.inverse()], "y"), report
 
 
-def yang_coefficients(
-    mu: Permutation, u: Sequence[RationalFunction] | None = None
-) -> dict:
-    """The coefficients A_nu(mu) of Y_mu in the permutation family.
-
-    At polynomial spectral parameters each coefficient is a LaurentPoly (the
-    group algebra produces no denominators there).
-    """
-    y = yb_element(algebra("sigma", mu.n), mu, u)
-    return dict(y.coeffs)
+def yang_coefficients(mu: Permutation) -> dict:
+    """The coefficients A_nu(mu) of Y_mu in the permutation family at the
+    symbols u1..un, each a LaurentPoly (the group algebra produces no
+    denominators there)."""
+    return dict(yb_element(algebra("sigma", mu.n), mu).coeffs)
 
 
 def verify_yang_leading_terms(
@@ -242,15 +236,16 @@ def verify_yang_leading_terms(
 
 
 def _check_permutation_expansion(
-    report: CheckReport, coeffs: dict, n: int, probes: int, seed: int
+    report: CheckReport, coeffs: dict, n: int, seed: int
 ) -> None:
     """Check f(u^mu) = sum_nu coeffs[mu][nu] (partial_nu f)(u) for every mu,
-    with f(u^mu) the rename x_i -> u_{mu(i)}; f runs over random integer
-    polynomials in x of degree <= 4.  The coefficients are LaurentPolys in
-    u, so each probe's n! divided differences move to u once."""
+    with f(u^mu) the rename x_i -> u_{mu(i)}; f runs over 10 random integer
+    polynomials in x of degree <= 4, drawn under ``seed``.  The coefficients
+    are LaurentPolys in u, so each probe's n! divided differences move to u
+    once."""
     rng = random.Random(seed)
     tou = {f"x{i}": f"u{i}" for i in range(1, n + 1)}
-    for _ in range(probes):
+    for _ in range(10):
         f = random_probe(rng, n)
         diffs = {nu: rename_poly(d, tou) for nu, d in all_inverse_words("partial", f, n).items()}
         f_at = compile_specialization(f, n, "x")
@@ -259,8 +254,8 @@ def _check_permutation_expansion(
             report.record(total == f_at(mu.window), lambda: f"mu={mu}, f={f}")
 
 
-def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> CheckReport:
-    """Check the Newton interpolation identity at y = u on probes.
+def verify_newton_interpolation(n: int, seed: int = 0) -> CheckReport:
+    """Check the Newton interpolation identity at y = u on 10 random probes.
 
     The identity sum_nu X_nu(x^mu, y) (partial^y_nu f)(y) = f(x^mu), with
     the divided differences acting on y, is checked in the form it takes at
@@ -270,7 +265,8 @@ def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> Chec
 
     Each X_nu is compiled once by
     :func:`~ybhecke.poly.compile_specialization`, and the table of
-    X_nu(u^mu, u) is filled nu-major.
+    X_nu(u^mu, u) is filled nu-major.  The check is randomized under
+    ``seed``.
     """
     report = CheckReport(name=f"newton-interpolation[n={n}]", seed=seed)
     table = schubert_table(n)
@@ -280,21 +276,22 @@ def verify_newton_interpolation(n: int, probes: int = 10, seed: int = 0) -> Chec
         at = compile_specialization(table[nu], n, "x")
         for mu in perms:
             coeffs[mu][nu] = at(mu.window)
-    _check_permutation_expansion(report, coeffs, n, probes, seed)
+    _check_permutation_expansion(report, coeffs, n, seed)
     return report
 
 
-def verify_normal_ordering(n: int, probes: int = 10, seed: int = 0) -> CheckReport:
+def verify_normal_ordering(n: int, seed: int = 0) -> CheckReport:
     """A permutation equals its Yang-Baxter element, normally ordered.
 
     The nil-Coxeter expansion coefficients of Y_mu, placed left of the
     operators partial_nu acting on u, give an operator equal to the
     substitution action of mu: sum_nu Y_mu(nu) (partial_nu f)(u) = f(u^mu).
+    The check is randomized under ``seed``: 10 random probes f.
     """
     report = CheckReport(name=f"normal-ordering[n={n}]", seed=seed)
     ys = yb_basis(algebra("partial", n))
     coeffs = {mu: y.coeffs for mu, y in ys.items()}
-    _check_permutation_expansion(report, coeffs, n, probes, seed)
+    _check_permutation_expansion(report, coeffs, n, seed)
     return report
 
 
@@ -339,7 +336,7 @@ def _s_step(f, j, a, b, n):
 
 
 def verify_appendix_factorizations(
-    shape: Sequence[int], qmode: str = "qpow", probes: int = 5, seed: int = 0
+    shape: Sequence[int], qmode: str = "qpow", seed: int = 0
 ) -> CheckReport:
     """Factorization of Yang-Baxter operators for maximal Young elements.
 
@@ -354,6 +351,7 @@ def verify_appendix_factorizations(
     degenerate family factors through prod_{i<j} (1 + x_j - x_i) blockwise.
     The value-inversions of mu are the pairs i < j within a block, so with
     the steps of :func:`_s_step` the factor is (i - j)(1 + x_j - x_i).
+    Both sides are compared on 5 random probes, randomized under ``seed``.
     """
     n = _check_shape(shape)
     report = CheckReport(name=f"appendix[{qmode}, shape={tuple(shape)}]", seed=seed)
@@ -390,7 +388,7 @@ def verify_appendix_factorizations(
         for i, j in combinations(range(offset + 1, offset + part + 1), 2):
             prefactor = prefactor * factor(i, j)
         offset += part
-    for _ in range(probes):
+    for _ in range(5):
         f = random_probe(rng, n)
         lhs = _yb_operator(mu, f, step)
         rhs = prefactor * apply_inverse_word("partial", mu, f)

@@ -353,6 +353,79 @@ def test_verify_all_n5_output_is_pinned(capsys):
     ]
 
 
+def test_verify_all_n4_output_is_pinned(capsys):
+    # The benchmark's verify-n4 command: its twelve suites give 3383 checks,
+    # and rothe, which it leaves out, 96 more.
+    code = main(["verify", "all", "-n", "4", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    fams = ("sigma", "partial", "pibar", "T")
+    lines = (
+        [
+            f"relations[{fam}, n=4]: PASS (24 checks, seed=0)"
+            for fam in ("sigma", "partial", "s", "pi", "pibar", "T")
+        ]
+        + [f"ybe[{fam}]: PASS (1 checks)" for fam in fams]
+        + [f"word-independence[{fam}, n=4]: PASS (24 checks)" for fam in fams]
+        + [f"rothe[{fam}, n=4]: PASS (24 checks)" for fam in fams]
+        + [
+            f"orthogonality[{fam}, n=4]: PASS (576 checks)"
+            for fam in ("partial", "sigma", "pibar")
+        ]
+        + [
+            "orthogonality[T, n=3]: PASS (36 checks)",
+            "schubert-transition[n=4]: PASS (576 checks)",
+            "grothendieck-transition[n=4]: PASS (576 checks)",
+            "yang-leading-terms[n=3]: PASS (20 checks, seed=0)",
+            "yang-leading-terms[n=4]: PASS (22 checks, seed=0)",
+            "newton-interpolation[n=3]: PASS (60 checks, seed=0)",
+            "normal-ordering[n=3]: PASS (60 checks, seed=0)",
+        ]
+        + [
+            f"appendix[{mode}, shape={shape}]: PASS (5 checks, seed=0)"
+            for shape in ("(1, 1, 1, 1)", "(4,)", "(2, 2)")
+            for mode in ("qpow", "linear")
+        ]
+        + [
+            "cohomology-basis[n=4]: PASS (25 checks)",
+            "degeneration[n=3]: PASS (6 checks)",
+        ]
+    )
+    assert captured.out.splitlines() == lines + ["verify all: PASS"]
+    checks = [int(line.split("(")[-1].split()[0]) for line in lines]
+    rothe = sum(c for line, c in zip(lines, checks) if line.startswith("rothe["))
+    assert (sum(checks) - rothe, rothe) == (3383, 96)
+    assert captured.err.splitlines() == [
+        "verify orthogonality: asked for n=4, runs at n=4 (partial), n=4 (sigma),"
+        " n=4 (pibar), n=3 (T)",
+        "verify yang-leading: asked for n=4, runs at n=3 (exhaustive), n=4 (20 samples)",
+        "verify newton: asked for n=4, runs at n=3",
+        "verify normal-ordering: asked for n=4, runs at n=3",
+        "verify degeneration: asked for n=4, runs at n=3",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("yb", "-n", "3", "321", "--family", "pibar", "--spectral", "-2*u1,u2,u3"),
+        ("yb", "-n", "3", "321", "--q1", "-2*q2"),
+        ("gram", "-n", "2", "--family", "partial", "--spectral", "-1,2"),
+    ],
+)
+def test_an_expression_with_a_leading_minus_sign_may_follow_a_space(capsys, argv):
+    spaced = run(capsys, *argv)
+    joined = run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert spaced == joined and spaced[0] == 0
+
+
+def test_a_spectral_tuple_of_the_wrong_length_exits_2(capsys):
+    code = main(["yb", "-n", "3", "321", "--spectral", "u1,u2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --spectral needs 3 comma-separated expressions\n"
+
+
 def test_word_independence_fails_when_the_factor_breaks_the_yang_baxter_equation(
     capsys, monkeypatch
 ):
@@ -422,8 +495,8 @@ def test_yang_leading_fails_when_one_coefficient_moves(capsys, monkeypatch):
     real = schubert.yang_coefficients
     mu321, nu213 = Permutation.from_string("321"), Permutation.from_string("213")
 
-    def moved(mu, u=None):
-        coeffs = real(mu, u)
+    def moved(mu):
+        coeffs = real(mu)
         if mu is mu321:  # A_213(321) = u3 - u1 gets a second degree-1 term
             coeffs[nu213] = coeffs[nu213] + LaurentPoly.variable("u1")
         return coeffs

@@ -8,6 +8,7 @@ import pytest
 from ybhecke.cli import main
 from ybhecke.errors import (
     AlgebraMismatch,
+    DegenerateSpectrum,
     IndexOutOfRange,
     RankMismatch,
     ReservedVariable,
@@ -197,6 +198,25 @@ def test_a_permutation_of_another_rank_is_refused():
     for word in ((3,), (0,), (1, 2, 3)):
         with pytest.raises(IndexOutOfRange):
             list(word_steps(3, word))
+
+
+def test_typed_errors_of_expansion_spectrum_and_generator_index():
+    with pytest.raises(DegenerateSpectrum, match=r"^Delta\(u\^\(12\*omega\)\) = 0$"):
+        expand_in_yb(unit(algebra("partial", 2)), [1, 1])
+    with pytest.raises(RankMismatch, match="^need 3 spectral parameters, got 2$"):
+        yb_basis(algebra("partial", 3), [S("u1"), S("u2")])
+    with pytest.raises(IndexOutOfRange):
+        unit(algebra("sigma", 3)).times_generator(3)
+
+
+def test_a_scalar_multiple_is_scale_alone():
+    alg = algebra("T", 2)
+    h = unit(alg) + basis_element(alg, P("21"))
+    with pytest.raises(TypeError):
+        h * 2
+    with pytest.raises(TypeError):
+        2 * h
+    assert h.scale(2) == h + h
 
 
 def test_yb_identity():

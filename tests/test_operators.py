@@ -135,12 +135,12 @@ def test_index_out_of_range():
 
 @pytest.mark.parametrize("family", ["sigma", "partial", "s", "pi", "pibar"])
 def test_relations_hold(family):
-    report = check_relations(family, 4, probes=4, seed=1)
+    report = check_relations(family, 4, seed=1)
     assert report.passed, report.lines()
 
 
 def test_relations_T_symbolic():
-    report = check_relations("T", 3, probes=4, seed=2)
+    report = check_relations("T", 3, seed=2)
     assert report.passed, report.lines()
 
 
@@ -195,9 +195,9 @@ def test_check_relations_reads_the_family_table(monkeypatch):
     # pi_i^2 = pi_i; claiming pi_i^2 = 0 breaks every quadratic check and
     # nothing else
     monkeypatch.setitem(FAMILIES, "pi", (0, 0))
-    report = check_relations("pi", 3, probes=3, seed=0)
-    assert report.checks == 9
-    assert report.failed == 6
+    report = check_relations("pi", 3, seed=0)
+    assert report.checks == 12
+    assert report.failed == 8
     assert all(w.startswith("quadratic(") for w in report.failures)
 
 
