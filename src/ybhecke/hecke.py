@@ -76,9 +76,8 @@ the drivers :func:`verify_ybe`, :func:`verify_word_independence`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AlgebraMismatch,
@@ -144,8 +143,7 @@ _BETA_FORM = "T'"
 _MULTIPLICATIVE = ("pibar", "T", _BETA_FORM)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(NamedTuple):
     """Family tag, rank and quadratic parameters."""
 
     family: str

@@ -34,9 +34,8 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations as _itperms
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import IndexOutOfRange, RankMismatch, RankOutOfRange
 
@@ -255,8 +254,7 @@ def all_reduced_words(mu: Permutation) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class RotheBox:
+class RotheBox(NamedTuple):
     """One box of a Rothe diagram.
 
     The box sits at Cartesian coordinates (column i, height mu(j)) where

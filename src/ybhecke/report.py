@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = ["CheckReport", "MAX_WITNESSES"]
@@ -11,16 +10,15 @@ __all__ = ["CheckReport", "MAX_WITNESSES"]
 MAX_WITNESSES = 20
 
 
-@dataclass
 class CheckReport:
     """Counts of checks and failed checks, and the witnesses of the first
     :data:`MAX_WITNESSES` failures."""
 
-    name: str
-    checks: int = field(init=False, default=0)
-    failures: list[str] = field(init=False, default_factory=list)
-    seed: int | None = None
-    failed: int = field(init=False, default=0)
+    def __init__(self, name: str, seed: int | None = None):
+        self.name = name
+        self.seed = seed
+        self.checks = self.failed = 0
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:

@@ -1,6 +1,5 @@
 """Command-line surface: output contracts, determinism, exit codes."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -474,7 +473,7 @@ def test_rothe_fails_when_one_box_moves(capsys, monkeypatch):
         if mu is not mu321:
             return diagram
         first = diagram[0]  # generator 1 becomes 2, and 2 becomes 1
-        return (dataclasses.replace(first, generator=3 - first.generator), *diagram[1:])
+        return (first._replace(generator=3 - first.generator), *diagram[1:])
 
     monkeypatch.setattr(hecke, "rothe_diagram", moved)
     reports = recorded_reports(monkeypatch)

@@ -145,6 +145,16 @@ def test_algebra_mismatch():
         pairing(unit(algebra("T", 3)), unit(algebra("T", 2)))
 
 
+def test_an_algebra_is_an_immutable_value_with_a_short_repr():
+    assert repr(algebra("T", 3)) == "AlgebraSpec('T', n=3)"
+    assert algebra("sigma", 4) == algebra("sigma", 4)
+    assert algebra("sigma", 4) != algebra("partial", 4)
+    alg = algebra("sigma", 4)
+    with pytest.raises(AttributeError):
+        alg.n = 5
+    assert alg.n == 4
+
+
 # ----------------------------------------------------------------------
 # elementary factors
 

@@ -1,6 +1,10 @@
-"""The modules of the package use one another through public names only."""
+"""The modules of the package use one another through public names only,
+and importing the package loads no introspection module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,9 @@ MODULES = sorted(Path(ybhecke.__file__).parent.glob("*.py"))
 # The one private name a module takes from a sibling: serialize writes the
 # terms of a polynomial in poly's rendering order.
 ALLOWED = {("serialize", "poly", "_display_sorted")}
+# Standard modules that ``import ybhecke`` must not load: the records are
+# named tuples and plain classes, not dataclasses.
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def private_imports(source: str, importer: str) -> set[tuple[str, str, str]]:
@@ -54,3 +61,39 @@ def test_the_named_exception_is_the_one_that_exists():
 )
 def test_the_scan_sees_relative_and_absolute_imports(source, expect):
     assert private_imports(source, "cli") == expect
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_the_import_scan_sees_both_forms():
+    assert imported_modules("import os.path\nfrom dataclasses import field\nfrom . import x\n") == {
+        "os", "dataclasses"}
+
+
+def test_importing_the_package_loads_no_introspection_module():
+    # a fresh interpreter, so no test has loaded these modules before
+    child = (
+        "import sys; before = set(sys.modules); import ybhecke; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ybhecke.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "ybhecke" in added and not added & INTROSPECTION, sorted(added & INTROSPECTION)

@@ -134,6 +134,14 @@ def test_rothe_diagram_is_a_tuple_of_one_box_per_inversion():
         assert type(diagram) is tuple and len(diagram) == mu.length(), mu
 
 
+def test_a_rothe_box_is_an_immutable_record():
+    box = rothe_diagram(P("21"))[0]
+    assert repr(box) == "RotheBox(row=1, i=1, j=2, generator=1)"
+    with pytest.raises(AttributeError):
+        box.generator = 2
+    assert box.generator == 1
+
+
 def test_rothe_35142_reading_order():
     mu = P("35142")
     diagram = rothe_diagram(mu)

@@ -180,6 +180,12 @@ def test_newton_and_normal_ordering_specialize_only_by_compiling(monkeypatch):
         assert report.passed and report.checks == 60
 
 
+def test_a_new_report_has_no_checks_and_no_seed():
+    report = CheckReport(name="x")
+    assert (report.checks, report.failed, report.failures, report.seed) == (0, 0, [], None)
+    assert report.passed and report.lines() == ["x: PASS (0 checks)"]
+
+
 def test_lazy_witness_called_only_for_kept_failures():
     calls = []
 
