@@ -59,15 +59,18 @@ u_i -> u_{n+1-i}.  The Yang-Baxter basis is orthogonal for it:
 <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu} with Delta as in
 :func:`delta`.  Every pairing is read off the omega-row of h1, the values
 M[kappa] = [T_omega](h1 * T_kappa) from :func:`_omega_row`; by linearity
-[T_omega](h1 * g) = sum_kappa g_kappa M[kappa], which :func:`_pair`
-accumulates once, with no polynomial per product or partial sum.  In the
-group algebra (sigma, T_i^2 = 1) and the nil-Coxeter algebra (partial,
-T_i^2 = 0) the structure constants are [T_omega](T_kappa T_b) =
-delta_{b, kappa^-1 omega}, because omega = kappa b always has l(kappa) +
-l(b) = l(omega); so the row of h1 is its coefficients relabelled, and no
-product is taken.  The other families build the row by one walk of h1 to
-the right along the weak order.  :func:`pairing`, :func:`gram_matrix` and
-:func:`expand_in_yb` all pair through these two kernels.
+[T_omega](h1 * g) = sum_kappa g_kappa M[kappa], with no polynomial per
+product or partial sum.  In the group algebra (sigma, T_i^2 = 1) and the
+nil-Coxeter algebra (partial, T_i^2 = 0) the structure constants are
+[T_omega](T_kappa T_b) = delta_{b, kappa^-1 omega}, because omega = kappa b
+always has l(kappa) + l(b) = l(omega); so the row of h1 is its coefficients
+relabelled, and no product is taken.  The other families build the row by
+one walk of h1 to the right along the weak order.  :func:`pairing` and
+:func:`expand_in_yb` pair a row with one g by :func:`_pair`;
+:func:`gram_matrix` pairs it with every phi(Y_nu) in one accumulation
+through an index kappa -> [(nu, phi(Y_nu) at kappa)].  Every Delta(u^pi)
+is read from one table of the factor coefficients c(u_a, u_b)
+(:func:`_deltas`).
 
 The paper's four facts about a family's Yang-Baxter basis are checked by
 the drivers :func:`verify_ybe`, :func:`verify_word_independence`,
@@ -77,11 +80,12 @@ the drivers :func:`verify_ybe`, :func:`verify_word_independence`,
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AlgebraMismatch,
     DegenerateSpectrum,
+    ExponentOverflow,
     IndexOutOfRange,
     RankMismatch,
     ReservedVariable,
@@ -99,6 +103,7 @@ from .poly import (
     rename_poly,
     rename_rf,
     sum_of_products,
+    sums_of_products,
 )
 from .report import CheckReport
 
@@ -339,12 +344,14 @@ def _spectrum(
     :func:`_from_beta` must gcd-reduce the coefficients built at them: for
     the generic family where they mention q1 or q2.  They are the symbols
     u1..un when ``u`` is None, and otherwise ``u`` with each parameter
-    narrowed once, so a Laurent value is a LaurentPoly from here on."""
+    narrowed once, so a Laurent value is a LaurentPoly from here on; an int
+    or a Fraction becomes a constant, and any other scalar raises TypeError."""
     if u is None:
         return symbolic_spectral(alg.n), False
     if len(u) != alg.n:
         raise RankMismatch(f"need {alg.n} spectral parameters, got {len(u)}")
-    u = [narrow(x) for x in u]
+    u = [narrow(x) if isinstance(x, (LaurentPoly, RationalFunction))
+         else LaurentPoly.constant(x) for x in u]
     if alg.family in _MULTIPLICATIVE and any(x.is_zero for x in u):
         raise ZeroSpectral("multiplicative families need nonzero parameters")
     return u, alg.family == "T" and _mentions_q(u)
@@ -593,24 +600,41 @@ def delta(
     alg: AlgebraSpec, u: Sequence[Coefficient] | None = None
 ) -> RationalFunction:
     """The normalizing factor prod_{i<j} c(u_i, u_j) of the orthogonality law,
-    as a RationalFunction.
+    as a RationalFunction: :func:`_deltas` at the identity.
 
     For the generic family this is prod_{i<j} (u_j/u_i - 1)/(q1+q2); the
-    other families use their own elementary coefficients.  The coefficients
-    are those of :func:`_building_algebra`, multiplied as they come: the
-    product stays a LaurentPoly (at the symbols or at numbers) until a
-    factor with a denominator promotes it.  The generic family's product is
-    converted once, over theta^l(omega), by :func:`_from_beta`.
+    other families use their own elementary coefficients.
     """
-    u, reduce = _spectrum(alg, u)
-    pairs = [(u[i], u[j]) for i in range(alg.n) for j in range(i + 1, alg.n)]
+    return _deltas(alg, *_spectrum(alg, u))(Permutation.identity(alg.n))
+
+
+def _deltas(
+    alg: AlgebraSpec, u: Sequence[Coefficient], reduce: bool
+) -> Callable[[Permutation], RationalFunction]:
+    """pi -> Delta(u^pi) = prod_{i<j} c(u_{pi(i)}, u_{pi(j)}), with ``u`` and
+    ``reduce`` from :func:`_spectrum`, read from one table of the n(n-1)
+    coefficients c(u_a, u_b), a != b, of :func:`_building_algebra`, made
+    once.  They are multiplied as they come, so the product stays a
+    LaurentPoly until a factor with a denominator promotes it; the generic
+    family's is converted once, over theta^l(omega), by :func:`_from_beta`.
+    """
     build = _building_algebra(alg)
-    total = _ONE
-    for a, b in pairs:
-        total = total * factor_coefficient(build, a, b)
-    if build is alg:
-        return as_rf(total)
-    return _from_beta(total, len(pairs), reduce)
+    n = alg.n
+    c = {(a, b): factor_coefficient(build, u[a - 1], u[b - 1])
+         for a in range(1, n + 1) for b in range(1, n + 1) if a != b}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+    def at(pi: Permutation) -> RationalFunction:
+        total = _ONE
+        for i, j in pairs:
+            total = total * c[pi(i), pi(j)]
+        return as_rf(total) if build is alg else _from_beta(total, len(pairs), reduce)
+
+    return at
+
+
+def _is_laurent(values: Iterable[Coefficient]) -> bool:
+    return all(isinstance(c, LaurentPoly) for c in values)
 
 
 def gram_matrix(
@@ -618,24 +642,42 @@ def gram_matrix(
 ) -> dict[tuple[Permutation, Permutation], Coefficient]:
     """All pairings <Y_mu, Y_nu> at once, keyed nu-major.
 
-    Each Y_mu gets one row :func:`_omega_row`, and <Y_mu, Y_nu> is that
-    row paired with phi(Y_nu) by :func:`_pair`, so no product of two
-    elements is taken; only one row is held at a time.
+    Each Y_mu gets one row :func:`_omega_row`, and no product of two
+    elements is taken.  Through one index kappa -> [(nu, phi(Y_nu) at
+    kappa)], :func:`~ybhecke.poly.sums_of_products` fills the n! pairings
+    of a row at once.  A row or phi(Y_nu) with a RationalFunction value (at
+    1 + u1, say) is paired by :func:`_pair`, as is a row whose accumulation
+    overflows, so that ExponentOverflow names the product it names per pair.
 
     The generic family is paired in its one-parameter form, where no
     coefficient has a denominator at the symbols u1..un and no gcd is
     taken: T_mu = theta^l(mu) T'_mu identifies the two forms, and phi
     respects it, so each pairing is the coefficient of T'_omega converted
     once by :func:`_from_beta`, gcd-reduced where ``u`` mentions q1 or q2.
+
+    >>> [str(c) for c in gram_matrix(algebra("partial", 2)).values()]
+    ['0', '-u1 + u2', 'u1 - u2', '0']
     """
     u, reduce = _spectrum(alg, u)
     build = _building_algebra(alg)
     ys, phis = yb_basis(build, u), _phi_of_basis(build, u)
+    laurent = [nu for nu, g in phis.items() if _is_laurent(g.coeffs.values())]
+    index: dict[Permutation, list[tuple[int, LaurentPoly]]] = {}
+    for i, nu in enumerate(laurent):
+        for kappa, c in phis[nu].coeffs.items():
+            index.setdefault(kappa, []).append((i, c))
     out = dict.fromkeys((mu, nu) for nu in phis for mu in ys)
     for mu, y in ys.items():
         row = _omega_row(y)
+        sums = {}
+        if _is_laurent(row.values()):
+            operands = ((r, index[kappa]) for kappa, r in row.items() if kappa in index)
+            try:
+                sums = dict(zip(laurent, sums_of_products(operands, len(laurent))))
+            except ExponentOverflow:
+                pass  # _pair below raises it at the product it names per pair
         for nu, g in phis.items():
-            out[mu, nu] = _pair(g, row)
+            out[mu, nu] = sums[nu] if nu in sums else _pair(g, row)
     if build is alg:
         return out
     length = Permutation.longest(alg.n).length()
@@ -649,13 +691,16 @@ def orthogonality_violations(
 ) -> dict[tuple[Permutation, Permutation], Coefficient]:
     """The entries of ``gram`` (as from :func:`gram_matrix` at ``u``) that
     break <Y_mu, Y_nu> = Delta(u^{mu omega}) delta_{nu, omega mu}, in the
-    order of ``gram``."""
-    u = _spectrum(alg, u)[0]
+    order of ``gram``; every Delta comes from :func:`_deltas`."""
+    delta_at = _deltas(alg, *_spectrum(alg, u))
     omega = Permutation.longest(alg.n)
+    partner: dict[Permutation, Permutation] = {}
     bad = {}
     for (mu, nu), val in gram.items():
-        if nu == omega * mu:
-            ok = val == delta(alg, permuted_spectral(u, mu * omega))
+        if (p := partner.get(mu)) is None:
+            p = partner[mu] = omega * mu
+        if nu == p:
+            ok = val == delta_at(mu * omega)
         else:
             ok = not val
         if not ok:
@@ -682,13 +727,15 @@ def _expand(
     phis: Mapping[Permutation, HeckeElement],
 ) -> dict[Permutation, RationalFunction]:
     """:func:`expand_in_yb` with ``phis`` = ``_phi_of_basis(h.alg, u)``:
-    every <h, Y_{omega mu}> is read from the one row :func:`_omega_row` of h."""
+    every <h, Y_{omega mu}> is read from the one row :func:`_omega_row` of h,
+    and every Delta(u^{mu omega}) from :func:`_deltas`."""
     alg = h.alg
     omega = Permutation.longest(alg.n)
     row = _omega_row(h)
+    delta_at = _deltas(alg, *_spectrum(alg, u))
     out: dict[Permutation, RationalFunction] = {}
     for mu in all_permutations(alg.n):
-        d = delta(alg, permuted_spectral(u, mu * omega))
+        d = delta_at(mu * omega)
         if d.is_zero:
             raise DegenerateSpectrum(f"Delta(u^({mu}*omega)) = 0")
         c = _pair(phis[omega * mu], row) / d

@@ -74,6 +74,7 @@ __all__ = [
     "divided_difference",
     "rename_poly",
     "sum_of_products",
+    "sums_of_products",
     "compile_specialization",
     "as_rf",
     "narrow",
@@ -582,15 +583,8 @@ _P_ONE = LaurentPoly.one()
 
 
 def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
-    """sum_i a_i * b_i over the pairs (a_i, b_i), accumulated in one term map.
-
-    No polynomial is made per product or per partial sum.  Zeros are dropped
-    and the coefficient type is decided once, from the output: a Fraction
-    anywhere keeps the sum of the values a Fraction.  A pair whose operand
-    exponents all lie in [-2^13, 2^13) makes only keys in range, so it is
-    not checked; any other pair is multiplied by ``a * b``, which checks its
-    keys, so :class:`ExponentOverflow` is raised exactly where the products
-    would raise it.
+    """sum_i a_i * b_i over the pairs (a_i, b_i): the one-sum case of
+    :func:`sums_of_products`, accumulated in one term map.
 
     >>> x, y = LaurentPoly.variable("x1"), LaurentPoly.variable("y1")
     >>> str(sum_of_products([(x, x), (x - y, x + y)]))
@@ -599,15 +593,41 @@ def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> Laurent
     >>> sum_of_products([(half, x), (x, half)]).coefficient({"x1": 1})
     1
     """
+    return sums_of_products(((a, ((0, b),)) for a, b in pairs), 1)[0]
+
+
+def sums_of_products(
+    operands: Iterable[tuple[LaurentPoly, Iterable[tuple[int, LaurentPoly]]]], width: int
+) -> list[LaurentPoly]:
+    """The ``width`` sums s_i = sum a * b over each (i, b) listed with an a
+    in ``operands``, each accumulated in one term map; sums that share left
+    operands, as one row of a matrix product does, take each a once.
+
+    No polynomial is made per product or per partial sum.  Zeros are
+    dropped and each sum's coefficient type is decided once, from its
+    output.  The range of each operand is scanned once: a product whose
+    operand exponents all lie in [-2^13, 2^13) makes only keys in range, so
+    it is not checked, and any other is multiplied by ``a * b``, which
+    checks its keys, so :class:`ExponentOverflow` is raised exactly where
+    the products would raise it.
+
+    >>> x, y = LaurentPoly.variable("x1"), LaurentPoly.variable("y1")
+    >>> [str(s) for s in sums_of_products([(x, [(0, x), (1, y)]), (y, [(1, -x)])], 3)]
+    ['x1^2', '0', '0']
+    """
     # every exponent of k lies in [-2^13, 2^13) exactly when (k + low) & high is 0
     low, high = _HALF >> 2, _HALF | _HALF >> 1
-    out: dict[Monomial, Scalar] = {}
-    for a, b in pairs:
-        ta, tb = a._terms, b._terms
-        if any((m + low) & high for m in ta) or any((m + low) & high for m in tb):
-            ta, tb = (a * b)._terms, {0: 1}
-        _accumulate(out, ta, tb)
-    return LaurentPoly._raw(_stored(out, _integral(out)))
+    outs: list[dict[Monomial, Scalar]] = [{} for _ in range(width)]
+    for a, entries in operands:
+        ta = a._terms
+        wide = any((m + low) & high for m in ta)
+        for i, b in entries:
+            tb = b._terms
+            if wide or any((m + low) & high for m in tb):
+                _accumulate(outs[i], (a * b)._terms, {0: 1})
+            else:
+                _accumulate(outs[i], ta, tb)
+    return [LaurentPoly._raw(_stored(out, _integral(out))) for out in outs]
 
 
 def _accumulate(out: dict[Monomial, Scalar], ta: Mapping, tb: Mapping) -> None:

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import ybhecke.hecke
 import ybhecke.permutations
 import ybhecke.poly
 import ybhecke.schubert
@@ -12,7 +13,7 @@ import ybhecke.serialize
 
 @pytest.mark.parametrize(
     "module",
-    [ybhecke.poly, ybhecke.permutations, ybhecke.schubert, ybhecke.serialize],
+    [ybhecke.poly, ybhecke.permutations, ybhecke.hecke, ybhecke.schubert, ybhecke.serialize],
     ids=lambda m: m.__name__,
 )
 def test_module_examples(module):

@@ -9,6 +9,7 @@ from ybhecke.cli import main
 from ybhecke.errors import (
     AlgebraMismatch,
     DegenerateSpectrum,
+    ExponentOverflow,
     IndexOutOfRange,
     RankMismatch,
     ReservedVariable,
@@ -19,10 +20,13 @@ from ybhecke.hecke import (
     FACTOR_FAMILIES,
     HeckeElement,
     _building_algebra,
+    _deltas,
+    _from_beta,
     _from_building,
     _omega_row,
     _pair,
     _phi_of_basis,
+    _spectrum,
     algebra,
     apply_to_polynomial,
     basis_element,
@@ -637,6 +641,17 @@ def test_orthogonality_violations():
         bad = orthogonality_violations(alg, g, u)
         assert list(bad) == [(P("123"), P("123")), (P("213"), P("231"))], fam
         assert bad[(P("123"), P("123"))] == R.one()
+    # at n = 4, where every Delta comes from the table of factor coefficients
+    ident, omega = P("1234"), P("4321")
+    for fam in ("sigma", "pibar"):
+        alg = algebra(fam, 4)
+        g = gram_matrix(alg)
+        assert orthogonality_violations(alg, g) == {}
+        g[(ident, ident)] = LaurentPoly.one()
+        g[(ident, omega)] = g[(ident, omega)] + 1
+        bad = orthogonality_violations(alg, g)
+        assert list(bad) == [(ident, ident), (ident, omega)], fam
+        assert bad[(ident, ident)] == 1
 
 
 def test_expand_resubstitution_random():
@@ -916,3 +931,113 @@ def test_basis_drivers_pass_at_n3(driver, name, checks, family):
     # the counts that `verify <suite> -n 3` prints for each family
     report = driver(algebra(family, 3))
     assert report.lines() == [f"{name.format(family)}: PASS ({checks} checks)"]
+
+
+# ----------------------------------------------------------------------
+# spectral parameters given as numbers, gram_matrix against the per-pair
+# route, and the table of Delta
+
+
+def exact(c):
+    """A coefficient's ring and stored terms, each coefficient with its type."""
+    if isinstance(c, LaurentPoly):
+        return "LaurentPoly", {m: (x, type(x)) for m, x in c._terms.items()}
+    return "RationalFunction", exact(c.num), exact(c.den)
+
+
+def exact_element(h):
+    return {mu: exact(c) for mu, c in h.coeffs.items()}
+
+
+@pytest.mark.parametrize("family", FACTOR_FAMILIES)
+def test_spectral_parameters_may_be_ints_and_fractions(family):
+    alg = algebra(family, 3)
+    for numbers in ([2, 3, 5], [2, Fraction(1, 2), 5]):
+        constants = [LaurentPoly.constant(c) for c in numbers]
+        got, want = yb_basis(alg, numbers), yb_basis(alg, constants)
+        assert {mu: exact_element(y) for mu, y in got.items()} == {
+            mu: exact_element(y) for mu, y in want.items()}
+        got, want = gram_matrix(alg, numbers), gram_matrix(alg, constants)
+        assert list(got) == list(want)
+        assert {k: exact(c) for k, c in got.items()} == {k: exact(c) for k, c in want.items()}
+        assert exact(delta(alg, numbers)) == exact(delta(alg, constants))
+    for bad in (2.5, "2"):
+        for build in (yb_basis, gram_matrix, delta):
+            with pytest.raises(TypeError, match="not an int or a Fraction"):
+                build(alg, [bad, 3, 5])
+
+
+def gram_per_pair(alg, u):
+    """gram_matrix entry by entry: each pairing through _pair on its own."""
+    u, reduce = _spectrum(alg, u)
+    build = _building_algebra(alg)
+    ys, phis = yb_basis(build, u), _phi_of_basis(build, u)
+    rows = {mu: _omega_row(y) for mu, y in ys.items()}
+    length = Permutation.longest(alg.n).length()
+    out = {}
+    for nu, g in phis.items():
+        for mu in ys:
+            c = _pair(g, rows[mu])
+            out[mu, nu] = c if build is alg else _from_beta(c, length, reduce)
+    return out
+
+
+SPECTRA = {
+    3: [None, [2, 3, 5], [S("1+u1"), S("u2"), S("u3")]],
+    # 1+u1 first and numbers after it: the rational pibar matrix at the
+    # symbols u2..u4 takes seconds
+    4: [None, [2, 3, 5, 7], [S("1+u1"), 2, 3, 5]],
+}
+
+
+@pytest.mark.parametrize(
+    "family, n, u",
+    [(f, 3, u) for f in FACTOR_FAMILIES for u in SPECTRA[3]]
+    + [(f, 4, u) for f in ("sigma", "partial", "pibar") for u in SPECTRA[4]]
+    + [("partial", 3, [S("u1^5000"), S("u2"), S("u3")])],
+    ids=str,
+)
+def test_gram_matrix_equals_the_per_pair_route(family, n, u):
+    # one accumulation per row gives every entry in its ring and terms, in
+    # nu-major order; u1^5000 takes the kernel's out-of-range products
+    alg = algebra(family, n)
+    got, want = gram_matrix(alg, u), gram_per_pair(alg, u)
+    assert list(got) == list(want)
+    for key, c in want.items():
+        assert type(got[key]) is type(c) and exact(got[key]) == exact(c), key
+
+
+@pytest.mark.parametrize(
+    "family, u",
+    [("sigma", "u1^5500,u2,u3"), ("partial", "u1^6000,u2,u3"), ("sigma", "u1^4500,u2,u3,u4"),
+     ("sigma", "u1^5000,u2^6000,u3"), ("sigma", "u1^2000,u2^6000,u3^-5000")],
+)
+def test_gram_matrix_overflows_where_the_per_pair_route_does(family, u):
+    # the row that overflows is paired again product by product, so the
+    # error names the same monomial; in the last two cases the kernel's
+    # own first overflow is another product
+    u = [S(x) for x in u.split(",")]
+    alg = algebra(family, len(u))
+    with pytest.raises(ExponentOverflow) as per_pair:
+        gram_per_pair_row_major(alg, u)
+    with pytest.raises(ExponentOverflow) as got:
+        gram_matrix(alg, u)
+    assert str(got.value) == str(per_pair.value)
+
+
+def gram_per_pair_row_major(alg, u):
+    """The pairings in the order gram_matrix takes them: row by row."""
+    u = _spectrum(alg, u)[0]
+    ys, phis = yb_basis(alg, u), _phi_of_basis(alg, u)
+    return [_pair(g, _omega_row(y)) for y in ys.values() for g in phis.values()]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", FACTOR_FAMILIES)
+def test_the_delta_table_gives_delta_at_every_permuted_tuple(family, n):
+    alg = algebra(family, n)
+    for u in (symbolic_spectral(n), [2, 3, 5, 7][:n]):
+        delta_at = _deltas(alg, *_spectrum(alg, u))
+        for pi in all_permutations(n):
+            want = delta(alg, permuted_spectral(u, pi))
+            assert exact(delta_at(pi)) == exact(want), (u, pi)

@@ -37,6 +37,7 @@ from ybhecke.poly import (
     substitute,
     substitute_poly,
     sum_of_products,
+    sums_of_products,
     var_parts,
     var_sort_key,
 )
@@ -1355,3 +1356,91 @@ def test_sum_of_products_overflows_exactly_where_the_products_do():
     assert str(sum_of_products([(big, LaurentPoly.variable("x1", half - 1))])) == (
         f"x1^{2 * half - 1}"
     )
+
+
+# ----------------------------------------------------------------------
+# sums_of_products: many sums that share their left operands
+
+
+def sums_then_reference(operands, width):
+    sums = [LaurentPoly.zero() for _ in range(width)]
+    for a, entries in operands:
+        for i, b in entries:
+            sums[i] = sums[i] + a * b
+    return sums
+
+
+def random_operands(rng, width, poly):
+    """Left operands, each listed with a few (sum index, right operand)
+    pairs; every other one repeats an earlier product negated, so some sums
+    cancel in full."""
+    operands = []
+    for _ in range(rng.randint(0, 5)):
+        a = poly()
+        entries = [(rng.randrange(width), poly()) for _ in range(rng.randint(0, 3))]
+        operands.append((a, entries))
+        if rng.random() < 0.5:
+            operands.append((-a, list(entries)))
+    return operands
+
+
+def test_sums_of_products_matches_products_then_sums():
+    rng = random.Random(3601)
+    cancelled = 0
+    for _ in range(200):
+        width = rng.randint(1, 4)
+        operands = random_operands(rng, width, lambda: random_scaled_poly(rng))
+        got = sums_of_products(operands, width)
+        want = sums_then_reference(operands, width)
+        assert [stored(p) for p in got] == [stored(p) for p in want], operands
+        cancelled += sum(1 for p in got if p.is_zero)
+    assert cancelled > 50
+
+
+def test_sums_of_products_stores_an_integral_fraction_sum_as_int():
+    half = LaurentPoly.constant(Fraction(1, 2))
+    third = LaurentPoly.monomial({"u1": -1, "q1": 2}, Fraction(1, 3))
+    operands = [(half, [(0, V("x1")), (1, third)]), (V("x1"), [(0, half)]),
+                (third, [(1, V("y1") * 2), (1, half)])]
+    got = sums_of_products(operands, 2)
+    assert [stored(p) for p in got] == [stored(p) for p in sums_then_reference(operands, 2)]
+    assert got[0].terms == {(("x1", 1),): 1}
+    assert all(type(c) is int for c in got[0].terms.values())
+    assert all(type(c) is Fraction for c in got[1].terms.values())
+
+
+def test_sums_of_products_overflows_exactly_where_the_products_do():
+    rng = random.Random(3602)
+    half = ybhecke.poly._LIMIT // 2
+    raised = 0
+
+    def near(v):
+        low = [-half - 2, -3] if var_parts(v)[0] in ("x", "u") else []
+        return rng.choice(low + [0, 2, half - 2, half - 1, half, half + 1, half + 3])
+
+    def poly():
+        p = LaurentPoly.zero()
+        for _ in range(rng.randint(1, 3)):
+            exps = {v: near(v) for v in rng.sample(["x1", "u2", "y1", "q1"], 2)}
+            p = p + LaurentPoly.monomial(exps, rng.randint(-3, 3) or 1)
+        return p
+
+    for _ in range(300):
+        width = rng.randint(1, 3)
+        operands = random_operands(rng, width, poly)
+        try:
+            want = [stored(p) for p in sums_then_reference(operands, width)]
+        except ExponentOverflow:
+            raised += 1
+            with pytest.raises(ExponentOverflow):
+                sums_of_products(operands, width)
+            continue
+        assert [stored(p) for p in sums_of_products(operands, width)] == want, operands
+    assert 30 < raised < 270
+    # a product out of range raises even where its sum would cancel it
+    big = LaurentPoly.variable("x1", half)
+    with pytest.raises(ExponentOverflow):
+        sums_of_products([(big, [(0, big)]), (-big, [(0, big)])], 1)
+    small = LaurentPoly.variable("x1", half - 1)
+    assert [str(p) for p in sums_of_products([(big, [(1, small)])], 2)] == [
+        "0", f"x1^{2 * half - 1}"]
