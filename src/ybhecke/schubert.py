@@ -19,9 +19,14 @@ the coefficients [T_nu]Y_mu as a dict keyed by (mu, nu)):
 together with the Newton interpolation identity, the normal-ordering rule,
 and the appendix factorizations for Young subgroups.
 
-Every specialization is read at the symbols u1..un, by one compiled
-renaming (:func:`specialize_double` and its mirror); the value at another
-tuple is that tuple substituted into it.  X_213 = x1 - y1 at mu = 213:
+The two transition drivers read every specialization at once.  The
+Fomin-Kirillov product of Yang-Baxter factors (:func:`_staircase`) has the
+table entries as its coefficients, and specialization is a ring map, so the
+product specialized at mu, built once per prefix of mu, has X_nu(u^mu, u)
+(or G_{nu^{-1}}(u, u^mu)) as its coefficient at every nu.  Every other
+specialization is read at the symbols u1..un, by one compiled renaming
+(:func:`specialize_double` and its mirror); the value at another tuple is
+that tuple substituted into it.  X_213 = x1 - y1 at mu = 213:
 
 >>> mu = Permutation.from_string("213")
 >>> print(specialize_double(schubert_table(3)[mu], mu))
@@ -33,10 +38,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import RankOutOfRange, ShapeInvalid
-from .hecke import algebra, word_steps, yb_basis, yb_element
+from .hecke import (
+    AlgebraSpec,
+    HeckeElement,
+    algebra,
+    elementary_factor,
+    symbolic_spectral,
+    unit,
+    word_steps,
+    yb_basis,
+    yb_element,
+)
 from .operators import all_inverse_words, apply_generator, apply_inverse_word, random_probe
 from .permutations import MAX_RANK, Permutation, all_permutations
 from .poly import (
@@ -118,29 +133,94 @@ def _specialize_swapped(p: LaurentPoly, mu: Permutation) -> LaurentPoly:
 # transition matrices
 
 
-def _check_transition(
-    report: CheckReport, ys: dict, n: int, want: Callable[[Permutation], LaurentPoly], moved: str
-) -> dict:
-    """Check each coefficient of Y_mu at nu against want(nu) specialized at mu.
+def _layer(h: HeckeElement, d: int, fixed: Sequence[LaurentPoly], m: LaurentPoly) -> HeckeElement:
+    """h times layer d of the staircase: the factors Y_{d+e-1}(fixed_e, m)
+    for e = n-d, ..., 1, each a right multiplication.  A factor
+    Y_j(w, w) = 1 + c(w, w) T_j is 1, since c(w, w) = 0, and is skipped."""
+    for e in range(h.alg.n - d, 0, -1):
+        if fixed[e - 1] != m:
+            h = h * elementary_factor(h.alg, d + e - 1, fixed[e - 1], m)
+    return h
 
-    Each want(nu) is compiled once by
-    :func:`~ybhecke.poly.compile_specialization` and specialized at every mu
-    in turn (``moved`` family at u^mu), so the pairs are checked, and
-    failures kept, nu-major; a witness string is built only for a failed
-    pair that the report keeps.  Returns the coefficients by (mu, nu) in
-    mu-major order.
+
+def _staircase(
+    alg: AlgebraSpec, fixed: Sequence[LaurentPoly], moved: Sequence[LaurentPoly]
+) -> HeckeElement:
+    """The Fomin-Kirillov product prod_{d=1}^{n-1} prod_{e=n-d}^{1}
+    Y_{d+e-1}(fixed_e, moved_d): its layer d holds moved_d alone."""
+    h = unit(alg)
+    for d in range(1, alg.n):
+        h = _layer(h, d, fixed, moved[d - 1])
+    return h
+
+
+def _specialized_staircases(alg: AlgebraSpec) -> Iterator[tuple[Permutation, HeckeElement]]:
+    """(mu, the staircase at fixed = u, moved = u^mu) for every mu in S_n.
+
+    Layer d holds u_{mu(d)} alone, so the products share the prefixes of the
+    windows: they are built over the trie of the prefixes mu(1)..mu(d),
+    one layer per node, by right multiplications alone.  The trie is walked
+    depth first, and a node is dropped once its subtree is done, so only
+    one chain of nodes is alive at a time (206 nodes in all at n = 5).
     """
+    n = alg.n
+    u = symbolic_spectral(n)
+
+    def walk(prefix: tuple[int, ...], h: HeckeElement):
+        if len(prefix) == n - 1:
+            last = set(range(1, n + 1)).difference(prefix)
+            yield Permutation(prefix + tuple(last)), h
+            return
+        for v in range(1, n + 1):
+            if v not in prefix:
+                yield from walk(prefix + (v,), _layer(h, len(prefix) + 1, u, u[v - 1]))
+
+    return walk((), unit(alg))
+
+
+def _check_transition(
+    report: CheckReport, alg: AlgebraSpec, want: Callable[[Permutation], LaurentPoly], moved: str
+) -> dict:
+    """Check each coefficient [T_nu]Y_mu against want(nu) specialized at mu
+    (the ``moved`` variables at u^mu, the others at u) through the staircase
+    Q = :func:`_staircase`, whose [T_nu]Q is want(nu).
+
+    Specialization is a ring map, so [T_nu] of the specialized Q is want(nu)
+    specialized, for every nu at once.  So Q is built once at the symbols
+    and each [T_nu]Q compared with want(nu), which keeps the link to the
+    tables; then each Y_mu is compared with Q at u^mu from
+    :func:`_specialized_staircases`.  A pair passes iff both comparisons
+    hold, so a wrong want(nu) fails all of its nu-column.  The pairs are
+    recorded, and failures kept, nu-major; a failed pair that the report
+    keeps is witnessed by want(nu) specialized at mu by
+    :func:`~ybhecke.poly.compile_specialization`.  Returns the coefficients
+    by (mu, nu) in mu-major order.
+    """
+    n = alg.n
     perms = all_permutations(n)
+    symbols = {f: [LaurentPoly.variable(f"{f}{i}") for i in range(1, n + 1)] for f in "xy"}
+    q = _staircase(alg, symbols["y" if moved == "x" else "x"], symbols[moved])
+    entry_ok = {nu: q.coefficient(nu) == want(nu) for nu in perms}
+    ys = yb_basis(alg)
     entries = dict.fromkeys(product(ys, perms))  # mu-major, filled below
+    bad = set()
+    for mu, q_mu in _specialized_staircases(alg):
+        y = ys[mu]
+        for nu in perms:
+            entries[mu, nu] = y.coefficient(nu)
+        if y.coeffs != q_mu.coeffs:
+            bad.update((mu, nu) for nu in perms if y.coefficient(nu) != q_mu.coefficient(nu))
+
+    def witness(mu: Permutation, nu: Permutation) -> str:
+        spec = compile_specialization(want(nu), n, moved)(mu.window)
+        return f"mu={mu}, nu={nu}: {entries[mu, nu]} != {spec}"
+
     for nu in perms:
-        want_at = compile_specialization(want(nu), n, moved)
-        for mu, y in ys.items():
-            got = entries[mu, nu] = y.coefficient(nu)
-            spec = want_at(mu.window)
-            if got == spec:
+        for mu in ys:
+            if entry_ok[nu] and (mu, nu) not in bad:
                 report.record(True, "")
             else:
-                report.record(False, lambda: f"mu={mu}, nu={nu}: {got} != {spec}")
+                report.record(False, lambda: witness(mu, nu))
     return entries
 
 
@@ -148,14 +228,23 @@ def verify_schubert_transition(n: int) -> tuple[dict, CheckReport]:
     """Check Y_mu in the nil-Coxeter family expands with Schubert coefficients.
 
     For every mu, nu the coefficient of the basis element indexed by nu in
-    Y_mu(u) must equal X_nu(u^mu, u).  The pairs are checked, and failures
-    kept, nu-major.  Returns the coefficients [T_nu]Y_mu keyed by every
-    (mu, nu) in S_n x S_n, and the report.
+    Y_mu(u) must equal X_nu(u^mu, u).  The check goes through the
+    Fomin-Kirillov product of the nil-Coxeter algebra, read by rows,
+
+        P = prod_{i=1}^{n-1} prod_{j=n-1}^{i} Y_j(y_{j-i+1}, x_i),
+
+    whose [T_w]P is X_w(x, y).  Specialization is a ring map, so [T_nu] of
+    P(u^mu, u) is X_nu(u^mu, u) for every nu at once; row i holds x_i
+    alone, so P(u^mu, u) is built over the prefixes of mu.  A pair passes
+    iff [T_nu]P equals the table entry X_nu and [T_nu]Y_mu equals
+    [T_nu]P(u^mu, u); so a wrong table entry X_nu fails every pair of its
+    column, whatever it specializes to at mu.  The pairs are checked, and
+    failures kept, nu-major.  Returns the coefficients [T_nu]Y_mu keyed by
+    every (mu, nu) in S_n x S_n, and the report.
     """
     report = CheckReport(name=f"schubert-transition[n={n}]")
     table = schubert_table(n)
-    ys = yb_basis(algebra("partial", n))
-    return _check_transition(report, ys, n, lambda nu: table[nu], "x"), report
+    return _check_transition(report, algebra("partial", n), lambda nu: table[nu], "x"), report
 
 
 def verify_grothendieck_transition(n: int) -> tuple[dict, CheckReport]:
@@ -167,13 +256,30 @@ def verify_grothendieck_transition(n: int) -> tuple[dict, CheckReport]:
     the worked 35142 coefficient, the q-specialization link to the generic
     family, and exhaustive checks; it mirrors the Schubert-side coefficient
     X_nu(u^mu, u) through the classical inversion duality of the tables.)
-    The pairs are checked, and failures kept, nu-major.  Returns the
-    coefficients keyed by every (mu, nu), and the report.
+
+    The Fomin-Kirillov product of the pibar algebra is the same staircase,
+
+        P = prod_{i=1}^{n-1} prod_{j=n-1}^{i} Y_j(x_i, y_{j-i+1}),
+
+    whose [T_w]P is G_w(x, y).  Read by columns instead, k = n-1..1 and
+    within each column i = 1..n-k, with Y_{i+k-1}(x_i, y_k) at (i, k), it is
+    the same element: two factors that the readings put in a different
+    order have generators j, j' with |j - j'| >= 2, and so commute.  Column
+    k holds y_k alone.  The anti-automorphism T_w -> T_{w^{-1}} fixes each
+    factor 1 + c T_j and reverses products, so the inverse Q of P is the
+    reversed columns in increasing k, and [T_nu]Q = G_{nu^{-1}}(x, y).
+    Specialization is a ring map, so [T_nu] of Q(u, u^mu) is
+    G_{nu^{-1}}(u, u^mu) for every nu at once, and Q(u, u^mu) is built over
+    the prefixes of mu.  A pair passes iff [T_nu]Q equals the table entry
+    G_{nu^{-1}} and [T_nu]Y_mu equals [T_nu]Q(u, u^mu); so a wrong table
+    entry G_{nu^{-1}} fails every pair of the column nu.  The pairs are
+    checked, and failures kept, nu-major.  Returns the coefficients keyed
+    by every (mu, nu), and the report.
     """
     report = CheckReport(name=f"grothendieck-transition[n={n}]")
     table = grothendieck_table(n)
-    ys = yb_basis(algebra("pibar", n))
-    return _check_transition(report, ys, n, lambda nu: table[nu.inverse()], "y"), report
+    check = _check_transition(report, algebra("pibar", n), lambda nu: table[nu.inverse()], "y")
+    return check, report
 
 
 def yang_coefficients(mu: Permutation) -> dict:
@@ -398,8 +504,9 @@ def verify_appendix_factorizations(
 
 def verify_appendix(n: int, seed: int = 0) -> list[CheckReport]:
     """The appendix factorizations at rank n in both q-modes, for the shapes
-    1^n, (n) and, at n = 4, (2, 2)."""
-    shapes = [(1,) * n, (n,)] + ([(2, 2)] if n == 4 else [])
+    1^n, (n) and, at n = 4, (2, 2), each distinct shape once: at n = 1 the
+    first two are the one shape (1,)."""
+    shapes = dict.fromkeys([(1,) * n, (n,)] + ([(2, 2)] if n == 4 else []))
     modes = ("qpow", "linear")
     return [verify_appendix_factorizations(s, q, seed=seed) for s in shapes for q in modes]
 

@@ -533,6 +533,18 @@ def test_appendix_fails_when_one_factor_step_moves(capsys, monkeypatch):
     assert lines[-1] == "verify appendix: FAIL"
 
 
+def test_appendix_at_rank_1_runs_its_one_shape_once(capsys, monkeypatch):
+    # 1^n and (n) are the one shape (1,) at n = 1: one report per q-mode
+    reports = recorded_reports(monkeypatch)
+    code, out = run(capsys, "verify", "appendix", "-n", "1")
+    assert code == 0 and len(reports) == 2
+    assert out.splitlines() == [
+        "appendix[qpow, shape=(1,)]: PASS (5 checks, seed=0)",
+        "appendix[linear, shape=(1,)]: PASS (5 checks, seed=0)",
+        "verify appendix: PASS",
+    ]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ybe_runs_at_rank_3_at_least_and_says_so(capsys, n):
     # the equation needs generators 1 and 2

@@ -2,13 +2,21 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
 
-from ybhecke import schubert
+from ybhecke import hecke, schubert
 from ybhecke.errors import RankOutOfRange, ShapeInvalid
-from ybhecke.hecke import algebra, symbolic_spectral, word_steps, yb_basis
+from ybhecke.hecke import (
+    algebra,
+    elementary_factor,
+    symbolic_spectral,
+    unit,
+    word_steps,
+    yb_basis,
+)
 from ybhecke.operators import all_inverse_words, apply_generator, random_probe
 from ybhecke.permutations import Permutation, all_permutations
 from ybhecke.poly import (
@@ -274,6 +282,175 @@ def test_transition_checks_every_pair(monkeypatch, name, verify):
     _, report = verify(4)
     assert report.checks == 576 and report.failed == 24
     assert report.failures[0] == "mu=1234, nu=1324: 0 != u1*u2"
+
+
+# driver -> (table builder's name in schubert, family, moved variables,
+# the table entry read at nu)
+TRANSITIONS = {
+    verify_schubert_transition: ("schubert_table", "partial", "x", lambda nu: nu),
+    verify_grothendieck_transition: ("grothendieck_table", "pibar", "y", Permutation.inverse),
+}
+
+
+def pairwise_transition(verify, n):
+    """The pairwise check the transition drivers replace: each table entry
+    compiled once and specialized at every mu, the pairs recorded nu-major.
+    The table and the basis are read through the schubert module, so a
+    monkeypatch there reaches both routes."""
+    name, family, moved, key = TRANSITIONS[verify]
+    table = getattr(schubert, name)(n)
+    ys = schubert.yb_basis(algebra(family, n))
+    report = CheckReport(name="pairwise")
+    perms = all_permutations(n)
+    entries = dict.fromkeys(product(ys, perms))
+    for nu in perms:
+        want_at = compile_specialization(table[key(nu)], n, moved)
+        for mu, y in ys.items():
+            got = entries[mu, nu] = y.coefficient(nu)
+            spec = want_at(mu.window)
+            report.record(got == spec, lambda: f"mu={mu}, nu={nu}: {got} != {spec}")
+    return entries, report
+
+
+def corrupt_table(monkeypatch, verify, nu, extra):
+    name = TRANSITIONS[verify][0]
+    build = getattr(schubert, name)
+
+    def corrupted(n):
+        table = build(n)
+        table[nu] = table[nu] + parse_poly(extra)
+        return table
+
+    monkeypatch.setattr(schubert, name, corrupted)
+
+
+def perturb_basis(monkeypatch, mu, nu, extra):
+    build = schubert.yb_basis
+
+    def perturbed(alg):
+        ys = build(alg)
+        y = ys[mu]
+        ys[mu] = type(y)(y.alg, {**y.coeffs, nu: y.coefficient(nu) + parse_poly(extra)})
+        return ys
+
+    monkeypatch.setattr(schubert, "yb_basis", perturbed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["unperturbed", "table", "basis"])
+@pytest.mark.parametrize("verify", list(TRANSITIONS), ids=["schubert", "grothendieck"])
+def test_transition_equals_the_pairwise_check(monkeypatch, verify, case, n):
+    # x1*y1 specializes to the nonzero u1*u_mu(1) at every mu, so a
+    # corrupted entry fails its whole column on both routes
+    omega = Permutation.longest(n)
+    if case == "table":
+        corrupt_table(monkeypatch, verify, omega, "x1*y1")
+    elif case == "basis":
+        perturb_basis(monkeypatch, omega, Permutation.identity(n), "u1")
+    failed = {"unperturbed": 0, "table": len(all_permutations(n)), "basis": 1}[case]
+    want_entries, want = pairwise_transition(verify, n)
+    entries, report = verify(n)
+    assert (report.checks, report.failed) == (want.checks, want.failed) == (len(entries), failed)
+    assert report.failures == want.failures
+    assert list(entries.items()) == list(want_entries.items())
+
+
+@pytest.mark.parametrize("verify", list(TRANSITIONS), ids=["schubert", "grothendieck"])
+def test_transition_fails_exactly_the_pair_of_a_perturbed_coefficient(monkeypatch, verify):
+    clean, _ = verify(4)
+    mu, nu = P("3142"), P("1324")
+    perturb_basis(monkeypatch, mu, nu, "u2")
+    _, report = verify(4)
+    assert (report.checks, report.failed) == (576, 1)
+    got = clean[mu, nu] + parse_poly("u2")
+    assert report.failures == [f"mu=3142, nu=1324: {got} != {clean[mu, nu]}"]
+
+
+@pytest.mark.parametrize("verify", list(TRANSITIONS), ids=["schubert", "grothendieck"])
+def test_a_wrong_table_entry_fails_its_whole_column(monkeypatch, verify):
+    # x1 - y1 specializes to 0 at the mu with mu(1) = 1, where the pairwise
+    # check passes; the table entry itself is wrong, so every pair fails
+    corrupt_table(monkeypatch, verify, P("1324"), "x1 - y1")
+    _, want = pairwise_transition(verify, 4)
+    _, report = verify(4)
+    assert (want.failed, report.failed) == (18, 24)
+    assert report.failures[0] == "mu=1234, nu=1324: 0 != 0"
+
+
+def symbols(n):
+    return [[LaurentPoly.variable(f"{f}{i}") for i in range(1, n + 1)] for f in "xy"]
+
+
+def fk_product(family, n):
+    """The Fomin-Kirillov product P at the symbols, read by rows:
+    prod_{i=1}^{n-1} prod_{j=n-1}^{i} of Y_j(y_k, x_i) in the nil-Coxeter
+    algebra and of Y_j(x_i, y_k) in the pibar algebra, k = j - i + 1."""
+    alg = algebra(family, n)
+    x, y = symbols(n)
+    h = unit(alg)
+    for i in range(1, n):
+        for j in range(n - 1, i - 1, -1):
+            a, b = (y[j - i], x[i - 1]) if family == "partial" else (x[i - 1], y[j - i])
+            h = h * elementary_factor(alg, j, a, b)
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_staircases_are_the_fomin_kirillov_products(n):
+    x, y = symbols(n)
+    assert schubert._staircase(algebra("partial", n), y, x) == fk_product("partial", n)
+    # the pibar product read by columns: k = n-1..1, and i = 1..n-k within
+    # a column, with Y_{i+k-1}(x_i, y_k) at (i, k); the driver's staircase
+    # is its inverse, the reversed columns in increasing k
+    alg = algebra("pibar", n)
+    columns = unit(alg)
+    for k in range(n - 1, 0, -1):
+        for i in range(1, n - k + 1):
+            columns = columns * elementary_factor(alg, i + k - 1, x[i - 1], y[k - 1])
+    assert columns == fk_product("pibar", n)
+    assert schubert._staircase(alg, x, y) == hecke._inverted(columns)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "family,table", [("partial", schubert_table), ("pibar", grothendieck_table)]
+)
+def test_fomin_kirillov_coefficients_are_the_tables(family, table, n):
+    fk = fk_product(family, n)
+    entries = table(n)
+    assert len(entries) == len(all_permutations(n))
+    for w, p in entries.items():
+        assert fk.coefficient(w) == p, w
+
+
+def test_fomin_kirillov_coefficients_at_n3():
+    x_product, g_product = fk_product("partial", 3), fk_product("pibar", 3)
+    for window, text in [
+        ("321", "(x1-y1)*(x1-y2)*(x2-y1)"),
+        ("132", "x1+x2-y1-y2"),
+        ("213", "x1-y1"),
+        ("123", "1"),
+    ]:
+        assert x_product.coefficient(P(window)) == parse_poly(text), window
+    for window in ("321", "132", "231"):
+        assert g_product.coefficient(P(window)) == parse_poly(GROTHENDIECK3[window])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family,moved", [("partial", "x"), ("pibar", "y")])
+def test_specialized_staircases_are_the_staircase_specialized(family, moved, n):
+    # specialization is a ring map: the product built at u^mu, prefix by
+    # prefix, has the specialized coefficients of the one at the symbols
+    alg = algebra(family, n)
+    x, y = symbols(n)
+    staircase = schubert._staircase(alg, *((y, x) if moved == "x" else (x, y)))
+    seen = []
+    for mu, q in schubert._specialized_staircases(alg):
+        seen.append(mu)
+        for w in all_permutations(n):
+            spec = compile_specialization(staircase.coefficient(w), n, moved)(mu.window)
+            assert q.coefficient(w) == spec, (mu, w)
+    assert sorted(seen, key=Permutation.sort_key) == all_permutations(n)
 
 
 def test_transition_unitriangular_by_length():
