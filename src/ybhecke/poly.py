@@ -32,11 +32,9 @@ decoded into (variable, exponent) pairs in canonical order only at the
 boundary: ``.terms``, iteration, ``leading()`` and JSON.  Rendering decodes
 nothing: it orders the variables of a polynomial by display key once, sorts
 the keys by one integer each (the total degree, then the exponents in that
-order) and reads each exponent from its slot.  One polynomial renamed at
-many permutations, as in the specializations p(u^mu, u) of the transition
-theorems, is compiled once by :func:`compile_specialization`, which renames
-one variable at a time and keeps the result for each prefix of a
-permutation, so permutations that share a prefix share its renames.
+order) and reads each exponent from its slot.  A rename
+(:func:`rename_poly`) moves digits between slots, so a specialization such
+as p(u^mu, u) of the transition theorems is one rename.
 
 >>> p = LaurentPoly.variable("x1") - LaurentPoly.variable("y1")
 >>> str(p * p)
@@ -75,7 +73,6 @@ __all__ = [
     "rename_poly",
     "sum_of_products",
     "sums_of_products",
-    "compile_specialization",
     "as_rf",
     "narrow",
     "rename_rf",
@@ -978,11 +975,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den.is_one
 
-    def as_poly(self) -> LaurentPoly:
-        if not self.den.is_one:
-            raise ValueError("not a polynomial")
-        return self.num
-
     @staticmethod
     def _coerce(other) -> "RationalFunction | None":
         if isinstance(other, RationalFunction):
@@ -1158,109 +1150,6 @@ def rename_poly(p: LaurentPoly, varmap: Mapping[str, str]) -> LaurentPoly:
         sums[m] = get(m, 0) + c
     _check_keys(sums)
     return LaurentPoly._raw(_stored(sums, _integral(p._terms)))
-
-
-def compile_specialization(
-    p: LaurentPoly, n: int, moved: str
-) -> Callable[[Sequence[int]], LaurentPoly]:
-    """Compile the renames moved_i -> u_{w(i)}, fixed_j -> u_j of ``p``,
-    where ``moved`` is x or y and the fixed family is the other one.
-
-    The result takes the images w = (w(1), ..., w(n)), which must be a
-    permutation of 1..n (``ValueError`` otherwise), and returns what
-    ``rename_poly`` gives for that map; every other variable passes
-    through, a u_k with k <= n merging with the images.  The variables
-    present are read once: only the fixed variables that some term has
-    move, to u1..un, once, and they say which movers occur.  The movers
-    are then renamed one at a time: the polynomial for each prefix
-    (w(1), ..., w(i)) is kept in a memo keyed by that prefix, with its
-    terms split once by their exponent a of moved_{i+1}, and each child
-    adds a << slot(u_{w(i+1)}) to the keys of a part.  A mover that no
-    term has passes a node through uncopied, and an empty node makes every
-    window below it zero.  The memo holds one node per prefix shorter than
-    n, at most sum_{i<n} n!/(n-i)! of them, and is freed with the returned
-    function; the windows themselves are not kept.  The keys are checked
-    only when some u exponent plus some moved exponent could leave the
-    range; the nodes then keep their cancelled terms, so every image is
-    checked as ``rename_poly`` checks it.
-    """
-    fixed = "y" if moved == "x" else "x"
-    us = [_var_info(f"u{k}")[4] for k in range(1, n + 1)]
-    movers = [_var_info(f"{moved}{i}")[4] for i in range(1, n + 1)]
-    fixers = [(f"{fixed}{j}", _var_info(f"{fixed}{j}")[4]) for j in range(1, n + 1)]
-    # moving the fixed digits leaves the movers' digits as they are
-    present = set(_present(p._terms))
-    fixes = [(r, s) for (v, r), s in zip(fixers, us) if v in present]
-    half = _HALF
-    terms: dict[Monomial, Scalar] = {}
-    for m, c in p._terms.items():
-        biased = m + half
-        for r, s in fixes:
-            b = (biased >> r & _MASK) - _HALF_DIGIT
-            if b:
-                m += (b << s) - (b << r)
-        terms[m] = terms.get(m, 0) + c
-    _check_keys(terms)
-    # has[i]: some term has moved_{i+1}; the entry past the last mover
-    # serves the root at n = 0
-    has = [f"{moved}{i}" in present for i in range(1, n + 1)] + [False]
-    # a u exponent plus a moved one stays in range if both lie in [-2^13, 2^13)
-    low, high = _HALF >> 2, _HALF | _HALF >> 1
-    checked = any((m + low) & high for m in terms)
-    integral = _integral(p._terms)
-    Node = tuple[dict[Monomial, Scalar], list[tuple[int, dict[Monomial, Scalar]]]]
-
-    def split(terms: dict[Monomial, Scalar], i: int) -> Node:
-        """The terms without moved_{i+1}, and the others by its exponent a,
-        with a removed; zeros are dropped unless ``checked``."""
-        if not has[i]:
-            return terms, []
-        r = movers[i]
-        parts: dict[int, dict[Monomial, Scalar]] = {0: {}}
-        for m, c in terms.items():
-            if c or checked:
-                a = ((m + half) >> r & _MASK) - _HALF_DIGIT
-                part = parts.get(a)
-                if part is None:
-                    part = parts[a] = {}
-                part[m - (a << r)] = c
-        still = parts.pop(0)
-        return still, list(parts.items())
-
-    nodes: dict[tuple[int, ...], Node] = {(): split(terms, 0)}
-    identity = list(range(1, n + 1))
-
-    def at(w: Sequence[int]) -> LaurentPoly:
-        w = tuple(w)
-        if sorted(w) != identity:
-            raise ValueError(f"not a permutation of 1..{n}: {w}")
-        sums = terms
-        still, moving = nodes[()]
-        for i in range(1, n + 1):
-            if not (still or moving):
-                sums = {}
-                break
-            node = nodes.get(w[:i])
-            if node is None:
-                sums = still
-                if moving:
-                    s = us[w[i - 1] - 1]
-                    sums = dict(still)
-                    get = sums.get
-                    for a, part in moving:
-                        d = a << s
-                        for m, c in part.items():
-                            m += d
-                            sums[m] = get(m, 0) + c
-                    if checked:
-                        _check_keys(sums)
-                if i == n:
-                    break
-                node = nodes[w[:i]] = split(sums, i)
-            still, moving = node
-        return LaurentPoly._raw(_stored(sums, integral))
-
-    return at
 
 
 def rename_rf(f: LaurentPoly | RationalFunction, varmap: Mapping[str, str]) -> RationalFunction:

@@ -19,14 +19,15 @@ the coefficients [T_nu]Y_mu as a dict keyed by (mu, nu)):
 together with the Newton interpolation identity, the normal-ordering rule,
 and the appendix factorizations for Young subgroups.
 
-The two transition drivers read every specialization at once.  The
-Fomin-Kirillov product of Yang-Baxter factors (:func:`_staircase`) has the
-table entries as its coefficients, and specialization is a ring map, so the
-product specialized at mu, built once per prefix of mu, has X_nu(u^mu, u)
-(or G_{nu^{-1}}(u, u^mu)) as its coefficient at every nu.  Every other
-specialization is read at the symbols u1..un, by one compiled renaming
-(:func:`specialize_double` and its mirror); the value at another tuple is
-that tuple substituted into it.  X_213 = x1 - y1 at mu = 213:
+A specialization has two routes.  Every entry at every mu is read at once
+from the Fomin-Kirillov product of Yang-Baxter factors
+(:func:`_staircase`): it has the table entries as its coefficients, and
+specialization is a ring map, so the product specialized at mu, built once
+per prefix of mu, has X_nu(u^mu, u) (or G_{nu^{-1}}(u, u^mu)) as its
+coefficient at every nu.  The transition drivers, Newton interpolation and
+the Yang leading terms read it.  One entry at one mu is one
+:func:`~ybhecke.poly.rename_poly` (:func:`specialize_double` and its
+mirror), at the symbols u1..un.  X_213 = x1 - y1 at mu = 213:
 
 >>> mu = Permutation.from_string("213")
 >>> print(specialize_double(schubert_table(3)[mu], mu))
@@ -57,7 +58,6 @@ from .permutations import MAX_RANK, Permutation, all_permutations
 from .poly import (
     LaurentPoly,
     coefficients_in,
-    compile_specialization,
     lowest_homogeneous_component,
     rename_poly,
     sum_of_products,
@@ -119,14 +119,23 @@ def grothendieck_table(n: int) -> dict[Permutation, LaurentPoly]:
     return _descend(n, lambda i, j: 1 - var(f"y{j}") * var(f"x{i}", -1), "pi")
 
 
+def _specialize(p: LaurentPoly, mu: Permutation, moved: str) -> LaurentPoly:
+    """p with moved_i -> u_{mu(i)} and the other family's v_j -> u_j, one
+    rename; ``moved`` is x or y."""
+    fixed = "y" if moved == "x" else "x"
+    varmap = {f"{fixed}{j}": f"u{j}" for j in range(1, mu.n + 1)}
+    varmap.update((f"{moved}{i}", f"u{w}") for i, w in enumerate(mu.window, 1))
+    return rename_poly(p, varmap)
+
+
 def specialize_double(p: LaurentPoly, mu: Permutation) -> LaurentPoly:
     """The specialization p(u^mu, u): rename x_i -> u_{mu(i)}, y_j -> u_j."""
-    return compile_specialization(p, mu.n, "x")(mu.window)
+    return _specialize(p, mu, "x")
 
 
 def _specialize_swapped(p: LaurentPoly, mu: Permutation) -> LaurentPoly:
     """The mirror specialization p(u, u^mu): x_i -> u_i, y_j -> u_{mu(j)}."""
-    return compile_specialization(p, mu.n, "y")(mu.window)
+    return _specialize(p, mu, "y")
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +187,35 @@ def _specialized_staircases(alg: AlgebraSpec) -> Iterator[tuple[Permutation, Hec
     return walk((), unit(alg))
 
 
+def _symbols(family: str, n: int) -> list[LaurentPoly]:
+    """The variables family1..familyn."""
+    return [LaurentPoly.variable(f"{family}{i}") for i in range(1, n + 1)]
+
+
+def _schubert_specializations(n: int) -> dict[Permutation, dict]:
+    """{mu: {nu: X_nu(u^mu, u)}} over S_n x S_n, both in
+    :func:`all_permutations` order.
+
+    The values are the coefficients of the nil-Coxeter staircase at u^mu
+    (:func:`_specialized_staircases`), whose [T_nu] at the symbols is X_nu.
+    A table entry that differs from [T_nu] of the staircase is specialized
+    by :func:`specialize_double` instead, so the values are the table's in
+    every case.
+    """
+    alg = algebra("partial", n)
+    table = schubert_table(n)
+    q = _staircase(alg, _symbols("y", n), _symbols("x", n))
+    wrong = {nu for nu, p in table.items() if q.coefficient(nu) != p}
+    perms = all_permutations(n)
+    rows = dict.fromkeys(perms)  # filled below
+    for mu, q_mu in _specialized_staircases(alg):
+        rows[mu] = {
+            nu: specialize_double(table[nu], mu) if nu in wrong else q_mu.coefficient(nu)
+            for nu in perms
+        }
+    return rows
+
+
 def _check_transition(
     report: CheckReport, alg: AlgebraSpec, want: Callable[[Permutation], LaurentPoly], moved: str
 ) -> dict:
@@ -191,15 +229,14 @@ def _check_transition(
     tables; then each Y_mu is compared with Q at u^mu from
     :func:`_specialized_staircases`.  A pair passes iff both comparisons
     hold, so a wrong want(nu) fails all of its nu-column.  The pairs are
-    recorded, and failures kept, nu-major; a failed pair that the report
+    recorded, and failures kept, nu-major.  A failed pair that the report
     keeps is witnessed by want(nu) specialized at mu by
-    :func:`~ybhecke.poly.compile_specialization`.  Returns the coefficients
-    by (mu, nu) in mu-major order.
+    :func:`_specialize`, or, where that equals [T_nu]Y_mu, by the wrong
+    table entry.  Returns the coefficients by (mu, nu) in mu-major order.
     """
     n = alg.n
     perms = all_permutations(n)
-    symbols = {f: [LaurentPoly.variable(f"{f}{i}") for i in range(1, n + 1)] for f in "xy"}
-    q = _staircase(alg, symbols["y" if moved == "x" else "x"], symbols[moved])
+    q = _staircase(alg, _symbols("y" if moved == "x" else "x", n), _symbols(moved, n))
     entry_ok = {nu: q.coefficient(nu) == want(nu) for nu in perms}
     ys = yb_basis(alg)
     entries = dict.fromkeys(product(ys, perms))  # mu-major, filled below
@@ -212,8 +249,12 @@ def _check_transition(
             bad.update((mu, nu) for nu in perms if y.coefficient(nu) != q_mu.coefficient(nu))
 
     def witness(mu: Permutation, nu: Permutation) -> str:
-        spec = compile_specialization(want(nu), n, moved)(mu.window)
-        return f"mu={mu}, nu={nu}: {entries[mu, nu]} != {spec}"
+        got, spec = entries[mu, nu], _specialize(want(nu), mu, moved)
+        if got != spec:
+            return f"mu={mu}, nu={nu}: {got} != {spec}"
+        return (
+            f"mu={mu}, nu={nu}: the table entry differs from [T_nu] of the Fomin-Kirillov product"
+        )
 
     for nu in perms:
         for mu in ys:
@@ -296,11 +337,9 @@ def verify_yang_leading_terms(
 
     Exhaustive over S_n; when ``samples`` is positive only that many random
     (mu, nu) pairs with nonzero coefficient are checked (used at n=4).
-    Each X_nu is compiled once and specialized at all its pairs before the
-    checks, so only one compiled entry is alive at a time.
+    The X_nu(u^mu, u) are read from :func:`_schubert_specializations`.
     """
     report = CheckReport(name=f"yang-leading-terms[n={n}]", seed=seed)
-    table = schubert_table(n)
     uvars = {f"u{i}" for i in range(1, n + 1)}
     pairs = []
     coeffs = {}
@@ -311,17 +350,11 @@ def verify_yang_leading_terms(
     if samples:
         rng = random.Random(seed)
         pairs = rng.sample(pairs, min(samples, len(pairs)))
-    mus_of: dict[Permutation, list[Permutation]] = {}
-    for mu, nu in pairs:
-        mus_of.setdefault(nu, []).append(mu)
-    wants = {}
-    for nu, mus in mus_of.items():
-        at = compile_specialization(table[nu], n, "x")
-        wants.update(((mu, nu), at(mu.window)) for mu in mus)
+    wants = _schubert_specializations(n)
     for mu, nu in pairs:
         a = coeffs[mu][nu]
         low = lowest_homogeneous_component(a, uvars)
-        want = wants[mu, nu]
+        want = wants[mu][nu]
         report.record(
             want == low, lambda: f"mu={mu}, nu={nu}: lowest({a}) != {want}"
         )
@@ -345,19 +378,18 @@ def _check_permutation_expansion(
     report: CheckReport, coeffs: dict, n: int, seed: int
 ) -> None:
     """Check f(u^mu) = sum_nu coeffs[mu][nu] (partial_nu f)(u) for every mu,
-    with f(u^mu) the rename x_i -> u_{mu(i)}; f runs over 10 random integer
-    polynomials in x of degree <= 4, drawn under ``seed``.  The coefficients
-    are LaurentPolys in u, so each probe's n! divided differences move to u
-    once."""
+    with f(u^mu) the rename x_i -> u_{mu(i)} by :func:`_specialize`; f runs
+    over 10 random integer polynomials in x of degree <= 4, drawn under
+    ``seed``.  The coefficients are LaurentPolys in u, so each probe's n!
+    divided differences move to u once."""
     rng = random.Random(seed)
     tou = {f"x{i}": f"u{i}" for i in range(1, n + 1)}
     for _ in range(10):
         f = random_probe(rng, n)
         diffs = {nu: rename_poly(d, tou) for nu, d in all_inverse_words("partial", f, n).items()}
-        f_at = compile_specialization(f, n, "x")
         for mu, row in coeffs.items():
             total = sum_of_products((c, diffs[nu]) for nu, c in row.items())
-            report.record(total == f_at(mu.window), lambda: f"mu={mu}, f={f}")
+            report.record(total == _specialize(f, mu, "x"), lambda: f"mu={mu}, f={f}")
 
 
 def verify_newton_interpolation(n: int, seed: int = 0) -> CheckReport:
@@ -369,20 +401,11 @@ def verify_newton_interpolation(n: int, seed: int = 0) -> CheckReport:
 
         sum_nu X_nu(u^mu, u) (partial_nu f)(u) = f(u^mu).
 
-    Each X_nu is compiled once by
-    :func:`~ybhecke.poly.compile_specialization`, and the table of
-    X_nu(u^mu, u) is filled nu-major.  The check is randomized under
-    ``seed``.
+    The X_nu(u^mu, u) are read from :func:`_schubert_specializations`.
+    The check is randomized under ``seed``.
     """
     report = CheckReport(name=f"newton-interpolation[n={n}]", seed=seed)
-    table = schubert_table(n)
-    perms = all_permutations(n)
-    coeffs: dict[Permutation, dict] = {mu: {} for mu in perms}
-    for nu in perms:
-        at = compile_specialization(table[nu], n, "x")
-        for mu in perms:
-            coeffs[mu][nu] = at(mu.window)
-    _check_permutation_expansion(report, coeffs, n, seed)
+    _check_permutation_expansion(report, _schubert_specializations(n), n, seed)
     return report
 
 

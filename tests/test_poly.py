@@ -26,7 +26,6 @@ from ybhecke.poly import (
     as_rf,
     clear_beta,
     coefficients_in,
-    compile_specialization,
     divided_difference,
     exact_div,
     lowest_homogeneous_component,
@@ -41,7 +40,13 @@ from ybhecke.poly import (
     var_parts,
     var_sort_key,
 )
-from ybhecke.schubert import grothendieck_table, schubert_table
+from ybhecke.permutations import Permutation
+from ybhecke.schubert import (
+    _specialize_swapped,
+    grothendieck_table,
+    schubert_table,
+    specialize_double,
+)
 from ybhecke.serialize import parse_poly, parse_scalar
 
 
@@ -705,11 +710,10 @@ def test_packed_kernels_match_a_tuple_reference():
         assert_matches(n, want if k else ref_of(beta))
     assert cancelled > 50
     for p in (random_kernel_poly(rng) * random_kernel_poly(rng) for _ in range(20)):
-        at = compile_specialization(p, 3, "x")
         for w in permutations((1, 2, 3)):
             varmap = {f"x{i}": f"u{w[i - 1]}" for i in (1, 2, 3)}
             varmap.update({f"y{j}": f"u{j}" for j in (1, 2, 3)})
-            assert_matches(at(w), ref_rename(ref_of(p), varmap))
+            assert_matches(specialize_double(p, Permutation(w)), ref_rename(ref_of(p), varmap))
 
 
 def test_kernels_keep_integral_values_as_ints():
@@ -720,7 +724,7 @@ def test_kernels_keep_integral_values_as_ints():
         parse_poly("1/2*x1 + 1/3") + parse_poly("1/2*x1 + 2/3"),
         parse_poly("1/2*x1 + 1/2") * 2,
         divided_difference(parse_poly("1/2*x1^3 + 1/2*x1^2*x2"), "x1", "x2"),
-        compile_specialization(parse_poly("1/2*x1*y2 + 1/2*x2*y1"), 2, "x")((1, 2)),
+        specialize_double(parse_poly("1/2*x1*y2 + 1/2*x2*y1"), Permutation((1, 2))),
         clear_beta(LaurentPoly({(): Fraction(1, 2), ((BETA, 1),): 1}))[0],
     ]
     want = ["x1^2 + 2*x1 + 1", "u1", "x1 + 1", "x1 + 1", "1/2*x1^2 + x1*x2 + 1/2*x2^2",
@@ -746,7 +750,12 @@ def test_an_exponent_at_the_digit_bound_raises():
         lambda: rename_poly(top * V("x2"), {"x2": "x1"}),
         lambda: rename_poly(top * V("x2") * V("x3"), {"x2": "x1", "x3": "x1"}),
         lambda: rename_poly(top * V("u1") ** -1 * V("x3") ** 2, {"u1": "x1", "x3": "x1"}),
-        lambda: compile_specialization(top * V("y2"), 2, "y")((2, 1)),
+        lambda: _specialize_swapped(top * V("y2"), Permutation((2, 1))),
+        # the two terms cancel, yet their image u1*u2^limit is out of range
+        lambda: specialize_double(
+            (V("x1") - V("y1")) * LaurentPoly.variable("x2", limit - 1) * V("y2"),
+            Permutation((1, 2)),
+        ),
         # four exponents of limit - 1 sum to 2^16 - 4, which would wrap into
         # the next slot and leave an exponent -4 that looks valid
         lambda: rename_poly(
@@ -926,104 +935,6 @@ def test_polynomial_over_one_is_already_normal():
             for f in (fast, full):
                 assert_stored_exactly(f.num, integral(p))
                 assert_stored_exactly(f.den, integral=True)
-
-
-# polynomials of compile_specialization's corner cases, by rank
-SPECIALIZATION_EDGE_CASES = {
-    4: [
-        parse_poly("x1^300*x2^-300*y3^300 - 7*x3^-300*y1^2 + x4^-1*y4^299"),
-        parse_poly("1/2*x1*y2 - 3/2*x2^-1 + 1/3*y1"),
-        # images cancel: at the identity x1*y2 and x2*y1 both give u1*u2
-        parse_poly("x1*y2 - x2*y1 + x1 - y1 + x1^-1*y1 - x2^-1*y2"),
-        # exponents past 2^13 make the keys checked, with the same cancellation
-        parse_poly("x1^9000*y2 - x3^-9000*y4^9000 + x1*y2 - x2*y1"),
-        LaurentPoly.zero(),
-        LaurentPoly.one(),
-    ],
-    # q1, u3, x6 and y6 pass through; u3 merges with the images
-    5: [
-        parse_poly("q1*x1*u3 + x6^2*y6*y1 - u3^-1*x3 + u6*x5^-2 - y3*u2 + y2*u3"),
-        parse_poly("1/2*q1^2*x6^-1 - 1/2*u3*y6"),
-    ],
-}
-
-
-def _renamed_at(p, n, moved, fixed, w):
-    varmap = {f"{moved}{i}": f"u{w[i - 1]}" for i in range(1, n + 1)}
-    varmap.update({f"{fixed}{j}": f"u{j}" for j in range(1, n + 1)})
-    return rename_poly(p, varmap)
-
-
-def _assert_compiled_like_renamed(p, n, moved, fixed, windows=None):
-    at = compile_specialization(p, n, moved)
-    for w in windows or permutations(range(1, n + 1)):
-        got = at(w)
-        assert got.terms == _renamed_at(p, n, moved, fixed, w).terms, (p, w)
-        assert_stored_exactly(got, integral(p))
-
-
-@pytest.mark.parametrize("moved,fixed", [("x", "y"), ("y", "x")])
-def test_compiled_specialization_matches_renaming(moved, fixed):
-    # Grothendieck entries carry negative x exponents
-    for p in grothendieck_table(4).values():
-        _assert_compiled_like_renamed(p, 4, moved, fixed)
-    for n, polys in SPECIALIZATION_EDGE_CASES.items():
-        for p in polys:
-            _assert_compiled_like_renamed(p, n, moved, fixed)
-
-
-@pytest.mark.parametrize("moved,fixed", [("x", "y"), ("y", "x")])
-def test_compiled_specialization_serves_windows_in_any_order(moved, fixed):
-    # Randomized, seed 27: each window once, half of them again, shuffled,
-    # so windows arrive after, before and between the siblings that share
-    # their prefixes.  Every comparison is exact.
-    rng = random.Random(27)
-    cases = [(4, p) for p in grothendieck_table(4).values()]
-    cases += [(n, p) for n, polys in SPECIALIZATION_EDGE_CASES.items() for p in polys]
-    for n, p in cases:
-        windows = list(permutations(range(1, n + 1)))
-        windows += rng.sample(windows, len(windows) // 2)
-        rng.shuffle(windows)
-        _assert_compiled_like_renamed(p, n, moved, fixed, windows)
-
-
-def test_compiled_specialization_overflows_below_a_served_prefix():
-    limit = ybhecke.poly._LIMIT
-    # x1 -> u1 carries u1^(limit - 1); y4 -> u1 overflows it in every window
-    # that ends in 1, also after a sibling has served the shared prefix 2, 3
-    p = LaurentPoly.variable("x1", limit - 1) * V("y4")
-    at = compile_specialization(p, 4, "y")
-    assert at((2, 3, 1, 4)).terms == {(("u1", limit - 1), ("u4", 1)): 1}
-    for w in ((2, 3, 4, 1), (2, 3, 4, 1), (3, 2, 4, 1)):
-        with pytest.raises(ExponentOverflow):
-            _renamed_at(p, 4, "y", "x", w)
-        with pytest.raises(ExponentOverflow):
-            at(w)
-    assert at((2, 3, 1, 4)).terms == {(("u1", limit - 1), ("u4", 1)): 1}
-    # the two terms cancel at the first mover, yet their image u1*u2^limit
-    # is out of range, and rename_poly checks it
-    p = (V("x1") - V("y1")) * LaurentPoly.variable("x2", limit - 1) * V("y2")
-    at = compile_specialization(p, 2, "x")
-    for w in ((1, 2), (2, 1), (1, 2)):
-        with pytest.raises(ExponentOverflow):
-            _renamed_at(p, 2, "x", "y", w)
-        with pytest.raises(ExponentOverflow):
-            at(w)
-
-
-def test_compiled_specialization_takes_only_permutations():
-    at = compile_specialization(parse_poly("x1 - y1 + x2^2"), 3, "x")
-    assert str(at((1, 2, 3))) == "u2^2"
-    # (1, 2) is a served prefix of (1, 2, 3), not a window
-    for w in ((0, 1, 2), (1, 1, 2), (1, 2), (1, 2, 3, 4), (), (1, 2, 4)):
-        with pytest.raises(ValueError, match="not a permutation"):
-            at(w)
-    assert str(at((3, 2, 1))) == "u2^2 - u1 + u3"
-    # each u_k receives one mover, so (1, 1) could pass the overflow guard
-    limit = ybhecke.poly._LIMIT
-    p = LaurentPoly.monomial({"x1": limit - 1, "x2": limit - 1})
-    with pytest.raises(ValueError, match="not a permutation"):
-        compile_specialization(p, 2, "x")((1, 1))
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from ybhecke.poly import (
     LaurentPoly,
     RationalFunction,
     as_rf,
-    compile_specialization,
     lowest_homogeneous_component,
     rename_poly,
     substitute_poly,
@@ -157,27 +156,52 @@ def test_specialize_double_examples():
         assert got.is_zero if nu.length() else got == RationalFunction.one()
 
 
+# polynomials of the specializations' corner cases, by rank
+SPECIALIZATION_EDGE_CASES = {
+    4: [
+        parse_poly("x1^300*x2^-300*y3^300 - 7*x3^-300*y1^2 + x4^-1*y4^299"),
+        parse_poly("1/2*x1*y2 - 3/2*x2^-1 + 1/3*y1"),
+        # images cancel: at the identity x1*y2 and x2*y1 both give u1*u2
+        parse_poly("x1*y2 - x2*y1 + x1 - y1 + x1^-1*y1 - x2^-1*y2"),
+        # exponents past 2^13, with the same cancellation
+        parse_poly("x1^9000*y2 - x3^-9000*y4^9000 + x1*y2 - x2*y1"),
+        LaurentPoly.zero(),
+        LaurentPoly.one(),
+    ],
+    # q1, u3, x6 and y6 pass through; u3 merges with the images
+    5: [
+        parse_poly("q1*x1*u3 + x6^2*y6*y1 - u3^-1*x3 + u6*x5^-2 - y3*u2 + y2*u3"),
+        parse_poly("1/2*q1^2*x6^-1 - 1/2*u3*y6"),
+    ],
+}
+
+
 @pytest.mark.parametrize("table", [schubert_table, grothendieck_table])
 @pytest.mark.parametrize("moved", ["x", "y"])
 def test_specialize_by_renaming_matches_substitution(table, moved):
-    # the compiled renaming against substituting the symbols u1..un one
-    # map at a time (Grothendieck entries carry negative x exponents); "x"
-    # is specialize_double's orientation p(u^mu, u), "y" the mirror
-    # p(u, u^mu) of the Grothendieck transition
-    entries = table(4)
-    u = symbolic_spectral(4)
+    # the renaming against substituting the symbols u1..un one map at a
+    # time (Grothendieck entries carry negative x exponents); "x" is
+    # specialize_double's orientation p(u^mu, u), "y" the mirror p(u, u^mu)
+    # of the Grothendieck transition.  Integral values are stored as ints.
+    specialize = {"x": specialize_double, "y": schubert._specialize_swapped}[moved]
     fixed = "y" if moved == "x" else "x"
-    for nu, p in entries.items():
-        at = compile_specialization(p, 4, moved)
-        for mu in all_permutations(4):
-            images = {f"{moved}{i}": u[mu(i) - 1] for i in range(1, 5)}
-            images.update({f"{fixed}{j}": u[j - 1] for j in range(1, 5)})
-            assert at(mu.window) == substitute_poly(p, images), (mu, nu)
+    cases = [(4, p) for p in table(4).values()]
+    cases += [(n, p) for n, polys in SPECIALIZATION_EDGE_CASES.items() for p in polys]
+    for n, p in cases:
+        u = symbolic_spectral(n)
+        for mu in all_permutations(n):
+            images = {f"{moved}{i}": u[mu(i) - 1] for i in range(1, n + 1)}
+            images.update({f"{fixed}{j}": u[j - 1] for j in range(1, n + 1)})
+            got = specialize(p, mu)
+            assert got == substitute_poly(p, images), (mu, p)
+            for c in got.terms.values():
+                assert type(c) is (int if c.denominator == 1 else Fraction), (mu, p)
 
 
-def test_newton_and_normal_ordering_specialize_only_by_compiling(monkeypatch):
-    # the coefficients are read in u as they come; only the probes' divided
-    # differences, which hold x alone, are renamed
+def test_newton_and_normal_ordering_rename_only_the_x_only_probes(monkeypatch):
+    # the coefficients are read in u as they come, without a rename; only
+    # the probes, and their divided differences, which hold x alone, are
+    # renamed
     def x_only(p, varmap):
         assert not any(v[0] in "yu" for v in p.variables()), p
         return rename_poly(p, varmap)
@@ -294,8 +318,8 @@ TRANSITIONS = {
 
 def pairwise_transition(verify, n):
     """The pairwise check the transition drivers replace: each table entry
-    compiled once and specialized at every mu, the pairs recorded nu-major.
-    The table and the basis are read through the schubert module, so a
+    specialized at every mu by a rename, the pairs recorded nu-major.  The
+    table and the basis are read through the schubert module, so a
     monkeypatch there reaches both routes."""
     name, family, moved, key = TRANSITIONS[verify]
     table = getattr(schubert, name)(n)
@@ -304,10 +328,9 @@ def pairwise_transition(verify, n):
     perms = all_permutations(n)
     entries = dict.fromkeys(product(ys, perms))
     for nu in perms:
-        want_at = compile_specialization(table[key(nu)], n, moved)
         for mu, y in ys.items():
             got = entries[mu, nu] = y.coefficient(nu)
-            spec = want_at(mu.window)
+            spec = schubert._specialize(table[key(nu)], mu, moved)
             report.record(got == spec, lambda: f"mu={mu}, nu={nu}: {got} != {spec}")
     return entries, report
 
@@ -369,12 +392,15 @@ def test_transition_fails_exactly_the_pair_of_a_perturbed_coefficient(monkeypatc
 @pytest.mark.parametrize("verify", list(TRANSITIONS), ids=["schubert", "grothendieck"])
 def test_a_wrong_table_entry_fails_its_whole_column(monkeypatch, verify):
     # x1 - y1 specializes to 0 at the mu with mu(1) = 1, where the pairwise
-    # check passes; the table entry itself is wrong, so every pair fails
+    # check passes; the table entry itself is wrong, so every pair fails,
+    # and a pair that the pairwise check passes names the wrong entry
     corrupt_table(monkeypatch, verify, P("1324"), "x1 - y1")
     _, want = pairwise_transition(verify, 4)
     _, report = verify(4)
     assert (want.failed, report.failed) == (18, 24)
-    assert report.failures[0] == "mu=1234, nu=1324: 0 != 0"
+    named = "the table entry differs from [T_nu] of the Fomin-Kirillov product"
+    assert report.failures[0] == f"mu=1234, nu=1324: {named}"
+    assert all(w in want.failures or w.endswith(named) for w in report.failures)
 
 
 def symbols(n):
@@ -448,7 +474,7 @@ def test_specialized_staircases_are_the_staircase_specialized(family, moved, n):
     for mu, q in schubert._specialized_staircases(alg):
         seen.append(mu)
         for w in all_permutations(n):
-            spec = compile_specialization(staircase.coefficient(w), n, moved)(mu.window)
+            spec = schubert._specialize(staircase.coefficient(w), mu, moved)
             assert q.coefficient(w) == spec, (mu, w)
     assert sorted(seen, key=Permutation.sort_key) == all_permutations(n)
 
@@ -487,6 +513,36 @@ def test_yang_leading_terms():
         assert report.passed, report.lines()
     report = verify_yang_leading_terms(4, samples=20, seed=5)
     assert report.passed, report.lines()
+
+
+@pytest.mark.parametrize("n,samples,checks,failed", [(3, 0, 20, 4), (4, 20, 22, 2)])
+def test_yang_leading_terms_fail_on_a_wrong_table_entry(monkeypatch, n, samples, checks, failed):
+    # X_213 gains x1, of its own degree, so the lowest components of the
+    # pairs at nu = 213 (2134 at n = 4) are wrong, and no others; the 20
+    # pairs at n = 4 are sampled under seed 0
+    nu = Permutation((2, 1) + tuple(range(3, n + 1)))
+    corrupt_table(monkeypatch, verify_schubert_transition, nu, "x1")
+    report = verify_yang_leading_terms(n, samples=samples, seed=0)
+    assert (report.checks, report.failed) == (checks, failed)
+    assert all(f", nu={nu}: lowest(" in w for w in report.failures)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["unperturbed", "table"])
+def test_schubert_specializations_are_the_renamed_table(monkeypatch, case, n):
+    # the staircase route against the renaming oracle at every (mu, nu); a
+    # corrupted entry, x1*y1 at u^mu the nonzero u1*u_mu(1), is read from
+    # the table, so the values are the table's in both cases
+    if case == "table":
+        corrupt_table(monkeypatch, verify_schubert_transition, Permutation.longest(n), "x1*y1")
+    table = schubert.schubert_table(n)
+    rows = schubert._schubert_specializations(n)
+    perms = all_permutations(n)
+    assert list(rows) == perms
+    for mu, row in rows.items():
+        assert list(row) == perms
+        for nu, value in row.items():
+            assert value == specialize_double(table[nu], mu), (mu, nu)
 
 
 def test_newton_interpolation():
