@@ -9,8 +9,8 @@ The package computes, over an exact rational-function field:
   checks identifying Yang-Baxter coefficients with their specializations.
 
 Results are plain containers: a table is a dict from mu to its polynomial,
-the transition coefficients [T_nu]Y_mu a dict keyed by (mu, nu), and a
-Rothe diagram the tuple of its boxes.  ``AlgebraSpec`` and ``RotheBox`` are
+a transition driver's result the basis {mu: Y_mu} it checked, and a Rothe
+diagram the tuple of its boxes.  ``AlgebraSpec`` and ``RotheBox`` are
 named tuples and a check report is a plain object, so ``import ybhecke``
 loads no introspection module (``dataclasses``, ``inspect``, ``ast``,
 ``dis``, ``tokenize``).

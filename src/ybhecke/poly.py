@@ -541,10 +541,6 @@ class LaurentPoly:
         """Per-variable minimum exponent across all terms (0 if absent somewhere)."""
         return dict(_decode(_floor(self._terms)))
 
-    def shifted(self, delta: Mapping[str, int]) -> "LaurentPoly":
-        """Multiply by the monomial with exponent vector ``delta``."""
-        return self._shift(_pack(delta, check=False)) if delta else self
-
     def _shift(self, d: Monomial) -> "LaurentPoly":
         if not d:
             return self

@@ -9,7 +9,7 @@ and descend through divided differences (partial_i for X, pi_i for G) along
 the weak order; each table is a plain dict from mu to its polynomial.  The
 verification drivers then tie the abstract Yang-Baxter elements to
 specializations of these tables (the two transition drivers also return
-the coefficients [T_nu]Y_mu as a dict keyed by (mu, nu)):
+the basis {mu: Y_mu} they checked, whose [T_nu]Y_mu is a coefficient):
 
 * the coefficients of Y_mu in the nil-Coxeter family are X_nu(u^mu, u);
 * the coefficients of Y_mu in the pibar family are G_{nu^{-1}}(u, u^mu);
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .errors import RankOutOfRange, ShapeInvalid
@@ -192,20 +192,27 @@ def _symbols(family: str, n: int) -> list[LaurentPoly]:
     return [LaurentPoly.variable(f"{family}{i}") for i in range(1, n + 1)]
 
 
+def _wrong_entries(alg: AlgebraSpec, want: Callable, moved: str) -> set[Permutation]:
+    """The nu whose want(nu) is not [T_nu] of :func:`_staircase` at the
+    symbols, the ``moved`` family (x or y) in its layers."""
+    n = alg.n
+    q = _staircase(alg, _symbols("y" if moved == "x" else "x", n), _symbols(moved, n))
+    return {nu for nu in all_permutations(n) if q.coefficient(nu) != want(nu)}
+
+
 def _schubert_specializations(n: int) -> dict[Permutation, dict]:
     """{mu: {nu: X_nu(u^mu, u)}} over S_n x S_n, both in
     :func:`all_permutations` order.
 
     The values are the coefficients of the nil-Coxeter staircase at u^mu
     (:func:`_specialized_staircases`), whose [T_nu] at the symbols is X_nu.
-    A table entry that differs from [T_nu] of the staircase is specialized
-    by :func:`specialize_double` instead, so the values are the table's in
+    A table entry in :func:`_wrong_entries` is specialized by
+    :func:`specialize_double` instead, so the values are the table's in
     every case.
     """
     alg = algebra("partial", n)
     table = schubert_table(n)
-    q = _staircase(alg, _symbols("y", n), _symbols("x", n))
-    wrong = {nu for nu, p in table.items() if q.coefficient(nu) != p}
+    wrong = _wrong_entries(alg, table.__getitem__, "x")
     perms = all_permutations(n)
     rows = dict.fromkeys(perms)  # filled below
     for mu, q_mu in _specialized_staircases(alg):
@@ -224,32 +231,27 @@ def _check_transition(
     Q = :func:`_staircase`, whose [T_nu]Q is want(nu).
 
     Specialization is a ring map, so [T_nu] of the specialized Q is want(nu)
-    specialized, for every nu at once.  So Q is built once at the symbols
-    and each [T_nu]Q compared with want(nu), which keeps the link to the
-    tables; then each Y_mu is compared with Q at u^mu from
-    :func:`_specialized_staircases`.  A pair passes iff both comparisons
-    hold, so a wrong want(nu) fails all of its nu-column.  The pairs are
+    specialized, for every nu at once.  So the link to the tables is
+    decided once, at the symbols, by :func:`_wrong_entries`; then each Y_mu
+    is compared with Q at u^mu from :func:`_specialized_staircases`.  A
+    pair passes iff its nu is not a wrong entry and the second comparison
+    holds, so a wrong want(nu) fails all of its nu-column.  The pairs are
     recorded, and failures kept, nu-major.  A failed pair that the report
     keeps is witnessed by want(nu) specialized at mu by
     :func:`_specialize`, or, where that equals [T_nu]Y_mu, by the wrong
-    table entry.  Returns the coefficients by (mu, nu) in mu-major order.
+    table entry.  Returns the basis {mu: Y_mu} that was checked.
     """
-    n = alg.n
-    perms = all_permutations(n)
-    q = _staircase(alg, _symbols("y" if moved == "x" else "x", n), _symbols(moved, n))
-    entry_ok = {nu: q.coefficient(nu) == want(nu) for nu in perms}
+    perms = all_permutations(alg.n)
+    wrong = _wrong_entries(alg, want, moved)
     ys = yb_basis(alg)
-    entries = dict.fromkeys(product(ys, perms))  # mu-major, filled below
     bad = set()
     for mu, q_mu in _specialized_staircases(alg):
         y = ys[mu]
-        for nu in perms:
-            entries[mu, nu] = y.coefficient(nu)
         if y.coeffs != q_mu.coeffs:
             bad.update((mu, nu) for nu in perms if y.coefficient(nu) != q_mu.coefficient(nu))
 
     def witness(mu: Permutation, nu: Permutation) -> str:
-        got, spec = entries[mu, nu], _specialize(want(nu), mu, moved)
+        got, spec = ys[mu].coefficient(nu), _specialize(want(nu), mu, moved)
         if got != spec:
             return f"mu={mu}, nu={nu}: {got} != {spec}"
         return (
@@ -258,11 +260,11 @@ def _check_transition(
 
     for nu in perms:
         for mu in ys:
-            if entry_ok[nu] and (mu, nu) not in bad:
+            if nu not in wrong and (mu, nu) not in bad:
                 report.record(True, "")
             else:
                 report.record(False, lambda: witness(mu, nu))
-    return entries
+    return ys
 
 
 def verify_schubert_transition(n: int) -> tuple[dict, CheckReport]:
@@ -280,8 +282,8 @@ def verify_schubert_transition(n: int) -> tuple[dict, CheckReport]:
     iff [T_nu]P equals the table entry X_nu and [T_nu]Y_mu equals
     [T_nu]P(u^mu, u); so a wrong table entry X_nu fails every pair of its
     column, whatever it specializes to at mu.  The pairs are checked, and
-    failures kept, nu-major.  Returns the coefficients [T_nu]Y_mu keyed by
-    every (mu, nu) in S_n x S_n, and the report.
+    failures kept, nu-major.  Returns the basis {mu: Y_mu} it checked, and
+    the report.
     """
     report = CheckReport(name=f"schubert-transition[n={n}]")
     table = schubert_table(n)
@@ -314,13 +316,13 @@ def verify_grothendieck_transition(n: int) -> tuple[dict, CheckReport]:
     the prefixes of mu.  A pair passes iff [T_nu]Q equals the table entry
     G_{nu^{-1}} and [T_nu]Y_mu equals [T_nu]Q(u, u^mu); so a wrong table
     entry G_{nu^{-1}} fails every pair of the column nu.  The pairs are
-    checked, and failures kept, nu-major.  Returns the coefficients keyed
-    by every (mu, nu), and the report.
+    checked, and failures kept, nu-major.  Returns the basis {mu: Y_mu} it
+    checked, and the report.
     """
     report = CheckReport(name=f"grothendieck-transition[n={n}]")
     table = grothendieck_table(n)
-    check = _check_transition(report, algebra("pibar", n), lambda nu: table[nu.inverse()], "y")
-    return check, report
+    ys = _check_transition(report, algebra("pibar", n), lambda nu: table[nu.inverse()], "y")
+    return ys, report
 
 
 def yang_coefficients(mu: Permutation) -> dict:

@@ -390,6 +390,12 @@ def test_spectral_parameter_mentioning_the_beta_carrier_is_rejected(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("family", ["pi", "s"])
+def test_factor_coefficient_refuses_a_family_without_a_factor(family):
+    with pytest.raises(ValueError, match="no elementary Yang-Baxter factor"):
+        factor_coefficient(algebra(family, 3), S("u1"), S("u2"))
+
+
 def from_building_reference(alg, h):
     """The coefficients of _from_building(alg, h) by Horner's rule in
     theta^2: sum_j P_j (q1 q2)^j theta^(2K-2j) over theta^(2K+l(nu))."""

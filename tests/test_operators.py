@@ -206,3 +206,9 @@ def test_unknown_family_raises():
         algebra("bogus", 3)
     with pytest.raises(ValueError):
         check_relations("bogus", 3)
+
+
+@pytest.mark.parametrize("family", ["bogus", "sigma2"])
+def test_apply_generator_refuses_an_unknown_family(family):
+    with pytest.raises(ValueError, match="unknown operator family"):
+        apply_generator(family, 1, parse_poly("x1"), 2)

@@ -374,6 +374,35 @@ def test_lowest_component_errors():
         lowest_homogeneous_component(V("x1") ** -1 + V("x2"), {"x1", "x2"})
 
 
+@pytest.mark.parametrize(
+    "error,build",
+    [
+        (ValueError, lambda: LaurentPoly.monomial({"x1": 1.5})),
+        (ValueError, lambda: (V("x1") + 1).constant_value()),
+        (ValueError, lambda: (V("x1") + 1) ** -1),
+        (ZeroPolynomial, lambda: LaurentPoly.zero().leading()),
+        (DivisionByZero, lambda: exact_div(V("x1"), LaurentPoly.zero())),
+        # (q1+q2)^(2 * 2^13) is out of range
+        (ExponentOverflow, lambda: clear_beta(LaurentPoly.variable(BETA, 1 << 13))),
+        (SubstitutionSingular, lambda: substitute_poly(V("x1") ** -1, {"x1": LaurentPoly.zero()})),
+        (DivisionByZero, lambda: RationalFunction.zero() ** -1),
+    ],
+    ids=[
+        "non-int-exponent",
+        "constant-value-of-non-constant",
+        "negative-power-of-non-monomial",
+        "leading-of-zero",
+        "exact-division-by-zero",
+        "clear-beta-overflow",
+        "zero-for-an-inverted-variable",
+        "inverse-of-zero-rational-function",
+    ],
+)
+def test_each_refusal_raises(error, build):
+    with pytest.raises(error):
+        build()
+
+
 # ----------------------------------------------------------------------
 # gcd and exact division
 
@@ -564,13 +593,13 @@ def test_monomial_kernels_return_canonical_monomials():
                 assert v not in part.variables(), (p, v)
             back = LaurentPoly.zero()
             for e, part in parts.items():
-                back = back + part.shifted({v: e} if e else {})
+                back = back + part * LaurentPoly.monomial({v: e})
             assert back == p, (p, v)
         delta = dict(random_monomial(rng))
         delta = {v: e for v, e in delta.items() if var_parts(v)[0] in ("x", "u")}
-        shifted = p.shifted(delta)
+        shifted = p * LaurentPoly.monomial(delta)
         assert_canonical(shifted)
-        assert shifted == p * LaurentPoly.monomial(delta)
+        assert shifted * LaurentPoly.monomial({v: -e for v, e in delta.items()}) == p
         d = random_kernel_poly(rng, max_terms=3)
         quotient = exact_div(p * d, d)
         assert_canonical(quotient)
@@ -676,7 +705,8 @@ def test_packed_kernels_match_a_tuple_reference():
         cancelled += len(p + q) < len(p) + len(q)
         delta = {v: rng.randint(-3, 3) for v in rng.sample(KERNEL_VARS, 3)}
         delta = {v: e for v, e in delta.items() if var_parts(v)[0] in ("x", "u")}
-        assert_matches(p.shifted(delta), ref_mul(a, ref_of(LaurentPoly.monomial(delta))))
+        monomial = LaurentPoly.monomial(delta)
+        assert_matches(p * monomial, ref_mul(a, ref_of(monomial)))
         for v in rng.sample(KERNEL_VARS, 3):
             parts = coefficients_in(p, v)
             want: dict = {}
@@ -746,7 +776,7 @@ def test_an_exponent_at_the_digit_bound_raises():
         lambda: LaurentPoly.variable("u1", -limit) * V("u1") ** -1,
         lambda: LaurentPoly.variable("x1", -limit) ** -1,
         lambda: LaurentPoly.variable("y1", limit - 1) * (V("y1") + 1),
-        lambda: top.shifted({"x1": 1}),
+        lambda: top * LaurentPoly.monomial({"x1": 1}),
         lambda: rename_poly(top * V("x2"), {"x2": "x1"}),
         lambda: rename_poly(top * V("x2") * V("x3"), {"x2": "x1", "x3": "x1"}),
         lambda: rename_poly(top * V("u1") ** -1 * V("x3") ** 2, {"u1": "x1", "x3": "x1"}),
@@ -770,7 +800,7 @@ def test_an_exponent_at_the_digit_bound_raises():
         lambda: LaurentPoly({(("x1", limit),): 1}),
         lambda: LaurentPoly.monomial({"q2": limit}),
         lambda: LaurentPoly.variable("x1", 1 << 16),
-        lambda: V("x2").shifted({"x1": -(1 << 16)}),
+        lambda: V("x2") * LaurentPoly.monomial({"x1": -(1 << 16)}),
     ):
         with pytest.raises(ExponentOverflow):
             overflow()
@@ -1087,7 +1117,10 @@ def normalise_reference(num, den):
             c = min(a.get(v, 0), b.get(v, 0))
         if c:
             shift[v] = -c
-    num, den = num.shifted(shift), den.shifted(shift)
+    # each term moved by the shift: a y/q part of it divides, which no
+    # monomial LaurentPoly can carry
+    move = tuple(shift.items())
+    num, den = (LaurentPoly({mono_mul_reference(m, move): c for m, c in p}) for p in (num, den))
     lead = max(den.terms, key=cmp_to_key(_cmp_canonical))
     s = den.content() if den.terms[lead] > 0 else -den.content()
     return num.map_coefficients(lambda x: x / s), den.map_coefficients(lambda x: x / s)

@@ -116,6 +116,25 @@ def test_latex_rendering():
     assert format_rf(f, latex=True) == "\\frac{1}{q_1+q_2}"
 
 
+def test_latex_renders_a_fraction_coefficient_as_frac():
+    p = parse_poly("x1/2 - 3/4")
+    assert format_poly(p, latex=True) == "\\frac{1}{2}x_1-\\frac{3}{4}"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("(x1 x2)", r"expected '\)'"), ("x1^x2", "expected integer exponent")],
+)
+def test_parse_errors_name_what_was_expected(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text", ["x1 ", "x1\t", " x1 \n"])
+def test_trailing_whitespace_is_accepted(text):
+    assert parse_poly(text) == parse_poly("x1")
+
+
 @pytest.mark.parametrize(
     "module",
     [ybhecke.poly, ybhecke.serialize, ybhecke.permutations],
