@@ -41,7 +41,7 @@ from .hecke import (
     yb_product,
 )
 from .operators import FAMILIES, check_relations
-from .permutations import Permutation, rothe_diagram
+from .permutations import Permutation, all_permutations, rothe_diagram
 from .poly import RationalFunction, format_poly, format_rf, substitute
 from .report import CheckReport
 from .schubert import (
@@ -143,7 +143,7 @@ def _spectral_from(arg: str | None, n: int) -> list[RationalFunction] | None:
 
 
 def _table_lines(table: dict, label: str, fmt: str, n: int) -> list[str]:
-    perms = sorted(table, key=Permutation.sort_key)
+    perms = all_permutations(n)
     if fmt == "json":
         payload = {
             "kind": label.lower(),
@@ -227,7 +227,7 @@ def cmd_gram(args) -> int:
         f"<Y_{mu}, Y_{nu}> = {val}"
         for (mu, nu), val in orthogonality_violations(alg, g, u).items()
     ]
-    perms = sorted({k[0] for k in g}, key=Permutation.sort_key)
+    perms = all_permutations(args.n)
     if args.format == "json":
         payload = {
             "family": args.family,

@@ -142,7 +142,7 @@ _ONE = LaurentPoly.one()
 # The families with an elementary factor 1 + c(u, v) T_j.
 FACTOR_FAMILIES = ("sigma", "partial", "pibar", "T")
 # The family tag of the generic family's one-parameter form; only
-# _building_algebra makes such an algebra, and no element of it is returned.
+# _spectrum makes such an algebra, and no element of it is returned.
 _BETA_FORM = "T'"
 # The families whose factors divide by a spectral parameter.
 _MULTIPLICATIVE = ("pibar", "T", _BETA_FORM)
@@ -339,22 +339,29 @@ def elementary_factor(
 
 def _spectrum(
     alg: AlgebraSpec, u: Sequence[Coefficient] | None
-) -> tuple[Sequence[Coefficient], bool]:
-    """The spectral parameters of ``alg``, checked, and whether
-    :func:`_from_beta` must gcd-reduce the coefficients built at them: for
-    the generic family where they mention q1 or q2.  They are the symbols
-    u1..un when ``u`` is None, and otherwise ``u`` with each parameter
-    narrowed once, so a Laurent value is a LaurentPoly from here on; an int
-    or a Fraction becomes a constant, and any other scalar raises TypeError."""
+) -> tuple[Sequence[Coefficient], AlgebraSpec, bool]:
+    """(u, build, reduce): the spectral parameters of ``alg``, checked, the
+    algebra its factors are multiplied in, and whether :func:`_from_beta`
+    must gcd-reduce the coefficients built there.
+
+    ``u`` is the symbols u1..un when None is given, and otherwise each given
+    parameter narrowed once, so a Laurent value is a LaurentPoly from here
+    on; an int or a Fraction becomes a constant, and any other scalar raises
+    TypeError.  For the generic family ``build`` is the one-parameter form
+    T'_j^2 = T'_j - beta, and ``reduce`` holds where ``u`` mentions q1 or
+    q2; every other family builds in ``alg`` and does not reduce."""
+    build = alg
+    if alg.family == "T":
+        build = AlgebraSpec(_BETA_FORM, alg.n, _ONE, -LaurentPoly.variable(BETA))
     if u is None:
-        return symbolic_spectral(alg.n), False
+        return symbolic_spectral(alg.n), build, False
     if len(u) != alg.n:
         raise RankMismatch(f"need {alg.n} spectral parameters, got {len(u)}")
     u = [narrow(x) if isinstance(x, (LaurentPoly, RationalFunction))
          else LaurentPoly.constant(x) for x in u]
     if alg.family in _MULTIPLICATIVE and any(x.is_zero for x in u):
         raise ZeroSpectral("multiplicative families need nonzero parameters")
-    return u, alg.family == "T" and _mentions_q(u)
+    return u, build, alg.family == "T" and _mentions_q(u)
 
 
 def _mentions_q(u: Sequence[Coefficient]) -> bool:
@@ -366,17 +373,9 @@ def _mentions_q(u: Sequence[Coefficient]) -> bool:
     return not names.isdisjoint(("q1", "q2"))
 
 
-def _building_algebra(alg: AlgebraSpec) -> AlgebraSpec:
-    """The algebra in which the factors of a Yang-Baxter element of ``alg``
-    are multiplied: the one-parameter form T'_j^2 = T'_j - beta for the
-    generic family, the family itself otherwise."""
-    if alg.family != "T":
-        return alg
-    return AlgebraSpec(_BETA_FORM, alg.n, _ONE, -LaurentPoly.variable(BETA))
-
-
 def _from_building(alg: AlgebraSpec, h: HeckeElement, reduce: bool) -> HeckeElement:
-    """An element of ``alg`` from its image in ``_building_algebra(alg)``.
+    """An element of ``alg`` from its image in the building algebra of
+    :func:`_spectrum`.
 
     In the generic family each coefficient of T'_nu becomes the coefficient
     of T_nu = theta^l(nu) T'_nu by :func:`_from_beta`, gcd-reduced when
@@ -443,8 +442,7 @@ def yb_product(
     with the same two conversions, so the generic family always takes its
     one-parameter form.
     """
-    u, reduce = _spectrum(alg, u)
-    build = _building_algebra(alg)
+    u, build, reduce = _spectrum(alg, u)
     h = unit(build)
     for j, a, b in steps:
         h = h * elementary_factor(build, j, u[a - 1], u[b - 1])
@@ -465,8 +463,7 @@ def yb_basis(
     alg: AlgebraSpec, u: Sequence[Coefficient] | None = None
 ) -> dict[Permutation, HeckeElement]:
     """All Y_mu at once, sharing the recursion along the weak order."""
-    u, reduce = _spectrum(alg, u)
-    build = _building_algebra(alg)
+    u, build, reduce = _spectrum(alg, u)
     perms = all_permutations(alg.n)
     built = {perms[0]: unit(build)}
     for mu in perms[1:]:
@@ -609,16 +606,15 @@ def delta(
 
 
 def _deltas(
-    alg: AlgebraSpec, u: Sequence[Coefficient], reduce: bool
+    alg: AlgebraSpec, u: Sequence[Coefficient], build: AlgebraSpec, reduce: bool
 ) -> Callable[[Permutation], RationalFunction]:
-    """pi -> Delta(u^pi) = prod_{i<j} c(u_{pi(i)}, u_{pi(j)}), with ``u`` and
-    ``reduce`` from :func:`_spectrum`, read from one table of the n(n-1)
-    coefficients c(u_a, u_b), a != b, of :func:`_building_algebra`, made
-    once.  They are multiplied as they come, so the product stays a
-    LaurentPoly until a factor with a denominator promotes it; the generic
-    family's is converted once, over theta^l(omega), by :func:`_from_beta`.
+    """pi -> Delta(u^pi) = prod_{i<j} c(u_{pi(i)}, u_{pi(j)}), with ``u``,
+    ``build`` and ``reduce`` from :func:`_spectrum`, read from one table of
+    the n(n-1) coefficients c(u_a, u_b), a != b, of ``build``, made once.
+    They are multiplied as they come, so the product stays a LaurentPoly
+    until a factor with a denominator promotes it; the generic family's is
+    converted once, over theta^l(omega), by :func:`_from_beta`.
     """
-    build = _building_algebra(alg)
     n = alg.n
     c = {(a, b): factor_coefficient(build, u[a - 1], u[b - 1])
          for a in range(1, n + 1) for b in range(1, n + 1) if a != b}
@@ -658,8 +654,7 @@ def gram_matrix(
     >>> [str(c) for c in gram_matrix(algebra("partial", 2)).values()]
     ['0', '-u1 + u2', 'u1 - u2', '0']
     """
-    u, reduce = _spectrum(alg, u)
-    build = _building_algebra(alg)
+    u, build, reduce = _spectrum(alg, u)
     ys, phis = yb_basis(build, u), _phi_of_basis(build, u)
     laurent = [nu for nu, g in phis.items() if _is_laurent(g.coeffs.values())]
     index: dict[Permutation, list[tuple[int, LaurentPoly]]] = {}
@@ -770,7 +765,7 @@ def verify_ybe(alg: AlgebraSpec) -> CheckReport:
     in its building algebra as in :func:`verify_word_independence`."""
     report = CheckReport(name=f"ybe[{alg.family}]")
     u, v, w = symbolic_spectral(3)
-    y = partial(elementary_factor, _building_algebra(alg))
+    y = partial(elementary_factor, _spectrum(alg, None)[1])
     lhs = y(1, u, v) * y(2, u, w) * y(1, v, w)
     rhs = y(2, v, w) * y(1, u, w) * y(2, u, v)
     report.record(lhs == rhs, "Yang-Baxter equation fails")
@@ -791,8 +786,7 @@ def verify_word_independence(alg: AlgebraSpec) -> CheckReport:
     equality there is the same statement.
     """
     report = CheckReport(name=f"word-independence[{alg.family}, n={alg.n}]")
-    build = _building_algebra(alg)
-    u = symbolic_spectral(alg.n)
+    u, build, _ = _spectrum(alg, None)
     ys = yb_basis(build, u)
 
     def last_letter_agrees(mu: Permutation, j: int) -> bool:

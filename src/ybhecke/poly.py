@@ -79,6 +79,7 @@ __all__ = [
     "substitute",
     "substitute_poly",
     "lowest_homogeneous_component",
+    "display_terms",
     "format_poly",
     "format_rf",
 ]
@@ -282,7 +283,7 @@ def _display_order(terms: Mapping[Monomial, Scalar]) -> tuple[list[str], list[Mo
     return names, sorted(terms, key=_graded_key(names), reverse=True)
 
 
-def _display_sorted(p: "LaurentPoly") -> list[tuple[tuple[tuple[str, int], ...], Scalar]]:
+def display_terms(p: "LaurentPoly") -> list[tuple[tuple[tuple[str, int], ...], Scalar]]:
     """The terms of ``p`` as (decoded monomial, coefficient) in rendering
     order (:func:`_display_order`), each monomial in canonical order."""
     t = p._terms

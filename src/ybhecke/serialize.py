@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .poly import LaurentPoly, RationalFunction, _display_sorted, as_rf
+from .poly import LaurentPoly, RationalFunction, as_rf, display_terms
 
 __all__ = [
     "parse_scalar",
@@ -160,12 +160,12 @@ def parse_poly(text: str) -> LaurentPoly:
 # ----------------------------------------------------------------------
 # JSON codecs.  A polynomial is a list of {"coeff": "p/q", "monomial":
 # {"x1": -1, ...}}; a rational function is {"num": [...], "den": [...]}.
-# The terms come in the deterministic rendering order of _display_sorted.
+# The terms come in poly's rendering order, from display_terms.
 
 
 def poly_to_json(p: LaurentPoly) -> list[dict[str, Any]]:
     out = []
-    for m, c in _display_sorted(p):
+    for m, c in display_terms(p):
         out.append({"coeff": str(c), "monomial": dict(m)})
     return out
 

@@ -145,8 +145,8 @@ def test_gram_T_at_spectral_parameters_in_q_is_pinned(capsys, spectral, fmt, siz
 
 
 @pytest.mark.parametrize(
-    "command, family, fmt, size, digest",
-    [
+    "command, family, fmt, size, digest, spectral",
+    [pytest.param(*row, "1+u1,2,u3", id="-".join(map(str, row))) for row in [
         ("yb", "sigma", "text", 217,
          "6d61ef942703d1da8c0a2d5c1c0cda1dadf00113da3d8975f560829fe815dd96"),
         ("yb", "sigma", "json", 1445,
@@ -179,15 +179,50 @@ def test_gram_T_at_spectral_parameters_in_q_is_pinned(capsys, spectral, fmt, siz
          "fc59cff7396f0fd80ffe5e1831cfc9dfb5f2528f5e1786e78deee95e569a7158"),
         ("gram", "T", "json", 4366,
          "19eac749bbe9935a07c1b4afc0b29292eea2220c495f14310cc8df8cd7b25a46"),
-    ],
+    ]]
+    + [(*row, "u1/2,u2,3*u3/2") for row in [
+        ("yb", "sigma", "text", 311,
+         "d6f3de7fe03ec9b97f76fff999e434a0c45e075b1688ac6eb52ea55ad4f35b9d"),
+        ("yb", "sigma", "json", 1484,
+         "d6d7c9b9738e9433c2b94ecbcc48f1478a20094341dc7801d59ec44c5c8378bc"),
+        ("yb", "partial", "text", 270,
+         "f780ad9e63338c4bc9925778645ff1768823afc3aadefe80ed2cbd69ae58a68a"),
+        ("yb", "partial", "json", 1295,
+         "17dc1f9ac6f7cb446c76fa93f3033f824709b82028064ef7bae802543ac6a642"),
+        ("yb", "pibar", "text", 272,
+         "4183c82f2aac5f55dbc56dc8cabee62034cc9384594ca9e128835ef05b14bdc1"),
+        ("yb", "pibar", "json", 1290,
+         "be4542c1d745ae198c7ec49a7b5e8d853ee55ca4a792cf47bb2fa0b6fc757789"),
+        ("yb", "T", "text", 490,
+         "5383879f5e7c7e0229d632c099e85cc71c832022e2c2de867713235e64e13679"),
+        ("yb", "T", "json", 2100,
+         "00ee694122f79e050176989aad0d72093702ccadd72ff551a43cda84a1d937dd"),
+        ("gram", "sigma", "text", 603,
+         "96dadaf66300f6969d21038374f4de57ba555321958ec5b67c3badcd86f00bf3"),
+        ("gram", "sigma", "json", 2257,
+         "22605a25de389b8203f1408b4c8870e9804800666700359befc13ec9e69469be"),
+        ("gram", "partial", "text", 605,
+         "266401743000790ac8b369c74512c136b61e20953883952f11a92678fb85c1d6"),
+        ("gram", "partial", "json", 2259,
+         "38c7b891aec16e8ef00402b4e11468ecb8176b02b0c88b14f7c5cb314d2aab61"),
+        ("gram", "pibar", "text", 635,
+         "bd34609372a070ffda2f77b4ea7ecbf0e70c90b600bd76958f05fd8a7798511a"),
+        ("gram", "pibar", "json", 2277,
+         "8f9bdb731023895690cf73e230faf8968cf4950cec16a69bae45cc4df3778990"),
+        ("gram", "T", "text", 871,
+         "c56da054c0c171593e295fe54fb93c46b9ba50147e2ed10cf076bfb5239a0e07"),
+        ("gram", "T", "json", 3125,
+         "9e13d6f67b9f89122f8bb9c00f15557537844767acdf0a10a3f94441c4dd90d2"),
+    ]],
 )
 def test_mixed_coefficients_at_spectral_parameters_are_pinned(
-    capsys, command, family, fmt, size, digest
+    capsys, command, family, fmt, size, digest, spectral
 ):
     # At 1+u1, 2, u3 a factor joining u1 has a rational coefficient and the
     # others a polynomial one, so these elements hold both kinds.  Sizes and
-    # digests were taken when every coefficient was a RationalFunction.
-    argv = [command, "-n", "3", "--family", family, "--spectral", "1+u1,2,u3", "--format", fmt]
+    # digests were taken when every coefficient was a RationalFunction.  At
+    # u1/2, u2, 3*u3/2 the parameters themselves have Fraction coefficients.
+    argv = [command, "-n", "3", "--family", family, "--spectral", spectral, "--format", fmt]
     code, out = run(capsys, *argv, *(["321"] if command == "yb" else []))
     assert code == 0
     data = out.encode()

@@ -19,7 +19,6 @@ import ybhecke.poly
 from ybhecke.hecke import (
     FACTOR_FAMILIES,
     HeckeElement,
-    _building_algebra,
     _deltas,
     _from_beta,
     _from_building,
@@ -212,6 +211,19 @@ def test_a_permutation_of_another_rank_is_refused():
     for word in ((3,), (0,), (1, 2, 3)):
         with pytest.raises(IndexOutOfRange):
             list(word_steps(3, word))
+
+
+@pytest.mark.parametrize("family", FACTOR_FAMILIES)
+def test_spectrum_gives_the_parameters_the_building_algebra_and_reduce(family):
+    # the one place that makes family T's one-parameter algebra
+    alg = algebra(family, 3)
+    u, build, reduce = _spectrum(alg, None)
+    assert u == symbolic_spectral(3) and reduce is False
+    if family == "T":
+        assert tuple(build) == ("T'", 3, LaurentPoly.one(), -LaurentPoly.variable(BETA))
+    else:
+        assert build is alg
+    assert _spectrum(alg, [S("q1"), S("u2"), S("u3")])[2] is (family == "T")
 
 
 def test_typed_errors_of_expansion_spectrum_and_generator_index():
@@ -428,7 +440,7 @@ def test_from_building_matches_the_horner_form():
     # Randomized, seed 36; every comparison is exact.
     rng = random.Random(36)
     alg = algebra("T", 3)
-    build = _building_algebra(alg)
+    build = _spectrum(alg, None)[1]
     dens = [S(d) for d in ("1", "u1 - u2", "2*y1^2 + 3", "q1 + u2", "-3*u1*y1")]
     seen = set()
     for _ in range(30):
@@ -762,7 +774,7 @@ SPECTRAL_VALUES = ["u1", "u2", "-2*u1", "u1^2*u2^-1", "1/u2", "x1", "3", "1+u1",
 def test_factor_coefficients_match_rational_arithmetic(family):
     # the coefficients are the quotients RationalFunction arithmetic gives,
     # term for term, and a LaurentPoly exactly when they are Laurent polynomials
-    alg = _building_algebra(algebra("T", 2)) if family == "T'" else algebra(family, 2)
+    alg = _spectrum(algebra("T", 2), None)[1] if family == "T'" else algebra(family, 2)
     theta = S("q1+q2")
     for a in map(S, SPECTRAL_VALUES):
         for b in map(S, SPECTRAL_VALUES):
@@ -837,7 +849,7 @@ def test_generic_coefficients_at_parameters_in_q_are_reduced():
 
     alg = algebra("T", 3)
     u = [S("u1"), S("(1+q1+q2)*u1"), S("u3")]
-    built = yb_basis(_building_algebra(alg), u)
+    built = yb_basis(_spectrum(alg, None)[1], u)
     bare = [_from_building(alg, h, False) for h in built.values()]
     assert not all(reduced(c) for y in bare for c in y.coeffs.values())
     ys = yb_basis(alg, u)
@@ -975,8 +987,7 @@ def test_spectral_parameters_may_be_ints_and_fractions(family):
 
 def gram_per_pair(alg, u):
     """gram_matrix entry by entry: each pairing through _pair on its own."""
-    u, reduce = _spectrum(alg, u)
-    build = _building_algebra(alg)
+    u, build, reduce = _spectrum(alg, u)
     ys, phis = yb_basis(build, u), _phi_of_basis(build, u)
     rows = {mu: _omega_row(y) for mu, y in ys.items()}
     length = Permutation.longest(alg.n).length()

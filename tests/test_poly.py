@@ -22,10 +22,10 @@ from ybhecke.poly import (
     LaurentPoly,
     RationalFunction,
     _display_key,
-    _display_sorted,
     as_rf,
     clear_beta,
     coefficients_in,
+    display_terms,
     divided_difference,
     exact_div,
     lowest_homogeneous_component,
@@ -846,7 +846,7 @@ def test_display_key_orders_like_the_display_comparison():
     polys = [*schubert_table(4).values(), *grothendieck_table(4).values()]
     polys.append(parse_poly("q1*q2 - 2*q1^2*u1 + u1^-1*x2 + 3*y1*y2^2 - x1^-2*u3"))
     for p in polys:
-        got = [m for m, _ in _display_sorted(p)]
+        got = [m for m, _ in display_terms(p)]
         assert got == sorted(p.terms, key=by_cmp, reverse=True)
 
 
