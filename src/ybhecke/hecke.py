@@ -68,9 +68,18 @@ relabelled, and no product is taken.  The other families build the row by
 one walk of h1 to the right along the weak order.  :func:`pairing` and
 :func:`expand_in_yb` pair a row with one g by :func:`_pair`;
 :func:`gram_matrix` pairs it with every phi(Y_nu) in one accumulation
-through an index kappa -> [(nu, phi(Y_nu) at kappa)].  Every Delta(u^pi)
-is read from one table of the factor coefficients c(u_a, u_b)
-(:func:`_deltas`).
+through an index kappa -> [(nu, phi(Y_nu) at kappa)].  At the symbols the
+form is rho-symmetric, rho renaming u_i to u_{n+1-i}: phi is an involutive
+anti-automorphism and omega^-1 = omega, so [T_omega] phi(h) =
+rho([T_omega] h) and
+
+    <h2, h1> = [T_omega](h2 phi(h1)) = [T_omega] phi(h1 phi(h2)) = rho(<h1, h2>).
+
+So :func:`gram_matrix` accumulates each unordered pair {mu, nu} once there
+and renames it into the other half.  At any other tuple phi reverses the
+tuple, and <Y_nu, Y_mu>(u) is <Y_mu, Y_nu> at the reversed tuple, another
+matrix, so every pair is accumulated.  Every Delta(u^pi) is read from one
+table of the factor coefficients c(u_a, u_b) (:func:`_deltas`).
 
 The paper's four facts about a family's Yang-Baxter basis are checked by
 the drivers :func:`verify_ybe`, :func:`verify_word_independence`,
@@ -503,12 +512,20 @@ def phi(h: HeckeElement) -> HeckeElement:
     ``u``, :func:`gram_matrix` and :func:`expand_in_yb` handle any other
     spectral parameters.
     """
-    n = h.alg.n
+    rho = _reversal(h.alg.n)
+    return _inverted(HeckeElement(h.alg, {mu: rho(c) for mu, c in h.coeffs.items()}))
+
+
+def _reversal(n: int) -> Callable[[Coefficient], Coefficient]:
+    """rho: c -> c with each symbol u_i renamed u_{n+1-i}, in the ring of c."""
     rev = {f"u{i}": f"u{n + 1 - i}" for i in range(1, n + 1) if i != n + 1 - i}
-    return _inverted(HeckeElement(h.alg, {
-        mu: (rename_poly if isinstance(c, LaurentPoly) else rename_rf)(c, rev)
-        for mu, c in h.coeffs.items()
-    }))
+    return lambda c: (rename_poly if isinstance(c, LaurentPoly) else rename_rf)(c, rev)
+
+
+def _at_symbols(u: Sequence[Coefficient] | None, n: int) -> bool:
+    """Whether ``u`` is the symbols u1..un, where phi reverses the spectral
+    parameters by renaming them."""
+    return u is None or list(u) == symbolic_spectral(n)
 
 
 def _phi_of_basis(
@@ -584,7 +601,7 @@ def pairing(
     h1._check(h2)
     alg = h1.alg
     row = _omega_row(h1)
-    if u is None or list(u) == symbolic_spectral(alg.n):
+    if _at_symbols(u, alg.n):
         return _pair(phi(h2), row)
     phis = _phi_of_basis(alg, u)
     total = _ZERO
@@ -640,39 +657,69 @@ def gram_matrix(
 
     Each Y_mu gets one row :func:`_omega_row`, and no product of two
     elements is taken.  Through one index kappa -> [(nu, phi(Y_nu) at
-    kappa)], :func:`~ybhecke.poly.sums_of_products` fills the n! pairings
-    of a row at once.  A row or phi(Y_nu) with a RationalFunction value (at
+    kappa)], :func:`~ybhecke.poly.sums_of_products` fills the pairings of a
+    row at once.  A row or phi(Y_nu) with a RationalFunction value (at
     1 + u1, say) is paired by :func:`_pair`, as is a row whose accumulation
     overflows, so that ExponentOverflow names the product it names per pair.
+
+    At the symbols u1..un the form is rho-symmetric, rho renaming u_i to
+    u_{n+1-i}: phi is an involutive anti-automorphism, omega^-1 = omega
+    and [T_omega] phi(h) = rho([T_omega] h), so
+
+        <h2, h1> = [T_omega](h2 phi(h1)) = [T_omega] phi(h1 phi(h2)) = rho(<h1, h2>).
+
+    There the rows are taken from last to first in
+    :func:`~ybhecke.permutations.all_permutations` order, phi(Y_mu) joins
+    the index just before row mu, so row mu accumulates only the columns nu
+    at or after mu, and <Y_nu, Y_mu> is rho(<Y_mu, Y_nu>); the long rows,
+    which come last, meet few columns.  At any other tuple phi reverses the
+    tuple, not the symbols, so <Y_nu, Y_mu>(u) = <Y_mu, Y_nu>(reversed u) is
+    another matrix, and every row accumulates every column, first to last.
 
     The generic family is paired in its one-parameter form, where no
     coefficient has a denominator at the symbols u1..un and no gcd is
     taken: T_mu = theta^l(mu) T'_mu identifies the two forms, and phi
     respects it, so each pairing is the coefficient of T'_omega converted
     once by :func:`_from_beta`, gcd-reduced where ``u`` mentions q1 or q2.
+    rho fixes q1, q2 and beta, so the mirror is taken in that form.
 
     >>> [str(c) for c in gram_matrix(algebra("partial", 2)).values()]
     ['0', '-u1 + u2', 'u1 - u2', '0']
     """
+    rho = _reversal(alg.n) if _at_symbols(u, alg.n) else None
     u, build, reduce = _spectrum(alg, u)
     ys, phis = yb_basis(build, u), _phi_of_basis(build, u)
-    laurent = [nu for nu, g in phis.items() if _is_laurent(g.coeffs.values())]
+    laurent = {nu for nu, g in phis.items() if _is_laurent(g.coeffs.values())}
     index: dict[Permutation, list[tuple[int, LaurentPoly]]] = {}
-    for i, nu in enumerate(laurent):
-        for kappa, c in phis[nu].coeffs.items():
-            index.setdefault(kappa, []).append((i, c))
+    columns: list[Permutation] = []
+
+    def index_column(nu: Permutation) -> None:
+        if nu in laurent:
+            for kappa, c in phis[nu].coeffs.items():
+                index.setdefault(kappa, []).append((len(columns), c))
+        columns.append(nu)
+
+    if not rho:
+        for nu in phis:
+            index_column(nu)
     out = dict.fromkeys((mu, nu) for nu in phis for mu in ys)
-    for mu, y in ys.items():
-        row = _omega_row(y)
-        sums = {}
+    for mu in reversed(ys) if rho else ys:
+        if rho:
+            index_column(mu)
+        row = _omega_row(ys[mu])
+        sums = None
         if _is_laurent(row.values()):
             operands = ((r, index[kappa]) for kappa, r in row.items() if kappa in index)
             try:
-                sums = dict(zip(laurent, sums_of_products(operands, len(laurent))))
+                sums = sums_of_products(operands, len(columns))
             except ExponentOverflow:
                 pass  # _pair below raises it at the product it names per pair
-        for nu, g in phis.items():
-            out[mu, nu] = sums[nu] if nu in sums else _pair(g, row)
+        for k, nu in enumerate(columns):
+            accumulated = sums is not None and nu in laurent
+            c = out[mu, nu] = sums[k] if accumulated else _pair(phis[nu], row)
+            if rho and nu != mu:
+                # nearly every entry is 0 by the orthogonality law, and rho fixes 0
+                out[nu, mu] = rho(c) if c else c
     if build is alg:
         return out
     length = Permutation.longest(alg.n).length()

@@ -15,6 +15,7 @@ from ybhecke.errors import (
     ReservedVariable,
     ZeroSpectral,
 )
+import ybhecke.hecke
 import ybhecke.poly
 from ybhecke.hecke import (
     FACTOR_FAMILIES,
@@ -59,6 +60,8 @@ from ybhecke.poly import (
     as_rf,
     coefficients_in,
     poly_gcd,
+    rename_poly,
+    rename_rf,
     substitute,
 )
 from ybhecke.serialize import parse_scalar as S
@@ -1000,7 +1003,10 @@ def gram_per_pair(alg, u):
 
 
 SPECTRA = {
-    3: [None, [2, 3, 5], [S("1+u1"), S("u2"), S("u3")]],
+    # u1,u2,u3 is the symbols, where gram_matrix mirrors half the matrix;
+    # u3,u2,u1 is not, so every entry is accumulated
+    3: [None, [2, 3, 5], [S("1+u1"), S("u2"), S("u3")],
+        [S("u1"), S("u2"), S("u3")], [S("u3"), S("u2"), S("u1")]],
     # 1+u1 first and numbers after it: the rational pibar matrix at the
     # symbols u2..u4 takes seconds
     4: [None, [2, 3, 5, 7], [S("1+u1"), 2, 3, 5]],
@@ -1022,6 +1028,44 @@ def test_gram_matrix_equals_the_per_pair_route(family, n, u):
     assert list(got) == list(want)
     for key, c in want.items():
         assert type(got[key]) is type(c) and exact(got[key]) == exact(c), key
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, 3) for f in FACTOR_FAMILIES] + [(f, 4) for f in ("sigma", "partial", "pibar")],
+)
+def test_the_form_at_the_symbols_is_rho_symmetric(family, n):
+    # <Y_nu, Y_mu> = rho(<Y_mu, Y_nu>), rho renaming u_i to u_{n+1-i}, in
+    # ring and terms, read off the per-pair route, which pairs every entry
+    rev = {f"u{i}": f"u{n + 1 - i}" for i in range(1, n + 1)}
+    g = gram_per_pair(algebra(family, n), None)
+    for (mu, nu), c in g.items():
+        rho = rename_poly(c, rev) if isinstance(c, LaurentPoly) else rename_rf(c, rev)
+        assert exact(g[nu, mu]) == exact(rho), (mu, nu)
+
+
+def corrupted(yb_basis, mu):
+    """yb_basis with T_id added to Y_mu, at every u."""
+    def build(alg, u=None):
+        ys = yb_basis(alg, u)
+        ys[mu] = ys[mu] + unit(alg)
+        return ys
+    return build
+
+
+@pytest.mark.parametrize("family", ["sigma", "partial", "pibar"])
+def test_a_corrupted_basis_element_breaks_orthogonality_by_both_routes(family, monkeypatch):
+    # Y_213 + 1 pairs with Y_321 to a nonzero value on both sides, one entry
+    # accumulated and its mirror renamed; the per-pair route pairs both
+    alg = algebra(family, 3)
+    build = corrupted(yb_basis, P("213"))
+    monkeypatch.setattr(ybhecke.hecke, "yb_basis", build)
+    monkeypatch.setitem(globals(), "yb_basis", build)
+    assert not verify_orthogonality(alg).passed
+    got = orthogonality_violations(alg, gram_matrix(alg))
+    want = orthogonality_violations(alg, gram_per_pair(alg, None))
+    assert list(got) == list(want) == [(P("321"), P("213")), (P("213"), P("321"))]
+    assert {k: exact(c) for k, c in got.items()} == {k: exact(c) for k, c in want.items()}
 
 
 @pytest.mark.parametrize(
