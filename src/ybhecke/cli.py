@@ -7,8 +7,8 @@ Subcommands:
   (``--shorthand`` also lists its Rothe factor sequence),
 * ``gram`` prints the pairing matrix and checks orthogonality,
 * ``verify`` runs one of the named verification suites; a suite that runs
-  at another rank than the one asked for (above its guard, or below the
-  least rank it needs) says so on stderr.
+  at another rank than the one asked for (above its limit in
+  :data:`SUITES`, or below the least rank it needs) says so on stderr.
 
 :data:`SUITES` is the one place that says at which ranks each suite runs,
 which families it runs without ``--family`` and which driver runs it;
@@ -41,11 +41,10 @@ from .hecke import (
     yb_product,
 )
 from .operators import FAMILIES, check_relations
-from .permutations import Permutation, all_permutations, rothe_diagram
+from .permutations import MAX_RANK, Permutation, all_permutations, rothe_diagram
 from .poly import RationalFunction, format_poly, format_rf, substitute
 from .report import CheckReport
 from .schubert import (
-    TABLE_MAX_RANK,
     grothendieck_table,
     schubert_table,
     verify_appendix,
@@ -287,7 +286,8 @@ class Suite(NamedTuple):
 #   takes no ``--family``.
 # * ``run(ranks, families, seed)`` returns the reports, given each part's rank.
 # * ``least`` is the smallest rank the suite runs at.
-# Raising a suite's rank is an edit to its entry here and nowhere else.
+# Raising a suite's rank is an edit to its entry here and nowhere else; the
+# transitions run up to MAX_RANK, the one bound of every enumeration of S_n.
 SUITES: dict[str, Suite] = {
     "relations": Suite(
         {"": 5},
@@ -318,10 +318,10 @@ SUITES: dict[str, Suite] = {
         lambda r, fams, seed: [verify_orthogonality(algebra(f, r[f])) for f in fams],
     ),
     "schubert-transition": Suite(
-        {"": TABLE_MAX_RANK}, None, lambda r, fams, seed: [verify_schubert_transition(r[""])[1]]
+        {"": MAX_RANK}, None, lambda r, fams, seed: [verify_schubert_transition(r[""])[1]]
     ),
     "grothendieck-transition": Suite(
-        {"": TABLE_MAX_RANK},
+        {"": MAX_RANK},
         None,
         lambda r, fams, seed: [verify_grothendieck_transition(r[""])[1]],
     ),

@@ -849,11 +849,14 @@ def verify_word_independence(alg: AlgebraSpec) -> CheckReport:
 
 
 def verify_rothe(alg: AlgebraSpec) -> CheckReport:
-    """One check per mu: :func:`yb_element_rothe` gives the Y_mu of :func:`yb_basis`."""
+    """One check per mu: :func:`yb_element_rothe` gives the Y_mu of
+    :func:`yb_basis`; family T in its building algebra as in
+    :func:`verify_word_independence`."""
     report = CheckReport(name=f"rothe[{alg.family}, n={alg.n}]")
-    for mu, y in yb_basis(alg).items():
+    build = _spectrum(alg, None)[1]
+    for mu, y in yb_basis(build).items():
         report.record(
-            yb_element_rothe(alg, mu) == y, lambda: f"mu={mu}: rothe product differs"
+            yb_element_rothe(build, mu) == y, lambda: f"mu={mu}: rothe product differs"
         )
     return report
 

@@ -47,7 +47,8 @@ __all__ = [
     "MAX_RANK",
 ]
 
-# The desk-scale rank guard of every enumeration of S_n.
+# The desk-scale rank guard of every enumeration of S_n, and so the bound
+# of the Schubert and Grothendieck tables and both transitions.
 MAX_RANK = 6
 
 # The one permutation of each window.

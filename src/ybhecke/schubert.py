@@ -6,7 +6,8 @@ The tables start from the dominant products
     G_omega = prod_{i+j<=n} (1 - y_j/x_i),
 
 and descend through divided differences (partial_i for X, pi_i for G) along
-the weak order; each table is a plain dict from mu to its polynomial.  The
+the weak order; each table is a plain dict from mu to its polynomial, for
+the ranks :func:`~ybhecke.permutations.all_permutations` enumerates.  The
 verification drivers then tie the abstract Yang-Baxter elements to
 specializations of these tables (the two transition drivers also return
 the basis {mu: Y_mu} they checked, whose [T_nu]Y_mu is a coefficient):
@@ -66,7 +67,6 @@ from .poly import (
 from .report import CheckReport
 
 __all__ = [
-    "TABLE_MAX_RANK",
     "schubert_table",
     "grothendieck_table",
     "specialize_double",
@@ -83,30 +83,22 @@ __all__ = [
 ]
 
 
-# The largest rank of a Schubert or Grothendieck table.
-TABLE_MAX_RANK = 5
-
-
-def _table_guard(n: int) -> None:
-    if not 1 <= n <= TABLE_MAX_RANK:
-        raise RankOutOfRange(f"tables support 1 <= n <= {TABLE_MAX_RANK}, got {n}")
-
-
 def _descend(n: int, factor: Callable[[int, int], LaurentPoly], family: str) -> dict:
     """Fill a table from the dominant entry top = prod_{i+j<=n} factor(i, j):
-    the entry at omega nu^-1 is D_nu(top), one divided difference per entry."""
+    the entry at omega nu^-1 is D_nu(top), one divided difference per entry.
+    omega is the last of :func:`all_permutations`, so its rank guard fires
+    before top is multiplied out."""
+    omega = all_permutations(n)[-1]
     top = LaurentPoly.one()
     for i in range(1, n):
         for j in range(1, n - i + 1):
             top = top * factor(i, j)
-    omega = Permutation.longest(n)
     images = all_inverse_words(family, top, n)
     return {omega * nu.inverse(): image for nu, image in images.items()}
 
 
 def schubert_table(n: int) -> dict[Permutation, LaurentPoly]:
     """All n! double Schubert polynomials X_mu(x, y), keyed by mu."""
-    _table_guard(n)
     var = LaurentPoly.variable
     return _descend(n, lambda i, j: var(f"x{i}") - var(f"y{j}"), "partial")
 
@@ -114,7 +106,6 @@ def schubert_table(n: int) -> dict[Permutation, LaurentPoly]:
 def grothendieck_table(n: int) -> dict[Permutation, LaurentPoly]:
     """All n! double Grothendieck polynomials G_mu(x, y), keyed by mu; the
     entries carry negative x exponents."""
-    _table_guard(n)
     var = LaurentPoly.variable
     return _descend(n, lambda i, j: 1 - var(f"y{j}") * var(f"x{i}", -1), "pi")
 

@@ -844,7 +844,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     "argv,code,stdout_end,stderr",
     [
         (["verify", "relations", "-n", "2"], 0, "verify relations: PASS\n", ""),
-        (["schubert", "-n", "6"], 2, "", "error: tables support 1 <= n <= 5, got 6\n"),
+        (["schubert", "-n", "7"], 2, "", "error: rank 7 outside 1..6\n"),
+        (["grothendieck", "-n", "0"], 2, "", "error: rank 0 outside 1..6\n"),
     ],
 )
 def test_package_runs_as_a_program(argv, code, stdout_end, stderr):

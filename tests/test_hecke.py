@@ -938,6 +938,15 @@ def test_ybe_check_of_family_T_takes_no_gcd(monkeypatch):
     assert report.passed and report.checks == 1
 
 
+def test_rothe_check_of_family_T_stays_in_the_building_algebra(monkeypatch):
+    def no_conversion(*args):
+        raise AssertionError("verify_rothe left the building algebra")
+
+    monkeypatch.setattr(ybhecke.hecke, "_from_beta", no_conversion)
+    report = verify_rothe(algebra("T", 3))
+    assert report.passed and report.checks == 6
+
+
 @pytest.mark.parametrize("family", FACTOR_FAMILIES)
 @pytest.mark.parametrize(
     "driver, name, checks",

@@ -1,6 +1,7 @@
 """Symmetric-group combinatorics: windows, words, Rothe diagrams."""
 
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -313,6 +314,24 @@ def test_cached_structure_agrees_with_a_computation_from_the_window():
                 left = [j + 1 if v == j else j if v == j + 1 else v for v in w]
                 assert mu.times_simple(j).window == tuple(right)
                 assert mu.simple_times(j).window == tuple(left)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_all_permutations_is_sorted_by_length_then_window(n):
+    # yb_basis and all_inverse_words read mu s_j (j the first descent of mu)
+    # and s_i mu (i its first left descent) as already built
+    windows = sorted(itertools.permutations(range(1, n + 1)),
+                     key=lambda w: (brute_length(Permutation(w)), w))
+    perms = all_permutations(n)
+    assert [mu.window for mu in perms] == windows
+    place = {w: k for k, w in enumerate(windows)}
+    for k, w in enumerate(windows[1:], 1):
+        j = next(j for j in range(1, n) if w[j - 1] > w[j])
+        right = list(w)
+        right[j - 1], right[j] = right[j], right[j - 1]
+        i = next(i for i in range(1, n) if w.index(i) > w.index(i + 1))
+        left = tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
+        assert place[tuple(right)] < k and place[left] < k, w
 
 
 def test_all_permutations_returns_a_fresh_list():

@@ -143,7 +143,22 @@ def test_schubert_stability():
 @pytest.mark.parametrize("table", [schubert_table, grothendieck_table])
 def test_table_rank_guard(table):
     with pytest.raises(RankOutOfRange):
-        table(6)
+        table(7)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("table", [schubert_table, grothendieck_table])
+def test_tables_take_the_rank_guard_of_all_permutations(table, n):
+    with pytest.raises(RankOutOfRange, match=f"^rank {n} outside 1..6$"):
+        table(n)
+
+
+def test_a_table_refuses_its_rank_before_building_the_dominant_entry():
+    def factor(i, j):
+        raise AssertionError(f"factor({i}, {j}) built at n=7")
+
+    with pytest.raises(RankOutOfRange):
+        schubert._descend(7, factor, "partial")
 
 
 def test_specialize_double_examples():
