@@ -9,11 +9,11 @@ The package computes, over an exact rational-function field:
   checks identifying Yang-Baxter coefficients with their specializations.
 
 Results are plain containers: a table is a dict from mu to its polynomial,
-a transition driver's result the basis {mu: Y_mu} it checked, and a Rothe
-diagram the tuple of its boxes.  ``AlgebraSpec`` and ``RotheBox`` are
-named tuples and a check report is a plain object, so ``import ybhecke``
-loads no introspection module (``dataclasses``, ``inspect``, ``ast``,
-``dis``, ``tokenize``).
+a transition driver's result the set of table entries it found wrong (and
+its report), and a Rothe diagram the tuple of its boxes.  ``AlgebraSpec``
+and ``RotheBox`` are named tuples and a check report is a plain object, so
+``import ybhecke`` loads no introspection module (``dataclasses``,
+``inspect``, ``ast``, ``dis``, ``tokenize``).
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -28,6 +28,7 @@ from .hecke import (
     elementary_factor,
     expand_in_yb,
     gram_matrix,
+    iter_yb_basis,
     pairing,
     permuted_spectral,
     phi,
@@ -72,6 +73,7 @@ __all__ = [
     "expand_in_yb",
     "gram_matrix",
     "grothendieck_table",
+    "iter_yb_basis",
     "lowest_homogeneous_component",
     "pairing",
     "parse_poly",

@@ -21,10 +21,11 @@ verification failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import YBHeckeError
 from .hecke import (
@@ -116,15 +117,25 @@ def _build_parser() -> argparse.ArgumentParser:
 # rendering helpers
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
-    sys.stdout.write(text)
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write each text chunk to stdout, and to the file ``out`` when one is
+    given, as it arrives, so no output is held whole.  The file is opened
+    before the first chunk, so a path that cannot be opened prints
+    nothing."""
+    try:
+        fh = open(out, "w", encoding="utf-8") if out else None
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+    with fh or contextlib.nullcontext():
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            if fh:
+                fh.write(chunk)
+
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """The chunks of text made of ``lines``, each ended by a newline."""
+    return (f"{line}\n" for line in lines)
 
 
 def _guard_rank(command: str, n: int) -> None:
@@ -141,18 +152,23 @@ def _spectral_from(arg: str | None, n: int) -> list[RationalFunction] | None:
     return [parse_scalar(p) for p in parts]
 
 
-def _table_lines(table: dict, label: str, fmt: str, n: int) -> list[str]:
+def _table_lines(table: dict, label: str, fmt: str, n: int) -> Iterator[str]:
+    """The table as text chunks, one entry at a time.  The JSON object is
+    written piece by piece in the bytes of ``json.dumps(payload,
+    sort_keys=True)``: the entries by their key str(mu), then "kind" and
+    "n"."""
     perms = all_permutations(n)
     if fmt == "json":
-        payload = {
-            "kind": label.lower(),
-            "n": n,
-            "entries": {str(mu): poly_to_json(table[mu]) for mu in perms},
-        }
-        return [json.dumps(payload, sort_keys=True)]
-    if fmt == "latex":
-        return [f"{label}_{{{mu}}} = {format_poly(table[mu], latex=True)}" for mu in perms]
-    return [f"{mu}: {table[mu]}" for mu in perms]
+        yield '{"entries": {'
+        for i, mu in enumerate(sorted(perms, key=str)):
+            entry = json.dumps(poly_to_json(table[mu]), sort_keys=True)
+            yield f'{", " if i else ""}{json.dumps(str(mu))}: {entry}'
+        yield f'}}, "kind": {json.dumps(label.lower())}, "n": {json.dumps(n)}}}\n'
+    elif fmt == "latex":
+        yield from _lines(f"{label}_{{{mu}}} = {format_poly(table[mu], latex=True)}"
+                          for mu in perms)
+    else:
+        yield from _lines(f"{mu}: {table[mu]}" for mu in perms)
 
 
 def cmd_table(args) -> int:
@@ -198,7 +214,7 @@ def cmd_yb(args) -> int:
         }
         if factors is not None:
             payload["factors"] = factors
-        _emit([json.dumps(payload, sort_keys=True)], args.out)
+        _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
         return 0
     latex = args.format == "latex"
     lines = [f"# Y_{mu} in family {args.family}, n={args.n}"]
@@ -207,7 +223,7 @@ def cmd_yb(args) -> int:
     for nu in perms:
         body = format_rf(coeffs[nu], latex=latex)
         lines.append(f"T_{{{nu}}}: {body}" if latex else f"{nu}: {body}")
-    _emit(lines, args.out)
+    _emit(_lines(lines), args.out)
     return 0
 
 
@@ -239,7 +255,7 @@ def cmd_gram(args) -> int:
             },
             "orthogonal": not violations,
         }
-        _emit([json.dumps(payload, sort_keys=True)], args.out)
+        _emit([json.dumps(payload, sort_keys=True) + "\n"], args.out)
     else:
         latex = args.format == "latex"
         lines = [f"# pairing matrix, family {args.family}, n={args.n}"]
@@ -250,7 +266,7 @@ def cmd_gram(args) -> int:
                     lines.append(f"{mu},{nu}: {format_rf(val, latex=latex)}")
         lines.append("orthogonality: " + ("ok" if not violations else "VIOLATION"))
         lines.extend(f"  {v}" for v in violations)
-        _emit(lines, args.out)
+        _emit(_lines(lines), args.out)
     return 0 if not violations else 3
 
 
@@ -387,7 +403,7 @@ def cmd_verify(args) -> int:
     lines = [line for r in reports for line in r.lines()]
     ok = all(r.passed for r in reports)
     lines.append(f"verify {args.suite}: " + ("PASS" if ok else "FAIL"))
-    _emit(lines, args.out)
+    _emit(_lines(lines), args.out)
     return 0 if ok else 3
 
 

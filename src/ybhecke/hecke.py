@@ -22,8 +22,13 @@ from the factors 1 + c(u, v) T_j by the recursion
 
 with c as returned by :func:`factor_coefficient`; the same element also
 arises by reading the Rothe diagram of mu (:func:`yb_element_rothe`).  Every
-such product is multiplied out by :func:`yb_product` (or, sharing prefixes,
-by :func:`yb_basis`).
+such product is multiplied out by :func:`yb_product`, or, for the whole
+basis, by :func:`iter_yb_basis`: it shares the recursion (Y_nu is built
+once for all its children) and yields the elements in window order, keeping
+each only until its last child is built.  :func:`yb_basis` is that stream
+held in :func:`~ybhecke.permutations.all_permutations` order, for the
+readers that need every element at once; a reader that takes one Y_mu at a
+time (the transition drivers, :func:`verify_rothe`) reads the stream.
 
 The generic family is multiplied in its one-parameter form.  With
 theta = q1+q2, the rescaled generators T'_j = T_j/theta satisfy
@@ -131,6 +136,7 @@ __all__ = [
     "yb_product",
     "yb_element",
     "yb_basis",
+    "iter_yb_basis",
     "yb_element_rothe",
     "phi",
     "pairing",
@@ -447,9 +453,9 @@ def yb_product(
     """The product, left to right, of the factors Y_j(u_a, u_b) = 1 + c T_j
     over the steps (j, a, b), at the symbols u1..un when ``u`` is None.
 
-    Every Yang-Baxter element is multiplied out here, or in :func:`yb_basis`
-    with the same two conversions, so the generic family always takes its
-    one-parameter form.
+    Every Yang-Baxter element is multiplied out here, or in
+    :func:`iter_yb_basis` with the same two conversions, so the generic
+    family always takes its one-parameter form.
     """
     u, build, reduce = _spectrum(alg, u)
     h = unit(build)
@@ -468,19 +474,51 @@ def yb_element(
     return yb_product(alg, u, word_steps(alg.n, mu.reduced_word()))
 
 
+def iter_yb_basis(
+    alg: AlgebraSpec, u: Sequence[Coefficient] | None = None
+) -> Iterator[tuple[Permutation, HeckeElement]]:
+    """(mu, Y_mu) for every mu in S_n, in window (lexicographic) order,
+    sharing the recursion along the weak order.
+
+    Y_mu is Y_nu times the factor of the first descent j of mu, nu = mu s_j.
+    The window of nu is that of mu with positions j, j+1 put in increasing
+    order, so nu comes earlier, and an element is kept only until its last
+    child in this order is built (216 of the 720 at n = 6 at most).  The
+    spectral parameters and the rank are checked before the first element.
+    """
+    u, build, reduce = _spectrum(alg, u)
+    perms = sorted(all_permutations(alg.n), key=lambda mu: mu.window)
+    steps = {}  # mu -> (nu, j)
+    for mu in perms[1:]:
+        j = mu.descents()[0]
+        steps[mu] = mu.times_simple(j), j
+    last_child = {nu: mu for mu, (nu, _) in steps.items()}
+
+    def walk() -> Iterator[tuple[Permutation, HeckeElement]]:
+        alive = {}
+        for mu in perms:
+            if mu in steps:
+                nu, j = steps[mu]
+                factor = elementary_factor(build, j, u[nu(j) - 1], u[nu(j + 1) - 1])
+                h = alive[nu] * factor
+                if last_child[nu] == mu:
+                    del alive[nu]
+            else:
+                h = unit(build)
+            if mu in last_child:
+                alive[mu] = h
+            yield mu, _from_building(alg, h, reduce)
+
+    return walk()
+
+
 def yb_basis(
     alg: AlgebraSpec, u: Sequence[Coefficient] | None = None
 ) -> dict[Permutation, HeckeElement]:
-    """All Y_mu at once, sharing the recursion along the weak order."""
-    u, build, reduce = _spectrum(alg, u)
-    perms = all_permutations(alg.n)
-    built = {perms[0]: unit(build)}
-    for mu in perms[1:]:
-        j = next(iter(mu.descents()))
-        nu = mu.times_simple(j)
-        factor = elementary_factor(build, j, u[nu(j) - 1], u[nu(j + 1) - 1])
-        built[mu] = built[nu] * factor
-    return {mu: _from_building(alg, h, reduce) for mu, h in built.items()}
+    """All Y_mu at once, keyed in :func:`all_permutations` order: the
+    elements of :func:`iter_yb_basis`, which holds fewer at a time."""
+    built = dict(iter_yb_basis(alg, u))
+    return {mu: built[mu] for mu in all_permutations(alg.n)}
 
 
 def yb_element_rothe(
@@ -850,14 +888,14 @@ def verify_word_independence(alg: AlgebraSpec) -> CheckReport:
 
 def verify_rothe(alg: AlgebraSpec) -> CheckReport:
     """One check per mu: :func:`yb_element_rothe` gives the Y_mu of
-    :func:`yb_basis`; family T in its building algebra as in
-    :func:`verify_word_independence`."""
+    :func:`iter_yb_basis`; family T in its building algebra as in
+    :func:`verify_word_independence`.  The checks are recorded in
+    :func:`~ybhecke.permutations.all_permutations` order."""
     report = CheckReport(name=f"rothe[{alg.family}, n={alg.n}]")
     build = _spectrum(alg, None)[1]
-    for mu, y in yb_basis(build).items():
-        report.record(
-            yb_element_rothe(build, mu) == y, lambda: f"mu={mu}: rothe product differs"
-        )
+    same = {mu: yb_element_rothe(build, mu) == y for mu, y in iter_yb_basis(build)}
+    for mu in all_permutations(alg.n):
+        report.record(same[mu], lambda: f"mu={mu}: rothe product differs")
     return report
 
 

@@ -10,7 +10,7 @@ the weak order; each table is a plain dict from mu to its polynomial, for
 the ranks :func:`~ybhecke.permutations.all_permutations` enumerates.  The
 verification drivers then tie the abstract Yang-Baxter elements to
 specializations of these tables (the two transition drivers also return
-the basis {mu: Y_mu} they checked, whose [T_nu]Y_mu is a coefficient):
+the set of table entries they found wrong):
 
 * the coefficients of Y_mu in the nil-Coxeter family are X_nu(u^mu, u);
 * the coefficients of Y_mu in the pibar family are G_{nu^{-1}}(u, u^mu);
@@ -48,6 +48,7 @@ from .hecke import (
     HeckeElement,
     algebra,
     elementary_factor,
+    iter_yb_basis,
     symbolic_spectral,
     unit,
     word_steps,
@@ -155,13 +156,15 @@ def _staircase(
 
 
 def _specialized_staircases(alg: AlgebraSpec) -> Iterator[tuple[Permutation, HeckeElement]]:
-    """(mu, the staircase at fixed = u, moved = u^mu) for every mu in S_n.
+    """(mu, the staircase at fixed = u, moved = u^mu) for every mu in S_n,
+    in window order, the order of :func:`~ybhecke.hecke.iter_yb_basis`.
 
     Layer d holds u_{mu(d)} alone, so the products share the prefixes of the
     windows: they are built over the trie of the prefixes mu(1)..mu(d),
     one layer per node, by right multiplications alone.  The trie is walked
-    depth first, and a node is dropped once its subtree is done, so only
-    one chain of nodes is alive at a time (206 nodes in all at n = 5).
+    depth first, each node's children by increasing value, and a node is
+    dropped once its subtree is done, so only one chain of nodes is alive
+    at a time (206 nodes in all at n = 5).
     """
     n = alg.n
     u = symbolic_spectral(n)
@@ -216,7 +219,7 @@ def _schubert_specializations(n: int) -> dict[Permutation, dict]:
 
 def _check_transition(
     report: CheckReport, alg: AlgebraSpec, want: Callable[[Permutation], LaurentPoly], moved: str
-) -> dict:
+) -> set[Permutation]:
     """Check each coefficient [T_nu]Y_mu against want(nu) specialized at mu
     (the ``moved`` variables at u^mu, the others at u) through the staircase
     Q = :func:`_staircase`, whose [T_nu]Q is want(nu).
@@ -224,41 +227,45 @@ def _check_transition(
     Specialization is a ring map, so [T_nu] of the specialized Q is want(nu)
     specialized, for every nu at once.  So the link to the tables is
     decided once, at the symbols, by :func:`_wrong_entries`; then each Y_mu
-    is compared with Q at u^mu from :func:`_specialized_staircases`.  A
-    pair passes iff its nu is not a wrong entry and the second comparison
-    holds, so a wrong want(nu) fails all of its nu-column.  The pairs are
-    recorded, and failures kept, nu-major.  A failed pair that the report
-    keeps is witnessed by want(nu) specialized at mu by
-    :func:`_specialize`, or, where that equals [T_nu]Y_mu, by the wrong
-    table entry.  Returns the basis {mu: Y_mu} that was checked.
+    is compared with Q at u^mu.  :func:`~ybhecke.hecke.iter_yb_basis` and
+    :func:`_specialized_staircases` both reach mu in window order, so the
+    two walks are read side by side and neither is held whole.  A pair
+    passes iff its nu is not a wrong entry and the second comparison holds,
+    so a wrong want(nu) fails all of its nu-column; only the coefficients
+    [T_nu]Y_mu of the failing pairs are kept.  The pairs are recorded, and
+    failures kept, nu-major.  A failed pair that the report keeps is
+    witnessed by want(nu) specialized at mu by :func:`_specialize`, or,
+    where that equals [T_nu]Y_mu, by the wrong table entry.  Returns the
+    wrong entries, the empty set when the table is right.
     """
     perms = all_permutations(alg.n)
     wrong = _wrong_entries(alg, want, moved)
-    ys = yb_basis(alg)
-    bad = set()
-    for mu, q_mu in _specialized_staircases(alg):
-        y = ys[mu]
+    got = {}  # (mu, nu) -> [T_nu]Y_mu, for the failing pairs
+    for (mu, y), (_, q_mu) in zip(iter_yb_basis(alg), _specialized_staircases(alg)):
+        failing = wrong
         if y.coeffs != q_mu.coeffs:
-            bad.update((mu, nu) for nu in perms if y.coefficient(nu) != q_mu.coefficient(nu))
+            failing = [nu for nu in perms
+                       if nu in wrong or y.coefficient(nu) != q_mu.coefficient(nu)]
+        got.update(((mu, nu), y.coefficient(nu)) for nu in failing)
 
     def witness(mu: Permutation, nu: Permutation) -> str:
-        got, spec = ys[mu].coefficient(nu), _specialize(want(nu), mu, moved)
-        if got != spec:
-            return f"mu={mu}, nu={nu}: {got} != {spec}"
+        coeff, spec = got[mu, nu], _specialize(want(nu), mu, moved)
+        if coeff != spec:
+            return f"mu={mu}, nu={nu}: {coeff} != {spec}"
         return (
             f"mu={mu}, nu={nu}: the table entry differs from [T_nu] of the Fomin-Kirillov product"
         )
 
     for nu in perms:
-        for mu in ys:
-            if nu not in wrong and (mu, nu) not in bad:
+        for mu in perms:
+            if (mu, nu) not in got:
                 report.record(True, "")
             else:
                 report.record(False, lambda: witness(mu, nu))
-    return ys
+    return wrong
 
 
-def verify_schubert_transition(n: int) -> tuple[dict, CheckReport]:
+def verify_schubert_transition(n: int) -> tuple[set[Permutation], CheckReport]:
     """Check Y_mu in the nil-Coxeter family expands with Schubert coefficients.
 
     For every mu, nu the coefficient of the basis element indexed by nu in
@@ -273,15 +280,15 @@ def verify_schubert_transition(n: int) -> tuple[dict, CheckReport]:
     iff [T_nu]P equals the table entry X_nu and [T_nu]Y_mu equals
     [T_nu]P(u^mu, u); so a wrong table entry X_nu fails every pair of its
     column, whatever it specializes to at mu.  The pairs are checked, and
-    failures kept, nu-major.  Returns the basis {mu: Y_mu} it checked, and
-    the report.
+    failures kept, nu-major.  Returns the set of wrong table entries X_nu
+    (keyed by nu; empty when the table is right) and the report.
     """
     report = CheckReport(name=f"schubert-transition[n={n}]")
     table = schubert_table(n)
     return _check_transition(report, algebra("partial", n), lambda nu: table[nu], "x"), report
 
 
-def verify_grothendieck_transition(n: int) -> tuple[dict, CheckReport]:
+def verify_grothendieck_transition(n: int) -> tuple[set[Permutation], CheckReport]:
     """Check Y_mu in the pibar family expands with Grothendieck coefficients.
 
     For every mu, nu the coefficient indexed by nu in Y_mu(u) must equal the
@@ -307,13 +314,14 @@ def verify_grothendieck_transition(n: int) -> tuple[dict, CheckReport]:
     the prefixes of mu.  A pair passes iff [T_nu]Q equals the table entry
     G_{nu^{-1}} and [T_nu]Y_mu equals [T_nu]Q(u, u^mu); so a wrong table
     entry G_{nu^{-1}} fails every pair of the column nu.  The pairs are
-    checked, and failures kept, nu-major.  Returns the basis {mu: Y_mu} it
-    checked, and the report.
+    checked, and failures kept, nu-major.  Returns the set of the nu whose
+    table entry G_{nu^{-1}} is wrong (empty when the table is right) and
+    the report.
     """
     report = CheckReport(name=f"grothendieck-transition[n={n}]")
     table = grothendieck_table(n)
-    ys = _check_transition(report, algebra("pibar", n), lambda nu: table[nu.inverse()], "y")
-    return ys, report
+    wrong = _check_transition(report, algebra("pibar", n), lambda nu: table[nu.inverse()], "y")
+    return wrong, report
 
 
 def yang_coefficients(mu: Permutation) -> dict:

@@ -12,8 +12,8 @@ import pytest
 from ybhecke import cli, hecke, schubert
 from ybhecke.cli import SUITES, main
 from ybhecke.permutations import Permutation, all_permutations
-from ybhecke.poly import LaurentPoly, poly_gcd
-from ybhecke.serialize import parse_scalar, poly_from_json, rf_from_json
+from ybhecke.poly import LaurentPoly, format_poly, poly_gcd
+from ybhecke.serialize import parse_scalar, poly_from_json, poly_to_json, rf_from_json
 
 
 def run(capsys, *argv):
@@ -43,6 +43,55 @@ def test_grothendieck_json_roundtrip(capsys):
     assert payload["n"] == 3 and len(payload["entries"]) == 6
     g132 = poly_from_json(payload["entries"]["132"])
     assert parse_scalar("1 - y1*y2/(x1*x2)") == g132
+
+
+def whole_payload_table(command, fmt, n):
+    """The table as an export that builds all of its output first prints it."""
+    build = schubert.schubert_table if command == "schubert" else schubert.grothendieck_table
+    table, label = build(n), "X" if command == "schubert" else "G"
+    perms = all_permutations(n)
+    if fmt == "json":
+        payload = {
+            "kind": label.lower(),
+            "n": n,
+            "entries": {str(mu): poly_to_json(table[mu]) for mu in perms},
+        }
+        return json.dumps(payload, sort_keys=True) + "\n"
+    if fmt == "latex":
+        lines = [f"{label}_{{{mu}}} = {format_poly(table[mu], latex=True)}" for mu in perms]
+    else:
+        lines = [f"{mu}: {table[mu]}" for mu in perms]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+@pytest.mark.parametrize("command", ["schubert", "grothendieck"])
+def test_streamed_tables_equal_the_whole_payload_export(capsys, command, fmt, n):
+    code, out = run(capsys, command, "-n", str(n), "--format", fmt)
+    assert code == 0 and out == whole_payload_table(command, fmt, n)
+
+
+@pytest.mark.parametrize("command", ["schubert", "grothendieck"])
+def test_out_gets_the_bytes_of_stdout_for_the_json_table(capsys, tmp_path, command):
+    target = tmp_path / "table.json"
+    code, out = run(capsys, command, "-n", "4", "--format", "json", "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == out.encode() == whole_payload_table(command, "json", 4).encode()
+
+
+def test_emit_writes_each_chunk_as_it_arrives(capsys, tmp_path):
+    target = tmp_path / "out.txt"
+
+    def chunks():
+        assert target.exists()  # opened before the first chunk
+        yield "a"
+        assert capsys.readouterr().out == "a"
+        yield "b\n"
+
+    cli._emit(chunks(), str(target))
+    assert capsys.readouterr().out == "b\n"
+    assert target.read_text() == "ab\n"
 
 
 def test_yb_rothe_factor_sequence(capsys):

@@ -35,6 +35,7 @@ from ybhecke.hecke import (
     expand_in_yb,
     factor_coefficient,
     gram_matrix,
+    iter_yb_basis,
     orthogonality_violations,
     pairing,
     permuted_spectral,
@@ -64,6 +65,7 @@ from ybhecke.poly import (
     rename_rf,
     substitute,
 )
+from ybhecke.report import MAX_WITNESSES
 from ybhecke.serialize import parse_scalar as S
 
 P = Permutation.from_string
@@ -324,6 +326,47 @@ def test_rothe_equals_recursion_all_families_s4():
         ys = yb_basis(alg)
         for mu, y in ys.items():
             assert yb_element_rothe(alg, mu) == y, (fam, mu)
+
+
+def window_order(n):
+    return sorted(all_permutations(n), key=lambda mu: mu.window)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", FACTOR_FAMILIES)
+def test_the_stream_yields_the_basis_in_window_order(family, n):
+    # at the symbols and at numbers; yb_basis keeps all_permutations order
+    alg = algebra(family, n)
+    for u in (None, [2, 3, 5, 7][:n]):
+        ys = yb_basis(alg, u)
+        stream = list(iter_yb_basis(alg, u))
+        assert list(ys) == all_permutations(n)
+        assert [mu for mu, _ in stream] == window_order(n)
+        for mu, y in stream:
+            assert y == ys[mu] and list(y.coeffs) == list(ys[mu].coeffs), (u, mu)
+
+
+def test_the_stream_checks_its_spectral_parameters_before_the_first_element():
+    with pytest.raises(RankMismatch, match="^need 3 spectral parameters, got 2$"):
+        iter_yb_basis(algebra("partial", 3), [S("u1"), S("u2")])
+    with pytest.raises(ZeroSpectral):
+        iter_yb_basis(algebra("pibar", 2), [0, 1])
+
+
+def test_rothe_check_records_in_the_order_of_all_permutations(monkeypatch):
+    # the stream runs in window order, the report in all_permutations order:
+    # 1432 comes before 2143 in the first and after it in the second
+    real = ybhecke.hecke.yb_element_rothe
+
+    def shifted(alg, mu, u=None):
+        y = real(alg, mu, u)
+        return y + unit(alg) if mu.length() >= 2 else y
+
+    monkeypatch.setattr(ybhecke.hecke, "yb_element_rothe", shifted)
+    report = verify_rothe(algebra("partial", 4))
+    want = [f"mu={mu}: rothe product differs" for mu in all_permutations(4) if mu.length() >= 2]
+    assert report.failed == len(want) == MAX_WITNESSES
+    assert report.failures == want
 
 
 def test_rothe_equals_recursion_35142():

@@ -274,12 +274,34 @@ def test_tables_are_dicts_keyed_by_all_of_s3(table):
     assert all(isinstance(p, LaurentPoly) for p in entries.values())
 
 
-def test_schubert_transition_returns_every_coefficient_by_pair():
-    ys, report = verify_schubert_transition(3)
-    assert type(ys) is dict and report.passed
+def window_order(n):
+    return sorted(all_permutations(n), key=lambda mu: mu.window)
+
+
+def record_basis(monkeypatch):
+    """{mu: Y_mu} as the transition drivers read it from the stream
+    ``schubert.iter_yb_basis``, in the order read."""
+    seen = {}
+    stream = schubert.iter_yb_basis
+
+    def recorded(alg):
+        for mu, y in stream(alg):
+            seen[mu] = y
+            yield mu, y
+
+    monkeypatch.setattr(schubert, "iter_yb_basis", recorded)
+    return seen
+
+
+def test_schubert_transition_returns_every_coefficient_by_pair(monkeypatch):
+    # the driver returns the wrong table entries, none here; the basis it
+    # checked is read from the stream, in window order
+    ys = record_basis(monkeypatch)
+    wrong, report = verify_schubert_transition(3)
+    assert type(wrong) is set and not wrong and report.passed
     want = yb_basis(algebra("partial", 3))
     perms = all_permutations(3)
-    assert list(ys) == perms
+    assert list(ys) == window_order(3)
     for mu in perms:
         for nu in perms:
             assert ys[mu].coefficient(nu) == want[mu].coefficient(nu), (mu, nu)
@@ -287,14 +309,13 @@ def test_schubert_transition_returns_every_coefficient_by_pair():
 
 def test_schubert_transition_s3_s4():
     for n in (3, 4):
-        matrix, report = verify_schubert_transition(n)
-        assert report.passed, report.lines()
+        wrong, report = verify_schubert_transition(n)
+        assert report.passed and not wrong, report.lines()
     # the omega coefficient display
-    ys, _ = verify_schubert_transition(3)
+    ys = yb_basis(algebra("partial", 3))
     assert ys[P("321")].coefficient(P("321")) == parse_scalar("(u3-u2)*(u3-u1)*(u2-u1)")
     # Y^partial_1324 = 1 - (u2-u3) partial_2
-    y4, _ = verify_schubert_transition(4)
-    y = y4[P("1324")]
+    y = yb_basis(algebra("partial", 4))[P("1324")]
     assert y.coefficient(P("1324")) == parse_scalar("u3 - u2")
     assert y.coefficient(P("1234")) == RationalFunction.one()
     support = [nu for nu in all_permutations(4) if not y.coefficient(nu).is_zero]
@@ -339,9 +360,10 @@ def pairwise_transition(verify, n):
     monkeypatch there reaches both routes."""
     name, family, moved, key = TRANSITIONS[verify]
     table = getattr(schubert, name)(n)
-    ys = schubert.yb_basis(algebra(family, n))
-    report = CheckReport(name="pairwise")
     perms = all_permutations(n)
+    stream = dict(schubert.iter_yb_basis(algebra(family, n)))
+    ys = {mu: stream[mu] for mu in perms}
+    report = CheckReport(name="pairwise")
     entries = dict.fromkeys(product(ys, perms))
     for nu in perms:
         for mu, y in ys.items():
@@ -364,15 +386,15 @@ def corrupt_table(monkeypatch, verify, nu, extra):
 
 
 def perturb_basis(monkeypatch, mu, nu, extra):
-    build = schubert.yb_basis
+    stream = schubert.iter_yb_basis
 
     def perturbed(alg):
-        ys = build(alg)
-        y = ys[mu]
-        ys[mu] = type(y)(y.alg, {**y.coeffs, nu: y.coefficient(nu) + parse_poly(extra)})
-        return ys
+        for w, y in stream(alg):
+            if w == mu:
+                y = type(y)(y.alg, {**y.coeffs, nu: y.coefficient(nu) + parse_poly(extra)})
+            yield w, y
 
-    monkeypatch.setattr(schubert, "yb_basis", perturbed)
+    monkeypatch.setattr(schubert, "iter_yb_basis", perturbed)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -388,17 +410,19 @@ def test_transition_equals_the_pairwise_check(monkeypatch, verify, case, n):
         perturb_basis(monkeypatch, omega, Permutation.identity(n), "u1")
     failed = {"unperturbed": 0, "table": len(all_permutations(n)), "basis": 1}[case]
     want_entries, want = pairwise_transition(verify, n)
-    ys, report = verify(n)
+    ys = record_basis(monkeypatch)
+    wrong, report = verify(n)
     perms = all_permutations(n)
-    entries = [((mu, nu), y.coefficient(nu)) for mu, y in ys.items() for nu in perms]
+    entries = [((mu, nu), ys[mu].coefficient(nu)) for mu in perms for nu in perms]
     assert (report.checks, report.failed) == (want.checks, want.failed) == (len(entries), failed)
     assert report.failures == want.failures
     assert entries == list(want_entries.items())
+    assert wrong == ({omega} if case == "table" else set())
 
 
 @pytest.mark.parametrize("verify", list(TRANSITIONS), ids=["schubert", "grothendieck"])
 def test_transition_fails_exactly_the_pair_of_a_perturbed_coefficient(monkeypatch, verify):
-    clean, _ = verify(4)
+    clean = yb_basis(algebra(TRANSITIONS[verify][1], 4))
     mu, nu = P("3142"), P("1324")
     perturb_basis(monkeypatch, mu, nu, "u2")
     _, report = verify(4)
@@ -441,10 +465,14 @@ def test_wrong_entries_are_exactly_the_corrupted_ones(monkeypatch, verify, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("verify", list(TRANSITIONS), ids=["schubert", "grothendieck"])
-def test_transition_returns_the_basis_it_checked(verify, n):
-    ys, report = verify(n)
+def test_transition_returns_the_basis_it_checked(monkeypatch, verify, n):
+    # the driver reads each Y_mu once from the stream, in window order, and
+    # returns the wrong table entries it found: none
+    ys = record_basis(monkeypatch)
+    wrong, report = verify(n)
     want = yb_basis(algebra(TRANSITIONS[verify][1], n))
-    assert report.passed and list(ys) == list(want)
+    assert report.passed and wrong == set()
+    assert list(ys) == window_order(n)
     for mu, y in want.items():
         assert ys[mu] == y, mu
 
@@ -522,14 +550,15 @@ def test_specialized_staircases_are_the_staircase_specialized(family, moved, n):
         for w in all_permutations(n):
             spec = schubert._specialize(staircase.coefficient(w), mu, moved)
             assert q.coefficient(w) == spec, (mu, w)
-    assert sorted(seen, key=Permutation.sort_key) == all_permutations(n)
+    # window order, the order of iter_yb_basis, which the transitions zip
+    assert seen == window_order(n)
 
 
 def test_transition_unitriangular_by_length():
     perms = all_permutations(4)
     for verify in TRANSITIONS:
-        ys, _ = verify(4)
-        for mu, y in ys.items():
+        assert verify(4)[1].passed
+        for mu, y in yb_basis(algebra(TRANSITIONS[verify][1], 4)).items():
             for nu in perms:
                 if not y.coefficient(nu).is_zero:
                     assert nu.length() <= mu.length()
@@ -537,9 +566,9 @@ def test_transition_unitriangular_by_length():
 
 def test_grothendieck_transition_s3_s4():
     for n in (3, 4):
-        matrix, report = verify_grothendieck_transition(n)
-        assert report.passed, report.lines()
-    ys, _ = verify_grothendieck_transition(3)
+        wrong, report = verify_grothendieck_transition(n)
+        assert report.passed and not wrong, report.lines()
+    ys = yb_basis(algebra("pibar", 3))
     assert ys[P("123")].coefficient(P("123")) == RationalFunction.one()
     row = [nu for nu in all_permutations(3) if not ys[P("123")].coefficient(nu).is_zero]
     assert row == [P("123")]
