@@ -42,7 +42,7 @@ from .hecke import (
     yb_product,
 )
 from .operators import FAMILIES, check_relations
-from .permutations import MAX_RANK, Permutation, all_permutations, rothe_diagram
+from .permutations import MAX_RANK, Permutation, all_permutations, check_rank, rothe_diagram
 from .poly import RationalFunction, format_poly, format_rf, substitute
 from .report import CheckReport
 from .schubert import (
@@ -190,6 +190,7 @@ def _factor_shorthand(mu: Permutation, latex: bool) -> list[str]:
 
 def cmd_yb(args) -> int:
     _guard_rank("yb", args.n)
+    check_rank(args.n)
     try:
         mu = Permutation.from_string(args.mu)
     except ValueError as exc:

@@ -23,12 +23,13 @@ from the factors 1 + c(u, v) T_j by the recursion
 with c as returned by :func:`factor_coefficient`; the same element also
 arises by reading the Rothe diagram of mu (:func:`yb_element_rothe`).  Every
 such product is multiplied out by :func:`yb_product`, or, for the whole
-basis, by :func:`iter_yb_basis`: it shares the recursion (Y_nu is built
-once for all its children) and yields the elements in window order, keeping
-each only until its last child is built.  :func:`yb_basis` is that stream
-held in :func:`~ybhecke.permutations.all_permutations` order, for the
-readers that need every element at once; a reader that takes one Y_mu at a
-time (the transition drivers, :func:`verify_rothe`) reads the stream.
+basis, by :func:`iter_yb_basis`, which yields the elements in window order
+along :func:`~ybhecke.permutations.weak_order_walk`: Y_nu is built once for
+all its children and kept only until its last child is built.
+:func:`yb_basis` is that stream held in
+:func:`~ybhecke.permutations.all_permutations` order, for the readers that
+need every element at once; a reader that takes one Y_mu at a time (the
+transition drivers, :func:`verify_rothe`) reads the stream.
 
 The generic family is multiplied in its one-parameter form.  With
 theta = q1+q2, the rescaled generators T'_j = T_j/theta satisfy
@@ -69,8 +70,8 @@ product or partial sum.  In the group algebra (sigma, T_i^2 = 1) and the
 nil-Coxeter algebra (partial, T_i^2 = 0) the structure constants are
 [T_omega](T_kappa T_b) = delta_{b, kappa^-1 omega}, because omega = kappa b
 always has l(kappa) + l(b) = l(omega); so the row of h1 is its coefficients
-relabelled, and no product is taken.  The other families build the row by
-one walk of h1 to the right along the weak order.  :func:`pairing` and
+relabelled, and no product is taken.  The other families walk h1 to the
+right along the weak order, as the basis is built.  :func:`pairing` and
 :func:`expand_in_yb` pair a row with one g by :func:`_pair`;
 :func:`gram_matrix` pairs it with every phi(Y_nu) in one accumulation
 through an index kappa -> [(nu, phi(Y_nu) at kappa)].  At the symbols the
@@ -106,7 +107,7 @@ from .errors import (
     ZeroSpectral,
 )
 from .operators import FAMILIES, apply_word
-from .permutations import Permutation, all_permutations, rothe_diagram
+from .permutations import Permutation, all_permutations, rothe_diagram, weak_order_walk
 from .poly import (
     BETA,
     LaurentPoly,
@@ -480,36 +481,17 @@ def iter_yb_basis(
     """(mu, Y_mu) for every mu in S_n, in window (lexicographic) order,
     sharing the recursion along the weak order.
 
-    Y_mu is Y_nu times the factor of the first descent j of mu, nu = mu s_j.
-    The window of nu is that of mu with positions j, j+1 put in increasing
-    order, so nu comes earlier, and an element is kept only until its last
-    child in this order is built (216 of the 720 at n = 6 at most).  The
-    spectral parameters and the rank are checked before the first element.
+    :func:`~ybhecke.permutations.weak_order_walk` builds Y_mu as Y_nu times
+    the factor of the first descent j of mu, nu = mu s_j.  The spectral
+    parameters and the rank are checked before the first element.
     """
     u, build, reduce = _spectrum(alg, u)
-    perms = sorted(all_permutations(alg.n), key=lambda mu: mu.window)
-    steps = {}  # mu -> (nu, j)
-    for mu in perms[1:]:
-        j = mu.descents()[0]
-        steps[mu] = mu.times_simple(j), j
-    last_child = {nu: mu for mu, (nu, _) in steps.items()}
 
-    def walk() -> Iterator[tuple[Permutation, HeckeElement]]:
-        alive = {}
-        for mu in perms:
-            if mu in steps:
-                nu, j = steps[mu]
-                factor = elementary_factor(build, j, u[nu(j) - 1], u[nu(j + 1) - 1])
-                h = alive[nu] * factor
-                if last_child[nu] == mu:
-                    del alive[nu]
-            else:
-                h = unit(build)
-            if mu in last_child:
-                alive[mu] = h
-            yield mu, _from_building(alg, h, reduce)
+    def step(h: HeckeElement, nu: Permutation, j: int) -> HeckeElement:
+        return h * elementary_factor(build, j, u[nu(j) - 1], u[nu(j + 1) - 1])
 
-    return walk()
+    walk = weak_order_walk(alg.n, unit(build), step)
+    return ((mu, _from_building(alg, h, reduce)) for mu, h in walk)
 
 
 def yb_basis(
@@ -587,27 +569,16 @@ def _omega_row(h: HeckeElement) -> dict[Permutation, Coefficient]:
     So row[kappa] = h(omega kappa^-1): the row relabels the coefficients of
     h, and kappa = mu^-1 omega for each of its terms c T_mu.
 
-    Any other algebra builds the products h * T_kappa by one depth-first
-    right walk along the weak order: h * T_kappa = (h * T_{kappa s_j}) * T_j,
-    j the first descent of kappa.  Only the products still pending on one
-    chain are held at once, not all n! of them.
+    Any other algebra builds h * T_kappa = (h * T_{kappa s_j}) * T_j, j the
+    first descent of kappa, along :func:`~ybhecke.permutations.weak_order_walk`,
+    which holds at most 36 of the products at n = 5 (216 at n = 6).
     """
     alg = h.alg
-    n = alg.n
-    omega = Permutation.longest(n)
+    omega = Permutation.longest(alg.n)
     if not alg.a and (not alg.b or alg.b == 1):
         return {mu.inverse() * omega: c for mu, c in h.coeffs.items()}
-    row: dict[Permutation, Coefficient] = {}
-    stack = [(Permutation.identity(n), h)]
-    while stack:
-        kappa, g = stack.pop()
-        if c := g.coefficient(omega):
-            row[kappa] = c
-        for j in range(1, n):
-            child = kappa.times_simple(j)
-            if child.descents()[:1] == (j,):
-                stack.append((child, g.times_generator(j)))
-    return row
+    walk = weak_order_walk(alg.n, h, lambda g, nu, j: g.times_generator(j))
+    return {kappa: c for kappa, g in walk if (c := g.coefficient(omega))}
 
 
 def _pair(g: HeckeElement, row: Mapping[Permutation, Coefficient]) -> Coefficient:

@@ -24,7 +24,8 @@ D_mu = D_{a1} o ... o D_{ak}, so the last letter acts first and
     D_mu = D_i o D_{s_i mu}     (D_{s_i mu} first) for a left descent i of mu.
 
 ``all_inverse_words`` builds every D_mu f by the second rule, one generator
-per permutation.
+per permutation, walking kappa = mu^-1 by
+:func:`~ybhecke.permutations.weak_order_walk`, as s_i mu = (kappa s_i)^-1.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import random
 from typing import Sequence
 
 from .errors import IndexOutOfRange
-from .permutations import Permutation, all_permutations
+from .permutations import Permutation, all_permutations, weak_order_walk
 from .poly import LaurentPoly, divided_difference, rename_poly
 from .report import CheckReport
 
@@ -113,15 +114,11 @@ def all_inverse_words(
     """D_mu f, as :func:`apply_inverse_word` computes it, for every mu in S_n.
 
     Each mu peels its first left descent i, so D_mu f = D_i (D_{s_i mu} f)
-    reuses the shorter image and costs one generator.
+    reuses the shorter image and costs one generator (see the module
+    docstring); the images come in :func:`all_permutations` order.
     """
-    perms = all_permutations(n)
-    out = {perms[0]: f}
-    for mu in perms[1:]:
-        i = mu.left_descents()[0]
-        shorter = out[mu.simple_times(i)]
-        out[mu] = apply_generator(family, i, shorter, n)
-    return out
+    images = dict(weak_order_walk(n, f, lambda g, nu, i: apply_generator(family, i, g, n)))
+    return {mu: images[mu.inverse()] for mu in all_permutations(n)}
 
 
 def random_probe(rng: random.Random, n: int) -> LaurentPoly:

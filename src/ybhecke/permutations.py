@@ -12,11 +12,13 @@ are the same object, and equality and hashing are the identity defaults,
 which dict lookups keyed by permutations take without a Python call.  Each
 object caches its structure the first time it is asked for: its right
 neighbours ``mu s_j`` (the edges of the Cayley graph), its inverse, length,
-descents and canonical reduced word.  Left neighbours and left descents are
-read through the inverse, whose cache holds them.
+descents and canonical reduced word.
 The table keeps every window ever built; the enumerations of
 :func:`all_permutations` up to :data:`MAX_RANK` hold at most
-1! + 2! + ... + 6! = 873 objects.
+1! + 2! + ... + 6! = 873 objects.  :func:`weak_order_walk` is the one
+traversal of the weak-order tree (the parent of mu is mu s_j, j its first
+descent) that builds the Yang-Baxter basis, the omega-rows of the form and
+the divided-difference tables.
 
 A Rothe diagram is the plain tuple of its boxes in reading order
 (:func:`rothe_diagram`).
@@ -35,15 +37,19 @@ True
 from __future__ import annotations
 
 from itertools import permutations as _itperms
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import IndexOutOfRange, RankMismatch, RankOutOfRange
+
+_V = TypeVar("_V")
 
 __all__ = [
     "Permutation",
     "RotheBox",
     "all_permutations",
     "all_reduced_words",
+    "check_rank",
+    "weak_order_walk",
     "MAX_RANK",
 ]
 
@@ -184,11 +190,6 @@ class Permutation:
             d = self._descents = tuple(j for j in range(1, self.n) if w[j - 1] > w[j])
         return d
 
-    def left_descents(self) -> tuple[int, ...]:
-        """Values i with i+1 before i in the window, i.e. length(s_i*mu) < length(mu):
-        the descents of mu^-1."""
-        return self.inverse().descents()
-
     def times_simple(self, j: int) -> "Permutation":
         """Right multiplication by s_j: swap window positions j, j+1."""
         if not 1 <= j <= self.n - 1:
@@ -201,11 +202,6 @@ class Permutation:
                 for i in range(1, self.n)
             )
         return right[j - 1]
-
-    def simple_times(self, j: int) -> "Permutation":
-        """Left multiplication by s_j: swap the values j, j+1 in the window,
-        which is s_j mu = (mu^-1 s_j)^-1."""
-        return self.inverse().times_simple(j).inverse()
 
     def reduced_word(self) -> tuple[int, ...]:
         """Canonical reduced word: the product s_{i1}...s_{ir} equals ``self``.
@@ -231,17 +227,52 @@ class Permutation:
         return (self.length(), self.window)
 
 
-def all_permutations(n: int) -> list[Permutation]:
-    """All of S_n sorted by (length, window), as a fresh list; guarded by
-    :data:`MAX_RANK`."""
+def check_rank(n: int) -> None:
+    """The desk-scale guard: RankOutOfRange unless 1 <= n <= :data:`MAX_RANK`."""
     if not 1 <= n <= MAX_RANK:
         raise RankOutOfRange(f"rank {n} outside 1..{MAX_RANK}")
+
+
+def all_permutations(n: int) -> list[Permutation]:
+    """All of S_n sorted by (length, window), as a fresh list; guarded by
+    :func:`check_rank`."""
+    check_rank(n)
     perms = _SORTED.get(n)
     if perms is None:
         perms = [Permutation._trusted(w) for w in _itperms(range(1, n + 1))]
         perms.sort(key=Permutation.sort_key)
         perms = _SORTED.setdefault(n, tuple(perms))
     return list(perms)
+
+
+def weak_order_walk(
+    n: int, root: _V, step: Callable[[_V, Permutation, int], _V]
+) -> Iterator[tuple[Permutation, _V]]:
+    """(mu, value) for every mu in S_n, in window (lexicographic) order.
+
+    The identity's value is ``root``; any other mu, with first descent j
+    and nu = mu s_j, gets ``step(value of nu, nu, j)``.  The window of nu is
+    that of mu with positions j, j+1 put in increasing order, so nu comes
+    earlier; a value is dropped once its last child is built (at most 36
+    are held at n = 5, 216 at n = 6).  The rank is checked at the call.
+    """
+    perms = sorted(all_permutations(n), key=lambda mu: mu.window)
+    parent = {mu: (mu.times_simple(j), j) for mu in perms[1:] for j in mu.descents()[:1]}
+    last_child = {nu: mu for mu, (nu, _) in parent.items()}
+
+    def walk(value: _V) -> Iterator[tuple[Permutation, _V]]:
+        alive = {}
+        for mu in perms:
+            if mu in parent:
+                nu, j = parent[mu]
+                value = step(alive[nu], nu, j)
+                if last_child[nu] is mu:
+                    del alive[nu]
+            if mu in last_child:
+                alive[mu] = value
+            yield mu, value
+
+    return walk(root)
 
 
 def all_reduced_words(mu: Permutation) -> list[tuple[int, ...]]:

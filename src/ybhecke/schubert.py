@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
-from .errors import RankOutOfRange, ShapeInvalid
+from .errors import ShapeInvalid
 from .hecke import (
     AlgebraSpec,
     HeckeElement,
@@ -56,7 +56,7 @@ from .hecke import (
     yb_element,
 )
 from .operators import all_inverse_words, apply_generator, apply_inverse_word, random_probe
-from .permutations import MAX_RANK, Permutation, all_permutations
+from .permutations import Permutation, all_permutations, check_rank
 from .poly import (
     LaurentPoly,
     coefficients_in,
@@ -443,8 +443,7 @@ def _check_shape(shape: Sequence[int]) -> int:
     if not shape or any(p < 1 for p in shape):
         raise ShapeInvalid(f"invalid composition {shape!r}")
     total = sum(shape)
-    if total > MAX_RANK:
-        raise RankOutOfRange(f"rank {total} outside the desk-scale guard")
+    check_rank(total)
     return total
 
 

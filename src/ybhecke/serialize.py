@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<var>[xyu]\d+|q[12])|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<var>[xyu][0-9]+|q[12])|(?P<op>[-+*/^()]))"
 )
 
 

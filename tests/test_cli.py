@@ -135,6 +135,26 @@ def test_yb_bad_permutation_exits_2(capsys):
         assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("family", ["partial", "T"])
+def test_yb_refuses_a_rank_above_the_guard_before_building(capsys, monkeypatch, family):
+    # S_7 would take minutes and gigabytes, so a missing guard fails at once
+    def unguarded(*args):
+        raise AssertionError("yb_element called at n=7")
+
+    monkeypatch.setattr(cli, "yb_element", unguarded)
+    code = main(["yb", "-n", "7", "--family", family, "7654321"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: rank 7 outside 1..6\n"
+
+
+def test_yb_spectral_parameters_take_ascii_digits_only(capsys):
+    code = main(["yb", "-n", "2", "--family", "partial", "21", "--spectral", "\u0662,3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: unexpected character at position 0: '\u0662'\n"
+
+
 def test_gram_n1_and_n2(capsys):
     code, out = run(capsys, "gram", "-n", "1", "--family", "T")
     assert code == 0

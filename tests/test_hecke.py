@@ -927,10 +927,11 @@ def multiterm_element(rng, alg):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("family", ["sigma", "partial"])
+@pytest.mark.parametrize("family", FACTOR_FAMILIES)
 def test_closed_omega_row_matches_the_products(family, n):
-    # row[kappa] = h(omega kappa^-1), read without a product, against
-    # [T_omega](h * T_kappa) multiplied out
+    # the row against [T_omega](h * T_kappa) multiplied out: for sigma and
+    # partial it is read without a product, row[kappa] = h(omega kappa^-1),
+    # for pibar and T it is built along the weak-order walk
     rng = random.Random(2500 + n)
     alg = algebra(family, n)
     omega = Permutation.longest(n)

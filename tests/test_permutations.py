@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import weakref
 
 import pytest
 
@@ -12,6 +13,7 @@ from ybhecke.permutations import (
     all_permutations,
     all_reduced_words,
     rothe_diagram,
+    weak_order_walk,
 )
 
 P = Permutation.from_string
@@ -119,10 +121,6 @@ def test_generator_index_is_guarded():
         P("321").times_simple(0)
     with pytest.raises(IndexOutOfRange):
         Permutation.simple(3, 5)
-    with pytest.raises(IndexOutOfRange):
-        P("321").simple_times(0)
-    with pytest.raises(IndexOutOfRange):
-        P("321").simple_times(3)
 
 
 def test_rothe_identity_empty():
@@ -215,14 +213,13 @@ def test_a_bad_window_still_raises(window):
 
 
 def test_products_give_what_the_checked_constructor_gives():
-    # times_simple, simple_times, * and inverse build their windows unchecked
+    # times_simple, * and inverse build their windows unchecked
     perms = all_permutations(4)
     for mu in perms:
         built = [mu.inverse()]
         for j in (1, 2, 3):
-            built += [mu.times_simple(j), mu.simple_times(j)]
+            built.append(mu.times_simple(j))
             assert mu.times_simple(j) == mu * Permutation.simple(4, j)
-            assert mu.simple_times(j) == Permutation.simple(4, j) * mu
         built += [mu * nu for nu in perms]
         for nu in built:
             assert type(nu.window) is tuple
@@ -259,7 +256,6 @@ def test_every_constructor_returns_the_one_object_of_its_window():
     assert mu * Permutation.simple(5, 2) is P("31542")
     assert P("31542").inverse() is P("31542").inverse() is P("25143")
     assert mu.times_simple(2) is P("31542")
-    assert mu.simple_times(2) is P("25143")
     assert all_permutations(5)[-1] is Permutation.longest(5)
 
 
@@ -294,16 +290,12 @@ def test_cached_structure_agrees_with_a_computation_from_the_window():
         expect = {
             "length": brute_length(mu),
             "descents": tuple(j for j in range(1, n) if w[j - 1] > w[j]),
-            "left_descents": tuple(
-                i for i in range(1, n) if w.index(i) > w.index(i + 1)
-            ),
             "inverse": tuple(w.index(v) + 1 for v in range(1, n + 1)),
             "reduced_word": _scratch_reduced_word(w),
         }
         for _ in range(2):
             assert mu.length() == expect["length"]
             assert mu.descents() == expect["descents"]
-            assert mu.left_descents() == expect["left_descents"]
             assert mu.inverse().window == expect["inverse"]
             assert mu.reduced_word() == expect["reduced_word"]
             assert mu.sort_key() == (expect["length"], w)
@@ -311,15 +303,15 @@ def test_cached_structure_agrees_with_a_computation_from_the_window():
             for j in range(1, n):
                 right = list(w)
                 right[j - 1], right[j] = right[j], right[j - 1]
-                left = [j + 1 if v == j else j if v == j + 1 else v for v in w]
                 assert mu.times_simple(j).window == tuple(right)
-                assert mu.simple_times(j).window == tuple(left)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_all_permutations_is_sorted_by_length_then_window(n):
-    # yb_basis and all_inverse_words read mu s_j (j the first descent of mu)
-    # and s_i mu (i its first left descent) as already built
+    # gram_matrix and the printed tables and matrices read S_n in this
+    # order; the recursions walk their own window order (weak_order_walk),
+    # so the neighbours below being built earlier is a property of the
+    # length order that nothing relies on
     windows = sorted(itertools.permutations(range(1, n + 1)),
                      key=lambda w: (brute_length(Permutation(w)), w))
     perms = all_permutations(n)
@@ -342,3 +334,61 @@ def test_all_permutations_returns_a_fresh_list():
     again = all_permutations(3)
     assert [p.window for p in again] == expect
     assert again is not first
+
+
+# ----------------------------------------------------------------------
+# the weak-order walk
+
+
+def append_letter(word, nu, j):
+    return word + (j,)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_walk_yields_s_n_in_window_order(n):
+    walk = weak_order_walk(n, (), append_letter)
+    assert [mu.window for mu, _ in walk] == list(itertools.permutations(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_walk_steps_each_value_at_the_first_descent(n):
+    # from the empty word, the value of mu is a reduced word of mu that
+    # ends in its first descent
+    for mu, word in weak_order_walk(n, (), append_letter):
+        assert evaluate_word(n, word) is mu and len(word) == mu.length(), mu
+        assert word[-1:] == mu.descents()[:1], mu
+
+
+@pytest.mark.parametrize("n", [0, 7])
+def test_the_walk_checks_its_rank_at_the_call(n):
+    def step(value, nu, j):
+        raise AssertionError(f"stepped at n={n}")
+
+    with pytest.raises(RankOutOfRange, match=f"^rank {n} outside 1..6$"):
+        weak_order_walk(n, (), step)
+
+
+class Value:
+    """A value that counts how many of its kind are alive."""
+
+    alive = 0
+
+    def __init__(self):
+        Value.alive += 1
+        weakref.finalize(self, Value.died)
+
+    @staticmethod
+    def died():
+        Value.alive -= 1
+
+
+@pytest.mark.parametrize("n,most", [(5, 36), (6, 216)])
+def test_the_walk_drops_a_value_after_its_last_child(monkeypatch, n, most):
+    # counted at each value yielded: the values still waiting for a child,
+    # plus the one just yielded
+    monkeypatch.setattr(Value, "alive", 0)
+    peak = 0
+    for _, value in weak_order_walk(n, Value(), lambda value, nu, j: Value()):
+        peak = max(peak, Value.alive)
+    del value
+    assert peak <= most and Value.alive == 0

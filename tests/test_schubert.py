@@ -679,6 +679,11 @@ def test_appendix_refuses_a_bad_shape(shape, error):
         verify_appendix_factorizations(shape, "qpow")
 
 
+def test_appendix_takes_the_rank_guard_of_all_permutations():
+    with pytest.raises(RankOutOfRange, match="^rank 7 outside 1..6$"):
+        verify_appendix_factorizations((4, 3), "qpow")
+
+
 def test_cohomology_basis():
     for n in (1, 2, 3):
         report = verify_cohomology_basis(n)

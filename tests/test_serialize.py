@@ -43,6 +43,14 @@ def test_parse_rejects_garbage():
             parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text", ["\u0662", "u1^\u0662", "\u0662*x1", "x1 + 1\u0662", "x1/\u0663"])
+def test_parse_rejects_digits_of_other_scripts(text):
+    # \d matches any Unicode decimal digit, so "\u0662" (ARABIC-INDIC DIGIT TWO)
+    # used to read as 2
+    with pytest.raises(ParseError):
+        parse_scalar(text)
+
+
 def test_parse_poly_requires_polynomial():
     assert parse_poly("x1*x2^-1") == LaurentPoly.monomial({"x1": 1, "x2": -1})
     # reducible quotient is accepted after simplification
