@@ -230,6 +230,7 @@ def cmd_yb(args) -> int:
 
 def cmd_gram(args) -> int:
     _guard_rank("gram", args.n)
+    check_rank(args.n)
     # verify orthogonality builds the same matrices, up to the same rank
     limit = SUITES["orthogonality"].limits[args.family]
     if args.n > limit and not args.force:

@@ -338,7 +338,9 @@ def verify_yang_leading_terms(
 
     Exhaustive over S_n; when ``samples`` is positive only that many random
     (mu, nu) pairs with nonzero coefficient are checked (used at n=4).
-    The X_nu(u^mu, u) are read from :func:`_schubert_specializations`.
+    The X_nu(u^mu, u) are read from :func:`_schubert_specializations`; a
+    sampled run specializes only the table entries of its pairs, by
+    :func:`specialize_double`, which gives the same values.
     """
     report = CheckReport(name=f"yang-leading-terms[n={n}]", seed=seed)
     uvars = {f"u{i}" for i in range(1, n + 1)}
@@ -351,7 +353,12 @@ def verify_yang_leading_terms(
     if samples:
         rng = random.Random(seed)
         pairs = rng.sample(pairs, min(samples, len(pairs)))
-    wants = _schubert_specializations(n)
+        table = schubert_table(n)
+        wants = {mu: {} for mu, _ in pairs}
+        for mu, nu in pairs:
+            wants[mu][nu] = specialize_double(table[nu], mu)
+    else:
+        wants = _schubert_specializations(n)
     for mu, nu in pairs:
         a = coeffs[mu][nu]
         low = lowest_homogeneous_component(a, uvars)

@@ -337,6 +337,19 @@ def test_gram_rank_guard_message(capsys):
     assert "guarded at n <= 3" in captured.err
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_gram_refuses_a_rank_above_the_guard_before_building(capsys, monkeypatch, force):
+    # --force lifts the family's guard, not the rank's: both runs name the rank
+    def unguarded(*args):
+        raise AssertionError("gram_matrix called at n=7")
+
+    monkeypatch.setattr(cli, "gram_matrix", unguarded)
+    code = main(["gram", "-n", "7", "--family", "T", *force])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: rank 7 outside 1..6\n"
+
+
 def test_gram_and_orthogonality_read_one_rank_guard(capsys, monkeypatch):
     monkeypatch.setitem(SUITES["orthogonality"].limits, "sigma", 2)
     code = main(["gram", "-n", "3", "--family", "sigma"])

@@ -892,7 +892,7 @@ def test_one_term_products_match_the_schoolbook_product():
     # a one-term operand, a constant included, on either side shifts the
     # other operand's keys: the same terms, stored as the same types, as the
     # schoolbook product, and ExponentOverflow exactly where the schoolbook
-    # product and the general path (an operand of two terms) raise
+    # product and the general path (both operands of three terms) raise
     rng = random.Random(2901)
     names = ("q1", "u1", "u2", "x1", "x2", "y1")
     limit = ybhecke.poly._LIMIT
@@ -911,9 +911,10 @@ def test_one_term_products_match_the_schoolbook_product():
         return LaurentPoly.monomial(exps, coeff())
 
     def poly():
-        # two terms at least, so that p * (mono + q2) takes the general path
+        # three terms at least, so that p * (mono + q2 + q2**2) takes the
+        # general path
         p = LaurentPoly.zero()
-        while len(p) < 2:
+        while len(p) < 3:
             for _ in range(rng.randint(2, 5)):
                 p = p + one_term()
         return p
@@ -935,12 +936,92 @@ def test_one_term_products_match_the_schoolbook_product():
             want = stored(_schoolbook_product(p, mono))
         except ExponentOverflow:
             raised += 1
-            for mul in (lambda: p * mono, lambda: mono * p, lambda: p * (mono + q2)):
+            for mul in (lambda: p * mono, lambda: mono * p, lambda: p * (mono + q2 + q2**2)):
                 with pytest.raises(ExponentOverflow):
                     mul()
             continue
         assert stored(p * mono) == want == stored(mono * p), (p, mono)
-        assert p * (mono + q2) == p * mono + p * q2
+        assert p * (mono + q2 + q2**2) == p * mono + p * q2 + p * q2**2
+    assert 30 < raised < 270
+
+
+def _edge_test_operands(seed):
+    """A seeded rng and two makers of random operands over q1, u1, u2, x1,
+    x2, y1: one-term polynomials, whose coefficient is a nonzero int or
+    Fraction and whose exponents lie near 0 (negative on x and u) or, at the
+    edge, near the ends of the digit range; and sums of exactly k of them."""
+    rng = random.Random(seed)
+    names = ("q1", "u1", "u2", "x1", "x2", "y1")
+    limit = ybhecke.poly._LIMIT
+
+    def coeff():
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        return c if rng.random() < 0.5 else Fraction(c, rng.randint(2, 4))
+
+    def one_term(edge=False):
+        exps = {}
+        for v in rng.sample(names, rng.randint(0, 3)):
+            if var_parts(v)[0] in ("x", "u"):
+                exps[v] = rng.choice([-limit, -limit + 1, limit - 2, limit - 1] if edge else [-2, -1, 1, 2])
+            else:
+                exps[v] = rng.choice([limit - 2, limit - 1] if edge else [1, 2])
+        return LaurentPoly.monomial(exps, coeff())
+
+    def poly(k):
+        p = LaurentPoly.zero()
+        while len(p) != k:
+            p = p + one_term() if len(p) < k else LaurentPoly.zero()
+        return p
+
+    return rng, one_term, poly
+
+
+def test_two_term_products_match_the_schoolbook_product():
+    # a two-term operand, on either side, shifts the other operand by each
+    # of its keys and merges the two shifts: the same terms, stored as the
+    # same types, as the schoolbook product, and no zero stored where the
+    # shifts cancel
+    rng, one_term, poly = _edge_test_operands(4501)
+    kinds, cancelled = set(), 0
+    cases = []
+    for _ in range(300):
+        cases.append((poly(rng.randint(2, 6)), poly(2)))
+    for _ in range(100):
+        # g*(1 + t + ... + t^k) * c*(1 - t) telescopes to c*g*(1 - t^(k+1))
+        t, c, g = one_term(), rng.choice([1, -1, Fraction(1, 2), Fraction(-2, 3)]), one_term()
+        while t.is_constant:
+            t = one_term()
+        p = sum((g * t**e for e in range(rng.randint(2, 5))), LaurentPoly.zero())
+        cases.append((p, c * (1 - t)))
+    for p, two in cases:
+        assert len(two) == 2
+        want = stored(_schoolbook_product(p, two))
+        for got in (p * two, two * p):
+            assert stored(got) == want, (p, two)
+            assert all(got._terms.values()), (p, two)
+        kinds.update(type(c) for c, _ in want.values())
+        cancelled += len(want) < len(p) * 2
+    assert kinds == {int, Fraction}
+    assert cancelled >= 100
+
+
+def test_two_term_products_overflow_where_the_schoolbook_product_does():
+    rng, one_term, poly = _edge_test_operands(4502)
+    raised = 0
+    for _ in range(300):
+        p = poly(rng.randint(2, 5))
+        two = one_term(edge=True) + one_term(edge=rng.random() < 0.5)
+        if len(two) != 2:
+            continue
+        try:
+            want = stored(_schoolbook_product(p, two))
+        except ExponentOverflow:
+            raised += 1
+            for mul in (lambda: p * two, lambda: two * p):
+                with pytest.raises(ExponentOverflow):
+                    mul()
+            continue
+        assert stored(p * two) == want == stored(two * p), (p, two)
     assert 30 < raised < 270
 
 

@@ -589,6 +589,16 @@ def test_yang_leading_terms():
     assert report.passed, report.lines()
 
 
+def test_yang_leading_samples_specialize_the_sampled_table_entries_alone(monkeypatch):
+    # the 20 sampled pairs read 20 specializations, not all 24 staircases
+    def every_staircase(n):
+        raise AssertionError("samples mode built every specialized staircase")
+
+    monkeypatch.setattr(schubert, "_schubert_specializations", every_staircase)
+    report = verify_yang_leading_terms(4, samples=20, seed=5)
+    assert report.passed and report.checks > 20, report.lines()
+
+
 @pytest.mark.parametrize("n,samples,checks,failed", [(3, 0, 20, 4), (4, 20, 22, 2)])
 def test_yang_leading_terms_fail_on_a_wrong_table_entry(monkeypatch, n, samples, checks, failed):
     # X_213 gains x1, of its own degree, so the lowest components of the
