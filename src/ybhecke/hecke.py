@@ -21,8 +21,8 @@ from the factors 1 + c(u, v) T_j by the recursion
     Y_mu(u) = Y_nu(u) * Y_j(u_{nu(j)}, u_{nu(j+1)})     for mu = nu s_j, longer,
 
 with c as returned by :func:`factor_coefficient`.  At the symbols every
-factor's coefficient has two terms (v - u, 1 - v/u or v/u - 1), so each
-product by it takes the two-term path of ``LaurentPoly.__mul__``.  The same
+factor's coefficient has two terms (v - u, 1 - v/u or v/u - 1), so
+``LaurentPoly.__mul__`` forms each product by it as two shifts.  The same
 element also arises by reading the Rothe diagram of mu
 (:func:`yb_element_rothe`).  Every such product is multiplied out by
 :func:`yb_product`, or, for the whole basis, by :func:`iter_yb_basis`,

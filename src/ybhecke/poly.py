@@ -471,20 +471,20 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
-        """The product, by the number of terms of the shorter operand.
+        """The product, as shifts of the longer operand by the terms of the
+        shorter one.
 
         One term c*X^d (a constant included): the product is {m + d: x*c}
         over the other operand's terms.  A shift is injective, so nothing
         accumulates and no zero appears, and the keys are checked only when
-        d != 0.  Two terms {d1: c1, d2: c2}, the shape of every Yang-Baxter
-        factor's coefficient at the symbols: the other operand shifted by
-        d1, then the other operand shifted by d2 merged into it, a term that
-        cancels deleted and the dict compacted once if one did.  Three terms
-        or more on both sides: every pair of terms is multiplied and summed,
-        and zeros are dropped.  Each coefficient is stored as :func:`_scalar`
-        stores it (only a product with a Fraction operand is passed through
-        it), and :class:`ExponentOverflow` is raised where an exponent of
-        the product leaves the range.
+        d != 0.  Two terms or more, {d1: c1, d2: c2, ...}, as every
+        Yang-Baxter factor's coefficient has at the symbols: the other
+        operand shifted by d1, then shifted by each further d_i and merged
+        into it, a term that cancels deleted and the dict compacted once if
+        one did.  Each coefficient is stored as :func:`_scalar` stores it
+        (only a product with a Fraction operand is passed through it), and
+        :class:`ExponentOverflow` is raised where an exponent of the product
+        leaves the range.
         """
         other = self._coerce(other)
         if other is None:
@@ -501,29 +501,25 @@ class LaurentPoly:
             if d:
                 _check_keys(out)
             return LaurentPoly._raw(out if type(c) is int and _integral(a) else _stored(out, False))
-        if len(b) == 2:
-            # two shifts: the first makes distinct keys, the second merges
-            (d1, c1), (d2, c2) = b.items()
-            out = {m + d1: x * c1 for m, x in a.items()}
-            get = out.get
-            cancelled = False
+        # the first shift makes distinct keys, the others merge into it
+        items = iter(b.items())
+        d, c = next(items)
+        out = {m + d: x * c for m, x in a.items()}
+        get = out.get
+        cancelled = False
+        for d, c in items:
             for m, x in a.items():
-                k = m + d2
-                v = get(k, 0) + x * c2
+                k = m + d
+                v = get(k, 0) + x * c
                 if v:
                     out[k] = v
                 else:
                     del out[k]
                     cancelled = True
-            if not (type(c1) is int and type(c2) is int and _integral(a)):
-                out = _stored(out, False)
-            elif cancelled:
-                out = dict(out)  # drop the deleted slots
-            _check_keys(out)
-            return LaurentPoly._raw(out)
-        out: dict[Monomial, Scalar] = {}
-        _accumulate(out, a, b)
-        out = _stored(out, _integral(a) and _integral(b))
+        if not (_integral(b) and _integral(a)):
+            out = _stored(out, False)
+        elif cancelled:
+            out = dict(out)  # drop the deleted slots
         _check_keys(out)
         return LaurentPoly._raw(out)
 

@@ -340,7 +340,10 @@ def verify_yang_leading_terms(
     (mu, nu) pairs with nonzero coefficient are checked (used at n=4).
     The X_nu(u^mu, u) are read from :func:`_schubert_specializations`; a
     sampled run specializes only the table entries of its pairs, by
-    :func:`specialize_double`, which gives the same values.
+    :func:`specialize_double`, which gives the same values.  Over all of
+    S_n the staircases, which share their prefixes, are the cheaper route:
+    at n = 5 the exhaustive check takes 0.33-0.40 s of CPU through them and
+    0.78-1.0 s through a rename per pair.
     """
     report = CheckReport(name=f"yang-leading-terms[n={n}]", seed=seed)
     uvars = {f"u{i}" for i in range(1, n + 1)}

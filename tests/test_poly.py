@@ -892,7 +892,7 @@ def test_one_term_products_match_the_schoolbook_product():
     # a one-term operand, a constant included, on either side shifts the
     # other operand's keys: the same terms, stored as the same types, as the
     # schoolbook product, and ExponentOverflow exactly where the schoolbook
-    # product and the general path (both operands of three terms) raise
+    # product and a product by three terms raise
     rng = random.Random(2901)
     names = ("q1", "u1", "u2", "x1", "x2", "y1")
     limit = ybhecke.poly._LIMIT
@@ -911,8 +911,8 @@ def test_one_term_products_match_the_schoolbook_product():
         return LaurentPoly.monomial(exps, coeff())
 
     def poly():
-        # three terms at least, so that p * (mono + q2 + q2**2) takes the
-        # general path
+        # three terms at least, so that p * (mono + q2 + q2**2) merges
+        # three shifts of p
         p = LaurentPoly.zero()
         while len(p) < 3:
             for _ in range(rng.randint(2, 5)):
@@ -976,16 +976,17 @@ def _edge_test_operands(seed):
     return rng, one_term, poly
 
 
-def test_two_term_products_match_the_schoolbook_product():
-    # a two-term operand, on either side, shifts the other operand by each
-    # of its keys and merges the two shifts: the same terms, stored as the
-    # same types, as the schoolbook product, and no zero stored where the
-    # shifts cancel
+def test_multi_term_products_match_the_schoolbook_product():
+    # an operand of two to four terms, on either side, shifts the other
+    # operand by each of its keys and merges the shifts: the same terms,
+    # stored as the same types, as the schoolbook product, and no zero
+    # stored where the shifts cancel, a key that cancels on one shift and
+    # returns on a later one included
     rng, one_term, poly = _edge_test_operands(4501)
-    kinds, cancelled = set(), 0
+    kinds, cancelled = set(), [0, 0]
     cases = []
     for _ in range(300):
-        cases.append((poly(rng.randint(2, 6)), poly(2)))
+        cases.append((poly(rng.randint(2, 6)), poly(rng.randint(2, 4))))
     for _ in range(100):
         # g*(1 + t + ... + t^k) * c*(1 - t) telescopes to c*g*(1 - t^(k+1))
         t, c, g = one_term(), rng.choice([1, -1, Fraction(1, 2), Fraction(-2, 3)]), one_term()
@@ -993,35 +994,40 @@ def test_two_term_products_match_the_schoolbook_product():
             t = one_term()
         p = sum((g * t**e for e in range(rng.randint(2, 5))), LaurentPoly.zero())
         cases.append((p, c * (1 - t)))
-    for p, two in cases:
-        assert len(two) == 2
-        want = stored(_schoolbook_product(p, two))
-        for got in (p * two, two * p):
-            assert stored(got) == want, (p, two)
-            assert all(got._terms.values()), (p, two)
+        # g*(1 + t)*r * c*(1 - t + t^2) is c*g*r*(1 + t^3): the t-shift
+        # cancels a term that the t^2-shift puts back
+        cases.append((g * (1 + t) * poly(rng.randint(1, 2)), c * (1 - t + t**2)))
+    for p, b in cases:
+        assert len(b) >= 2
+        want = stored(_schoolbook_product(p, b))
+        for got in (p * b, b * p):
+            assert stored(got) == want, (p, b)
+            assert all(got._terms.values()), (p, b)
         kinds.update(type(c) for c, _ in want.values())
-        cancelled += len(want) < len(p) * 2
+        cancelled[len(b) > 2] += len(want) < len(p) * len(b)
     assert kinds == {int, Fraction}
-    assert cancelled >= 100
+    assert min(cancelled) >= 100
 
 
-def test_two_term_products_overflow_where_the_schoolbook_product_does():
+def test_multi_term_products_overflow_where_the_schoolbook_product_does():
     rng, one_term, poly = _edge_test_operands(4502)
     raised = 0
     for _ in range(300):
         p = poly(rng.randint(2, 5))
-        two = one_term(edge=True) + one_term(edge=rng.random() < 0.5)
-        if len(two) != 2:
+        b = one_term(edge=True) + sum(
+            (one_term(edge=rng.random() < 0.5) for _ in range(rng.randint(1, 2))), LaurentPoly.zero()
+        )
+        if len(b) < 2:
             continue
         try:
-            want = stored(_schoolbook_product(p, two))
+            want = stored(_schoolbook_product(p, b))
         except ExponentOverflow:
             raised += 1
-            for mul in (lambda: p * two, lambda: two * p):
+            for mul in (lambda: p * b, lambda: b * p):
                 with pytest.raises(ExponentOverflow):
                     mul()
             continue
-        assert stored(p * two) == want == stored(two * p), (p, two)
+        assert stored(p * b) == want == stored(b * p), (p, b)
     assert 30 < raised < 270
 
 
