@@ -68,6 +68,7 @@ __all__ = [
     "exact_div",
     "poly_gcd",
     "coefficients_in",
+    "exponent_vectors",
     "clear_beta",
     "divided_difference",
     "rename_poly",
@@ -739,14 +740,39 @@ def coefficients_in(p: LaurentPoly, v: str) -> dict[int, LaurentPoly]:
     return {e: LaurentPoly._raw(t) for e, t in out.items()}
 
 
+def exponent_vectors(p: LaurentPoly, names: Sequence[str]) -> list[tuple[tuple[int, ...], Scalar]]:
+    """The terms of ``p`` as (the exponents of ``names``, coefficient), one
+    digit read per name; ``p`` must have no other variable.
+
+    >>> exponent_vectors(LaurentPoly.variable("x2", 3) - 2, ["x1", "x2"])
+    [((0, 3), 1), ((0, 0), -2)]
+    """
+    t = p._terms
+    if not set(_present(t)) <= set(names):
+        raise ValueError(f"{p} has a variable outside {list(names)}")
+    shifts = [_var_info(v)[4] for v in names]
+    half = _HALF
+    return [
+        (tuple([((k + half) >> s & _MASK) - _HALF_DIGIT for s in shifts]), c) for k, c in t.items()
+    ]
+
+
 def clear_beta(p: LaurentPoly) -> tuple[LaurentPoly, int]:
     """``p`` = sum_j P_j BETA^j of degree K in :data:`BETA`, at beta =
     q1*q2/(q1+q2)^2, as (N, K) with p = N/(q1+q2)^(2K).
 
     N = sum_j P_j (q1*q2)^j (q1+q2)^(2K-2j) is expanded in one pass: its
     coefficient of q1^s*q2^(2K-s) is sum_j C(2K-2j, s-j) P_j.  A ``p`` free
-    of BETA is returned as it is, with K = 0.
+    of BETA is returned as it is, with K = 0.  Its split is skipped when
+    every key lies in [-2^(s-1), 2^(s-1)), s the shift of BETA's slot: the
+    digits below that slot add up to less than 2^(s-1) in absolute value,
+    and a nonzero digit at or above it makes the key larger, so such a
+    ``p`` has only variables below BETA's slot.
     """
+    t = p._terms
+    h = 1 << (_VARS[BETA][4] - 1)
+    if not t or (-h <= min(t) and max(t) < h):
+        return p, 0
     parts = coefficients_in(p, BETA)
     top = max(parts, default=0)
     if not top:

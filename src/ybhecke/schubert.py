@@ -18,7 +18,10 @@ the set of table entries they found wrong):
   polynomials whose lowest homogeneous component is X_nu(u^mu, u);
 
 together with the Newton interpolation identity, the normal-ordering rule,
-and the appendix factorizations for Young subgroups.
+the appendix factorizations for Young subgroups, and the cohomology basis
+(:func:`verify_cohomology_basis`): the images of x^delta under the
+degenerate-family operators are a basis of the coinvariant ring, decided by
+normal forms modulo the symmetric ideal.
 
 A specialization has two routes.  Every entry at every mu is read at once
 from the Fomin-Kirillov product of Yang-Baxter factors
@@ -39,7 +42,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
+from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .errors import ShapeInvalid
@@ -56,10 +60,12 @@ from .hecke import (
     yb_element,
 )
 from .operators import all_inverse_words, apply_generator, apply_inverse_word, random_probe
-from .permutations import Permutation, all_permutations, check_rank
+from .permutations import Permutation, all_permutations, check_rank, weak_order_walk
 from .poly import (
     LaurentPoly,
+    Scalar,
     coefficients_in,
+    exponent_vectors,
     lowest_homogeneous_component,
     rename_poly,
     sum_of_products,
@@ -544,46 +550,105 @@ def verify_appendix(n: int, seed: int = 0) -> list[CheckReport]:
     return [verify_appendix_factorizations(s, q, seed=seed) for s in shapes for q in modes]
 
 
-def _schubert_coordinates(f: LaurentPoly, n: int) -> dict:
-    """Coordinates of a polynomial f modulo the symmetric ideal:
-    c_nu(f) = (partial_nu f)(0), read as the constant term of partial_nu f.
+def _normal_form(n: int) -> Callable[[LaurentPoly], list]:
+    """f -> the coefficients of f modulo the ideal I of the symmetric
+    polynomials without constant term over the Artin monomials x^alpha,
+    alpha_i <= n - i, listed in :func:`itertools.product` order of alpha;
+    the form of each monomial is memoised.
 
-    partial_nu acts on x and is linear over y, so a term with a y in it
-    stays a multiple of its y-monomial and never reaches the constant term:
-    only the y-free part f(x, 0) is descended.
+    h_{n-i+1}(x_1..x_i), i = 1..n, leads with x_i^{n-i+1} in lex order
+    x_n > ... > x_1.  So x^alpha, with i the last index where alpha_i > n - i,
+    is x^alpha / x_i^{n-i+1} times the other, lex-lower monomials of that h,
+    negated; each step keeps the degree and lowers the monomial.
     """
-    for v in f.variables():
-        if var_parts(v)[0] == "y":
-            f = coefficients_in(f, v).get(0, LaurentPoly.zero())
-    return {
-        nu: img.coefficient({})
-        for nu, img in all_inverse_words("partial", f, n).items()
-    }
+    artin = {a: k for k, a in enumerate(product(*(range(n - i + 1) for i in range(1, n + 1))))}
+    tails = []
+    for i in range(1, n + 1):
+        tail = []
+        for letters in combinations_with_replacement(range(i), n - i + 1):
+            if letters[0] < i - 1:  # not x_i^{n-i+1} itself
+                tail.append(tuple(letters.count(k) for k in range(n)))
+        tails.append(tail)
+    memo: dict[tuple[int, ...], tuple] = {}  # alpha -> ((index in artin, coefficient), ...)
+    names = [f"x{i}" for i in range(1, n + 1)]
+
+    def reduce(alpha: tuple[int, ...]) -> tuple:
+        i = next((i for i in range(n, 0, -1) if alpha[i - 1] > n - i), 0)
+        if not i:
+            nf = ((artin[alpha], 1),)
+        else:
+            base = alpha[: i - 1] + (alpha[i - 1] - n + i - 1,) + alpha[i:]
+            acc: dict[int, Scalar] = {}
+            for beta in tails[i - 1]:
+                lower = tuple(map(add, base, beta))
+                for k, c in memo[lower] if lower in memo else reduce(lower):
+                    acc[k] = acc.get(k, 0) - c
+            nf = tuple((k, c) for k, c in acc.items() if c)
+        memo[alpha] = nf
+        return nf
+
+    def normal_form(f: LaurentPoly) -> list:
+        row = [0] * len(artin)
+        for alpha, c in exponent_vectors(f, names):
+            for k, d in memo[alpha] if alpha in memo else reduce(alpha):
+                row[k] += c * d
+        return row
+
+    return normal_form
+
+
+def _cohomology_images(n: int) -> Iterator[tuple[Permutation, LaurentPoly]]:
+    """(mu, Y_mu^s(x^delta)) for every mu in S_n, in window order: the image
+    of mu is one :func:`_s_step` from that of mu s_j, j the first descent of
+    mu (:func:`weak_order_walk`)."""
+    staircase = LaurentPoly.monomial({f"x{i}": n - i for i in range(1, n)})
+    return weak_order_walk(n, staircase, lambda f, nu, j: _s_step(f, j, nu(j), nu(j + 1), n))
 
 
 def verify_cohomology_basis(n: int) -> CheckReport:
     """Images of the staircase monomial under Y_mu^s form a basis.
 
-    With u_i = i, the operators Y_mu^s map x_1^(n-1) x_2^(n-2) ... to a
-    family whose coordinate matrix over the Schubert classes is invertible.
-    The coordinate functional (partial_nu f)(0) is validated on the single
-    Schubert table X_kappa(x, 0) before being trusted; the constant term of
-    partial_nu X_kappa(x, y) is the value of partial_nu X_kappa(x, 0) at 0.
-    The images are taken by the steps of :func:`_s_step`, which scale the
-    row of mu by a nonzero integer, so the invertibility is unchanged.
+    With u_i = i, the operators Y_mu^s map x^delta = x_1^(n-1) x_2^(n-2) ...
+    to a family that is a basis of Z[x]/I, I the ideal of the symmetric
+    polynomials without constant term.  Two classic facts decide it without
+    divided differences:
+
+    * the h_{n-i+1}(x_1..x_i), i = 1..n, are a Groebner basis of I in lex
+      order x_n > ... > x_1 (Sturmfels, *Algorithms in Invariant Theory*),
+      so every class has one normal form in the Artin monomials x^alpha,
+      alpha_i <= n - i, which are a basis of Z[x]/I (:func:`_normal_form`);
+    * X_kappa(x, 0) is x^{code(kappa)} plus lex-lower terms, with
+      coefficient 1 (Macdonald, *Notes on Schubert polynomials*).
+
+    The n! table checks read the second fact off the table: X_kappa(x, 0)
+    lies in the span of the Artin monomials and leads with x^{code(kappa)}
+    and coefficient 1.  code is a bijection from S_n onto the Artin
+    exponents, so the Schubert classes differ from the Artin basis by a
+    unitriangular matrix, and the images' matrix is invertible over one
+    basis exactly when it is over the other.  The matrix check therefore
+    eliminates the normal forms.  The images are taken by the steps of
+    :func:`_s_step`, which scale the row of mu by a nonzero integer, so the
+    invertibility is unchanged.
     """
     report = CheckReport(name=f"cohomology-basis[n={n}]")
-    perms = all_permutations(n)
     table = schubert_table(n)
-    for kappa in perms:
-        coords = _schubert_coordinates(table[kappa], n)
-        ok = all(coords[nu] == (1 if nu == kappa else 0) for nu in perms)
-        report.record(ok, lambda: f"coordinate functional fails on X_{kappa}")
-    staircase = LaurentPoly.monomial({f"x{i}": n - i for i in range(1, n)})
-    rows = []
-    for mu in perms:
-        coords = _schubert_coordinates(_yb_operator(mu, staircase, _s_step), n)
-        rows.append([coords[nu] for nu in perms])
+    for kappa in all_permutations(n):
+        entry = table.pop(kappa)  # the table is gone before the images are built
+        for v in entry.variables():
+            if var_parts(v)[0] == "y":
+                entry = coefficients_in(entry, v).get(0, LaurentPoly.zero())
+        terms = dict(exponent_vectors(entry, [f"x{i}" for i in range(1, n + 1)]))
+        w = kappa.window
+        code = tuple(sum(b < a for b in w[i:]) for i, a in enumerate(w, 1))
+        lead = max(terms, key=lambda a: a[::-1], default=None)
+        ok = lead == code and terms[lead] == 1 and all(
+            e <= n - i for a in terms for i, e in enumerate(a, 1)
+        )
+        report.record(
+            ok, lambda: f"X_{kappa}(x, 0) is not x^{code} plus lex-lower Artin monomials"
+        )
+    normal_form = _normal_form(n)
+    rows = [normal_form(f) for _, f in _cohomology_images(n)]
     report.record(_invertible(rows), "coordinate matrix is singular")
     return report
 

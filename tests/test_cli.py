@@ -450,7 +450,7 @@ def test_verify_all_n5_output_is_pinned(capsys):
         ]
         + appendix
         + [
-            "cohomology-basis[n=4]: PASS (25 checks)",
+            "cohomology-basis[n=5]: PASS (121 checks)",
             "degeneration[n=3]: PASS (6 checks)",
             "verify all: PASS",
         ]
@@ -464,7 +464,6 @@ def test_verify_all_n5_output_is_pinned(capsys):
         "verify newton: asked for n=5, runs at n=3",
         "verify normal-ordering: asked for n=5, runs at n=3",
         "verify appendix: asked for n=5, runs at n=4",
-        "verify cohomology-basis: asked for n=5, runs at n=4",
         "verify degeneration: asked for n=5, runs at n=3",
     ]
 

@@ -27,6 +27,7 @@ from ybhecke.poly import (
     coefficients_in,
     display_terms,
     divided_difference,
+    exponent_vectors,
     exact_div,
     lowest_homogeneous_component,
     narrow,
@@ -744,6 +745,48 @@ def test_packed_kernels_match_a_tuple_reference():
             varmap = {f"x{i}": f"u{w[i - 1]}" for i in (1, 2, 3)}
             varmap.update({f"y{j}": f"u{j}" for j in (1, 2, 3)})
             assert_matches(specialize_double(p, Permutation(w)), ref_rename(ref_of(p), varmap))
+
+
+def _beta_cleared_by_split(p):
+    # p = sum_j P_j BETA^j of degree K gives sum_j P_j (q1*q2)^j (q1+q2)^(2K-2j)
+    parts = coefficients_in(p, BETA)
+    top = max(parts, default=0)
+    if not top:
+        return p, 0
+    q1, q2 = V("q1"), V("q2")
+    terms = ((part, (q1 * q2) ** j * (q1 + q2) ** (2 * (top - j))) for j, part in parts.items())
+    return sum_of_products(terms), top
+
+
+def test_clear_beta_at_the_digit_edges_is_the_split(monkeypatch):
+    # u1..u8 fill the slots below BETA's; their exponents at the ends of
+    # [-2^14, 2^14) give the largest and smallest keys that skip the split
+    edge = 1 << 14
+    top = LaurentPoly.monomial({f"u{i}": edge - 1 for i in range(1, 9)})
+    bottom = LaurentPoly.monomial({f"u{i}": -edge for i in range(1, 9)})
+    free = top - 3 * bottom + 2
+    cases = [
+        free,
+        LaurentPoly.zero(),
+        free + top * V("x1"),
+        free + bottom * V("x1"),
+        free + top * LaurentPoly.variable("x1", -1),
+        free - bottom * V("q2"),
+        free + bottom * V(BETA),
+        top * V(BETA) - 5 * bottom,
+    ]
+    for p in cases:
+        got, want = clear_beta(p), _beta_cleared_by_split(p)
+        assert (got[0].terms, got[1]) == (want[0].terms, want[1]), p
+    monkeypatch.setattr(ybhecke.poly, "coefficients_in", None)
+    assert clear_beta(free) == (free, 0)
+
+
+def test_exponent_vectors_refuse_a_variable_outside_the_names():
+    p = parse_poly("x1^2*x3 - 4")
+    assert exponent_vectors(p, ["x1", "x2", "x3"]) == [((2, 0, 1), 1), ((0, 0, 0), -4)]
+    with pytest.raises(ValueError, match="outside"):
+        exponent_vectors(p * V("y1"), ["x1", "x2", "x3"])
 
 
 def test_kernels_keep_integral_values_as_ints():

@@ -23,6 +23,7 @@ from ybhecke.poly import (
     LaurentPoly,
     RationalFunction,
     as_rf,
+    coefficients_in,
     lowest_homogeneous_component,
     rename_poly,
     substitute_poly,
@@ -701,8 +702,8 @@ def test_cohomology_basis():
 
 
 def test_cohomology_basis_fails_on_a_wrong_table_entry(monkeypatch):
-    # partial_213 of the extra x1 is 1, so the coordinate of X_213 at 213
-    # reads 2: the validation of that one entry fails, nothing else does
+    # X_213(x, 0) = x1 gains a second x1: its leading coefficient reads 2, so
+    # the check of that one entry fails, and nothing else does
     table = schubert_table(3)
 
     def wrong_table(n):
@@ -711,23 +712,68 @@ def test_cohomology_basis_fails_on_a_wrong_table_entry(monkeypatch):
     monkeypatch.setattr(schubert, "schubert_table", wrong_table)
     report = verify_cohomology_basis(3)
     assert report.checks == 7 and report.failed == 1
-    assert report.failures == ["coordinate functional fails on X_213"]
+    assert report.failures == ["X_213(x, 0) is not x^(1, 0, 0) plus lex-lower Artin monomials"]
+
+
+@pytest.mark.parametrize("kappa", all_permutations(4), ids=str)
+@pytest.mark.parametrize("extra", ["lead", "x1^4"])
+def test_cohomology_basis_fails_exactly_the_changed_table_entry(monkeypatch, kappa, extra):
+    # X_kappa(x, 0) once more its leading monomial x^code(kappa) (coefficient
+    # 2), or plus x1^4, which lies outside the Artin span (x1^4 = 0 mod I)
+    table = schubert_table(4)
+    w = kappa.window
+    code = [sum(b < a for b in w[i:]) for i, a in enumerate(w, 1)]
+    lead = LaurentPoly.monomial({f"x{i}": e for i, e in enumerate(code, 1)})
+    changed = {**table, kappa: table[kappa] + (lead if extra == "lead" else parse_poly(extra))}
+    monkeypatch.setattr(schubert, "schubert_table", lambda n: dict(changed))
+    report = verify_cohomology_basis(4)
+    assert (report.checks, report.failed) == (25, 1)
+    assert report.failures == [
+        f"X_{kappa}(x, 0) is not x^{tuple(code)} plus lex-lower Artin monomials"
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cohomology_basis_is_singular_when_the_step_is_the_identity(monkeypatch, n):
+    # every image is then x^delta itself, one row repeated n! times
+    monkeypatch.setattr(schubert, "_s_step", lambda f, j, a, b, n: f)
+    report = verify_cohomology_basis(n)
+    assert (report.checks, report.failed) == (prod(range(1, n + 1)) + 1, 1)
+    assert report.failures == ["coordinate matrix is singular"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walked_images_are_the_per_word_images(n):
+    staircase = LaurentPoly.monomial({f"x{i}": n - i for i in range(1, n)})
+    walked = dict(schubert._cohomology_images(n))
+    assert list(walked) == sorted(all_permutations(n), key=lambda mu: mu.window)
+    for mu, image in walked.items():
+        assert image == schubert._yb_operator(mu, staircase, schubert._s_step), mu
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_coordinates_of_the_y_free_part_match_the_whole_polynomial(n):
-    # the constant term of partial_nu f, read from f with its y terms kept
+def test_normal_forms_are_the_schubert_coordinates_through_the_table(n):
+    # NF(f) = sum_kappa (partial_kappa f)(0) NF(X_kappa(x, 0)), the Schubert
+    # coordinates of f read as the constant terms of its divided differences
     def whole(f):
         return {nu: img.coefficient({}) for nu, img in all_inverse_words("partial", f, n).items()}
 
+    def y_free(f):
+        for j in range(1, n + 1):
+            f = coefficients_in(f, f"y{j}").get(0, LaurentPoly.zero())
+        return f
+
     rng = random.Random(n)
-    table = schubert_table(n)
-    staircase = LaurentPoly.monomial({f"x{i}": n - i for i in range(1, n)})
-    probes = [table[mu] for mu in all_permutations(n)]
-    probes += [schubert._yb_operator(mu, staircase, schubert._s_step) for mu in all_permutations(n)]
-    probes += [random_probe(rng, n) * parse_poly(f"y1 - 2*y{n}^2 + 3") for _ in range(5)]
+    normal_form = schubert._normal_form(n)
+    entries = {kappa: y_free(f) for kappa, f in schubert_table(n).items()}
+    classes = {kappa: normal_form(f) for kappa, f in entries.items()}
+    probes = list(entries.values()) + [f for _, f in schubert._cohomology_images(n)]
+    probes += [random_probe(rng, n) for _ in range(5)]
     for f in probes:
-        assert schubert._schubert_coordinates(f, n) == whole(f), f
+        coords = whole(f)
+        want = [sum(coords[kappa] * row[k] for kappa, row in classes.items())
+                for k in range(len(coords))]
+        assert normal_form(f) == want, f
 
 
 def test_degeneration():
