@@ -632,12 +632,13 @@ def verify_cohomology_basis(n: int) -> CheckReport:
     """
     report = CheckReport(name=f"cohomology-basis[n={n}]")
     table = schubert_table(n)
+    names = [f"x{i}" for i in range(1, n + 1)]
     for kappa in all_permutations(n):
         entry = table.pop(kappa)  # the table is gone before the images are built
         for v in entry.variables():
             if var_parts(v)[0] == "y":
                 entry = coefficients_in(entry, v).get(0, LaurentPoly.zero())
-        terms = dict(exponent_vectors(entry, [f"x{i}" for i in range(1, n + 1)]))
+        terms = dict(exponent_vectors(entry, names))
         w = kappa.window
         code = tuple(sum(b < a for b in w[i:]) for i, a in enumerate(w, 1))
         lead = max(terms, key=lambda a: a[::-1], default=None)
