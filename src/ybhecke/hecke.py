@@ -76,19 +76,9 @@ always has l(kappa) + l(b) = l(omega); so the row of h1 is its coefficients
 relabelled, and no product is taken.  The other families walk h1 to the
 right along the weak order, as the basis is built.  :func:`pairing` and
 :func:`expand_in_yb` pair a row with one g by :func:`_pair`;
-:func:`gram_matrix` pairs it with every phi(Y_nu) in one accumulation
-through an index kappa -> [(nu, phi(Y_nu) at kappa)].  At the symbols the
-form is rho-symmetric, rho renaming u_i to u_{n+1-i}: phi is an involutive
-anti-automorphism and omega^-1 = omega, so [T_omega] phi(h) =
-rho([T_omega] h) and
-
-    <h2, h1> = [T_omega](h2 phi(h1)) = [T_omega] phi(h1 phi(h2)) = rho(<h1, h2>).
-
-So :func:`gram_matrix` accumulates each unordered pair {mu, nu} once there
-and renames it into the other half.  At any other tuple phi reverses the
-tuple, and <Y_nu, Y_mu>(u) is <Y_mu, Y_nu> at the reversed tuple, another
-matrix, so every pair is accumulated.  Every Delta(u^pi) is read from one
-table of the factor coefficients c(u_a, u_b) (:func:`_deltas`).
+:func:`gram_matrix` pairs every row with every phi(Y_nu); its docstring
+says which route serves which spectral tuple.  Every Delta(u^pi) is read
+from one table of the factor coefficients c(u_a, u_b) (:func:`_deltas`).
 
 The paper's four facts about a family's Yang-Baxter basis are checked by
 the drivers :func:`verify_ybe`, :func:`verify_word_independence`,
@@ -97,13 +87,12 @@ the drivers :func:`verify_ybe`, :func:`verify_word_independence`,
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AlgebraMismatch,
     DegenerateSpectrum,
-    ExponentOverflow,
     IndexOutOfRange,
     RankMismatch,
     ReservedVariable,
@@ -658,35 +647,29 @@ def _deltas(
     return at
 
 
-def _is_laurent(values: Iterable[Coefficient]) -> bool:
-    return all(isinstance(c, LaurentPoly) for c in values)
-
-
 def gram_matrix(
     alg: AlgebraSpec, u: Sequence[Coefficient] | None = None
 ) -> dict[tuple[Permutation, Permutation], Coefficient]:
     """All pairings <Y_mu, Y_nu> at once, keyed nu-major.
 
     Each Y_mu gets one row :func:`_omega_row`, and no product of two
-    elements is taken.  Through one index kappa -> [(nu, phi(Y_nu) at
-    kappa)], :func:`~ybhecke.poly.sums_of_products` fills the pairings of a
-    row at once.  A row or phi(Y_nu) with a RationalFunction value (at
-    1 + u1, say) is paired by :func:`_pair`, as is a row whose accumulation
-    overflows, so that ExponentOverflow names the product it names per pair.
-
-    At the symbols u1..un the form is rho-symmetric, rho renaming u_i to
-    u_{n+1-i}: phi is an involutive anti-automorphism, omega^-1 = omega
-    and [T_omega] phi(h) = rho([T_omega] h), so
+    elements is taken.  At the symbols u1..un the form is rho-symmetric,
+    rho renaming u_i to u_{n+1-i}: phi is an involutive anti-automorphism,
+    omega^-1 = omega and [T_omega] phi(h) = rho([T_omega] h), so
 
         <h2, h1> = [T_omega](h2 phi(h1)) = [T_omega] phi(h1 phi(h2)) = rho(<h1, h2>).
 
     There the rows are taken from last to first in
     :func:`~ybhecke.permutations.all_permutations` order, phi(Y_mu) joins
-    the index just before row mu, so row mu accumulates only the columns nu
-    at or after mu, and <Y_nu, Y_mu> is rho(<Y_mu, Y_nu>); the long rows,
-    which come last, meet few columns.  At any other tuple phi reverses the
+    an index kappa -> [(column, phi(Y_nu) at kappa)] just before row mu,
+    and :func:`~ybhecke.poly.sums_of_products` accumulates the columns nu at
+    or after mu at once; <Y_nu, Y_mu> is rho(<Y_mu, Y_nu>).  The long rows,
+    which come last, meet few columns.  Every coefficient there is a
+    LaurentPoly, and for n <= :data:`~ybhecke.permutations.MAX_RANK` no
+    exponent nears the kernel's range.  At any other tuple phi reverses the
     tuple, not the symbols, so <Y_nu, Y_mu>(u) = <Y_mu, Y_nu>(reversed u) is
-    another matrix, and every row accumulates every column, first to last.
+    another matrix, and each entry is paired by :func:`_pair`, row by row in
+    mu order.
 
     The generic family is paired in its one-parameter form, where no
     coefficient has a denominator at the symbols u1..un and no gcd is
@@ -698,40 +681,30 @@ def gram_matrix(
     >>> [str(c) for c in gram_matrix(algebra("partial", 2)).values()]
     ['0', '-u1 + u2', 'u1 - u2', '0']
     """
-    rho = _reversal(alg.n) if _at_symbols(u, alg.n) else None
+    symbols = _at_symbols(u, alg.n)
     u, build, reduce = _spectrum(alg, u)
     ys, phis = yb_basis(build, u), _phi_of_basis(build, u)
-    laurent = {nu for nu, g in phis.items() if _is_laurent(g.coeffs.values())}
-    index: dict[Permutation, list[tuple[int, LaurentPoly]]] = {}
-    columns: list[Permutation] = []
-
-    def index_column(nu: Permutation) -> None:
-        if nu in laurent:
-            for kappa, c in phis[nu].coeffs.items():
-                index.setdefault(kappa, []).append((len(columns), c))
-        columns.append(nu)
-
-    if not rho:
-        for nu in phis:
-            index_column(nu)
     out = dict.fromkeys((mu, nu) for nu in phis for mu in ys)
-    for mu in reversed(ys) if rho else ys:
-        if rho:
-            index_column(mu)
-        row = _omega_row(ys[mu])
-        sums = None
-        if _is_laurent(row.values()):
+    if symbols:
+        rho = _reversal(alg.n)
+        index: dict[Permutation, list[tuple[int, LaurentPoly]]] = {}
+        columns: list[Permutation] = []
+        for mu in reversed(ys):
+            for kappa, c in phis[mu].coeffs.items():
+                index.setdefault(kappa, []).append((len(columns), c))
+            columns.append(mu)
+            row = _omega_row(ys[mu])
             operands = ((r, index[kappa]) for kappa, r in row.items() if kappa in index)
-            try:
-                sums = sums_of_products(operands, len(columns))
-            except ExponentOverflow:
-                pass  # _pair below raises it at the product it names per pair
-        for k, nu in enumerate(columns):
-            accumulated = sums is not None and nu in laurent
-            c = out[mu, nu] = sums[k] if accumulated else _pair(phis[nu], row)
-            if rho and nu != mu:
-                # nearly every entry is 0 by the orthogonality law, and rho fixes 0
-                out[nu, mu] = rho(c) if c else c
+            for nu, c in zip(columns, sums_of_products(operands, len(columns))):
+                out[mu, nu] = c
+                if nu != mu:
+                    # nearly every entry is 0 by the orthogonality law, and rho fixes 0
+                    out[nu, mu] = rho(c) if c else c
+    else:
+        for mu, y in ys.items():
+            row = _omega_row(y)
+            for nu, g in phis.items():
+                out[mu, nu] = _pair(g, row)
     if build is alg:
         return out
     length = Permutation.longest(alg.n).length()
@@ -820,13 +793,13 @@ def apply_to_polynomial(h: HeckeElement, f: LaurentPoly) -> Coefficient:
 
 
 def verify_ybe(alg: AlgebraSpec) -> CheckReport:
-    """Y_1(u, v) Y_2(u, w) Y_1(v, w) = Y_2(v, w) Y_1(u, w) Y_2(u, v), family T
+    """Y_1(u, v) Y_2(u, w) Y_1(v, w) = Y_2(v, w) Y_1(u, w) Y_2(u, v): Y_321
+    of S_3 is the same along its two reduced words 121 and 212, each side
+    multiplied out by :func:`yb_product` from :func:`word_steps`; family T
     in its building algebra as in :func:`verify_word_independence`."""
     report = CheckReport(name=f"ybe[{alg.family}]")
-    u, v, w = symbolic_spectral(3)
-    y = partial(elementary_factor, _spectrum(alg, None)[1])
-    lhs = y(1, u, v) * y(2, u, w) * y(1, v, w)
-    rhs = y(2, v, w) * y(1, u, w) * y(2, u, v)
+    build = _spectrum(alg, None)[1]
+    lhs, rhs = (yb_product(build, None, word_steps(alg.n, w)) for w in ((1, 2, 1), (2, 1, 2)))
     report.record(lhs == rhs, "Yang-Baxter equation fails")
     return report
 

@@ -69,7 +69,6 @@ from .poly import (
     lowest_homogeneous_component,
     rename_poly,
     sum_of_products,
-    var_parts,
 )
 from .report import CheckReport
 
@@ -620,25 +619,23 @@ def verify_cohomology_basis(n: int) -> CheckReport:
     * X_kappa(x, 0) is x^{code(kappa)} plus lex-lower terms, with
       coefficient 1 (Macdonald, *Notes on Schubert polynomials*).
 
-    The n! table checks read the second fact off the table: X_kappa(x, 0)
-    lies in the span of the Artin monomials and leads with x^{code(kappa)}
-    and coefficient 1.  code is a bijection from S_n onto the Artin
-    exponents, so the Schubert classes differ from the Artin basis by a
-    unitriangular matrix, and the images' matrix is invertible over one
-    basis exactly when it is over the other.  The matrix check therefore
-    eliminates the normal forms.  The images are taken by the steps of
+    The n! table checks read the second fact off the single Schubert
+    polynomials X_kappa(x, 0), descended by :func:`_descend` from the same
+    x^delta the images start from: each lies in the span of the Artin
+    monomials and leads with x^{code(kappa)} and coefficient 1.  code is a
+    bijection from S_n onto the Artin exponents, so the Schubert classes
+    differ from the Artin basis by a unitriangular matrix, and the images'
+    matrix is invertible over one basis exactly when it is over the other.
+    The matrix check therefore eliminates the normal forms.  The images are taken by the steps of
     :func:`_s_step`, which scale the row of mu by a nonzero integer, so the
     invertibility is unchanged.
     """
     report = CheckReport(name=f"cohomology-basis[n={n}]")
-    table = schubert_table(n)
+    table = _descend(n, lambda i, j: LaurentPoly.variable(f"x{i}"), "partial")
     names = [f"x{i}" for i in range(1, n + 1)]
     for kappa in all_permutations(n):
-        entry = table.pop(kappa)  # the table is gone before the images are built
-        for v in entry.variables():
-            if var_parts(v)[0] == "y":
-                entry = coefficients_in(entry, v).get(0, LaurentPoly.zero())
-        terms = dict(exponent_vectors(entry, names))
+        # the table is gone before the images are built
+        terms = dict(exponent_vectors(table.pop(kappa), names))
         w = kappa.window
         code = tuple(sum(b < a for b in w[i:]) for i, a in enumerate(w, 1))
         lead = max(terms, key=lambda a: a[::-1], default=None)

@@ -1057,7 +1057,7 @@ def gram_per_pair(alg, u):
 
 SPECTRA = {
     # u1,u2,u3 is the symbols, where gram_matrix mirrors half the matrix;
-    # u3,u2,u1 is not, so every entry is accumulated
+    # u3,u2,u1 is not, so every entry is paired on its own
     3: [None, [2, 3, 5], [S("1+u1"), S("u2"), S("u3")],
         [S("u1"), S("u2"), S("u3")], [S("u3"), S("u2"), S("u1")]],
     # 1+u1 first and numbers after it: the rational pibar matrix at the
@@ -1074,8 +1074,8 @@ SPECTRA = {
     ids=str,
 )
 def test_gram_matrix_equals_the_per_pair_route(family, n, u):
-    # one accumulation per row gives every entry in its ring and terms, in
-    # nu-major order; u1^5000 takes the kernel's out-of-range products
+    # both routes give every entry in its ring and terms, in nu-major
+    # order; u1^5000 takes the kernel's out-of-range products
     alg = algebra(family, n)
     got, want = gram_matrix(alg, u), gram_per_pair(alg, u)
     assert list(got) == list(want)
@@ -1095,6 +1095,26 @@ def test_the_form_at_the_symbols_is_rho_symmetric(family, n):
     for (mu, nu), c in g.items():
         rho = rename_poly(c, rev) if isinstance(c, LaurentPoly) else rename_rf(c, rev)
         assert exact(g[nu, mu]) == exact(rho), (mu, nu)
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, 3) for f in FACTOR_FAMILIES] + [(f, 4) for f in ("sigma", "partial", "pibar")],
+)
+def test_the_symbols_take_the_accumulated_route_alone(family, n, monkeypatch):
+    # the case verify orthogonality runs: no entry there is paired by _pair,
+    # whether the symbols are the default or given as a tuple
+    alg = algebra(family, n)
+    want = gram_per_pair(alg, None)
+
+    def no_pair(g, row):
+        raise AssertionError("an entry at the symbols was paired by _pair")
+
+    monkeypatch.setattr(ybhecke.hecke, "_pair", no_pair)
+    for u in (None, symbolic_spectral(n)):
+        got = gram_matrix(alg, u)
+        assert list(got) == list(want)
+        assert {k: exact(c) for k, c in got.items()} == {k: exact(c) for k, c in want.items()}
 
 
 def corrupted(yb_basis, mu):
@@ -1127,9 +1147,8 @@ def test_a_corrupted_basis_element_breaks_orthogonality_by_both_routes(family, m
      ("sigma", "u1^5000,u2^6000,u3"), ("sigma", "u1^2000,u2^6000,u3^-5000")],
 )
 def test_gram_matrix_overflows_where_the_per_pair_route_does(family, u):
-    # the row that overflows is paired again product by product, so the
-    # error names the same monomial; in the last two cases the kernel's
-    # own first overflow is another product
+    # away from the symbols every entry is paired on its own, row by row,
+    # so the error names the same monomial as the per-pair route
     u = [S(x) for x in u.split(",")]
     alg = algebra(family, len(u))
     with pytest.raises(ExponentOverflow) as per_pair:

@@ -704,12 +704,13 @@ def test_cohomology_basis():
 def test_cohomology_basis_fails_on_a_wrong_table_entry(monkeypatch):
     # X_213(x, 0) = x1 gains a second x1: its leading coefficient reads 2, so
     # the check of that one entry fails, and nothing else does
-    table = schubert_table(3)
+    descend = schubert._descend
 
-    def wrong_table(n):
+    def wrong_table(n, factor, family):
+        table = descend(n, factor, family)
         return {**table, P("213"): table[P("213")] + parse_poly("x1")}
 
-    monkeypatch.setattr(schubert, "schubert_table", wrong_table)
+    monkeypatch.setattr(schubert, "_descend", wrong_table)
     report = verify_cohomology_basis(3)
     assert report.checks == 7 and report.failed == 1
     assert report.failures == ["X_213(x, 0) is not x^(1, 0, 0) plus lex-lower Artin monomials"]
@@ -720,17 +721,48 @@ def test_cohomology_basis_fails_on_a_wrong_table_entry(monkeypatch):
 def test_cohomology_basis_fails_exactly_the_changed_table_entry(monkeypatch, kappa, extra):
     # X_kappa(x, 0) once more its leading monomial x^code(kappa) (coefficient
     # 2), or plus x1^4, which lies outside the Artin span (x1^4 = 0 mod I)
-    table = schubert_table(4)
+    descend = schubert._descend
     w = kappa.window
     code = [sum(b < a for b in w[i:]) for i, a in enumerate(w, 1)]
     lead = LaurentPoly.monomial({f"x{i}": e for i, e in enumerate(code, 1)})
-    changed = {**table, kappa: table[kappa] + (lead if extra == "lead" else parse_poly(extra))}
-    monkeypatch.setattr(schubert, "schubert_table", lambda n: dict(changed))
+
+    def changed(n, factor, family):
+        table = descend(n, factor, family)
+        return {**table, kappa: table[kappa] + (lead if extra == "lead" else parse_poly(extra))}
+
+    monkeypatch.setattr(schubert, "_descend", changed)
     report = verify_cohomology_basis(4)
     assert (report.checks, report.failed) == (25, 1)
     assert report.failures == [
         f"X_{kappa}(x, 0) is not x^{tuple(code)} plus lex-lower Artin monomials"
     ]
+
+
+def y_free(f, n):
+    """f with every y1..yn set to 0, read through coefficients_in."""
+    for j in range(1, n + 1):
+        f = coefficients_in(f, f"y{j}").get(0, LaurentPoly.zero())
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cohomology_classes_are_the_y_free_parts_of_the_table(monkeypatch, n):
+    # X_kappa(x, 0) descended from x^delta, as the suite reads it, against
+    # the double table with every y set to 0
+    want = {kappa: y_free(f, n) for kappa, f in schubert_table(n).items()}
+    seen = []
+    descend = schubert._descend
+
+    def recording(*args):
+        seen.append(descend(*args))
+        return dict(seen[-1])  # the suite pops its entries
+
+    monkeypatch.setattr(schubert, "_descend", recording)
+    assert verify_cohomology_basis(n).passed
+    [classes] = seen
+    assert list(classes) == list(want)
+    for kappa, f in want.items():
+        assert classes[kappa] == f, kappa
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -758,14 +790,9 @@ def test_normal_forms_are_the_schubert_coordinates_through_the_table(n):
     def whole(f):
         return {nu: img.coefficient({}) for nu, img in all_inverse_words("partial", f, n).items()}
 
-    def y_free(f):
-        for j in range(1, n + 1):
-            f = coefficients_in(f, f"y{j}").get(0, LaurentPoly.zero())
-        return f
-
     rng = random.Random(n)
     normal_form = schubert._normal_form(n)
-    entries = {kappa: y_free(f) for kappa, f in schubert_table(n).items()}
+    entries = {kappa: y_free(f, n) for kappa, f in schubert_table(n).items()}
     classes = {kappa: normal_form(f) for kappa, f in entries.items()}
     probes = list(entries.values()) + [f for _, f in schubert._cohomology_images(n)]
     probes += [random_probe(rng, n) for _ in range(5)]
